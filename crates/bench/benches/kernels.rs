@@ -1,32 +1,28 @@
 //! GEMM kernel baseline: blocked kernels vs the seed's naive loops, per
-//! variant, shape, and worker count, plus the serving fast paths — fused
-//! epilogues and the int8 row-quantized kernel — against their unfused /
-//! f32 counterparts.
+//! variant, shape, and worker count, plus the serving fast paths —
+//! prepacked weight panels and fused epilogues — against per-call packing
+//! and the unfused forward.
 //!
 //! Default mode prints a table and writes `results/kernels.txt`; with
 //! `--json` it additionally writes the machine-readable baseline
 //! `BENCH_kernels.json` at the workspace root, one record per
-//! (op, impl, m, k, n, workers, epilogue, dtype) with `ns_per_iter` and
+//! (op, impl, m, k, n, workers, epilogue) with `ns_per_iter` and
 //! `gflops`. CI and future sessions diff that file instead of re-parsing
 //! prose.
 //!
-//! The f32 kernels are bitwise identical at every worker count and with
-//! every epilogue fusion (asserted here on every timed configuration, not
-//! just claimed), so for them the only thing this bench measures is speed.
-//! The int8 rows are the one exception: quantization is lossy by design,
-//! its accuracy bound is enforced by the library tests, and this bench
-//! only times it. Honest-reporting note: on a single-core box the
+//! The kernels are bitwise identical at every worker count and with every
+//! epilogue fusion (asserted here on every timed configuration, not just
+//! claimed), so the only thing this bench measures is speed.
+//! Honest-reporting note: on a single-core box the
 //! multi-worker rows legitimately read ~1.0x of the 1-worker row; the
 //! speedup that must hold everywhere is blocked-vs-reference at workers=1.
 //!
-//! Three ratio gates run in every mode (so `scripts/check.sh
+//! Two ratio gates run in every mode (so `scripts/check.sh
 //! bench-kernels` fails on a regression even without `--json`):
 //!
 //! * fused epilogue ≥ 1.1x over the pre-fusion three-pass forward at the
 //!   smallest serving micro-batch shapes (where the O(m·n) epilogue passes
 //!   are a real fraction of the O(m·k·n) product);
-//! * int8 quantized (including per-call activation quantization) ≥ 1.5x
-//!   over the f32 prepacked path at m=8, k=n=512;
 //! * no 2/4-worker row slower than its paired 1-worker counterpart at
 //!   128³, the shape [`kernels::PAR_MIN_FLOPS`] pins to serial dispatch.
 //!
@@ -41,8 +37,7 @@ use taglets_bench::write_results;
 use taglets_tensor::kernels::{self, Epilogue, GemmKind};
 use taglets_tensor::{Concurrency, Executor, Tensor};
 
-/// One timed configuration. `epilogue` is `"none"` or `"bias_relu"`;
-/// `dtype` is `"f32"` or `"int8"`.
+/// One timed configuration. `epilogue` is `"none"` or `"bias_relu"`.
 struct Record {
     op: &'static str,
     imp: &'static str,
@@ -51,13 +46,11 @@ struct Record {
     n: usize,
     workers: usize,
     epilogue: &'static str,
-    dtype: &'static str,
     ns_per_iter: u128,
     gflops: f64,
 }
 
-/// A plain f32 record with no fused epilogue — the shape every
-/// pre-ISSUE-10 row keeps, so the baseline diff is purely additive.
+/// A record with no fused epilogue.
 fn rec(
     op: &'static str,
     imp: &'static str,
@@ -75,7 +68,6 @@ fn rec(
         n,
         workers,
         epilogue: "none",
-        dtype: "f32",
         ns_per_iter: ns,
         gflops: gflops(m, k, n, ns),
     }
@@ -83,7 +75,7 @@ fn rec(
 
 /// Min-of-9 timing of `f`, with iteration count chosen so each sample runs
 /// at least ~25ms (one warmup call calibrates; the cap only binds for
-/// calls slower than ~100ns, so the sub-microsecond fused/int8 closures
+/// calls slower than ~100ns, so the sub-microsecond fused closures
 /// still fill a full window instead of a noisy 40µs sliver). Minimum, not
 /// median: timer noise and scheduler preemption only ever *add* time, so
 /// the fastest sample is the closest estimate of the true cost.
@@ -560,95 +552,16 @@ fn main() {
          micro-batch shape, best measured {best_fused_ratio:.3}x"
     );
 
-    // Int8 row-quantized serving path vs the f32 prepacked path, both with
-    // the bias+ReLU epilogue fused (each path's best serving form). The
-    // int8 side pays its honest per-call cost: activations are quantized
-    // inside the timed region, exactly as `predict_proba_quantized` does;
-    // only the weight panel is pack-time work. m=8 is the serving
-    // micro-batch; the k=n=512 row is the gate, the smaller rows document
-    // where the integer kernel's throughput wins (large k) and where the
-    // quantize+dequant overhead eats it (small k).
-    let mut int8_ratio_lines: Vec<String> = Vec::new();
-    for &(m, k, n, gate) in &[
-        (8usize, 64usize, 64usize, false),
-        (8, 256, 256, false),
-        (8, 512, 512, true),
-    ] {
-        let x = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let w = Tensor::randn(&[k, n], 0.5, &mut rng);
-        let bias = Tensor::randn(&[1, n], 1.0, &mut rng);
-        let serial = Executor::serial();
-        let mut fpanel = Vec::new();
-        kernels::pack_b(GemmKind::Nn, k, n, w.data(), &mut fpanel);
-        let (mut qpanel, mut b_scales, mut colsums) = (Vec::new(), Vec::new(), Vec::new());
-        kernels::pack_b_i8(k, n, w.data(), &mut qpanel, &mut b_scales, &mut colsums);
-        let (mut qa, mut a_scales) = (Vec::new(), Vec::new());
-        let mut f32_out = vec![0.0f32; m * n];
-        let mut out = vec![0.0f32; m * n];
-        let (f32_ns, i8_ns) = time_pair_gated(
-            || {
-                kernels::gemm_packed_into(
-                    GemmKind::Nn,
-                    m,
-                    k,
-                    n,
-                    x.data(),
-                    &fpanel,
-                    Epilogue::BiasRelu(bias.data()),
-                    &serial,
-                    &mut f32_out,
-                );
-                std::hint::black_box(&f32_out);
-            },
-            || {
-                kernels::quantize_rows_i8(x.data(), m, k, &mut qa, &mut a_scales);
-                kernels::gemm_i8_into(
-                    m,
-                    k,
-                    n,
-                    &qa,
-                    &a_scales,
-                    &qpanel,
-                    &b_scales,
-                    &colsums,
-                    Epilogue::BiasRelu(bias.data()),
-                    &serial,
-                    &mut out,
-                );
-                std::hint::black_box(&out);
-            },
-            if gate { 1.5 } else { 0.0 },
-        );
-        let ratio = f32_ns as f64 / i8_ns as f64;
-        if gate {
-            assert!(
-                ratio >= 1.5,
-                "int8 quantized path must be >= 1.5x over f32 prepacked at \
-                 m={m} k={k} n={n}, measured {ratio:.3}x"
-            );
-        }
-        int8_ratio_lines.push(format!("k=n={k} {ratio:.2}x"));
-        records.push(Record {
-            epilogue: "bias_relu",
-            ..rec("linear", "prepacked", m, k, n, 1, f32_ns)
-        });
-        records.push(Record {
-            epilogue: "bias_relu",
-            dtype: "int8",
-            ..rec("linear", "quantized", m, k, n, 1, i8_ns)
-        });
-    }
-
     let mut out =
         String::from("GEMM kernels — blocked vs seed-naive reference (bitwise identical)\n\n");
     out.push_str(&format!(
-        "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>6} {:>14} {:>8}\n",
-        "op", "impl", "m", "k", "n", "workers", "epilogue", "dtype", "ns/iter", "GFLOP/s"
+        "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8}\n",
+        "op", "impl", "m", "k", "n", "workers", "epilogue", "ns/iter", "GFLOP/s"
     ));
     for r in &records {
         out.push_str(&format!(
-            "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>6} {:>14} {:>8.3}\n",
-            r.op, r.imp, r.m, r.k, r.n, r.workers, r.epilogue, r.dtype, r.ns_per_iter, r.gflops
+            "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8.3}\n",
+            r.op, r.imp, r.m, r.k, r.n, r.workers, r.epilogue, r.ns_per_iter, r.gflops
         ));
     }
     // Headline: the acceptance number for the 256^3 matmul.
@@ -692,10 +605,6 @@ fn main() {
         fused_ratio_lines.join(", ")
     ));
     out.push_str(&format!(
-        "int8 quantized vs f32 prepacked at m=8 (gate: k=n=512 >= 1.5x): {}\n",
-        int8_ratio_lines.join(", ")
-    ));
-    out.push_str(&format!(
         "multi-worker at 128^3 dispatches serially (PAR_MIN_FLOPS gate): worst serial/worker ratio {worst_worker_ratio:.3}\n",
     ));
     write_results("kernels", &out);
@@ -703,8 +612,10 @@ fn main() {
     if json_mode {
         let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"unit\": {\"ns_per_iter\": \"min of 9 samples\", \"gflops\": \"2*m*k*n / ns_per_iter\"},\n  \"results\": [\n");
         for (i, r) in records.iter().enumerate() {
+            // Every kernel is f32; the `dtype` key keeps the row schema of
+            // earlier baselines so rows stay diffable.
             json.push_str(&format!(
-                "    {{\"op\": \"{}\", \"impl\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"workers\": {}, \"epilogue\": \"{}\", \"dtype\": \"{}\", \"ns_per_iter\": {}, \"gflops\": {:.4}}}{}\n",
+                "    {{\"op\": \"{}\", \"impl\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"workers\": {}, \"epilogue\": \"{}\", \"dtype\": \"f32\", \"ns_per_iter\": {}, \"gflops\": {:.4}}}{}\n",
                 r.op,
                 r.imp,
                 r.m,
@@ -712,7 +623,6 @@ fn main() {
                 r.n,
                 r.workers,
                 r.epilogue,
-                r.dtype,
                 r.ns_per_iter,
                 r.gflops,
                 if i + 1 == records.len() { "" } else { "," }

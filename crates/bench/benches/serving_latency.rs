@@ -249,7 +249,6 @@ fn sweep_cell(
         } else {
             Concurrency::threads(workers)
         },
-        path: taglets_core::InferencePath::F32,
     };
     let mut engine = ServingEngine::new(model, cfg, &clock).expect("engine config is valid");
 

@@ -29,17 +29,15 @@ use taglets_bench::{
     generate_traffic, tape_span_nanos, write_results, TrafficConfig, TrafficShape,
 };
 use taglets_core::{
-    Concurrency, DispatchPolicy, InferencePath, RouteConfig, RouteTelemetry, RoutedRequest, Router,
-    ServableModel, ServeConfig,
+    Concurrency, DispatchPolicy, RouteConfig, RouteTelemetry, RoutedRequest, Router, ServableModel,
+    ServeConfig,
 };
 use taglets_eval::render_route_json;
 
-/// One replayed-and-timed configuration. `path` is the inference path the
-/// replicas served on (`"f32"` or `"int8"`).
+/// One replayed-and-timed configuration.
 struct Record {
     shape: &'static str,
     replicas: usize,
-    path: &'static str,
     policy: &'static str,
     requests: usize,
     offered_qps: f64,
@@ -56,7 +54,7 @@ struct Record {
 /// deliberately tight queue (`queue_cap` < burst size) so the bursty and
 /// tenant-skewed tapes shed for real at low replica counts, plus a tenant
 /// quota on the skewed tape so both shed causes appear in the baseline.
-fn route_config(shape: TrafficShape, replicas: usize, path: InferencePath) -> RouteConfig {
+fn route_config(shape: TrafficShape, replicas: usize) -> RouteConfig {
     RouteConfig {
         replicas,
         policy: DispatchPolicy::ConsistentHash,
@@ -70,7 +68,6 @@ fn route_config(shape: TrafficShape, replicas: usize, path: InferencePath) -> Ro
             queue_cap: 4,
             cache_capacity: 64,
             concurrency: Concurrency::Serial,
-            path,
         },
     }
 }
@@ -137,7 +134,6 @@ fn time_pair(mut fa: impl FnMut(), mut fb: impl FnMut()) -> (u128, u128) {
 fn record(
     shape: TrafficShape,
     replicas: usize,
-    path: InferencePath,
     tape: &[RoutedRequest],
     telemetry: &RouteTelemetry,
     wall_ns: u128,
@@ -147,7 +143,6 @@ fn record(
     Record {
         shape: shape.name(),
         replicas,
-        path: path.name(),
         policy: telemetry.policy.name(),
         requests: tape.len(),
         offered_qps: tape.len() as f64 * 1e9 / span,
@@ -174,7 +169,7 @@ fn main() {
     let mut records: Vec<Record> = Vec::new();
     for shape in TrafficShape::ALL {
         let tape = generate_traffic(&traffic_config(shape));
-        let base_cfg = route_config(shape, 1, InferencePath::F32);
+        let base_cfg = route_config(shape, 1);
         let base_telemetry = replay(&model, &base_cfg, &tape);
 
         // Wall-clock: each scaled replica count shares a timing window with
@@ -182,7 +177,7 @@ fn main() {
         let mut base_ns = u128::MAX;
         let mut scaled: Vec<(usize, RouteTelemetry, u128)> = Vec::new();
         for replicas in [2usize, 4] {
-            let cfg = route_config(shape, replicas, InferencePath::F32);
+            let cfg = route_config(shape, replicas);
             let telemetry = replay(&model, &cfg, &tape);
             let (a, b) = time_pair(
                 || {
@@ -200,55 +195,10 @@ fn main() {
             base_ns = base_ns.min(a);
             scaled.push((replicas, telemetry, b));
         }
-        records.push(record(
-            shape,
-            1,
-            InferencePath::F32,
-            &tape,
-            &base_telemetry,
-            base_ns,
-        ));
+        records.push(record(shape, 1, &tape, &base_telemetry, base_ns));
         for (replicas, telemetry, ns) in scaled {
-            records.push(record(
-                shape,
-                replicas,
-                InferencePath::F32,
-                &tape,
-                &telemetry,
-                ns,
-            ));
+            records.push(record(shape, replicas, &tape, &telemetry, ns));
         }
-
-        // Int8 serving path at 1 replica, paired in one window against the
-        // f32 baseline of the same tape. Replayed twice first, so the
-        // determinism gate covers the quantized path too. Wall-clock note:
-        // this model's layers are tiny (k <= 16), below where the integer
-        // kernel's throughput pays for per-batch activation quantization —
-        // the row documents the selectable path and its real cost at this
-        // scale, not a speedup (BENCH_kernels.json carries the kernel-level
-        // int8 claim at serving k).
-        let int8_cfg = route_config(shape, 1, InferencePath::Int8);
-        let int8_telemetry = replay(&model, &int8_cfg, &tape);
-        let (_, int8_ns) = time_pair(
-            || {
-                std::hint::black_box(
-                    Router::run(&model, base_cfg.clone(), &tape).expect("bench replay succeeds"),
-                );
-            },
-            || {
-                std::hint::black_box(
-                    Router::run(&model, int8_cfg.clone(), &tape).expect("bench replay succeeds"),
-                );
-            },
-        );
-        records.push(record(
-            shape,
-            1,
-            InferencePath::Int8,
-            &tape,
-            &int8_telemetry,
-            int8_ns,
-        ));
     }
 
     let mut out = String::from(
@@ -256,10 +206,9 @@ fn main() {
          metrics are exact; wall ns/req is machine time)\n\n",
     );
     out.push_str(&format!(
-        "{:<14} {:>8} {:>5} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12}\n",
+        "{:<14} {:>8} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12}\n",
         "shape",
         "replicas",
-        "path",
         "reqs",
         "offered/s",
         "sustained/s",
@@ -272,10 +221,9 @@ fn main() {
     ));
     for r in &records {
         out.push_str(&format!(
-            "{:<14} {:>8} {:>5} {:>6} {:>12.0} {:>12.0} {:>10} {:>10} {:>10.4} {:>9} {:>9} {:>12}\n",
+            "{:<14} {:>8} {:>6} {:>12.0} {:>12.0} {:>10} {:>10} {:>10.4} {:>9} {:>9} {:>12}\n",
             r.shape,
             r.replicas,
-            r.path,
             r.requests,
             r.offered_qps,
             r.sustained_qps,
@@ -307,29 +255,6 @@ fn main() {
         shed_at("tenant-skewed", 2),
         shed_at("tenant-skewed", 4)
     ));
-    // Int8-vs-f32 wall cost at 1 replica: the virtual-time metrics are
-    // identical by construction (the path changes arithmetic, not batching
-    // or shedding), so the wall ratio is the whole story.
-    let wall_at = |shape: &str, path: &str| -> u128 {
-        records
-            .iter()
-            .find(|r| r.shape == shape && r.replicas == 1 && r.path == path)
-            .map_or(1, |r| r.wall_ns_per_request)
-    };
-    let int8_line: Vec<String> = TrafficShape::ALL
-        .iter()
-        .map(|s| {
-            format!(
-                "{} {:.2}x",
-                s.name(),
-                wall_at(s.name(), "int8") as f64 / wall_at(s.name(), "f32") as f64
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "int8 wall ns/req vs f32 at 1 replica (tiny-k model; informational): {}\n",
-        int8_line.join(", ")
-    ));
     write_results("serving_router", &out);
 
     if json_mode {
@@ -339,15 +264,16 @@ fn main() {
              interleaved samples (machine time, not diffed)\"},\n  \"results\": [\n",
         );
         for (i, r) in records.iter().enumerate() {
+            // Every replica serves the f32 forward pass; the `path` key keeps
+            // the row schema of earlier baselines so rows stay diffable.
             json.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"replicas\": {}, \"path\": \"{}\", \"policy\": \"{}\", \
+                "    {{\"shape\": \"{}\", \"replicas\": {}, \"path\": \"f32\", \"policy\": \"{}\", \
                  \"requests\": {}, \
                  \"offered_qps\": {:.2}, \"sustained_qps\": {:.2}, \"p50_upper_nanos\": {}, \
                  \"p99_upper_nanos\": {}, \"shed_rate\": {:.4}, \"quota_shed\": {}, \
                  \"capacity_shed\": {}, \"wall_ns_per_request\": {}}}{}\n",
                 r.shape,
                 r.replicas,
-                r.path,
                 r.policy,
                 r.requests,
                 r.offered_qps,

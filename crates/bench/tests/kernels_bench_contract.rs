@@ -3,12 +3,12 @@
 //! The checked-in `BENCH_kernels.json` at the workspace root is the file
 //! downstream tooling diffs PR-over-PR, so its schema is pinned here: a
 //! bench refactor that drops a key or a row family fails this test, not
-//! whatever script consumes the file next. ISSUE 10 extended every row
-//! with `epilogue` ("none" / "bias_relu") and `dtype` ("f32" / "int8"),
-//! and added three row families: fused-vs-unfused linear forwards at
-//! serving micro-batch shapes, int8-quantized-vs-f32-prepacked linear
-//! forwards at m=8, and the (unchanged) multi-worker rows whose 128³
-//! entries the bench now gates against their 1-worker counterpart.
+//! whatever script consumes the file next. Every row carries `epilogue`
+//! ("none" / "bias_relu") and `dtype` (always "f32"). Beyond the
+//! blocked-vs-reference sweep, three row families are pinned: prepacked vs
+//! per-call-packed weight panels, fused-vs-unfused linear forwards at
+//! serving micro-batch shapes, and the multi-worker rows whose 128³
+//! entries the bench gates against their 1-worker counterpart.
 //!
 //! The perf *ratios* themselves are asserted inside the bench binary
 //! (`scripts/check.sh bench-kernels`), which also re-verifies bitwise
@@ -87,20 +87,27 @@ fn fused_epilogue_rows_cover_the_micro_batch_shapes() {
 }
 
 #[test]
-fn int8_rows_cover_the_serving_micro_batch_sweep() {
+fn prepacked_rows_cover_the_serving_sweep() {
     let json = baseline();
-    for (k, n) in [(64usize, 64usize), (256, 256), (512, 512)] {
-        for (imp, dtype) in [("prepacked", "f32"), ("quantized", "int8")] {
+    for m in [8usize, 64, 256] {
+        for imp in ["repack", "prepacked"] {
             let row = format!(
-                "\"op\": \"linear\", \"impl\": \"{imp}\", \"m\": 8, \"k\": {k}, \"n\": {n}, \
-                 \"workers\": 1, \"epilogue\": \"bias_relu\", \"dtype\": \"{dtype}\""
+                "\"op\": \"matmul\", \"impl\": \"{imp}\", \"m\": {m}, \"k\": 256, \"n\": 256, \
+                 \"workers\": 1, \"epilogue\": \"none\", \"dtype\": \"f32\""
             );
             assert!(
                 json.contains(&row),
-                "BENCH_kernels.json missing the {imp}/{dtype} row at 8x{k}x{n}"
+                "BENCH_kernels.json missing the {imp} row at {m}x256x256"
             );
         }
     }
+}
+
+#[test]
+fn every_row_is_f32() {
+    let json = baseline();
+    let rows = json.matches("\"op\"").count();
+    assert_eq!(json.matches("\"dtype\": \"f32\"").count(), rows);
 }
 
 #[test]

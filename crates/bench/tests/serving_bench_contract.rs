@@ -15,7 +15,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use taglets_bench::{generate_traffic, TrafficConfig, TrafficShape};
-use taglets_core::{DispatchPolicy, InferencePath, RouteConfig, Router, ServableModel};
+use taglets_core::{DispatchPolicy, RouteConfig, Router, ServableModel};
 use taglets_eval::render_route_json;
 
 fn baseline() -> String {
@@ -63,9 +63,8 @@ fn baseline_rows_carry_every_diffed_key() {
     ] {
         let rows = results.matches(key).count();
         assert_eq!(
-            rows, 16,
-            "expected {key} on all 16 rows (4 shapes x (3 f32 replica counts + 1 int8 row)), \
-             found {rows}"
+            rows, 12,
+            "expected {key} on all 12 rows (4 shapes x 3 replica counts), found {rows}"
         );
     }
 }
@@ -86,17 +85,6 @@ fn baseline_covers_every_shape_at_every_replica_count() {
                 shape.name()
             );
         }
-        // The int8 serving path is baselined at 1 replica per shape — the
-        // selectable-path claim and its wall cost on the tiny-k bench model.
-        let row = format!(
-            "\"shape\": \"{}\", \"replicas\": 1, \"path\": \"int8\"",
-            shape.name()
-        );
-        assert!(
-            json.contains(&row),
-            "BENCH_serving.json missing the ({}, 1-replica, int8) row",
-            shape.name()
-        );
     }
 }
 
@@ -120,25 +108,21 @@ fn same_seed_replays_to_byte_identical_telemetry() {
             seed: 0xD00D + shape as u64,
         });
         for replicas in [1usize, 2, 4] {
-            for path in [InferencePath::F32, InferencePath::Int8] {
-                let mut cfg = RouteConfig {
-                    replicas,
-                    policy: DispatchPolicy::ConsistentHash,
-                    tenant_quota: Some(4),
-                    ..RouteConfig::default()
-                };
-                cfg.serve.path = path;
-                let a = Router::run(&model, cfg.clone(), &tape).expect("replay succeeds");
-                let b = Router::run(&model, cfg, &tape).expect("replay succeeds");
-                assert_eq!(
-                    render_route_json(&a.telemetry),
-                    render_route_json(&b.telemetry),
-                    "{} tape at {replicas} replicas ({}) must replay byte-identically",
-                    shape.name(),
-                    path.name()
-                );
-                assert_eq!(a.responses, b.responses);
-            }
+            let cfg = RouteConfig {
+                replicas,
+                policy: DispatchPolicy::ConsistentHash,
+                tenant_quota: Some(4),
+                ..RouteConfig::default()
+            };
+            let a = Router::run(&model, cfg.clone(), &tape).expect("replay succeeds");
+            let b = Router::run(&model, cfg, &tape).expect("replay succeeds");
+            assert_eq!(
+                render_route_json(&a.telemetry),
+                render_route_json(&b.telemetry),
+                "{} tape at {replicas} replicas must replay byte-identically",
+                shape.name()
+            );
+            assert_eq!(a.responses, b.responses);
         }
     }
 }

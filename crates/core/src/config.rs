@@ -196,12 +196,6 @@ pub struct TagletsConfig {
     pub max_unlabeled: Option<usize>,
     /// Auxiliary-data selection strategy (graph-based vs random ablation).
     pub selection: SelectionStrategy,
-    /// Shards the SCADS is partitioned into for the select stage. `1` uses
-    /// the flat store directly; `> 1` fans related-concept queries out over
-    /// a taxonomy-aware partition through the run's executor. Selection is
-    /// bitwise identical at every setting; this only trades wall-clock for
-    /// cores on large auxiliary corpora.
-    pub scads_shards: usize,
     /// Worker threads for the parallelizable `train_modules` stage
     /// (overridable at run time via `TAGLETS_THREADS`). Results are bitwise
     /// identical at every setting; this only trades wall-clock for cores.
@@ -227,7 +221,6 @@ impl TagletsConfig {
             images_per_concept: 15,
             max_unlabeled: Some(600),
             selection: SelectionStrategy::default(),
-            scads_shards: 1,
             concurrency: Concurrency::default(),
             transfer: TransferConfig::default(),
             multitask: MultiTaskConfig::default(),

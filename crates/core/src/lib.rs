@@ -60,8 +60,8 @@ pub use route::{
 };
 pub use servable::ServableModel;
 pub use serve::{
-    Clock, InferencePath, ServeConfig, ServeError, ServeResponse, ServeRun, ServeTelemetry,
-    ServingEngine, TimedRequest, VirtualClock,
+    Clock, ServeConfig, ServeError, ServeResponse, ServeRun, ServeTelemetry, ServingEngine,
+    TimedRequest, VirtualClock,
 };
 pub use system::{TagletsRun, TagletsSystem};
 pub use taglet::{ClassifierTaglet, ModuleContext, Taglet, TagletModule, TrainedTaglet};

@@ -153,6 +153,12 @@ pub enum RouteError {
         /// Width the request carried.
         got: usize,
     },
+    /// The request holds a NaN or infinite feature; it was refused before
+    /// any cache or queue (rejected, not admitted).
+    NonFinite {
+        /// Position of the first non-finite feature.
+        index: usize,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -173,6 +179,9 @@ impl fmt::Display for RouteError {
             }
             RouteError::InputDim { expected, got } => {
                 write!(f, "input width {got} does not match model width {expected}")
+            }
+            RouteError::NonFinite { index } => {
+                write!(f, "input feature {index} is NaN or infinite")
             }
         }
     }
@@ -502,7 +511,8 @@ impl<'a> Router<'a> {
     /// [`RouteError::QuotaExceeded`] when the tenant is at quota (quota
     /// shed, before dispatch), [`RouteError::Overloaded`] when the chosen
     /// replica's queue is full (capacity shed), [`RouteError::InputDim`]
-    /// for a malformed row (rejected, not admitted).
+    /// or [`RouteError::NonFinite`] for a malformed row (rejected, not
+    /// admitted).
     pub fn submit(&mut self, tenant: TenantId, input: Vec<f32>) -> Result<u64, RouteError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -544,16 +554,23 @@ impl<'a> Router<'a> {
                 Err(RouteError::Overloaded { replica, queue_cap })
             }
             Err(ServeError::InputDim { expected, got }) => {
-                self.rejected += 1;
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.rejected += 1;
-                }
-                Err(RouteError::InputDim { expected, got })
+                Err(self.reject(tenant, RouteError::InputDim { expected, got }))
             }
-            // `ServingEngine::submit` only fails with the two arms above;
-            // a future variant would be a config-shaped bug, not traffic.
-            Err(_) => Err(RouteError::InvalidConfig("replica rejected the request")),
+            Err(ServeError::NonFinite { index }) => {
+                Err(self.reject(tenant, RouteError::NonFinite { index }))
+            }
+            Err(ServeError::InvalidConfig(what)) => Err(RouteError::InvalidConfig(what)),
         }
+    }
+
+    /// Counts a malformed request as rejected, router-wide and for its
+    /// tenant, and hands back the error to return.
+    fn reject(&mut self, tenant: TenantId, err: RouteError) -> RouteError {
+        self.rejected += 1;
+        if let Some(t) = self.tenants.get_mut(&tenant) {
+            t.rejected += 1;
+        }
+        err
     }
 
     /// The earliest deadline-flush time across replicas, if any request is
@@ -653,9 +670,10 @@ impl<'a> Router<'a> {
     ///
     /// # Errors
     ///
-    /// [`RouteError::InvalidConfig`] from router construction or
-    /// [`RouteError::InputDim`] for a malformed row. Shedding is *not* an
-    /// error here: quota- or capacity-shed requests leave a `None` slot.
+    /// [`RouteError::InvalidConfig`] from router construction,
+    /// [`RouteError::InputDim`] or [`RouteError::NonFinite`] for a
+    /// malformed row. Shedding is *not* an error here: quota- or
+    /// capacity-shed requests leave a `None` slot.
     pub fn run(
         model: &ServableModel,
         config: RouteConfig,
@@ -859,26 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_fleet_replays_deterministically_and_records_path_per_replica() {
-        use crate::serve::InferencePath;
-        let m = model();
-        let stream: Vec<RoutedRequest> = rows(18, 17)
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| RoutedRequest::new(i as u64 * 40, (i % 2) as TenantId, input))
-            .collect();
-        let mut cfg = config(3, DispatchPolicy::ConsistentHash, None);
-        cfg.serve.path = InferencePath::Int8;
-        let a = Router::run(&m, cfg.clone(), &stream).expect("replay succeeds");
-        let b = Router::run(&m, cfg, &stream).expect("replay succeeds");
-        assert_eq!(a, b, "int8 fleet replay is fully deterministic");
-        assert_eq!(a.telemetry.replicas.len(), 3);
-        for replica in &a.telemetry.replicas {
-            assert_eq!(replica.path, InferencePath::Int8);
-        }
-    }
-
-    #[test]
     fn telemetry_rates_are_well_defined_when_empty() {
         let t = RouteTelemetry {
             policy: DispatchPolicy::ConsistentHash,
@@ -896,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn input_dim_mismatch_is_rejected_and_counted() {
+    fn malformed_rows_are_rejected_and_counted() {
         let m = model();
         let clock = VirtualClock::new();
         let mut router = Router::new(&m, config(2, DispatchPolicy::ConsistentHash, None), &clock)
@@ -908,8 +906,14 @@ mod tests {
                 got: 7
             })
         ));
+        assert_eq!(
+            router.submit(2, vec![f32::NAN; DIM]),
+            Err(RouteError::NonFinite { index: 0 })
+        );
         let t = router.into_telemetry();
-        assert_eq!(t.rejected, 1);
+        assert_eq!(t.rejected, 2);
         assert_eq!(t.tenants.get(&1).map(|t| t.rejected), Some(1));
+        assert_eq!(t.tenants.get(&2).map(|t| t.rejected), Some(1));
+        assert_eq!(t.submitted(), 2);
     }
 }

@@ -112,34 +112,6 @@ impl Clock for VirtualClock {
 // Config and errors
 // ---------------------------------------------------------------------
 
-/// Which forward pass the engine runs per batch.
-///
-/// `F32` is the accuracy oracle: bitwise identical to the per-request tape
-/// path (the module-level determinism argument). `Int8` trades a bounded
-/// accuracy loss for speed at serving-scale layer widths — deterministic
-/// (exact i32 accumulation) but *not* bitwise equal to f32, so its
-/// cache/replay guarantees are "identical to the int8 forward pass", with
-/// argmax-agreement and max-prob-delta bounds against the oracle pinned by
-/// the `taglets-nn` test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePath {
-    /// Full-precision packed-panel forward pass (the default and oracle).
-    #[default]
-    F32,
-    /// Row-quantized int8 forward pass with fused dequant+bias epilogue.
-    Int8,
-}
-
-impl InferencePath {
-    /// Stable lower-case label used by reports and bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            InferencePath::F32 => "f32",
-            InferencePath::Int8 => "int8",
-        }
-    }
-}
-
 /// Tuning knobs of a [`ServingEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -158,8 +130,6 @@ pub struct ServeConfig {
     /// Worker threads for batch dispatch, resolved through the
     /// `TAGLETS_THREADS` environment override exactly like training runs.
     pub concurrency: Concurrency,
-    /// Forward pass used for batch execution (f32 oracle or int8).
-    pub path: InferencePath,
 }
 
 /// Hard ceiling on [`ServeConfig::max_batch`], so a corrupt config cannot
@@ -174,7 +144,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             cache_capacity: 1024,
             concurrency: Concurrency::Serial,
-            path: InferencePath::F32,
         }
     }
 }
@@ -196,6 +165,12 @@ pub enum ServeError {
         /// Width the request carried.
         got: usize,
     },
+    /// The request holds a NaN or infinite feature. It is refused before
+    /// the cache and the queue, so it is never batched or cached.
+    NonFinite {
+        /// Position of the first non-finite feature.
+        index: usize,
+    },
     /// The configuration is unusable (zero batch size, zero queue, …).
     InvalidConfig(&'static str),
 }
@@ -208,6 +183,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::InputDim { expected, got } => {
                 write!(f, "input width {got} does not match model width {expected}")
+            }
+            ServeError::NonFinite { index } => {
+                write!(f, "input feature {index} is NaN or infinite")
             }
             ServeError::InvalidConfig(what) => write!(f, "invalid serve config: {what}"),
         }
@@ -333,7 +311,8 @@ pub struct ServeTelemetry {
     pub admitted: u64,
     /// Requests refused with [`ServeError::Overloaded`].
     pub shed: u64,
-    /// Requests refused with [`ServeError::InputDim`].
+    /// Requests refused as malformed ([`ServeError::InputDim`] or
+    /// [`ServeError::NonFinite`]).
     pub rejected: u64,
     /// Responses produced (cache hits + batch rows).
     pub answered: u64,
@@ -356,14 +335,10 @@ pub struct ServeTelemetry {
     pub latency: LatencyHistogram,
     /// Upper bound on worker threads batch dispatch may use.
     pub workers: usize,
-    /// Which forward pass served every batch (fixed per engine by
-    /// [`ServeConfig::path`] — recorded so reports can attribute latency
-    /// numbers to the right kernel).
-    pub path: InferencePath,
 }
 
 impl ServeTelemetry {
-    fn new(max_batch: usize, workers: usize, path: InferencePath) -> Self {
+    fn new(max_batch: usize, workers: usize) -> Self {
         ServeTelemetry {
             submitted: 0,
             admitted: 0,
@@ -379,7 +354,6 @@ impl ServeTelemetry {
             batch_sizes: vec![0; max_batch + 1],
             latency: LatencyHistogram::new(),
             workers,
-            path,
         }
     }
 
@@ -642,7 +616,7 @@ impl<'a> ServingEngine<'a> {
         let workers = concurrency.workers(config.max_batch);
         Ok(ServingEngine {
             model,
-            telemetry: ServeTelemetry::new(config.max_batch, workers, config.path),
+            telemetry: ServeTelemetry::new(config.max_batch, workers),
             cache: PredictionCache::new(config.cache_capacity),
             executor: Executor::new(concurrency),
             pending: VecDeque::new(),
@@ -688,8 +662,10 @@ impl<'a> ServingEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InputDim`] for a malformed row (not admitted),
-    /// [`ServeError::Overloaded`] when the queue is at `queue_cap` (shed).
+    /// [`ServeError::InputDim`] for a row of the wrong width and
+    /// [`ServeError::NonFinite`] for a row holding NaN or ±Inf (neither is
+    /// admitted), [`ServeError::Overloaded`] when the queue is at
+    /// `queue_cap` (shed).
     pub fn submit(&mut self, input: Vec<f32>) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -702,6 +678,10 @@ impl<'a> ServingEngine<'a> {
                 expected,
                 got: input.len(),
             });
+        }
+        if let Some(index) = input.iter().position(|v| !v.is_finite()) {
+            self.telemetry.rejected += 1;
+            return Err(ServeError::NonFinite { index });
         }
 
         if let Some((probs, predicted)) = self.cache.get(&input) {
@@ -804,21 +784,16 @@ impl<'a> ServingEngine<'a> {
             .collect(); // lint: alloc(one owned input tensor per cut batch)
 
         let model = self.model;
-        let path = self.config.path;
-        let infer_one_batch = |x: &Tensor, scratch: &mut InferScratch| match path {
-            InferencePath::F32 => model.predict_proba_batched(x, scratch),
-            InferencePath::Int8 => model.predict_proba_quantized(x, scratch),
-        };
         let probs: Vec<Tensor> = if tensors.len() == 1 {
             // Serial fast path: reuse the engine's preallocated scratch.
             // lint: alloc(one-element result list), panicfree(this branch checked len() == 1)
-            vec![infer_one_batch(&tensors[0], &mut self.scratch)]
+            vec![model.predict_proba_batched(&tensors[0], &mut self.scratch)]
         } else {
             let executor = self.executor;
             executor.map(tensors.len(), |i| {
                 let mut scratch = InferScratch::new();
                 // lint: panicfree(executor.map yields i < tensors.len())
-                infer_one_batch(&tensors[i], &mut scratch)
+                model.predict_proba_batched(&tensors[i], &mut scratch)
             })
         };
 
@@ -867,8 +842,9 @@ impl<'a> ServingEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] from engine construction or
-    /// [`ServeError::InputDim`] for a malformed row. Overload is *not* an
+    /// [`ServeError::InvalidConfig`] from engine construction,
+    /// [`ServeError::InputDim`] or [`ServeError::NonFinite`] for a
+    /// malformed row. Overload is *not* an
     /// error here: shed requests simply leave a `None` slot.
     pub fn run(
         model: &ServableModel,
@@ -1079,52 +1055,6 @@ mod tests {
         assert_eq!(t.shed + t.answered, t.submitted);
     }
 
-    /// A model whose head carries random (non-zero) weights — a fresh
-    /// classifier's zero head answers uniformly, which would make int8/f32
-    /// output comparisons vacuous.
-    fn nonuniform_model() -> ServableModel {
-        let mut rng = StdRng::seed_from_u64(42);
-        let backbone = taglets_nn::Mlp::new(&[4, 8], 0.0, &mut rng);
-        let head = taglets_nn::Linear::new(8, 3, &mut rng);
-        ServableModel::new(Classifier::from_parts(backbone, head))
-    }
-
-    #[test]
-    fn int8_path_serves_deterministically_and_is_recorded_in_telemetry() {
-        let m = nonuniform_model();
-        let stream: Vec<TimedRequest> = rows(12, 5)
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| TimedRequest::new(i as u64 * 50, input))
-            .collect();
-        let base = ServeConfig {
-            max_batch: 4,
-            max_delay_nanos: 120,
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        };
-        let int8_cfg = ServeConfig {
-            path: InferencePath::Int8,
-            ..base.clone()
-        };
-        let a = ServingEngine::run(&m, int8_cfg.clone(), &stream).unwrap();
-        let b = ServingEngine::run(&m, int8_cfg, &stream).unwrap();
-        assert_eq!(a, b, "int8 replay is fully deterministic");
-        assert_eq!(a.telemetry.path, InferencePath::Int8);
-
-        // The oracle run agrees on every argmax for this model: int8 may
-        // perturb probabilities but must not flip serving decisions here.
-        let oracle = ServingEngine::run(&m, base, &stream).unwrap();
-        assert_eq!(oracle.telemetry.path, InferencePath::F32);
-        let mut any_prob_differs = false;
-        for (qr, fr) in a.responses.iter().zip(&oracle.responses) {
-            let (q, f) = (qr.as_ref().unwrap(), fr.as_ref().unwrap());
-            assert_eq!(q.predicted, f.predicted);
-            any_prob_differs |= q.probs != f.probs;
-        }
-        assert!(any_prob_differs, "int8 is lossy, not a silent f32 alias");
-    }
-
     #[test]
     fn invalid_configs_are_rejected() {
         let m = model();
@@ -1151,7 +1081,7 @@ mod tests {
     }
 
     #[test]
-    fn input_dim_mismatch_is_rejected_not_queued() {
+    fn malformed_rows_are_rejected_not_queued_or_cached() {
         let m = model();
         let clock = VirtualClock::new();
         let mut engine = ServingEngine::new(&m, ServeConfig::default(), &clock).unwrap();
@@ -1162,8 +1092,25 @@ mod tests {
                 got: 7
             })
         ));
+        // Each non-finite row twice: a refused row must not be cached.
+        for (index, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut row = vec![0.5; 4];
+            row[index] = bad;
+            for _ in 0..2 {
+                assert_eq!(
+                    engine.submit(row.clone()),
+                    Err(ServeError::NonFinite { index })
+                );
+            }
+        }
         assert_eq!(engine.pending_len(), 0);
-        assert_eq!(engine.telemetry().rejected, 1);
+        engine.drain();
+        assert!(engine.take_responses().is_empty());
+        let t = engine.telemetry();
+        assert_eq!((t.rejected, t.admitted, t.cache_hits), (7, 0, 0));
     }
 
     #[test]
@@ -1190,7 +1137,7 @@ mod tests {
 
     #[test]
     fn telemetry_rates_are_well_defined() {
-        let t = ServeTelemetry::new(4, 1, InferencePath::F32);
+        let t = ServeTelemetry::new(4, 1);
         assert_eq!(t.cache_hit_rate(), 0.0);
         assert_eq!(t.mean_batch_size(), 0.0);
     }

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 use taglets_data::{Image, ModelZoo, Task, TaskSplit};
 use taglets_graph::ConceptId;
-use taglets_scads::{AuxiliarySelection, PruneLevel, Scads, ShardedScads};
+use taglets_scads::{AuxiliarySelection, PruneLevel, Scads};
 use taglets_tensor::Tensor;
 
 use crate::exec::Executor;
@@ -206,7 +206,7 @@ impl<'a> TagletsSystem<'a> {
         // unlabeled capping.
         // Wall-clock telemetry only; never feeds training.
         let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
-        let selected = self.select(task, split, prune, seed, &executor)?;
+        let selected = self.select(task, split, prune, seed)?;
         stages.push(StageTelemetry {
             name: "select",
             seconds: start.elapsed().as_secs_f32(),
@@ -279,17 +279,12 @@ impl<'a> TagletsSystem<'a> {
     /// `select` stage: extend SCADS for out-of-vocabulary classes
     /// (Appendix A.2), resolve target concepts, select the auxiliary data
     /// `R` once for all modules (Sec. 3.1), and cap the unlabeled pool.
-    ///
-    /// With [`TagletsConfig::scads_shards`] `> 1`, graph-related selection
-    /// fans out over a sharded SCADS view on `executor`; the sharded query
-    /// is bitwise-identical to the flat one at every shard and worker count.
     fn select(
         &self,
         task: &Task,
         split: &TaskSplit,
         prune: PruneLevel,
         seed: u64,
-        executor: &Executor,
     ) -> Result<Selected<'a>, CoreError> {
         let needs_extension = task.classes.iter().any(|c| c.concept.is_none());
         let scads: Cow<'a, Scads<Image>> = if needs_extension {
@@ -318,15 +313,6 @@ impl<'a> TagletsSystem<'a> {
 
         // Select the auxiliary data R once; all modules share it.
         let selection: AuxiliarySelection<Image> = match self.config.selection {
-            crate::SelectionStrategy::GraphRelated if self.config.scads_shards > 1 => {
-                ShardedScads::new(scads.as_ref(), self.config.scads_shards, *executor)?
-                    .select_related(
-                        &target_concepts,
-                        self.config.related_concepts_per_class,
-                        self.config.images_per_concept,
-                        prune,
-                    )
-            }
             crate::SelectionStrategy::GraphRelated => scads.select_related(
                 &target_concepts,
                 self.config.related_concepts_per_class,

@@ -45,7 +45,6 @@ pub fn render_route_text(t: &RouteTelemetry) -> String {
         out.push('\n');
         let mut table = TextTable::new(vec![
             "replica".into(),
-            "path".into(),
             "dispatched".into(),
             "answered".into(),
             "shed".into(),
@@ -56,7 +55,6 @@ pub fn render_route_text(t: &RouteTelemetry) -> String {
         for (k, replica) in t.replicas.iter().enumerate() {
             table.row(vec![
                 k.to_string(),
-                replica.path.name().to_string(),
                 t.dispatched.get(k).copied().unwrap_or(0).to_string(),
                 replica.answered.to_string(),
                 replica.shed.to_string(),
@@ -134,9 +132,8 @@ pub fn render_route_json(t: &RouteTelemetry) -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"path\": \"{}\", \"answered\": {}, \"shed\": {}, \"batches\": {}, \
-                 \"cache_hits\": {}, \"p50_upper_nanos\": {}, \"p99_upper_nanos\": {}}}",
-                r.path.name(),
+                "    {{\"answered\": {}, \"shed\": {}, \"batches\": {}, \"cache_hits\": {}, \
+                 \"p50_upper_nanos\": {}, \"p99_upper_nanos\": {}}}",
                 r.answered,
                 r.shed,
                 r.batches,

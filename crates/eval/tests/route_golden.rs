@@ -65,7 +65,6 @@ fn fixed_telemetry() -> RouteTelemetry {
             queue_cap: 4,
             cache_capacity: 32,
             concurrency: Concurrency::Serial,
-            path: taglets_core::InferencePath::F32,
         },
     };
     Router::run(&model, cfg, &stream)

@@ -53,7 +53,6 @@ fn fixed_telemetry() -> ServeTelemetry {
         queue_cap: 6,
         cache_capacity: 32,
         concurrency: Concurrency::Serial,
-        path: taglets_core::InferencePath::F32,
     };
     ServingEngine::run(&model, cfg, &stream)
         .expect("fixed replay succeeds")

@@ -12,10 +12,9 @@
 //! 2016). Setting `α_i = 0` yields the paper's rule for out-of-vocabulary
 //! concepts: their embedding becomes a pure neighbourhood average.
 
-use taglets_tensor::exec::Executor;
 use taglets_tensor::{cosine_similarity, Tensor};
 
-use crate::{ConceptGraph, ConceptId, GraphError, GraphPartition};
+use crate::{ConceptGraph, ConceptId, GraphError};
 
 /// Dense embeddings for every concept of a graph.
 ///
@@ -188,175 +187,6 @@ pub fn retrofit(
     Ok(ConceptEmbeddings::new(current))
 }
 
-/// Per-shard working state for the sharded Jacobi solve: a local copy of
-/// the `previous` rows the shard reads during a sweep (its owned concepts
-/// followed by its halo), plus the global→local row translation.
-struct ShardState {
-    /// Owned ids then halo ids — the shard's local row order.
-    local_ids: Vec<ConceptId>,
-    /// Global concept id → local row index (`usize::MAX` when invisible).
-    local_of: Vec<usize>,
-    /// Local `previous` rows, `local_ids.len() × d`, row-major.
-    prev: Vec<f32>,
-}
-
-impl ShardState {
-    fn new(shard: &crate::GraphShard, base: &ConceptEmbeddings) -> Self {
-        let d = base.dim();
-        let mut local_ids = Vec::with_capacity(shard.owned().len() + shard.halo().len());
-        local_ids.extend_from_slice(shard.owned());
-        local_ids.extend_from_slice(shard.halo());
-        let mut local_of = vec![usize::MAX; base.len()];
-        let mut prev = Vec::with_capacity(local_ids.len() * d);
-        for (li, &id) in local_ids.iter().enumerate() {
-            local_of[id.0] = li;
-            prev.extend_from_slice(base.get(id));
-        }
-        ShardState {
-            local_ids,
-            local_of,
-            prev,
-        }
-    }
-}
-
-/// One Jacobi sweep over a shard's owned concepts, reading only the shard's
-/// local `previous` rows. Returns the new owned rows (ascending owned order,
-/// row-major) — the exact bytes the boundary exchange then publishes.
-///
-/// The arithmetic is the oracle's ([`retrofit`]'s inner loop) verbatim: same
-/// edge iteration order, same operation order, so each f32 result is
-/// bitwise-identical to the unsharded sweep.
-fn sweep_shard(
-    graph: &ConceptGraph,
-    base: &ConceptEmbeddings,
-    alphas: &[f32],
-    state: &ShardState,
-    owned: &[ConceptId],
-) -> Vec<f32> {
-    let d = base.dim();
-    // lint: alloc(each sweep publishes one owned-rows block for the boundary exchange)
-    let mut out = Vec::with_capacity(owned.len() * d);
-    for &id in owned {
-        let edges = graph.neighbors(id);
-        let alpha = alphas[id.0]; // lint: panicfree(alphas has one entry per concept; id comes from the graph)
-        if edges.is_empty() {
-            // Isolated node: stays at its previous (= base) row, exactly as
-            // the oracle's `continue` leaves the row untouched.
-            let li = state.local_of[id.0]; // lint: panicfree(owned ids are always in the shard's local map)
-            out.extend_from_slice(&state.prev[li * d..(li + 1) * d]); // lint: panicfree(prev holds a d-wide row per local id)
-            continue;
-        }
-        let beta_sum: f32 = edges.iter().map(|e| e.weight).sum();
-        let denom = alpha + beta_sum;
-        let mut new_vec = vec![0.0f32; d]; // lint: alloc(one accumulator row per owned node; overwritten each sweep)
-        for (k, nv) in new_vec.iter_mut().enumerate() {
-            *nv = alpha * base.matrix().at(id.0, k);
-        }
-        for e in edges {
-            let lj = state.local_of[e.to.0]; // lint: panicfree(halo construction registered every neighbor locally)
-            let neigh = &state.prev[lj * d..(lj + 1) * d]; // lint: panicfree(prev holds a d-wide row per local id)
-            for (nv, &x) in new_vec.iter_mut().zip(neigh) {
-                *nv += e.weight * x;
-            }
-        }
-        out.extend(new_vec.iter().map(|nv| nv / denom)); // lint: panicfree(float division; denom never traps)
-    }
-    out
-}
-
-/// The fixed-order boundary exchange between Jacobi sweeps: each shard first
-/// adopts its own freshly computed owned rows, then refreshes its halo rows
-/// from the owning shards' results.
-///
-/// Order is pinned — shards ascending, rows ascending within each shard —
-/// and the exchange runs serially on the coordinating thread, so the bytes
-/// in every `prev` buffer after the exchange are a pure function of the
-/// sweep results regardless of how the sweeps themselves were scheduled.
-fn exchange_boundaries(
-    states: &mut [ShardState],
-    new_rows: &[Vec<f32>],
-    partition: &GraphPartition,
-    d: usize,
-) {
-    for (s, state) in states.iter_mut().enumerate() {
-        let owned = partition.shard(s).owned();
-        // lint: panicfree(sweep_shard returns owned.len()*d elements by construction)
-        state.prev[..owned.len() * d].copy_from_slice(&new_rows[s]);
-        for li in owned.len()..state.local_ids.len() {
-            let h = state.local_ids[li]; // lint: panicfree(li ranges over local_ids indices)
-            let owner = partition.owner_of(h);
-            // `GraphPartition::validate` (run before the first sweep) pins
-            // owner map ↔ owned lists, so the position always resolves.
-            if let Some(pos) = partition.shard(owner).owned_position(h) {
-                state.prev[li * d..(li + 1) * d] // lint: panicfree(local rows are d wide)
-                    .copy_from_slice(&new_rows[owner][pos * d..(pos + 1) * d]); // lint: panicfree(validate pinned owner map to owned lists)
-            }
-        }
-    }
-}
-
-/// Sharded expanded retrofitting: per-shard Jacobi sweeps dispatched through
-/// the [`Executor`], with a fixed-order boundary exchange between sweeps.
-///
-/// Bitwise-identical to the unsharded [`retrofit`] oracle for any partition
-/// and any worker count: a Jacobi sweep reads only the `previous` iterate,
-/// each concept's update touches the same f32 values in the same order as
-/// the oracle's inner loop, and [`Executor::map`] reassembles shard results
-/// in shard-index order before the (serial) exchange publishes them.
-///
-/// # Errors
-///
-/// * [`GraphError::EmbeddingShape`] when `base` row count differs from the
-///   graph's concept count.
-/// * [`GraphError::PartitionShape`] / [`GraphError::ShardBoundary`] when the
-///   partition does not cover the graph or a shard's halo is missing a
-///   neighbour it must read.
-pub fn retrofit_sharded(
-    graph: &ConceptGraph,
-    base: &ConceptEmbeddings,
-    cfg: &RetrofitConfig,
-    mut in_vocabulary: impl FnMut(ConceptId) -> bool,
-    partition: &GraphPartition,
-    executor: &Executor,
-) -> Result<ConceptEmbeddings, GraphError> {
-    if base.len() != graph.len() {
-        return Err(GraphError::EmbeddingShape {
-            concepts: graph.len(),
-            rows: base.len(),
-        });
-    }
-    partition.validate(graph)?;
-    let d = base.dim();
-    let alphas: Vec<f32> = graph
-        .concepts()
-        .map(|id| if in_vocabulary(id) { cfg.alpha } else { 0.0 })
-        .collect(); // lint: alloc(one damping table per retrofit run)
-    let mut states: Vec<ShardState> = partition
-        .shards()
-        .iter()
-        .map(|shard| ShardState::new(shard, base))
-        .collect(); // lint: alloc(one state per shard per retrofit run)
-
-    for _ in 0..cfg.iterations {
-        let new_rows: Vec<Vec<f32>> = executor.map(partition.num_shards(), |s| {
-            // lint: panicfree(executor.map yields s < num_shards == states.len())
-            sweep_shard(graph, base, &alphas, &states[s], partition.shard(s).owned())
-        });
-        exchange_boundaries(&mut states, &new_rows, partition, d);
-    }
-
-    let mut current = base.matrix().clone(); // lint: alloc(the retrofit result is a fresh matrix; base stays intact)
-    for (s, state) in states.iter().enumerate() {
-        for (i, &id) in partition.shard(s).owned().iter().enumerate() {
-            for k in 0..d {
-                current.set(id.0, k, state.prev[i * d + k]); // lint: panicfree(prev holds a d-wide row per owned id)
-            }
-        }
-    }
-    Ok(ConceptEmbeddings::new(current))
-}
-
 /// Approximates an embedding for a term absent from the vocabulary using
 /// weighted related terms (paper Appendix A.2: `ê_q ≈ Σ_j w_j e_j`).
 ///
@@ -468,87 +298,6 @@ mod tests {
         assert!((v[0] - 0.75).abs() < 1e-6);
         assert!((v[1] - 0.25).abs() < 1e-6);
         assert!(approximate_embedding(&e, &[]).is_err());
-    }
-
-    #[test]
-    fn sharded_retrofit_matches_oracle_bitwise() {
-        use crate::{generate, SyntheticGraphConfig};
-        use taglets_tensor::exec::Concurrency;
-
-        let w = generate(&SyntheticGraphConfig {
-            num_concepts: 150,
-            ..SyntheticGraphConfig::default()
-        });
-        let cfg = RetrofitConfig::default();
-        // Concept 7 is OOV to exercise the α=0 path across a boundary.
-        let oov = ConceptId(7);
-        let oracle = retrofit(&w.graph, &w.word_vectors, &cfg, |id| id != oov).unwrap();
-        for shards in [1, 2, 4] {
-            let p = GraphPartition::build(&w.graph, &w.taxonomy, shards).unwrap();
-            for conc in [Concurrency::Serial, Concurrency::Threads(4)] {
-                let exec = Executor::new(conc);
-                let fitted =
-                    retrofit_sharded(&w.graph, &w.word_vectors, &cfg, |id| id != oov, &p, &exec)
-                        .unwrap();
-                assert_eq!(
-                    fitted.matrix(),
-                    oracle.matrix(),
-                    "{shards} shards, {conc}: sharded retrofit must be bitwise-identical"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_retrofit_keeps_isolated_nodes_at_base() {
-        // Two isolated nodes plus an edge pair, split across 2 shards.
-        let mut g = ConceptGraph::new();
-        for i in 0..4 {
-            g.add_concept(&format!("c{i}"));
-        }
-        g.add_edge(ConceptId(0), ConceptId(2), Relation::RelatedTo);
-        let base = ConceptEmbeddings::new(Tensor::from_rows(&[
-            &[1.0, 2.0],
-            &[3.0, 4.0],
-            &[5.0, 6.0],
-            &[7.0, 8.0],
-        ]));
-        let p = GraphPartition::from_owner(&g, vec![0, 0, 1, 1], 2);
-        let cfg = RetrofitConfig::default();
-        let oracle = retrofit(&g, &base, &cfg, |_| true).unwrap();
-        let fitted = retrofit_sharded(&g, &base, &cfg, |_| true, &p, &Executor::serial()).unwrap();
-        assert_eq!(fitted.matrix(), oracle.matrix());
-        assert_eq!(fitted.get(ConceptId(1)), base.get(ConceptId(1)));
-        assert_eq!(fitted.get(ConceptId(3)), base.get(ConceptId(3)));
-    }
-
-    #[test]
-    fn sharded_retrofit_rejects_broken_partitions() {
-        let g = line_graph(4);
-        let base = ConceptEmbeddings::new(Tensor::eye(4));
-        let cfg = RetrofitConfig::default();
-        // Wrong coverage.
-        let other = line_graph(3);
-        let p = GraphPartition::from_owner(&other, vec![0, 0, 0], 1);
-        assert!(matches!(
-            retrofit_sharded(&g, &base, &cfg, |_| true, &p, &Executor::serial()),
-            Err(GraphError::PartitionShape { .. })
-        ));
-        // Missing halo entry.
-        let broken = GraphPartition::from_shards(
-            vec![0, 0, 1, 1],
-            vec![
-                crate::GraphShard::from_parts(vec![ConceptId(0), ConceptId(1)], Vec::new()),
-                crate::GraphShard::from_parts(vec![ConceptId(2), ConceptId(3)], vec![ConceptId(1)]),
-            ],
-        );
-        assert!(matches!(
-            retrofit_sharded(&g, &base, &cfg, |_| true, &broken, &Executor::serial()),
-            Err(GraphError::ShardBoundary {
-                concept: 2,
-                shard: 0
-            })
-        ));
     }
 
     #[test]

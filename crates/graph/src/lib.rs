@@ -35,20 +35,16 @@ mod analysis;
 mod embeddings;
 mod gnn;
 mod graph;
-mod partition;
 mod synthetic;
 mod taxonomy;
 
 pub use analysis::{bfs_distances, graph_stats, hop_distance, to_dot, GraphStats};
-pub use embeddings::{
-    approximate_embedding, retrofit, retrofit_sharded, ConceptEmbeddings, RetrofitConfig,
-};
+pub use embeddings::{approximate_embedding, retrofit, ConceptEmbeddings, RetrofitConfig};
 pub use gnn::{
     normalized_adjacency, pretrain_encoder, Aggregation, GnnPretrainConfig, GnnPretrainReport,
     GraphEncoder,
 };
 pub use graph::{ConceptGraph, ConceptId, Edge, Relation};
-pub use partition::{GraphPartition, GraphShard};
 pub use synthetic::{generate, SyntheticGraph, SyntheticGraphConfig};
 pub use taxonomy::Taxonomy;
 
@@ -85,26 +81,6 @@ pub enum GraphError {
         /// The pushed vector's length.
         actual: usize,
     },
-    /// A partition was requested with zero shards.
-    InvalidShardCount {
-        /// The requested shard count.
-        requested: usize,
-    },
-    /// A partition does not cover exactly the graph's concepts.
-    PartitionShape {
-        /// Concepts in the graph.
-        concepts: usize,
-        /// Concepts covered by the partition.
-        owners: usize,
-    },
-    /// A shard needs a concept's state but neither owns it nor lists it in
-    /// its halo — the boundary-exchange invariant is broken.
-    ShardBoundary {
-        /// The invisible concept's id.
-        concept: usize,
-        /// The shard missing it.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -132,21 +108,6 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "pushed embedding has length {actual} but the matrix dimensionality is {expected}"
-                )
-            }
-            GraphError::InvalidShardCount { requested } => {
-                write!(f, "cannot partition a graph into {requested} shards")
-            }
-            GraphError::PartitionShape { concepts, owners } => {
-                write!(
-                    f,
-                    "partition covers {owners} concepts but the graph has {concepts}"
-                )
-            }
-            GraphError::ShardBoundary { concept, shard } => {
-                write!(
-                    f,
-                    "shard {shard} needs concept q{concept} but neither owns it nor lists it as halo"
                 )
             }
         }

@@ -23,10 +23,10 @@
 //!   divisor) on the serve path, unless the site carries a
 //!   `// lint: panicfree(reason)` waiver stating the bounds argument.
 //!
-//! The latency-critical roots are the serving engine's methods
+//! The latency-critical roots are the serving engine's and router's methods
 //! (`ServingEngine::run`/`submit`/the flush path), the batched inference
-//! fast path (`predict_proba*`), every `*_into` kernel entry point, and the
-//! sharded retrofit sweep (`retrofit_sharded`). Setup code — `new`/
+//! fast path (`predict_proba_batched`) and every `*_into` kernel entry
+//! point. Setup code — `new`/
 //! `default`/`with_*`/`load*` constructors and the one-time `*Scratch`/
 //! `Packed*` builders — is exempt by a *root-relative cut*: the BFS never
 //! walks into a setup function, so a `Vec::with_capacity` inside
@@ -98,10 +98,8 @@ pub fn analyze(graph: &CallGraph) -> Vec<Violation> {
 /// True for the latency-critical roots the walk starts from: serving-engine
 /// and router methods (minus their constructors — routing sits upstream of
 /// every per-request serving latency, so its dispatch/collect surface is
-/// held to the same hygiene bar), the batched inference fast path, the int8
-/// quantized serving path, every `*_into` kernel entry point, and the
-/// sharded retrofit sweep. The quantized roots cover `predict_proba_quantized`
-/// (and its `logits_quantized` feeder), *not* the tape-backed
+/// held to the same hygiene bar), the batched inference fast path and
+/// every `*_into` kernel entry point — *not* the tape-backed
 /// `predict_proba`, which allocates a graph by design.
 fn is_hot_root(f: &FnInfo) -> bool {
     if is_setup(f) {
@@ -110,18 +108,15 @@ fn is_hot_root(f: &FnInfo) -> bool {
     f.impl_type.as_deref() == Some("ServingEngine")
         || f.impl_type.as_deref() == Some("Router")
         || f.name.starts_with("predict_proba_batched")
-        || f.name.starts_with("predict_proba_quantized")
-        || f.name.starts_with("logits_quantized")
         || f.name.ends_with("_into")
-        || f.name == "retrofit_sharded"
 }
 
 /// The root-relative setup cut: constructors (`new`, `default`, `with_*`,
-/// `load*`), the pack/quantize weight builders (`pack_weights`,
-/// `quantize_weights` — run once when a model is wrapped for serving), and
-/// methods of the one-time scratch/packing builders (`*Scratch`, `Packed*`,
-/// `Quantized*`) run once per engine or training run, so their allocations
-/// are the point — the BFS neither starts from nor walks into them.
+/// `load*`), the weight packer (`pack_weights` — run once when a model is
+/// wrapped for serving), and methods of the one-time scratch/packing
+/// builders (`*Scratch`, `Packed*`) run once per engine or training run, so
+/// their allocations are the point — the BFS neither starts from nor walks
+/// into them.
 /// Anything they miss fires at the steady-state call site instead.
 fn is_setup(f: &FnInfo) -> bool {
     f.name == "new"
@@ -130,12 +125,9 @@ fn is_setup(f: &FnInfo) -> bool {
         || f.name == "load"
         || f.name.starts_with("load_")
         || f.name == "pack_weights"
-        || f.name == "quantize_weights"
         || f.impl_type
             .as_deref()
-            .map(|t| {
-                t.ends_with("Scratch") || t.starts_with("Packed") || t.starts_with("Quantized")
-            })
+            .map(|t| t.ends_with("Scratch") || t.starts_with("Packed"))
             .unwrap_or(false)
 }
 
@@ -205,33 +197,5 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::Tl014);
         assert_eq!(v[0].line, 6);
-    }
-
-    #[test]
-    fn quantized_serving_path_is_a_root_with_chain_and_setup_cut() {
-        // `predict_proba_quantized` is latency-critical: an unwaived
-        // allocation below it fires with the full chain. The one-time
-        // weight quantizer and `Quantized*` methods sit under the setup
-        // cut, and the tape-backed `predict_proba` is not a root at all.
-        let src = "fn predict_proba_quantized(x: &[f32]) { quantize_rows(x); }\n\
-                   fn quantize_rows(x: &[f32]) {\n    let codes = x.to_vec();\n}\n\
-                   fn quantize_weights() { let panel = Vec::with_capacity(64); }\n\
-                   impl QuantizedWeights {\n    fn dims(&self) { let d = Vec::with_capacity(4); }\n}\n\
-                   fn predict_proba(x: &[f32]) { let tape = Vec::with_capacity(99); }\n";
-        let v = analyze_src(src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::Tl014);
-        let names: Vec<&str> = v[0].chain.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, vec!["predict_proba_quantized", "quantize_rows"]);
-    }
-
-    #[test]
-    fn retrofit_sweep_is_a_root() {
-        let src = "fn retrofit_sharded() { sweep(); }\nfn sweep(ids: &[u32]) {\n    let owned = ids.to_vec();\n}\n";
-        let v = analyze_src(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl014);
-        let names: Vec<&str> = v[0].chain.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, vec!["retrofit_sharded", "sweep"]);
     }
 }

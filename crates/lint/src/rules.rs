@@ -216,8 +216,8 @@ impl Rule {
                  allocation (Vec::new/with_capacity, vec![], to_vec, collect, \
                  clone, Box::new, String::from, format!) is transitively \
                  reachable from a latency-critical root — the serving engine's \
-                 submit/flush/run path, the batched inference fast path, the \
-                 *_into kernels, or the sharded retrofit sweep. Steady-state \
+                 submit/flush/run path, the batched inference fast path, or \
+                 the *_into kernels. Steady-state \
                  serving must reuse scratch (InferScratch, GradScratch, \
                  PackedWeights); setup code (new/with_*/load constructors and \
                  one-time *Scratch/Packed* builders) is exempt by a \

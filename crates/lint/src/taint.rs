@@ -12,11 +12,7 @@
 //!   deterministic),
 //! * every `TagletModule::train` implementation,
 //! * every method of `core::exec::Executor`,
-//! * the eval sweep (`sweep_method`),
-//! * the sharded-SCADS surface: the boundary exchange between Jacobi
-//!   sweeps (`exchange_boundaries`), the sharded solve (`retrofit_sharded`)
-//!   and every method of the `ShardedScads` coordinator — the shard merge
-//!   is only bitwise-stable while everything it reaches is deterministic.
+//! * the eval sweep (`sweep_method`).
 //!
 //! A breadth-first walk from each root visits everything the call-graph can
 //! reach; any [`FactKind`](crate::items::FactKind) found along the way
@@ -44,10 +40,7 @@ pub fn is_root(f: &FnInfo) -> bool {
         || (impl_type == Some("Router") && f.name == "run")
         || (f.trait_name.as_deref() == Some("TagletModule") && f.name == "train")
         || impl_type == Some("Executor")
-        || impl_type == Some("ShardedScads")
         || f.name == "sweep_method"
-        || f.name == "exchange_boundaries"
-        || f.name == "retrofit_sharded"
 }
 
 /// Runs the analysis: produces TL007 (reachable nondeterminism, with
@@ -175,13 +168,13 @@ mod tests {
 
     #[test]
     fn roots_cover_the_contract() {
-        let src = "impl TagletsSystem {\n    fn run(&self) {}\n}\nimpl TagletModule for FixMatch {\n    fn train(&self) {}\n}\nimpl Executor {\n    fn map_indexed(&self) {}\n}\nimpl<'a> ServingEngine<'a> {\n    fn run() {}\n    fn submit(&self) {}\n}\nimpl<'a> Router<'a> {\n    fn run() {}\n    fn dispatch(&self) {}\n}\nimpl<'a, X> ShardedScads<'a, X> {\n    fn related_concepts(&self) {}\n}\nfn sweep_method() {}\nfn exchange_boundaries() {}\nfn retrofit_sharded() {}\nfn helper() {}\n";
+        let src = "impl TagletsSystem {\n    fn run(&self) {}\n}\nimpl TagletModule for FixMatch {\n    fn train(&self) {}\n}\nimpl Executor {\n    fn map_indexed(&self) {}\n}\nimpl<'a> ServingEngine<'a> {\n    fn run() {}\n    fn submit(&self) {}\n}\nimpl<'a> Router<'a> {\n    fn run() {}\n    fn dispatch(&self) {}\n}\nfn sweep_method() {}\nfn helper() {}\n";
         let lines = scan(src);
         let fns = extract("crates/core/src/system.rs", &lex(src), &lines).fns;
         let rooted: Vec<bool> = fns.iter().map(is_root).collect();
         assert_eq!(
             rooted,
-            vec![true, true, true, true, false, true, false, true, true, true, true, false]
+            vec![true, true, true, true, false, true, false, true, false]
         );
     }
 

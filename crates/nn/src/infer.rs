@@ -3,40 +3,26 @@
 //! [`Classifier::predict_proba`] builds an autograd [`Tape`], clones every
 //! parameter tensor onto it, and allocates a node per op — fine for
 //! training-time evaluation, wasteful on a serving hot path that answers the
-//! same-shaped batch thousands of times. [`Classifier::predict_proba_batched`]
+//! same-shaped batch thousands of times. [`Classifier::predict_proba_packed`]
 //! runs the identical arithmetic directly on two caller-owned ping-pong
 //! activation buffers ([`InferScratch`]), allocating nothing but the output
-//! tensor. [`Classifier::predict_proba_packed`] goes one step further:
-//! weight matrices never change between batches, so [`PackedWeights`]
-//! caches their GEMM panels once per model and the hot path skips the
-//! per-batch repack too.
+//! tensor, against weight panels packed once per model ([`PackedWeights`]).
 //!
 //! **Bitwise contract:** the fast path runs the *same* blocked GEMM kernel
-//! as the tape ([`taglets_tensor::kernels::gemm_into`], including its
-//! exact-zero skip for the `Nn` variant) with the bias add — and, for ReLU
-//! backbones, the activation — fused into the kernel epilogue
-//! ([`kernels::Epilogue`]). Fusion never changes bits: the epilogue applies
-//! the same per-element f32 ops (`(acc + bias).max(0.0)`) in the same
-//! order the tape's `add_row` + activation sequence would, and an f32
-//! stored then re-read is the identical value, so output is bitwise
-//! identical to `predict_proba` row by row (final probabilities via the
-//! same [`softmax_rows`]). Because every op is row-independent, each output
-//! row is also bitwise identical no matter which batch (of any size) the
-//! input row rides in; `core::serve` leans on this to make micro-batched
-//! parallel serving indistinguishable from serial single-request serving.
-//! The `batched_path_is_bitwise_identical` tests below pin both claims.
-//!
-//! **Int8 serving path:** [`Classifier::predict_proba_quantized`] trades
-//! the bitwise contract for throughput: weights are quantized once to
-//! symmetric per-output-column int8 ([`QuantizedWeights`]), activations to
-//! per-row int8 at each layer, and the matmul runs in exact i32 integer
-//! arithmetic ([`kernels::gemm_i8_into`]) with dequantization and the
-//! bias/ReLU epilogue fused. Quantization is lossy, so this path is
-//! serving-only and the f32 path remains the accuracy oracle — the
-//! `quantized_path_*` tests bound its argmax disagreement and probability
-//! drift against `predict_proba_packed`. It *is* still deterministic:
-//! integer accumulation has no rounding, so results are identical across
-//! worker counts and batch compositions.
+//! as the tape ([`taglets_tensor::kernels::gemm_packed_into`] is exactly
+//! the second half of the tape's `gemm_into`, including its exact-zero skip
+//! for the `Nn` variant) with the bias add — and, for ReLU backbones, the
+//! activation — fused into the kernel epilogue ([`kernels::Epilogue`]).
+//! Fusion never changes bits: the epilogue applies the same per-element f32
+//! ops (`(acc + bias).max(0.0)`) in the same order the tape's `add_row` +
+//! activation sequence would, and an f32 stored then re-read is the
+//! identical value, so output is bitwise identical to `predict_proba` row by
+//! row (final probabilities via the same [`softmax_rows`]). Because every op
+//! is row-independent, each output row is also bitwise identical no matter
+//! which batch (of any size) the input row rides in; `core::serve` leans on
+//! this to make micro-batched parallel serving indistinguishable from serial
+//! single-request serving. The `fused_packed_forward_*` tests below pin both
+//! claims.
 //!
 //! [`Tape`]: taglets_tensor::Tape
 //! [`softmax_rows`]: taglets_tensor::softmax_rows
@@ -46,38 +32,22 @@ use taglets_tensor::{softmax_rows, Executor, Tensor};
 
 use crate::{Activation, Classifier, Linear};
 
-/// Reusable activation buffers for [`Classifier::predict_proba_batched`].
+/// Reusable activation buffers for [`Classifier::predict_proba_packed`].
 ///
-/// Holds two flat `f32` activation buffers that ping-pong between layers
-/// plus the packed-panel buffer the shared GEMM kernel uses; they grow to
-/// the largest `batch × width` seen and are never shrunk, so a serving loop
-/// that reuses one scratch performs zero steady-state allocations besides
-/// the returned tensor.
+/// Holds two flat `f32` activation buffers that ping-pong between layers;
+/// they grow to the largest `batch × width` seen and are never shrunk, so a
+/// serving loop that reuses one scratch performs zero steady-state
+/// allocations besides the returned tensor.
 #[derive(Debug, Default, Clone)]
 pub struct InferScratch {
     a: Vec<f32>,
     b: Vec<f32>,
-    panel: Vec<f32>,
-    /// Biased-u8 activation codes for the int8 path, one layer at a time.
-    qa: Vec<u8>,
-    /// Per-row activation scales for the int8 path.
-    qs: Vec<f32>,
 }
 
 impl InferScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         InferScratch::default()
-    }
-
-    /// Current capacity in `f32`-element equivalents across all buffers
-    /// (the int8 code buffer counts 4 codes per element).
-    pub fn capacity(&self) -> usize {
-        self.a.capacity()
-            + self.b.capacity()
-            + self.panel.capacity()
-            + self.qa.capacity().div_ceil(4)
-            + self.qs.capacity()
     }
 }
 
@@ -111,91 +81,17 @@ impl PackedWeights {
     }
 }
 
-/// One linear layer quantized for the int8 serving path: the column-major
-/// i8 panel plus the per-output-column scales and code sums
-/// ([`kernels::pack_b_i8`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QuantizedLayer {
-    pub(crate) panel: Vec<i8>,
-    pub(crate) scales: Vec<f32>,
-    pub(crate) colsums: Vec<i32>,
-    /// `(fan_in, fan_out)` of the source layer.
-    pub(crate) dims: (usize, usize),
-}
-
-/// Weight matrices of one [`Classifier`] quantized to symmetric
-/// per-output-column int8, backbone layers first, head last — the
-/// [`PackedWeights`] sibling for the int8 serving path
-/// ([`Classifier::predict_proba_quantized`]).
-///
-/// Calibration (one scale per output column, from the column max-abs)
-/// happens once at quantize time; serving never re-reads the f32 weights.
-/// Like `PackedWeights`, a `QuantizedWeights` is only meaningful for the
-/// classifier it was built from ([`Classifier::quantize_weights`]); layer
-/// shapes are checked at use, contents are trusted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedWeights {
-    /// One quantized layer per linear layer, in forward order.
-    pub(crate) layers: Vec<QuantizedLayer>,
-}
-
-impl QuantizedWeights {
-    /// Total bytes held across all panels and calibration tables — the
-    /// cache footprint (roughly a quarter of the f32 panels').
-    pub fn num_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.panel.len() + 4 * l.scales.len() + 4 * l.colsums.len())
-            .sum()
-    }
-
-    /// `(fan_in, fan_out)` of each quantized layer, for shape audits.
-    pub(crate) fn dims(&self) -> Vec<(usize, usize)> {
-        // lint: alloc(shape audit list, one tuple per layer)
-        self.layers.iter().map(|l| l.dims).collect()
-    }
-}
-
-/// `out = epi(x · w)` over flat row-major buffers: the matmul is the
-/// shared blocked kernel ([`kernels::gemm_into`], `Nn` variant — the same
-/// call the tape's `matmul` makes) with the layer epilogue (bias add, or
-/// bias+ReLU) applied while each output block is register-hot. The fused
-/// epilogue replicates `Tape::add_row`'s per-element op order exactly, so
-/// results stay bitwise identical to the tape path.
+/// `out = epi(x · w)` over flat row-major buffers, `w` pre-packed: the
+/// matmul is the shared blocked kernel ([`kernels::gemm_packed_into`],
+/// `Nn` variant — the kernel the tape's `matmul` runs after its pack) with
+/// the layer epilogue (bias add, or bias+ReLU) applied while each output
+/// block is register-hot. The fused epilogue replicates `Tape::add_row`'s
+/// per-element op order exactly, so results stay bitwise identical to the
+/// tape path.
 ///
 /// Intra-op parallelism stays off here: `core::serve` already runs one
 /// inference per worker, so the serial kernel keeps workers independent.
 fn linear_forward(
-    x: &[f32],
-    rows: usize,
-    layer: &Linear,
-    epi: kernels::Epilogue,
-    panel: &mut Vec<f32>,
-    out: &mut Vec<f32>,
-) {
-    let (k, n) = (layer.fan_in(), layer.fan_out());
-    debug_assert_eq!(x.len(), rows * k, "input buffer shape mismatch");
-    // The kernel overwrites every element, so a dirty resize (no re-zeroing
-    // of the kept prefix) is safe.
-    out.resize(rows * n, 0.0);
-    kernels::gemm_into(
-        GemmKind::Nn,
-        rows,
-        k,
-        n,
-        x,
-        layer.weight().data(),
-        epi,
-        &Executor::serial(),
-        panel,
-        out,
-    );
-}
-
-/// [`linear_forward`] against a pre-packed weight panel: identical
-/// arithmetic (the packed kernel consumes the same panel bytes `gemm_into`
-/// would have packed), minus the per-call pack.
-fn linear_forward_packed(
     x: &[f32],
     rows: usize,
     layer: &Linear,
@@ -205,6 +101,8 @@ fn linear_forward_packed(
 ) {
     let (k, n) = (layer.fan_in(), layer.fan_out());
     debug_assert_eq!(x.len(), rows * k, "input buffer shape mismatch");
+    // The kernel overwrites every element, so a dirty resize (no re-zeroing
+    // of the kept prefix) is safe.
     out.resize(rows * n, 0.0);
     kernels::gemm_packed_into(
         GemmKind::Nn,
@@ -219,62 +117,7 @@ fn linear_forward_packed(
     );
 }
 
-/// [`linear_forward`] in int8: quantize the activation rows, run the
-/// integer kernel against the layer's quantized panel, dequantize with the
-/// epilogue fused. Exact integer arithmetic keeps this deterministic; the
-/// quantization itself is lossy (see the module docs).
-#[allow(clippy::too_many_arguments)]
-fn linear_forward_quantized(
-    x: &[f32],
-    rows: usize,
-    layer: &QuantizedLayer,
-    epi: kernels::Epilogue,
-    qa: &mut Vec<u8>,
-    qs: &mut Vec<f32>,
-    out: &mut Vec<f32>,
-) {
-    let (k, n) = layer.dims;
-    debug_assert_eq!(x.len(), rows * k, "input buffer shape mismatch");
-    kernels::quantize_rows_i8(x, rows, k, qa, qs);
-    out.resize(rows * n, 0.0);
-    kernels::gemm_i8_into(
-        rows,
-        k,
-        n,
-        qa,
-        qs,
-        &layer.panel,
-        &layer.scales,
-        &layer.colsums,
-        epi,
-        &Executor::serial(),
-        out,
-    );
-}
-
 impl Classifier {
-    /// Class probabilities for a batch, computed without a tape on reusable
-    /// scratch buffers — bitwise identical to [`Classifier::predict_proba`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 2 or its width differs from
-    /// [`Classifier::input_dim`].
-    pub fn predict_proba_batched(&self, x: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        softmax_rows(&self.logits_batched(x, scratch))
-    }
-
-    /// Raw logits for a batch via the tape-free fast path — bitwise
-    /// identical to [`Classifier::logits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 2 or its width differs from
-    /// [`Classifier::input_dim`].
-    pub fn logits_batched(&self, x: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        self.logits_impl(x, scratch, None)
-    }
-
     /// Packs every weight matrix of this classifier (backbone layers then
     /// head) into the GEMM panel layout for [`Classifier::logits_packed`].
     pub fn pack_weights(&self) -> PackedWeights {
@@ -291,145 +134,9 @@ impl Classifier {
         PackedWeights { panels, dims }
     }
 
-    /// Quantizes every weight matrix of this classifier (backbone layers
-    /// then head) to symmetric per-output-column int8 for
-    /// [`Classifier::predict_proba_quantized`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any layer's fan-in exceeds [`kernels::MAX_QUANT_K`] (the
-    /// integer kernel's no-overflow bound).
-    pub fn quantize_weights(&self) -> QuantizedWeights {
-        let head = std::iter::once(self.head());
-        let layers = self
-            .backbone()
-            .layers()
-            .iter()
-            .chain(head)
-            .map(|layer| {
-                let (k, n) = (layer.fan_in(), layer.fan_out());
-                assert!(
-                    k <= kernels::MAX_QUANT_K,
-                    "layer fan-in {k} exceeds the int8 kernel bound"
-                );
-                let (mut panel, mut scales, mut colsums) = (Vec::new(), Vec::new(), Vec::new());
-                kernels::pack_b_i8(
-                    k,
-                    n,
-                    layer.weight().data(),
-                    &mut panel,
-                    &mut scales,
-                    &mut colsums,
-                );
-                QuantizedLayer {
-                    panel,
-                    scales,
-                    colsums,
-                    dims: (k, n),
-                }
-            })
-            .collect();
-        QuantizedWeights { layers }
-    }
-
-    /// Class probabilities via the int8 serving path — deterministic but
-    /// *not* bitwise-equal to the f32 paths (quantization is lossy; see
-    /// the module docs). The f32 packed path is the accuracy oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 2, its width differs from
-    /// [`Classifier::input_dim`], or `quant` was built for a classifier of
-    /// different layer shapes.
-    pub fn predict_proba_quantized(
-        &self,
-        x: &Tensor,
-        quant: &QuantizedWeights,
-        scratch: &mut InferScratch,
-    ) -> Tensor {
-        softmax_rows(&self.logits_quantized(x, quant, scratch))
-    }
-
-    /// Raw logits via the int8 serving path (see
-    /// [`Classifier::predict_proba_quantized`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Classifier::predict_proba_quantized`].
-    pub fn logits_quantized(
-        &self,
-        x: &Tensor,
-        quant: &QuantizedWeights,
-        scratch: &mut InferScratch,
-    ) -> Tensor {
-        let expect: Vec<(usize, usize)> = self
-            .backbone()
-            .layers()
-            .iter()
-            .chain(std::iter::once(self.head()))
-            .map(|l| (l.fan_in(), l.fan_out()))
-            .collect(); // lint: alloc(shape audit list, one tuple per layer)
-        assert_eq!(
-            quant.dims(),
-            expect,
-            "quantized weights were built for a different classifier shape"
-        );
-        assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
-        assert_eq!(
-            x.cols(),
-            self.input_dim(),
-            "input width must match the classifier"
-        );
-        let rows = x.rows();
-        let backbone = self.backbone();
-
-        let mut src_vec = std::mem::take(&mut scratch.a);
-        let mut dst_vec = std::mem::take(&mut scratch.b);
-        let mut first = true;
-        for (li, layer) in backbone.layers().iter().enumerate() {
-            let src: &[f32] = if first { x.data() } else { &src_vec };
-            let epi = match backbone.activation() {
-                Activation::Relu => kernels::Epilogue::BiasRelu(layer.bias().data()),
-                Activation::Tanh => kernels::Epilogue::BiasAdd(layer.bias().data()),
-            };
-            linear_forward_quantized(
-                src,
-                rows,
-                &quant.layers[li], // lint: panicfree(dims asserted against the layer list above)
-                epi,
-                &mut scratch.qa,
-                &mut scratch.qs,
-                &mut dst_vec,
-            );
-            first = false;
-            if backbone.activation() == Activation::Tanh {
-                for v in dst_vec.iter_mut() {
-                    *v = v.tanh();
-                }
-            }
-            std::mem::swap(&mut src_vec, &mut dst_vec);
-        }
-
-        let src: &[f32] = if first { x.data() } else { &src_vec };
-        linear_forward_quantized(
-            src,
-            rows,
-            &quant.layers[backbone.layers().len()], // lint: panicfree(layers holds backbone + 1 entries, the head last)
-            kernels::Epilogue::BiasAdd(self.head().bias().data()),
-            &mut scratch.qa,
-            &mut scratch.qs,
-            &mut dst_vec,
-        );
-        // lint: alloc(the logits tensor owns its rows; scratch.b keeps its capacity for the next call)
-        let logits = Tensor::from_vec(dst_vec.clone()).reshaped(&[rows, self.num_classes()]);
-        scratch.a = src_vec;
-        scratch.b = dst_vec;
-        logits
-    }
-
-    /// Class probabilities via the fast path with pre-packed weight panels
-    /// — bitwise identical to [`Classifier::predict_proba_batched`] (and so
-    /// to [`Classifier::predict_proba`]), without the per-batch repack.
+    /// Class probabilities for a batch, computed without a tape on
+    /// pre-packed weight panels and reusable scratch buffers — bitwise
+    /// identical to [`Classifier::predict_proba`].
     ///
     /// # Panics
     ///
@@ -445,44 +152,26 @@ impl Classifier {
         softmax_rows(&self.logits_packed(x, packed, scratch))
     }
 
-    /// Raw logits via the fast path with pre-packed weight panels —
-    /// bitwise identical to [`Classifier::logits_batched`].
+    /// Raw logits for a batch via the tape-free fast path — bitwise
+    /// identical to [`Classifier::logits`].
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not rank 2, its width differs from
-    /// [`Classifier::input_dim`], or `packed` was built for a classifier of
-    /// different layer shapes.
+    /// Same contract as [`Classifier::predict_proba_packed`].
     pub fn logits_packed(
         &self,
         x: &Tensor,
         packed: &PackedWeights,
         scratch: &mut InferScratch,
     ) -> Tensor {
-        let expect: Vec<(usize, usize)> = self
-            .backbone()
-            .layers()
-            .iter()
-            .chain(std::iter::once(self.head()))
-            .map(|l| (l.fan_in(), l.fan_out()))
-            .collect(); // lint: alloc(shape audit list, one tuple per layer)
-        assert_eq!(
-            packed.dims, expect,
+        let backbone = self.backbone();
+        let layers = backbone.layers().iter().chain(std::iter::once(self.head()));
+        assert!(
+            layers
+                .map(|l| (l.fan_in(), l.fan_out()))
+                .eq(packed.dims.iter().copied()),
             "packed weights were built for a different classifier shape"
         );
-        self.logits_impl(x, scratch, Some(packed))
-    }
-
-    /// Shared ping-pong forward pass; `packed` selects the panel source
-    /// (pre-packed per layer vs repack into the scratch per call). Both
-    /// arms feed the same kernel the same panel bytes, so the choice never
-    /// changes output bits.
-    fn logits_impl(
-        &self,
-        x: &Tensor,
-        scratch: &mut InferScratch,
-        packed: Option<&PackedWeights>,
-    ) -> Tensor {
         assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
         assert_eq!(
             x.cols(),
@@ -490,7 +179,6 @@ impl Classifier {
             "input width must match the classifier"
         );
         let rows = x.rows();
-        let backbone = self.backbone();
 
         // Ping-pong: after each layer the freshly written buffer becomes the
         // next layer's source. The first layer reads the input tensor
@@ -498,7 +186,7 @@ impl Classifier {
         let mut src_vec = std::mem::take(&mut scratch.a);
         let mut dst_vec = std::mem::take(&mut scratch.b);
         let mut first = true;
-        for (li, layer) in backbone.layers().iter().enumerate() {
+        for (layer, panel) in backbone.layers().iter().zip(&packed.panels) {
             let src: &[f32] = if first { x.data() } else { &src_vec };
             // ReLU fuses into the kernel epilogue; tanh has no fused form,
             // so it keeps the separate pass below.
@@ -506,13 +194,7 @@ impl Classifier {
                 Activation::Relu => kernels::Epilogue::BiasRelu(layer.bias().data()),
                 Activation::Tanh => kernels::Epilogue::BiasAdd(layer.bias().data()),
             };
-            match packed {
-                Some(p) => {
-                    // lint: panicfree(dims asserted against the layer list; one panel per layer)
-                    linear_forward_packed(src, rows, layer, epi, &p.panels[li], &mut dst_vec)
-                }
-                None => linear_forward(src, rows, layer, epi, &mut scratch.panel, &mut dst_vec),
-            }
+            linear_forward(src, rows, layer, epi, panel, &mut dst_vec);
             first = false;
             if backbone.activation() == Activation::Tanh {
                 for v in dst_vec.iter_mut() {
@@ -525,25 +207,14 @@ impl Classifier {
         }
 
         let src: &[f32] = if first { x.data() } else { &src_vec };
-        let head_epi = kernels::Epilogue::BiasAdd(self.head().bias().data());
-        match packed {
-            Some(p) => linear_forward_packed(
-                src,
-                rows,
-                self.head(),
-                head_epi,
-                &p.panels[backbone.layers().len()], // lint: panicfree(panels holds layers + 1 entries, the head last)
-                &mut dst_vec,
-            ),
-            None => linear_forward(
-                src,
-                rows,
-                self.head(),
-                head_epi,
-                &mut scratch.panel,
-                &mut dst_vec,
-            ),
-        }
+        linear_forward(
+            src,
+            rows,
+            self.head(),
+            kernels::Epilogue::BiasAdd(self.head().bias().data()),
+            &packed.panels[backbone.layers().len()], // lint: panicfree(dims asserted equal to the layer list; panels holds layers + 1 entries, the head last)
+            &mut dst_vec,
+        );
         // lint: alloc(the logits tensor owns its rows; scratch.b keeps its capacity for the next call)
         let logits = Tensor::from_vec(dst_vec.clone()).reshaped(&[rows, self.num_classes()]);
         scratch.a = src_vec;
@@ -558,63 +229,18 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
-    fn batched_path_is_bitwise_identical_to_tape_path() {
+    fn fused_packed_forward_is_bitwise_identical_to_tape_path() {
         let mut rng = StdRng::seed_from_u64(11);
-        for dims in [&[6, 8, 5][..], &[4, 4][..], &[9, 16, 16, 3][..]] {
-            let clf = Classifier::from_dims(dims, 4, 0.0, &mut rng);
-            let x = Tensor::randn(&[7, dims[0]], 1.3, &mut rng);
-            let mut scratch = InferScratch::new();
-            let fast = clf.predict_proba_batched(&x, &mut scratch);
-            let slow = clf.predict_proba(&x);
-            assert_eq!(fast.shape(), slow.shape());
-            assert_eq!(fast.data(), slow.data(), "dims {dims:?}");
-            assert_eq!(
-                clf.logits_batched(&x, &mut scratch).data(),
-                clf.logits(&x).data()
-            );
-        }
-    }
-
-    #[test]
-    fn rows_are_independent_of_batch_composition() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let clf = Classifier::from_dims(&[5, 12, 6], 3, 0.0, &mut rng);
-        let batch = Tensor::randn(&[9, 5], 1.0, &mut rng);
-        let mut scratch = InferScratch::new();
-        let together = clf.predict_proba_batched(&batch, &mut scratch);
-        for i in 0..batch.rows() {
-            let single = batch.gather_rows(&[i]);
-            let alone = clf.predict_proba_batched(&single, &mut scratch);
-            assert_eq!(alone.row(0), together.row(i), "row {i}");
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_does_not_leak_previous_batches() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
-        let mut scratch = InferScratch::new();
-        let big = Tensor::randn(&[16, 4], 1.0, &mut rng);
-        let _ = clf.predict_proba_batched(&big, &mut scratch);
-        let small = Tensor::randn(&[2, 4], 1.0, &mut rng);
-        let fast = clf.predict_proba_batched(&small, &mut scratch);
-        assert_eq!(fast.data(), clf.predict_proba(&small).data());
-        assert_eq!(fast.shape(), &[2, 2]);
-    }
-
-    #[test]
-    fn packed_weights_path_is_bitwise_identical() {
-        let mut rng = StdRng::seed_from_u64(15);
         for dims in [&[6, 8, 5][..], &[4, 4][..], &[9, 16, 16, 3][..]] {
             let clf = Classifier::from_dims(dims, 4, 0.0, &mut rng);
             let packed = clf.pack_weights();
             assert!(packed.num_elements() > 0);
             let x = Tensor::randn(&[7, dims[0]], 1.3, &mut rng);
             let mut scratch = InferScratch::new();
-            let via_packed = clf.predict_proba_packed(&x, &packed, &mut scratch);
-            let via_repack = clf.predict_proba_batched(&x, &mut scratch);
-            assert_eq!(via_packed.data(), via_repack.data(), "dims {dims:?}");
-            assert_eq!(via_packed.data(), clf.predict_proba(&x).data());
+            let fast = clf.predict_proba_packed(&x, &packed, &mut scratch);
+            let slow = clf.predict_proba(&x);
+            assert_eq!(fast.shape(), slow.shape());
+            assert_eq!(fast.data(), slow.data(), "dims {dims:?}");
             assert_eq!(
                 clf.logits_packed(&x, &packed, &mut scratch).data(),
                 clf.logits(&x).data()
@@ -623,120 +249,59 @@ mod tests {
     }
 
     #[test]
-    fn packed_weights_from_another_shape_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
-        let other = Classifier::from_dims(&[4, 6], 2, 0.0, &mut rng);
-        let packed = other.pack_weights();
-        let x = Tensor::zeros(&[2, 4]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clf.predict_proba_packed(&x, &packed, &mut InferScratch::new())
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn quantized_path_tracks_the_f32_oracle() {
-        // Int8 serving accuracy bound vs the f32 oracle: ≥ 99% argmax
-        // agreement and a small max probability delta, over several
-        // realistic widths and both activations.
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        let mut max_delta = 0.0f32;
-        for dims in [&[32, 64, 16][..], &[16, 32, 32, 8][..], &[64, 48][..]] {
-            let clf = Classifier::from_dims(dims, 6, 0.0, &mut rng);
-            let quant = clf.quantize_weights();
-            assert!(quant.num_bytes() > 0);
-            let packed = clf.pack_weights();
-            let mut scratch = InferScratch::new();
-            let x = Tensor::randn(&[64, dims[0]], 1.0, &mut rng);
-            let oracle = clf.predict_proba_packed(&x, &packed, &mut scratch);
-            let fast = clf.predict_proba_quantized(&x, &quant, &mut scratch);
-            assert_eq!(fast.shape(), oracle.shape());
-            for r in 0..x.rows() {
-                let (of, qf) = (oracle.row(r), fast.row(r));
-                let argmax = |row: &[f32]| {
-                    row.iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .unwrap()
-                        .0
-                };
-                total += 1;
-                if argmax(of) == argmax(qf) {
-                    agree += 1;
-                }
-                for (o, q) in of.iter().zip(qf) {
-                    max_delta = max_delta.max((o - q).abs());
-                }
-            }
-        }
-        let rate = agree as f32 / total as f32;
-        assert!(rate >= 0.99, "argmax agreement {rate} below 0.99");
-        assert!(max_delta <= 0.05, "max probability delta {max_delta}");
-    }
-
-    #[test]
-    fn quantized_path_is_deterministic_and_batch_independent() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let clf = Classifier::from_dims(&[12, 24, 10], 4, 0.0, &mut rng);
-        let quant = clf.quantize_weights();
-        let batch = Tensor::randn(&[9, 12], 1.0, &mut rng);
+    fn fused_packed_forward_rows_are_independent_of_batch_composition() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let clf = Classifier::from_dims(&[5, 12, 6], 3, 0.0, &mut rng);
+        let packed = clf.pack_weights();
+        let batch = Tensor::randn(&[9, 5], 1.0, &mut rng);
         let mut scratch = InferScratch::new();
-        let together = clf.predict_proba_quantized(&batch, &quant, &mut scratch);
-        let again = clf.predict_proba_quantized(&batch, &quant, &mut scratch);
-        assert_eq!(together.data(), again.data());
+        let together = clf.predict_proba_packed(&batch, &packed, &mut scratch);
         for i in 0..batch.rows() {
             let single = batch.gather_rows(&[i]);
-            let alone = clf.predict_proba_quantized(&single, &quant, &mut scratch);
+            let alone = clf.predict_proba_packed(&single, &packed, &mut scratch);
             assert_eq!(alone.row(0), together.row(i), "row {i}");
         }
     }
 
     #[test]
-    fn quantized_scratch_reuse_survives_nan_poison() {
-        // A NaN-poisoned batch must not leak into later results through the
-        // reused scratch: every buffer is either fully overwritten or
-        // quantize-degraded per row.
-        let mut rng = StdRng::seed_from_u64(19);
-        let clf = Classifier::from_dims(&[8, 16], 3, 0.0, &mut rng);
-        let quant = clf.quantize_weights();
+    fn fused_packed_forward_scratch_reuse_does_not_leak_previous_batches() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
+        let packed = clf.pack_weights();
         let mut scratch = InferScratch::new();
-        let mut poison = vec![f32::NAN; 4 * 8];
-        poison[9] = 1.0;
-        let _ = clf.predict_proba_quantized(
-            &Tensor::from_vec(poison).reshaped(&[4, 8]),
-            &quant,
-            &mut scratch,
-        );
-        let clean = Tensor::randn(&[2, 8], 1.0, &mut rng);
-        let reused = clf.predict_proba_quantized(&clean, &quant, &mut scratch);
-        let fresh = clf.predict_proba_quantized(&clean, &quant, &mut InferScratch::new());
-        assert_eq!(reused.data(), fresh.data());
-        assert!(reused.data().iter().all(|v| v.is_finite()));
+        let poison = Tensor::from_vec(vec![f32::NAN; 16 * 4]).reshaped(&[16, 4]);
+        let _ = clf.predict_proba_packed(&poison, &packed, &mut scratch);
+        let small = Tensor::randn(&[2, 4], 1.0, &mut rng);
+        let fast = clf.predict_proba_packed(&small, &packed, &mut scratch);
+        assert_eq!(fast.data(), clf.predict_proba(&small).data());
+        assert_eq!(fast.shape(), &[2, 2]);
     }
 
     #[test]
-    fn quantized_weights_from_another_shape_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(20);
+    fn packed_weights_from_another_shape_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(16);
         let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
-        let other = Classifier::from_dims(&[4, 6], 2, 0.0, &mut rng);
-        let quant = other.quantize_weights();
-        let x = Tensor::zeros(&[2, 4]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clf.predict_proba_quantized(&x, &quant, &mut InferScratch::new())
-        }));
-        assert!(result.is_err());
+        for other in [
+            Classifier::from_dims(&[4, 6], 2, 0.0, &mut rng),
+            Classifier::from_dims(&[4, 8, 8], 2, 0.0, &mut rng),
+        ] {
+            let packed = other.pack_weights();
+            let x = Tensor::zeros(&[2, 4]);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                clf.predict_proba_packed(&x, &packed, &mut InferScratch::new())
+            }));
+            assert!(result.is_err());
+        }
     }
 
     #[test]
     fn width_mismatch_panics() {
         let mut rng = StdRng::seed_from_u64(14);
         let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
+        let packed = clf.pack_weights();
         let x = Tensor::zeros(&[2, 5]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clf.predict_proba_batched(&x, &mut InferScratch::new())
+            clf.predict_proba_packed(&x, &packed, &mut InferScratch::new())
         }));
         assert!(result.is_err());
     }

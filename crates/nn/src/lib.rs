@@ -33,7 +33,7 @@ mod train;
 
 pub use augment::Augmenter;
 pub use classifier::{accuracy, Classifier};
-pub use infer::{InferScratch, PackedWeights, QuantizedWeights};
+pub use infer::{InferScratch, PackedWeights};
 pub use layers::{Activation, Linear, Mlp, Module};
 pub use serialize::{load_classifier, save_classifier};
 pub use train::{fit, fit_hard, fit_soft, shuffled_batches, FitConfig, FitReport, Targets};

@@ -12,11 +12,6 @@
 //!   every v1 file is a ReLU model by construction (loading hardcoded ReLU).
 //! * `TAGLETS2` — one activation byte after the magic, then the v1 layout.
 //!   Writers emit v2; readers accept both.
-//!
-//! Quantized serving weights are deliberately *not* serialized: int8 packing
-//! ([`crate::Classifier::quantize_weights`]) is a deterministic pure function
-//! of the f32 parameters, so loaders re-derive them and the file stays a
-//! single source of truth (no risk of stale panels disagreeing with weights).
 
 use std::io::{self, Read, Write};
 
@@ -86,8 +81,8 @@ pub fn save_classifier<W: Write>(clf: &Classifier, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` if the magic tag or layout is malformed, and
-/// propagates reader I/O errors. Accepts both the current `TAGLETS2` format
+/// Returns `InvalidData` if the magic tag or layout is malformed or any
+/// parameter is NaN or infinite, and propagates reader I/O errors. Accepts both the current `TAGLETS2` format
 /// and legacy `TAGLETS1` files (which are always ReLU models — v1 never
 /// stored the activation and every v1 writer produced ReLU backbones).
 pub fn load_classifier<R: Read>(mut r: R) -> io::Result<Classifier> {
@@ -148,6 +143,14 @@ pub fn load_classifier<R: Read>(mut r: R) -> io::Result<Classifier> {
         for v in data.iter_mut() {
             r.read_exact(&mut fbuf)?;
             *v = f32::from_le_bytes(fbuf);
+            // No trained model holds a non-finite weight; one here means a
+            // corrupted file that would otherwise serve NaN probabilities.
+            if !v.is_finite() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "non-finite parameter",
+                ));
+            }
         }
         Tensor::from_shape(shape.to_vec(), data)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
@@ -251,6 +254,20 @@ mod tests {
         }
         let err = load_classifier(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let clf = Classifier::from_dims(&[4, 4], 2, 0.0, &mut rng);
+        let mut buf = Vec::new();
+        save_classifier(&clf, &mut buf).unwrap();
+        let last = buf.len() - 4;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            buf[last..].copy_from_slice(&bad.to_le_bytes());
+            let err = load_classifier(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+        }
     }
 
     #[test]

@@ -22,13 +22,6 @@ pub enum ScadsError {
         /// The dataset's name.
         name: String,
     },
-    /// A shard partition does not cover exactly the store's concepts.
-    ShardMismatch {
-        /// Concepts in the store's graph.
-        concepts: usize,
-        /// Concepts covered by the partition.
-        owners: usize,
-    },
 }
 
 impl fmt::Display for ScadsError {
@@ -38,12 +31,6 @@ impl fmt::Display for ScadsError {
             ScadsError::UnknownDataset { id } => write!(f, "no installed dataset with id {id}"),
             ScadsError::EmptyDataset { name } => {
                 write!(f, "dataset `{name}` contains no examples")
-            }
-            ScadsError::ShardMismatch { concepts, owners } => {
-                write!(
-                    f,
-                    "shard partition covers {owners} concepts but the store has {concepts}"
-                )
             }
         }
     }

@@ -38,12 +38,8 @@
 
 mod error;
 mod pruning;
-mod shard;
-mod sharded;
 mod store;
 
 pub use error::ScadsError;
 pub use pruning::PruneLevel;
-pub use shard::ScadsShard;
-pub use sharded::ShardedScads;
 pub use store::{AuxiliarySelection, DatasetId, Scads};

@@ -46,9 +46,8 @@ impl PruneLevel {
     /// sorted, deduplicated list.
     ///
     /// The sorted-`Vec` representation (rather than a hash set) makes every
-    /// downstream traversal order-deterministic by construction — shard-local
-    /// scans and their fixed-order merges inherit one canonical order instead
-    /// of depending on hash iteration, and membership stays `O(log n)` via
+    /// downstream traversal order-deterministic by construction instead of
+    /// depending on hash iteration, and membership stays `O(log n)` via
     /// binary search.
     ///
     /// Targets not present in the taxonomy (e.g. manually added concepts such

@@ -73,20 +73,6 @@
 //! unfused form — so the tape's `add_row` and any pre-fusion comparison
 //! path share one implementation (and the fused-vs-unfused identity is
 //! pinned by tests, not argued).
-//!
-//! # Int8 row-quantized path
-//!
-//! [`gemm_i8_into`] is a serving-only sibling of the f32 kernels:
-//! activations are quantized per row and weights per output column to
-//! symmetric i8 ([`quantize_rows_i8`] / [`pack_b_i8`]), the micro-kernel
-//! accumulates in i32 (exact integer arithmetic — trivially deterministic
-//! and worker-count independent), and the epilogue dequantizes
-//! `acc · (row_scale · col_scale)` and applies bias/ReLU in one pass. The
-//! i8 panel pairs consecutive `p` steps per column so the inner loop is a
-//! two-term i16-range multiply-add — the shape LLVM lowers to packed
-//! multiply-add instructions at twice the f32 MAC throughput. It is *not*
-//! bitwise-equal to the f32 path (quantization is lossy by construction);
-//! accuracy is bounded against the f32 oracle by the `taglets-nn` tests.
 
 use crate::exec::Executor;
 
@@ -504,364 +490,6 @@ pub fn pack_b(kind: GemmKind, k: usize, n: usize, b: &[f32], panel: &mut Vec<f32
     }
 }
 
-/// Row stride of the quantized buffers [`quantize_rows_i8`] and
-/// [`pack_b_i8`] fill: `k` rounded up to even, so the vectorized
-/// reduction can always consume the codes in i16 pairs. Weight-panel pad
-/// bytes are 0, so pad positions contribute exactly nothing to an integer
-/// dot product regardless of the activation pad byte.
-pub const fn quant_row_stride(k: usize) -> usize {
-    k + (k & 1)
-}
-
-/// Length in `i8` elements of the packed panel [`pack_b_i8`] produces for
-/// a logical `k × n` weight operand: `n` contiguous columns at stride
-/// [`quant_row_stride`]`(k)`.
-pub const fn packed_panel_len_i8(k: usize, n: usize) -> usize {
-    n * quant_row_stride(k)
-}
-
-/// Hard cap on the reduction length of [`gemm_i8_into`].
-///
-/// Stored activation codes are biased u8 (`≤ 255`) and weight codes are
-/// symmetric i8 (`|c| ≤ 127`), so each reduction term contributes at most
-/// `255 · 127 = 32 385` to an i32 accumulator lane and `k ≤ 2¹⁶` bounds
-/// the accumulator magnitude by `2¹⁶ · 32 385 < 2³¹` — integer overflow
-/// is impossible by construction, not merely unobserved.
-pub const MAX_QUANT_K: usize = 1 << 16;
-
-/// The zero point of the biased-u8 activation codes: logical code
-/// `c ∈ [-127, 127]` is stored as `c + 128 ∈ [1, 255]`.
-///
-/// Why biased instead of plain i8: the int8 kernel's throughput comes from
-/// LLVM folding its dot-product reductions into packed multiply-add
-/// instructions (`vpmaddwd` / VNNI `vpdpwssd`), and the autovectorizer
-/// only forms those for **mixed-sign** `u8 × i8` reductions — a signed
-/// `i8 × i8` loop compiles to plain 32-bit multiplies at half the
-/// throughput. The bias is undone exactly in integer math:
-/// `Σ (c+128)·w = Σ c·w + 128·Σ w`, and `Σ w` per column is a pack-time
-/// constant ([`pack_b_i8`]'s `colsums`).
-pub const QUANT_ZERO_POINT: i32 = 128;
-
-/// Quantizes a row-major `[rows, k]` f32 buffer to symmetric per-row
-/// codes, stored biased-u8 (logical code plus [`QUANT_ZERO_POINT`]).
-///
-/// Row `i` gets scale `s_i = max_j |x[i][j]| / 127` and logical codes
-/// `c = round(x / s_i)` (ties away from zero, saturating); an all-zero
-/// (or non-finite-only) row gets scale `0.0` and zero-point codes, so
-/// dequantization is exactly `0.0` rather than a division by zero. A NaN
-/// element inside an otherwise finite row also degrades to the zero point
-/// (logical 0). `q` rows are stored at stride [`quant_row_stride`]`(k)`;
-/// pad bytes hold the zero point, and pad positions are cancelled by the
-/// zero weight-panel pad regardless. Both outputs are cleared and
-/// resized, so dirty reused scratch is fine.
-///
-/// Quantization is a pure per-element function of the input row — no
-/// accumulation — so it is deterministic and worker-count independent by
-/// construction.
-pub fn quantize_rows_i8(x: &[f32], rows: usize, k: usize, q: &mut Vec<u8>, scales: &mut Vec<f32>) {
-    assert_eq!(x.len(), rows * k, "quantize input buffer length");
-    let stride = quant_row_stride(k);
-    q.clear();
-    // lint: alloc(reused caller scratch; grows once to rows*stride then amortizes)
-    q.resize(rows * stride, QUANT_ZERO_POINT as u8);
-    scales.clear();
-    // lint: alloc(reused caller scratch; grows once to rows then amortizes)
-    scales.resize(rows, 0.0);
-    for i in 0..rows {
-        let row = &x[i * k..(i + 1) * k]; // lint: panicfree(x length asserted rows*k)
-                                          // 16 independent max lanes: a single `max` chain is a serial
-                                          // 4-cycle-latency dependence LLVM cannot reassociate (float max is
-                                          // order-sensitive for NaN); explicit lanes vectorize to `vmaxps`.
-                                          // f32::max ignores NaN operands, so a poisoned element cannot
-                                          // poison the scale; its own code degrades to the zero point.
-        let mut mx = [0.0f32; 16];
-        for chunk in row.chunks(16) {
-            for (m, &v) in mx.iter_mut().zip(chunk) {
-                *m = m.max(v.abs());
-            }
-        }
-        let max_abs = mx.iter().fold(0.0f32, |a, &b| a.max(b));
-        if !(max_abs > 0.0 && max_abs.is_finite()) {
-            continue; // scale stays 0.0, codes stay at the zero point
-        }
-        scales[i] = max_abs / 127.0; // lint: panicfree(i < rows by loop bound)
-        let inv = 127.0 / max_abs;
-        let dst = &mut q[i * stride..i * stride + k]; // lint: panicfree(q resized to rows*stride, k <= stride)
-        for (qv, &v) in dst.iter_mut().zip(row) {
-            let c = (v * inv).round() + QUANT_ZERO_POINT as f32;
-            // `as u8` saturates (finite codes live in [1, 255] already);
-            // NaN is pinned to the zero point so no poison can wrap.
-            *qv = if c.is_nan() {
-                QUANT_ZERO_POINT as u8
-            } else {
-                c as u8
-            };
-        }
-    }
-}
-
-/// Packs a row-major `[k, n]` f32 weight matrix (the `Nn` orientation —
-/// the only one inference uses) into symmetric per-output-column i8
-/// panels plus the per-column scales.
-///
-/// Column `j` gets scale `s_j = max_p |b[p][j]| / 127`, calibrated once at
-/// pack time. Layout: plain column-major at stride
-/// [`quant_row_stride`]`(k)` — column `j`'s codes occupy
-/// `panel[j·stride .. j·stride + k]`, pad bytes are zero. Unlike the f32
-/// panels there is no `NR`-wide tiling: the int8 kernel is a dot-product
-/// reduction (see [`gemm_i8_into`]), and a reduction wants each column
-/// contiguous.
-///
-/// `colsums[j]` receives the integer sum of column `j`'s codes — the
-/// pack-time constant [`gemm_i8_into`] subtracts (scaled by
-/// [`QUANT_ZERO_POINT`]) to undo the biased-u8 activation encoding.
-///
-/// Like [`pack_b`] this is pure per-element work (one max-reduction and
-/// one rounding per element, no cross-element arithmetic), so a panel
-/// packed once and reused serves bitwise-identical results forever.
-pub fn pack_b_i8(
-    k: usize,
-    n: usize,
-    b: &[f32],
-    panel: &mut Vec<i8>,
-    scales: &mut Vec<f32>,
-    colsums: &mut Vec<i32>,
-) {
-    assert_eq!(b.len(), k * n, "pack_b_i8 weight buffer length");
-    let stride = quant_row_stride(k);
-    panel.clear();
-    // lint: alloc(pack-time only; sized once per model, reused across calls)
-    panel.resize(n * stride, 0);
-    scales.clear();
-    // lint: alloc(pack-time only; sized once per model, reused across calls)
-    scales.resize(n, 0.0);
-    colsums.clear();
-    // lint: alloc(pack-time only; sized once per model, reused across calls)
-    colsums.resize(n, 0);
-    for j in 0..n {
-        let mut max_abs = 0.0f32;
-        for p in 0..k {
-            max_abs = max_abs.max(b[p * n + j].abs()); // lint: panicfree(b length asserted k*n)
-        }
-        if !(max_abs > 0.0 && max_abs.is_finite()) {
-            continue; // scale 0.0, codes stay 0, colsum stays 0
-        }
-        scales[j] = max_abs / 127.0; // lint: panicfree(j < n by loop bound)
-        let inv = 127.0 / max_abs;
-        let mut colsum = 0i32;
-        for p in 0..k {
-            let code = (b[p * n + j] * inv).round() as i8;
-            // lint: panicfree(panel resized to n*stride; j*stride + p < n*stride)
-            panel[j * stride + p] = code;
-            colsum += code as i32;
-        }
-        colsums[j] = colsum; // lint: panicfree(j < n by loop bound)
-    }
-}
-
-/// The int8 row-quantized product: `out[m,n] = dequant(qa · panel)` with
-/// the epilogue fused, the serving-only sibling of [`gemm_packed_into`].
-///
-/// * `qa`/`a_scales` — activations quantized by [`quantize_rows_i8`]
-///   (biased-u8 codes at stride [`quant_row_stride`]`(k)`, one scale per
-///   row).
-/// * `panel`/`b_scales`/`colsums` — weights packed by [`pack_b_i8`] (one
-///   scale and one code-sum per output column).
-///
-/// Accumulation is i32 — exact integer arithmetic, so the result is
-/// deterministic and worker-count independent without any ordering
-/// argument. Each element undoes the activation bias with the pack-time
-/// column sum (`acc = dot − ZP·colsum[j]`, exactly), dequantizes as
-/// `acc · (a_scale[i] · b_scale[j])`, and runs `epi`, all while the tile
-/// is in registers. Output is write-once (dirty buffers safe). This path
-/// is deliberately *not* bitwise-comparable to the f32 kernels:
-/// quantization is lossy, and the f32 path stays the accuracy oracle.
-///
-/// # Panics
-///
-/// Panics if any buffer length disagrees with `m`/`k`/`n`, or if
-/// `k > MAX_QUANT_K` (the no-overflow bound).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    qa: &[u8],
-    a_scales: &[f32],
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    epi: Epilogue,
-    exec: &Executor,
-    out: &mut [f32],
-) {
-    let stride = quant_row_stride(k);
-    assert!(k <= MAX_QUANT_K, "gemm_i8_into k={k} exceeds MAX_QUANT_K");
-    assert_eq!(qa.len(), m * stride, "gemm_i8 lhs buffer length");
-    assert_eq!(a_scales.len(), m, "gemm_i8 row-scale length");
-    assert_eq!(
-        panel.len(),
-        packed_panel_len_i8(k, n),
-        "gemm_i8 panel length"
-    );
-    assert_eq!(b_scales.len(), n, "gemm_i8 column-scale length");
-    assert_eq!(colsums.len(), n, "gemm_i8 column-sum length");
-    assert_eq!(out.len(), m * n, "gemm_i8 output buffer length");
-    epi.assert_bias_len(n);
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    // lint: panicfree(PAR_ROW_BLOCK is a nonzero const)
-    let blocks = (m + PAR_ROW_BLOCK - 1) / PAR_ROW_BLOCK;
-    let workers = exec.concurrency().workers(blocks);
-    if workers <= 1 || blocks <= 1 || 2 * m * k * n < PAR_MIN_FLOPS {
-        gemm_rows_i8(qa, a_scales, 0, m, k, n, panel, b_scales, colsums, epi, out);
-        return;
-    }
-    // lint: alloc(one fat pointer per row block, multi-worker dispatch only)
-    let row_blocks: Vec<&mut [f32]> = out.chunks_mut(PAR_ROW_BLOCK * n).collect();
-    exec.for_each(row_blocks, |bi, block| {
-        let row0 = bi * PAR_ROW_BLOCK;
-        let rows = block.len() / n; // lint: panicfree(n == 0 early-returns above)
-        gemm_rows_i8(
-            qa, a_scales, row0, rows, k, n, panel, b_scales, colsums, epi, block,
-        );
-    });
-}
-
-/// Serial int8 kernel over one block of output rows (rows
-/// `row0 .. row0 + rows` of the logical output; `out` is block-local).
-///
-/// Shape: 4-row blocks outer, 4-column groups inner — a 4×4 tile of
-/// full-`k` dot-product reductions per step, every activation and weight
-/// load shared across four accumulator chains ([`dot4x4`]). Reduction
-/// form matters: LLVM vectorizes a mixed-sign `u8 × i8` integer dot
-/// product into packed multiply-add instructions (`vpmaddwd`, and on VNNI
-/// hardware the accumulate-fused `vpdpwssd`) at two i16-range MACs per
-/// lane per instruction — twice the multiply throughput of the f32 tile
-/// kernel, which is pinned to unfused `vmulps`+`vaddps` by bitwise
-/// determinism. (A signed `i8 × i8` loop does *not* get this folding —
-/// hence the biased-u8 activation encoding, see [`QUANT_ZERO_POINT`].)
-/// The 4×4 sharing amortizes the per-reduction horizontal-sum teardown,
-/// which otherwise dominates at serving-size `k`. Integer sums are
-/// associative, so the reassociated reductions are still exact and
-/// worker-count independent.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows_i8(
-    qa: &[u8],
-    a_scales: &[f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    panel: &[i8],
-    b_scales: &[f32],
-    colsums: &[i32],
-    epi: Epilogue,
-    out: &mut [f32],
-) {
-    let stride = quant_row_stride(k);
-    // lint: panicfree(qa length is m*stride by the entry asserts; row0 + rows <= m)
-    let arow = |r: usize| &qa[(row0 + r) * stride..(row0 + r) * stride + stride];
-    let mut it = 0;
-    while it < rows {
-        let mr = (rows - it).min(4);
-        let mut j0 = 0;
-        while j0 < n {
-            let jw = (n - j0).min(4);
-            let sums = if mr == 4 && jw == 4 {
-                dot4x4(
-                    arow(it),
-                    arow(it + 1),
-                    arow(it + 2),
-                    arow(it + 3),
-                    &panel[j0 * stride..], // lint: panicfree(panel holds n stride-long columns; j0 + 3 < n)
-                    &panel[(j0 + 1) * stride..], // lint: panicfree(panel holds n stride-long columns; j0 + 3 < n)
-                    &panel[(j0 + 2) * stride..], // lint: panicfree(panel holds n stride-long columns; j0 + 3 < n)
-                    &panel[(j0 + 3) * stride..], // lint: panicfree(panel holds n stride-long columns; j0 + 3 < n)
-                )
-            } else {
-                // Ragged tail: plain single dots, one per live cell.
-                let mut sums = [[0i32; 4]; 4];
-                // lint: panicfree(mr <= 4, the fixed tile height)
-                for (r, row) in sums[..mr].iter_mut().enumerate() {
-                    // lint: panicfree(jw <= 4, the fixed tile width)
-                    for (jj, s) in row[..jw].iter_mut().enumerate() {
-                        // lint: panicfree(panel holds n stride-long columns; j0 + jj < n)
-                        *s = dot1(arow(it + r), &panel[(j0 + jj) * stride..]);
-                    }
-                }
-                sums
-            };
-            // lint: panicfree(mr <= 4, the fixed tile height)
-            for (r, row) in sums[..mr].iter().enumerate() {
-                // lint: panicfree(a_scales length m asserted at entry)
-                let sa = a_scales[row0 + it + r];
-                let mut tile = [0.0f32; 4];
-                // lint: panicfree(jw <= 4, the fixed tile width)
-                for (jj, (t, &dot)) in tile[..jw].iter_mut().zip(row).enumerate() {
-                    // Undo the activation bias exactly in integer math,
-                    // then dequantize.
-                    // lint: panicfree(colsums length n asserted at entry; j0 + jj < n)
-                    let acc = dot - QUANT_ZERO_POINT * colsums[j0 + jj];
-                    *t = acc as f32 * (sa * b_scales[j0 + jj]); // lint: panicfree(b_scales length n asserted at entry; j0 + jj < n)
-                }
-                epi.apply_segment(&mut tile[..jw], j0); // lint: panicfree(jw <= 4, the fixed tile width)
-                let base = (it + r) * n + j0;
-                out[base..base + jw].copy_from_slice(&tile[..jw]); // lint: panicfree(out length m*n asserted at entry; base + jw <= (it+r+1)*n)
-            }
-            j0 += jw;
-        }
-        it += mr;
-    }
-}
-
-/// A 4×4 tile of length-`stride` `u8 × i8` dot products: four activation
-/// rows against four weight columns, every load shared across four
-/// accumulator chains. Sixteen independent mixed-sign integer reductions
-/// in one loop is the shape LLVM turns into sixteen packed multiply-add
-/// accumulator chains (see [`gemm_rows_i8`]); weight pad bytes are zero,
-/// so pad positions contribute nothing.
-#[allow(clippy::too_many_arguments)]
-fn dot4x4(
-    a0: &[u8],
-    a1: &[u8],
-    a2: &[u8],
-    a3: &[u8],
-    b0: &[i8],
-    b1: &[i8],
-    b2: &[i8],
-    b3: &[i8],
-) -> [[i32; 4]; 4] {
-    let len = a0.len();
-    // lint: panicfree(rows share one stride; each column is stride-long by the pack layout)
-    let (a1, a2, a3) = (&a1[..len], &a2[..len], &a3[..len]);
-    let (b0, b1, b2, b3) = (&b0[..len], &b1[..len], &b2[..len], &b3[..len]);
-    let mut s = [[0i32; 4]; 4];
-    for (j, &av0) in a0.iter().enumerate() {
-        let x = [av0 as i32, a1[j] as i32, a2[j] as i32, a3[j] as i32];
-        let w = [b0[j] as i32, b1[j] as i32, b2[j] as i32, b3[j] as i32];
-        for (sr, &xr) in s.iter_mut().zip(&x) {
-            sr[0] += xr * w[0];
-            sr[1] += xr * w[1];
-            sr[2] += xr * w[2];
-            sr[3] += xr * w[3];
-        }
-    }
-    s
-}
-
-/// Single-column tail of [`dot4`].
-fn dot1(a: &[u8], b: &[i8]) -> i32 {
-    let b = &b[..a.len()]; // lint: panicfree(each column is stride-long by the pack layout)
-    let mut s = 0i32;
-    for (&av, &bv) in a.iter().zip(b) {
-        s += av as i32 * bv as i32;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1264,162 +892,5 @@ mod tests {
             Epilogue::BiasAdd(&[1.0, 2.0]).apply_rows(&mut buf, 2);
         });
         assert!(result.is_err(), "partial rows must be rejected");
-    }
-
-    /// f32 reference for the int8 path: dequantize the codes and run the
-    /// exact dot product in f64, then bound the kernel against it.
-    #[test]
-    fn int8_kernel_matches_exact_integer_reference() {
-        let mut rng = StdRng::seed_from_u64(61);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (8, 64, 33),
-            (97, 256, 200),
-        ] {
-            let x = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let w = Tensor::randn(&[k, n], 0.5, &mut rng);
-            let bias = Tensor::randn(&[1, n], 1.0, &mut rng);
-            let (mut qa, mut sa) = (Vec::new(), Vec::new());
-            quantize_rows_i8(x.data(), m, k, &mut qa, &mut sa);
-            let (mut panel, mut sb, mut cs) = (Vec::new(), Vec::new(), Vec::new());
-            pack_b_i8(k, n, w.data(), &mut panel, &mut sb, &mut cs);
-            assert_eq!(panel.len(), packed_panel_len_i8(k, n));
-            // Exact integer reference: same logical (unbiased) codes,
-            // scalar i32 accumulation.
-            let stride = quant_row_stride(k);
-            let mut expect = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0i32;
-                    for p in 0..k {
-                        let ca = qa[i * stride + p] as i32 - QUANT_ZERO_POINT;
-                        acc += ca * panel[j * stride + p] as i32;
-                    }
-                    expect[i * n + j] = (acc as f32 * (sa[i] * sb[j]) + bias.data()[j]).max(0.0);
-                }
-            }
-            for conc in [
-                Concurrency::Serial,
-                Concurrency::Threads(2),
-                Concurrency::Threads(4),
-            ] {
-                let mut out = vec![f32::NAN; m * n]; // dirty on purpose
-                gemm_i8_into(
-                    m,
-                    k,
-                    n,
-                    &qa,
-                    &sa,
-                    &panel,
-                    &sb,
-                    &cs,
-                    Epilogue::BiasRelu(bias.data()),
-                    &Executor::new(conc),
-                    &mut out,
-                );
-                assert_eq!(out, expect, "m={m} k={k} n={n} {conc}");
-            }
-        }
-    }
-
-    #[test]
-    fn int8_quantization_bounds_elementwise_error() {
-        // Symmetric per-row/per-column quantization bounds each code's
-        // relative error by 1/254 of the row/column max; the dot-product
-        // error is bounded by k · (|x|max · |w|max) · (1/127 + 1/127 +
-        // 1/127²) ≈ k·max²/63. Check against the f32 kernel at a serving
-        // shape.
-        let mut rng = StdRng::seed_from_u64(62);
-        let (m, k, n) = (8usize, 64usize, 32usize);
-        let x = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let w = Tensor::randn(&[k, n], 0.5, &mut rng);
-        let exec = Executor::serial();
-        let mut exact = vec![0.0f32; m * n];
-        let mut panel = Vec::new();
-        gemm_into(
-            GemmKind::Nn,
-            m,
-            k,
-            n,
-            x.data(),
-            w.data(),
-            Epilogue::None,
-            &exec,
-            &mut panel,
-            &mut exact,
-        );
-        let (mut qa, mut sa) = (Vec::new(), Vec::new());
-        quantize_rows_i8(x.data(), m, k, &mut qa, &mut sa);
-        let (mut qpanel, mut sb, mut cs) = (Vec::new(), Vec::new(), Vec::new());
-        pack_b_i8(k, n, w.data(), &mut qpanel, &mut sb, &mut cs);
-        let mut quant = vec![0.0f32; m * n];
-        gemm_i8_into(
-            m,
-            k,
-            n,
-            &qa,
-            &sa,
-            &qpanel,
-            &sb,
-            &cs,
-            Epilogue::None,
-            &exec,
-            &mut quant,
-        );
-        for i in 0..m {
-            let xmax = x.row(i).iter().fold(0.0f32, |mx, v| mx.max(v.abs()));
-            for j in 0..n {
-                let wmax = (0..k).fold(0.0f32, |mx, p| mx.max(w.data()[p * n + j].abs()));
-                let bound = k as f32 * xmax * wmax / 63.0;
-                let err = (exact[i * n + j] - quant[i * n + j]).abs();
-                assert!(
-                    err <= bound.max(1e-6),
-                    "({i},{j}): err {err} exceeds bound {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn int8_quantization_handles_degenerate_rows_and_columns() {
-        // All-zero rows, NaN elements and a zero weight column must
-        // degrade to scale 0 / zero-point codes — never divide by zero or
-        // wrap.
-        let x = vec![0.0, 0.0, 0.0, f32::NAN, 2.0, -4.0];
-        let (mut qa, mut sa) = (Vec::new(), Vec::new());
-        quantize_rows_i8(&x, 2, 3, &mut qa, &mut sa);
-        let zp = QUANT_ZERO_POINT as u8;
-        assert_eq!(sa[0], 0.0);
-        assert_eq!(&qa[..4], &[zp, zp, zp, zp]); // row 0 + pad
-        assert_eq!(sa[1], 4.0 / 127.0);
-        // NaN -> zero point, 2.0 -> code 64, -4.0 -> code -127, pad.
-        assert_eq!(&qa[4..], &[zp, zp + 64, zp - 127, zp]);
-        // Weight matrix with a zero column.
-        let w = vec![1.0, 0.0, -3.0, 0.5, 0.0, 3.0];
-        let (mut panel, mut sb, mut cs) = (Vec::new(), Vec::new(), Vec::new());
-        pack_b_i8(2, 3, &w, &mut panel, &mut sb, &mut cs);
-        assert_eq!(sb[1], 0.0);
-        assert_eq!(sb[2], 3.0 / 127.0);
-        assert_eq!(cs, vec![127 + 64, 0, 0]); // codes [127,64] / zeros / [-127,127]
-        let (mut qx, mut sx) = (Vec::new(), Vec::new());
-        quantize_rows_i8(&[2.0, -4.0], 1, 2, &mut qx, &mut sx);
-        let mut out = vec![f32::NAN; 3];
-        gemm_i8_into(
-            1,
-            2,
-            3,
-            &qx,
-            &sx,
-            &panel,
-            &sb,
-            &cs,
-            Epilogue::None,
-            &Executor::serial(),
-            &mut out,
-        );
-        // Column 1 dequantizes to exactly 0.0 (scale 0), not NaN.
-        assert_eq!(out[1], 0.0);
-        assert!(out[0].is_finite() && out[2].is_finite());
     }
 }

@@ -87,18 +87,6 @@ step "bench-serving" cargo bench --offline --quiet -p taglets-bench --bench serv
 
 step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features strict-numerics
 
-# Sharded-SCADS equivalence (ISSUE 7): sharded retrofit and shard-parallel
-# selection must be bitwise identical to the flat oracles at 1/2/4 shards,
-# serially and with the executor resolving TAGLETS_THREADS=4.
-step "shards" cargo test --offline --quiet --test scads_sharding
-step "shards-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet --test scads_sharding
-
-# The scads_shard bench asserts flat/sharded bitwise identity on every
-# configuration before timing it, so it doubles as an equivalence gate.
-# Run without --json so a gate run never overwrites the checked-in
-# BENCH_scads.json baseline.
-step "bench-shards" cargo bench --offline --quiet -p taglets-bench --bench scads_shard
-
 # Kernel equivalence: the blocked GEMM kernels must be bitwise identical
 # to the seed's naive reference loops, serially and under multi-worker
 # row-block dispatch (the second pass resolves TAGLETS_THREADS=4 through
@@ -106,18 +94,18 @@ step "bench-shards" cargo bench --offline --quiet -p taglets-bench --bench scads
 step "kernels" cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 step "kernels-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 
-# Fused-epilogue and int8-quantization contracts (ISSUE 10): bitwise
-# identity of the fused forward, quantization error bounds, the f32-oracle
-# agreement of the quantized path, and v1 serialization back-compat — run
-# serially and with the executor resolving TAGLETS_THREADS=4, since the
-# epilogue is applied inside per-row-block worker closures.
-step "fused-quant" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused quantized int8 epilogue legacy_v1
-step "fused-quant-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused quantized int8 epilogue legacy_v1
+# Fused-epilogue contracts: bitwise identity of the fused kernel epilogue
+# against the unfused walk, of the fused packed forward against the tape
+# `predict_proba`, and v1 serialization back-compat — run serially and
+# with the executor resolving TAGLETS_THREADS=4, since the epilogue is
+# applied inside per-row-block worker closures.
+step "fused" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
+step "fused-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
 
 # The kernels bench asserts blocked-vs-reference and fused-vs-unfused
-# bitwise identity on every timed configuration and enforces the fused,
-# int8, and serial-dispatch ratio gates. Run without --json so a gate run
-# never overwrites the checked-in BENCH_kernels.json baseline.
+# bitwise identity on every timed configuration and enforces the fused
+# and serial-dispatch ratio gates. Run without --json so a gate run never
+# overwrites the checked-in BENCH_kernels.json baseline.
 step "bench-kernels" cargo bench --offline --quiet -p taglets-bench --bench kernels
 
 # Dynamic concurrency checks (TSan/Miri) when a capable nightly toolchain

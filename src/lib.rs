@@ -47,13 +47,12 @@
 
 pub use taglets_core::{
     fixmatch_train, ClassifierTaglet, Concurrency, CoreError, DispatchPolicy, EndModelConfig,
-    Ensemble, Executor, FixMatchConfig, FixMatchModule, InferencePath, ModuleContext,
-    ModuleTelemetry, MultiTaskConfig, MultiTaskModule, RouteConfig, RouteError, RouteResponse,
-    RouteRun, RouteTelemetry, RoutedRequest, Router, RunTelemetry, ServableModel, ServeConfig,
-    ServeError, ServeResponse, ServeRun, ServeTelemetry, ServingEngine, StageTelemetry, Taglet,
-    TagletModule, TagletsConfig, TagletsRun, TagletsSystem, TenantId, TenantTelemetry,
-    TimedRequest, TrainedTaglet, TransferConfig, TransferModule, VirtualClock, ZslKgConfig,
-    ZslKgModule,
+    Ensemble, Executor, FixMatchConfig, FixMatchModule, ModuleContext, ModuleTelemetry,
+    MultiTaskConfig, MultiTaskModule, RouteConfig, RouteError, RouteResponse, RouteRun,
+    RouteTelemetry, RoutedRequest, Router, RunTelemetry, ServableModel, ServeConfig, ServeError,
+    ServeResponse, ServeRun, ServeTelemetry, ServingEngine, StageTelemetry, Taglet, TagletModule,
+    TagletsConfig, TagletsRun, TagletsSystem, TenantId, TenantTelemetry, TimedRequest,
+    TrainedTaglet, TransferConfig, TransferModule, VirtualClock, ZslKgConfig, ZslKgModule,
 };
 pub use taglets_data::{
     standard_tasks, Augmenter, AuxiliaryCorpus, BackboneKind, ClassSpec, ConceptUniverse,

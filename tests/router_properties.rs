@@ -27,8 +27,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use taglets::nn::Classifier;
 use taglets::tensor::Tensor;
 use taglets::{
-    Concurrency, DispatchPolicy, InferencePath, RouteConfig, RoutedRequest, Router, ServableModel,
-    ServeConfig, ServingEngine, TimedRequest, VirtualClock,
+    Concurrency, DispatchPolicy, RouteConfig, RoutedRequest, Router, ServableModel, ServeConfig,
+    ServingEngine, TimedRequest, VirtualClock,
 };
 
 const INPUT_DIM: usize = 5;
@@ -90,7 +90,6 @@ fn route_config(
             queue_cap,
             cache_capacity,
             concurrency: Concurrency::Serial,
-            path: InferencePath::F32,
         },
     }
 }
@@ -182,7 +181,6 @@ proptest! {
             queue_cap,
             cache_capacity: cache,
             concurrency: Concurrency::Serial,
-            path: InferencePath::F32,
         };
         let bare = ServingEngine::run(&m, serve.clone(), &timed_stream).unwrap();
         let routed = Router::run(

@@ -4,7 +4,8 @@
 //! b. batched outputs are **bitwise** equal to one-at-a-time
 //!    [`ServableModel::predict_proba`] — at 1, 2, and 4 workers,
 //! c. caching on vs. off never changes any prediction,
-//! d. `shed + answered == submitted` (no request silently lost).
+//! d. `shed + answered == submitted` (no request silently lost),
+//! e. rows holding NaN or ±Inf are refused and never disturb clean rows.
 //!
 //! Each property replays a randomized timed request stream (with injected
 //! duplicates so the cache actually fires) through a randomized
@@ -15,13 +16,12 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use taglets::nn::Classifier;
 use taglets::tensor::Tensor;
 use taglets::{
-    Concurrency, InferencePath, ServableModel, ServeConfig, ServingEngine, TimedRequest,
-    VirtualClock,
+    Concurrency, ServableModel, ServeConfig, ServeError, ServingEngine, TimedRequest, VirtualClock,
 };
 
 const INPUT_DIM: usize = 5;
@@ -80,7 +80,6 @@ fn config(
         } else {
             Concurrency::threads(workers)
         },
-        path: InferencePath::F32,
     }
 }
 
@@ -210,6 +209,63 @@ proptest! {
         let none_slots = run.responses.iter().filter(|r| r.is_none()).count() as u64;
         prop_assert_eq!(none_slots, t.shed);
         prop_assert_eq!(t.cache_hits + t.cache_misses, t.answered);
+    }
+
+    // Property (e): poisoned rows at seeded positions are each refused with
+    // `NonFinite`; every clean row is answered exactly once, with finite
+    // probabilities bitwise equal to the replay of the clean-only stream.
+    #[test]
+    fn non_finite_rows_are_refused_and_clean_rows_are_unchanged(
+        n in 1usize..60,
+        seed in 0u64..1_000_000,
+        max_batch in 1usize..12,
+        poison_pct in 1u32..60,
+        cache_sel in 0usize..2,
+    ) {
+        let cfg = config(max_batch, 200, 4096, [0usize, 16][cache_sel], 1);
+        let m = model();
+        let clean = stream(n, seed, 30);
+        let reference = ServingEngine::run(&m, cfg.clone(), &clean).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD);
+        let clock = VirtualClock::new();
+        let mut engine = ServingEngine::new(&m, cfg, &clock).unwrap();
+        let mut clean_ids = Vec::with_capacity(n);
+        let mut poisoned = 0u64;
+        for req in &clean {
+            clock.set_at_least(req.at_nanos);
+            engine.tick();
+            while rng.gen_range(0..100u32) < poison_pct {
+                let mut row = req.input.clone();
+                let index = rng.gen_range(0..INPUT_DIM);
+                row[index] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+                prop_assert_eq!(engine.submit(row), Err(ServeError::NonFinite { index }));
+                poisoned += 1;
+            }
+            clean_ids.push(engine.submit(req.input.clone()).unwrap());
+        }
+        engine.drain();
+
+        let mut answers: Vec<Option<Vec<f32>>> = vec![None; engine.telemetry().submitted as usize];
+        for r in engine.take_responses() {
+            let slot = &mut answers[r.id as usize];
+            prop_assert!(slot.is_none(), "id {} answered twice", r.id);
+            *slot = Some(r.probs);
+        }
+        prop_assert_eq!(answers.iter().flatten().count(), n);
+        for (i, id) in clean_ids.iter().enumerate() {
+            let got = answers[*id as usize].as_ref().expect("clean row answered");
+            let want = &reference.responses[i].as_ref().expect("reference answered").probs;
+            prop_assert!(got.iter().all(|v| v.is_finite()));
+            prop_assert!(
+                got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "clean row {} differs from the clean-only replay", i
+            );
+        }
+        let t = engine.telemetry();
+        prop_assert_eq!(t.rejected, poisoned);
+        prop_assert_eq!(t.admitted, n as u64);
+        prop_assert_eq!(t.submitted, n as u64 + poisoned);
     }
 }
 
