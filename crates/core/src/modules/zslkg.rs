@@ -113,6 +113,7 @@ impl TagletModule for ZslKgModule {
         Self::NAME
     }
 
+    // lint: root(determinism)
     fn train(
         &self,
         ctx: &ModuleContext<'_>,

@@ -392,6 +392,7 @@ pub struct Router<'a> {
 }
 
 impl<'a> fmt::Debug for Router<'a> {
+    // lint: root(hot)
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -455,23 +456,27 @@ impl<'a> Router<'a> {
     }
 
     /// Number of replica engines behind the router.
+    // lint: root(hot)
     pub fn replica_count(&self) -> usize {
         self.engines.len()
     }
 
     /// Queue depth of each replica, in replica order (the least-loaded
     /// policy's input).
+    // lint: root(hot)
     pub fn loads(&self) -> Vec<usize> {
         // lint: alloc(introspection snapshot owned by the caller)
-        self.engines.iter().map(|e| e.load()).collect()
+        self.engines.iter().map(|e| e.pending_len()).collect()
     }
 
     /// Requests admitted but not yet executed, summed across replicas.
+    // lint: root(hot)
     pub fn total_load(&self) -> usize {
-        self.engines.iter().map(|e| e.load()).sum()
+        self.engines.iter().map(|e| e.pending_len()).sum()
     }
 
     /// A tenant's outstanding (admitted, unanswered) request count.
+    // lint: root(hot)
     pub fn outstanding(&self, tenant: TenantId) -> usize {
         self.outstanding.get(&tenant).copied().unwrap_or(0)
     }
@@ -480,6 +485,7 @@ impl<'a> Router<'a> {
     /// Pure function of router state: the hash policy reads only the input
     /// bits, the least-loaded policy reads queue depths with a fixed
     /// lowest-index tie-break.
+    // lint: root(hot)
     pub fn dispatch(&self, input: &[f32]) -> usize {
         match self.policy {
             DispatchPolicy::ConsistentHash => {
@@ -490,7 +496,7 @@ impl<'a> Router<'a> {
                 let mut best = 0usize;
                 let mut best_load = usize::MAX;
                 for (k, engine) in self.engines.iter().enumerate() {
-                    let load = engine.load();
+                    let load = engine.pending_len();
                     if load < best_load {
                         best = k;
                         best_load = load;
@@ -513,6 +519,7 @@ impl<'a> Router<'a> {
     /// replica's queue is full (capacity shed), [`RouteError::InputDim`]
     /// or [`RouteError::NonFinite`] for a malformed row (rejected, not
     /// admitted).
+    // lint: root(hot)
     pub fn submit(&mut self, tenant: TenantId, input: Vec<f32>) -> Result<u64, RouteError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -565,6 +572,7 @@ impl<'a> Router<'a> {
 
     /// Counts a malformed request as rejected, router-wide and for its
     /// tenant, and hands back the error to return.
+    // lint: root(hot)
     fn reject(&mut self, tenant: TenantId, err: RouteError) -> RouteError {
         self.rejected += 1;
         if let Some(t) = self.tenants.get_mut(&tenant) {
@@ -575,12 +583,14 @@ impl<'a> Router<'a> {
 
     /// The earliest deadline-flush time across replicas, if any request is
     /// waiting anywhere.
+    // lint: root(hot)
     pub fn next_deadline(&self) -> Option<u64> {
         self.engines.iter().filter_map(|e| e.next_deadline()).min()
     }
 
     /// Advances every replica's batcher (index order) and collects the
     /// responses they produced.
+    // lint: root(hot)
     pub fn tick(&mut self) {
         for engine in &mut self.engines {
             engine.tick();
@@ -590,6 +600,7 @@ impl<'a> Router<'a> {
 
     /// Flushes everything still queued on every replica, regardless of
     /// deadlines — the shutdown path, so no admitted request is ever lost.
+    // lint: root(hot)
     pub fn drain(&mut self) {
         for engine in &mut self.engines {
             engine.drain();
@@ -600,11 +611,13 @@ impl<'a> Router<'a> {
     /// Responses completed since the last call, in collection order
     /// (replicas in index order, within a replica in that engine's
     /// deterministic completion order).
+    // lint: root(hot)
     pub fn take_responses(&mut self) -> Vec<RouteResponse> {
         std::mem::take(&mut self.ready)
     }
 
     /// Consumes the router, returning its merged telemetry.
+    // lint: root(hot)
     pub fn into_telemetry(self) -> RouteTelemetry {
         RouteTelemetry {
             policy: self.policy,
@@ -623,6 +636,7 @@ impl<'a> Router<'a> {
 
     /// Moves one replica's finished responses into the router's ready list,
     /// re-keyed to global ids, and settles the quota ledger.
+    // lint: root(hot)
     fn harvest(&mut self, replica: usize) {
         // lint: panicfree(callers pass a replica index < engines.len())
         let responses = self.engines[replica].take_responses();
@@ -653,6 +667,7 @@ impl<'a> Router<'a> {
         }
     }
 
+    // lint: root(hot)
     fn harvest_all(&mut self) {
         for replica in 0..self.engines.len() {
             self.harvest(replica);
@@ -674,6 +689,7 @@ impl<'a> Router<'a> {
     /// [`RouteError::InputDim`] or [`RouteError::NonFinite`] for a
     /// malformed row. Shedding is *not* an error here: quota- or
     /// capacity-shed requests leave a `None` slot.
+    // lint: root(determinism, hot)
     pub fn run(
         model: &ServableModel,
         config: RouteConfig,

@@ -43,6 +43,7 @@ impl ServableModel {
     ///
     /// Panics if `x` is not rank 2 or its width differs from
     /// [`ServableModel::input_dim`].
+    // lint: root(hot)
     pub fn predict_proba_batched(&self, x: &Tensor, scratch: &mut InferScratch) -> Tensor {
         self.classifier
             .predict_proba_packed(x, &self.packed, scratch)

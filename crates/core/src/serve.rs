@@ -575,6 +575,7 @@ pub struct ServingEngine<'a> {
 }
 
 impl<'a> fmt::Debug for ServingEngine<'a> {
+    // lint: root(hot)
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -629,29 +630,27 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// The model being served.
+    // lint: root(hot)
     pub fn model(&self) -> &ServableModel {
         self.model
     }
 
     /// Telemetry so far (finalize with [`ServingEngine::into_telemetry`]).
+    // lint: root(hot)
     pub fn telemetry(&self) -> &ServeTelemetry {
         &self.telemetry
     }
 
-    /// Requests admitted but not yet executed.
+    /// Requests admitted but not yet executed: the admission-queue depth a
+    /// [`crate::route::Router`] balances on for least-loaded dispatch, so
+    /// it stays a cheap length read that never consults the clock.
+    // lint: root(hot)
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
-    /// The engine's current load — its admission-queue depth. This is the
-    /// signal a [`crate::route::Router`] balances on for least-loaded
-    /// dispatch, so it must stay cheap (a `VecDeque` length read) and must
-    /// never consult the clock.
-    pub fn load(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Consumes the engine, returning its telemetry.
+    // lint: root(hot)
     pub fn into_telemetry(self) -> ServeTelemetry {
         self.telemetry
     }
@@ -666,6 +665,7 @@ impl<'a> ServingEngine<'a> {
     /// [`ServeError::NonFinite`] for a row holding NaN or ±Inf (neither is
     /// admitted), [`ServeError::Overloaded`] when the queue is at
     /// `queue_cap` (shed).
+    // lint: root(hot)
     pub fn submit(&mut self, input: Vec<f32>) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -717,6 +717,7 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// The next deadline flush time, if any request is waiting.
+    // lint: root(hot)
     pub fn next_deadline(&self) -> Option<u64> {
         self.pending
             .front()
@@ -726,6 +727,7 @@ impl<'a> ServingEngine<'a> {
     /// Advances the batcher: cuts every full `max_batch` chunk from the
     /// queue, plus the remainder when the oldest request has hit its
     /// deadline, and executes all cut batches across the executor.
+    // lint: root(hot)
     pub fn tick(&mut self) {
         // lint: alloc(Vec::new defers; allocates only on ticks that cut a batch)
         let mut batches: Vec<(FlushCause, Vec<Pending>)> = Vec::new();
@@ -746,6 +748,7 @@ impl<'a> ServingEngine<'a> {
 
     /// Flushes everything still queued, regardless of deadlines — the
     /// shutdown path, so no admitted request is ever lost.
+    // lint: root(hot)
     pub fn drain(&mut self) {
         // lint: alloc(Vec::new defers; shutdown path, not steady state)
         let mut batches: Vec<(FlushCause, Vec<Pending>)> = Vec::new();
@@ -760,12 +763,14 @@ impl<'a> ServingEngine<'a> {
 
     /// Responses completed since the last call, in completion order
     /// (batches in cut order, rows in arrival order — deterministic).
+    // lint: root(hot)
     pub fn take_responses(&mut self) -> Vec<ServeResponse> {
         std::mem::take(&mut self.ready)
     }
 
     /// Executes cut batches: one executor job per batch, reassembled in
     /// cut order so parallel dispatch is invisible in the output.
+    // lint: root(hot)
     fn execute(&mut self, batches: Vec<(FlushCause, Vec<Pending>)>) {
         if batches.is_empty() {
             return;
@@ -846,6 +851,7 @@ impl<'a> ServingEngine<'a> {
     /// [`ServeError::InputDim`] or [`ServeError::NonFinite`] for a
     /// malformed row. Overload is *not* an
     /// error here: shed requests simply leave a `None` slot.
+    // lint: root(determinism, hot)
     pub fn run(
         model: &ServableModel,
         config: ServeConfig,

@@ -187,6 +187,7 @@ impl<'a> TagletsSystem<'a> {
     /// * [`CoreError::Scads`] if extending SCADS for an out-of-vocabulary
     ///   class fails.
     /// * Any module error (e.g. [`CoreError::NoLabeledData`]).
+    // lint: root(determinism)
     pub fn run(
         &self,
         task: &Task,

@@ -430,6 +430,7 @@ impl SweepCell {
 /// # Errors
 ///
 /// The first (by cell order) [`EvalError`] any cell produced.
+// lint: root(determinism)
 pub fn sweep_method(
     env: &Experiment,
     method: Method,

@@ -1,128 +1,18 @@
-//! Concurrency-safety dataflow over the workspace call-graph.
+//! TL013: float accumulation onto shared state inside a worker closure.
 //!
-//! PRs 2 and 5 moved training, eval sweeps, GEMM row-blocks, and serving
-//! batches onto scoped-thread parallelism — exactly the machinery that can
-//! silently break the bitwise-identical-at-1/2/4-workers invariant. This
-//! fifth stage complements the determinism taint pass with *shared mutable
-//! state* analysis over the same item facts and call-graph:
-//!
-//! * **TL010** — `unsafe` code anywhere in library code, unless the site
-//!   carries a reasoned `// lint: unsafe(reason)` waiver. Fires at the
-//!   site; the waiver text is the written-down safety argument.
-//! * **TL011** — an interior-mutability type (`Mutex`, `RwLock`, `RefCell`,
-//!   `Cell`, `UnsafeCell`, once/lazy cells, atomics, `static mut`)
-//!   *reachable* from an executor dispatch point. Function-level facts fire
-//!   only when a BFS from a dispatching function reaches them, and carry
-//!   the full dispatch → … → state chain in TL007 style. File-level facts
-//!   (struct fields, statics) fire at the site without a chain: the
-//!   name-based call-graph cannot see field accesses, so declarations are
-//!   flagged conservatively wherever they sit.
-//! * **TL012** — an atomic memory ordering weaker than `SeqCst`
-//!   (`Relaxed`/`Acquire`/`Release`/`AcqRel`). Fires at the site.
-//! * **TL013** — a compound floating-point accumulation (`acc += x`) onto
-//!   state declared *outside* a dispatched worker closure: the
-//!   non-associative-reduction smell. A separate token walk
-//!   ([`check_closures`]) inspects the closure arguments of each dispatch
-//!   call site directly, since reductions are an expression-level property
-//!   the per-function facts cannot carry.
-//!
-//! TL011/TL012/TL013 sites are silenced by `// lint: concurrency(reason)`,
-//! TL010 by `// lint: unsafe(reason)`; both waivers *must* carry a
-//! non-empty reason. Per-rule `// lint: allow(TLxxx)` works as everywhere
-//! else. The executor core (`tensor::exec`) is deliberately *not* exempt:
-//! its claim counter and `Relaxed` ordering carry reasoned waivers instead,
-//! so the safety argument lives next to the code.
+//! The other concurrency-safety rules are facts over the call-graph
+//! ([`crate::reach`]): `unsafe` (TL010) and weak orderings (TL012) fire at
+//! the site, interior mutability (TL011) when a dispatch reaches it. A
+//! reduction is an expression-level property no per-function fact can
+//! carry, so this token walk inspects the closure arguments of each
+//! dispatch call site directly. TL013 sites are silenced by a reasoned
+//! `concurrency(reason)` waiver or `allow(TL013)`, like every other
+//! `lint:` directive.
 
-use std::collections::BTreeMap;
-
-use crate::callgraph::CallGraph;
-use crate::items::{is_dispatch, CFact, CFactKind};
+use crate::items::is_dispatch;
 use crate::lexer::{Tok, Token};
 use crate::rules::{Rule, Violation};
 use crate::scanner::SourceLine;
-use crate::taint::chain_to;
-
-/// Runs the graph-level analysis: TL010/TL012 at every fact site, TL011 at
-/// file-scope sites and — with chains — at function-level sites reachable
-/// from a dispatch root. `file_cfacts` pairs each workspace-relative path
-/// with the facts found outside any function body in that file.
-pub fn analyze(graph: &CallGraph, file_cfacts: &[(String, CFact)]) -> Vec<Violation> {
-    let mut out = Vec::new();
-
-    // Site-level rules over function bodies: unsafe code and weak orderings
-    // are flagged wherever they sit — reachability does not make an
-    // unwaived `unsafe` block any safer.
-    for f in &graph.fns {
-        for fact in &f.cfacts {
-            let rule = match fact.kind {
-                CFactKind::UnsafeCode => Rule::Tl010,
-                CFactKind::WeakOrdering => Rule::Tl012,
-                CFactKind::InteriorMutability => continue, // needs reachability
-            };
-            if rule.applies_to(&f.file) && !suppressed(fact, rule) {
-                out.push(site_violation(rule, &f.file, fact));
-            }
-        }
-    }
-
-    // File-scope facts: declarations (struct fields, statics, unsafe impl)
-    // have no containing function, so every kind fires at the site.
-    for (file, fact) in file_cfacts {
-        let rule = match fact.kind {
-            CFactKind::UnsafeCode => Rule::Tl010,
-            CFactKind::WeakOrdering => Rule::Tl012,
-            CFactKind::InteriorMutability => Rule::Tl011,
-        };
-        if rule.applies_to(file) && !suppressed(fact, rule) {
-            out.push(site_violation(rule, file, fact));
-        }
-    }
-
-    // Reachability pass: BFS from every function containing a dispatch
-    // site. A shared-state fact is reported once, with the first (shortest)
-    // chain that reaches it; roots are scanned in definition order so the
-    // output is deterministic. The root's own facts count as hop zero — an
-    // atomic next to the dispatch is still shared with the workers.
-    let mut reported: BTreeMap<(usize, usize), ()> = BTreeMap::new();
-    let roots: Vec<usize> = (0..graph.fns.len())
-        .filter(|&i| !graph.fns[i].dispatches.is_empty())
-        .collect();
-    for &root in &roots {
-        let mut parent: Vec<Option<usize>> = vec![None; graph.fns.len()];
-        let mut seen = vec![false; graph.fns.len()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[root] = true;
-        queue.push_back(root);
-        while let Some(at) = queue.pop_front() {
-            let f = &graph.fns[at];
-            for (fact_idx, fact) in f.cfacts.iter().enumerate() {
-                if fact.kind != CFactKind::InteriorMutability
-                    || !Rule::Tl011.applies_to(&f.file)
-                    || suppressed(fact, Rule::Tl011)
-                    || reported.contains_key(&(at, fact_idx))
-                {
-                    continue;
-                }
-                reported.insert((at, fact_idx), ());
-                out.push(Violation {
-                    rule: Rule::Tl011,
-                    file: f.file.clone(),
-                    line: fact.line,
-                    excerpt: format!("{} [{}]", fact.what, fact.kind.describe()),
-                    chain: chain_to(graph, &parent, root, at),
-                });
-            }
-            for &(next, _) in &graph.edges[at] {
-                if !seen[next] {
-                    seen[next] = true;
-                    parent[next] = Some(at);
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    out
-}
 
 /// TL013: inspects the closure arguments of each dispatch call site in one
 /// file for compound float accumulation onto non-closure-local state.
@@ -201,7 +91,7 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
             }
             let line_meta = meta(op.line);
             let silenced = line_meta
-                .map(|l| l.in_test || l.conc_reason.is_some() || l.allows("TL013"))
+                .map(|l| l.in_test || l.reason("concurrency").is_some() || l.allows("TL013"))
                 .unwrap_or(false);
             if silenced {
                 continue;
@@ -250,81 +140,11 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
     out
 }
 
-/// True when the fact's line suppresses `rule` — either an explicit
-/// `allow(TLxxx)` or the matching reasoned waiver (already resolved into
-/// `waived` by the extractor).
-fn suppressed(fact: &CFact, rule: Rule) -> bool {
-    fact.waived || fact.allows.iter().any(|a| a == rule.code())
-}
-
-fn site_violation(rule: Rule, file: &str, fact: &CFact) -> Violation {
-    Violation {
-        rule,
-        file: file.to_string(),
-        line: fact.line,
-        excerpt: format!("{} [{}]", fact.what, fact.kind.describe()),
-        chain: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::build;
-    use crate::items::extract;
     use crate::lexer::lex;
     use crate::scanner::scan;
-
-    fn analyze_src(src: &str) -> Vec<Violation> {
-        let lines = scan(src);
-        let ex = extract("crates/core/src/pool.rs", &lex(src), &lines);
-        let file_cfacts: Vec<(String, CFact)> = ex
-            .file_cfacts
-            .iter()
-            .map(|f| ("crates/core/src/pool.rs".to_string(), f.clone()))
-            .collect();
-        analyze(&build(ex.fns), &file_cfacts)
-    }
-
-    #[test]
-    fn reachable_mutex_is_reported_with_chain() {
-        let src = "fn run_pool(executor: &Executor) {\n    executor.map(4, |i| evaluate(i));\n}\nfn evaluate(i: usize) -> u64 { lookup(i) }\nfn lookup(i: usize) -> u64 {\n    let cache = Mutex::new(0u64);\n    i as u64\n}\n";
-        let v = analyze_src(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl011);
-        let names: Vec<&str> = v[0].chain.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, vec!["run_pool", "evaluate", "lookup"]);
-    }
-
-    #[test]
-    fn unreachable_interior_mutability_is_not_flagged() {
-        let src = "fn run_pool(executor: &Executor) {\n    executor.map(4, |i| i);\n}\nfn orphan() {\n    let cache = Mutex::new(0u64);\n}\n";
-        assert!(analyze_src(src).is_empty());
-    }
-
-    #[test]
-    fn file_scope_facts_fire_without_a_chain() {
-        let src = "struct Clock {\n    now: Cell<u64>,\n}\n";
-        let v = analyze_src(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl011);
-        assert!(v[0].chain.is_empty());
-    }
-
-    #[test]
-    fn unsafe_and_weak_ordering_fire_at_site() {
-        let src =
-            "fn f() {\n    let n = unsafe { read() };\n    let o = x.load(Ordering::Relaxed);\n}\n";
-        let v = analyze_src(src);
-        let rules: Vec<Rule> = v.iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::Tl010, Rule::Tl012]);
-    }
-
-    #[test]
-    fn reasoned_waivers_silence_their_rules() {
-        let src = "fn run_pool(executor: &Executor) {\n    let next = AtomicUsize::new(0); // lint: concurrency(claim counter; results reassembled by index)\n    let i = next.fetch_add(1, Ordering::Relaxed); // lint: concurrency(atomic RMW yields unique indices)\n    let p = unsafe { buf.as_mut_ptr() }; // lint: unsafe(chunks are disjoint by construction)\n    executor.map(4, |i| i);\n}\n";
-        assert!(analyze_src(src).is_empty());
-    }
 
     #[test]
     fn tl013_flags_external_float_accumulation_only() {

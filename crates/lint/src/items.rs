@@ -1,11 +1,14 @@
 //! Item extraction: turns a token stream into per-function records.
 //!
 //! For every `fn` in a file this pass records where it lives (file, line,
-//! enclosing `impl` type and trait), which *determinism facts* its body
-//! exhibits — direct nondeterminism sources the taint analysis treats as
-//! sinks — and which functions it calls. The extractor is syntactic: it has
-//! no type information, so call targets are names (optionally qualified)
-//! that [`crate::callgraph`] later resolves over-approximately, and map
+//! enclosing `impl` type and trait), which analyses it is declared a root of
+//! (a `root(...)` marker in a `lint:` comment on the `fn` line or directly
+//! above it), which [`Fact`]s its body exhibits, and which functions it
+//! calls. A fact is direct evidence one rule family cares about: a
+//! nondeterminism source, shared mutable state, or an allocating, blocking
+//! or panic-capable op. The extractor is syntactic: it has no type
+//! information, so call targets are names (optionally qualified) that
+//! [`crate::callgraph`] later resolves over-approximately, and map
 //! iteration is tracked only for bindings whose `let` statement or parameter
 //! type visibly mentions `HashMap`/`HashSet`.
 //!
@@ -16,9 +19,11 @@
 use std::collections::BTreeSet;
 
 use crate::lexer::{Tok, Token};
+use crate::rules::Rule;
 use crate::scanner::SourceLine;
 
-/// A direct nondeterminism source found in a function body.
+/// What a [`Fact`] is evidence of. [`crate::reach`] maps each kind to the
+/// rule it fires, at the site or when a root's walk reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactKind {
     /// `Instant::now()` / `SystemTime::now()` produced a value.
@@ -32,39 +37,6 @@ pub enum FactKind {
     RngNotSeedDerived,
     /// Iteration over a `HashMap`/`HashSet`, whose order is unspecified.
     MapIter,
-}
-
-impl FactKind {
-    /// Human description used in diagnostics.
-    pub fn describe(self) -> &'static str {
-        match self {
-            FactKind::TimeAsData => "wall-clock time used as data",
-            FactKind::ThreadSpawn => "thread spawned outside core::exec",
-            FactKind::RngNotSeedDerived => "RNG not derived from a seed",
-            FactKind::MapIter => "iteration over unordered HashMap/HashSet",
-        }
-    }
-}
-
-/// One determinism fact, located and carrying its suppression state.
-#[derive(Debug, Clone)]
-pub struct Fact {
-    pub kind: FactKind,
-    /// 1-based line of the source expression.
-    pub line: usize,
-    /// Short rendering of the offending expression for diagnostics.
-    pub what: String,
-    /// Rule codes suppressed at this line via `lint: allow(...)`.
-    pub allows: Vec<String>,
-    /// True when the line carries a `lint: nondeterministic(reason)` waiver
-    /// with a non-empty reason.
-    pub waived: bool,
-}
-
-/// A concurrency-safety fact: direct evidence of shared mutable state or
-/// relaxed synchronisation, extracted for the [`crate::concurrency`] stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CFactKind {
     /// An `unsafe` keyword (block, fn, impl, or trait).
     UnsafeCode,
     /// An interior-mutability type mentioned outside a `use` item (`Mutex`,
@@ -74,48 +46,6 @@ pub enum CFactKind {
     /// An atomic memory ordering weaker than `SeqCst`
     /// (`Ordering::Relaxed`/`Acquire`/`Release`/`AcqRel`).
     WeakOrdering,
-}
-
-impl CFactKind {
-    /// Human description used in diagnostics.
-    pub fn describe(self) -> &'static str {
-        match self {
-            CFactKind::UnsafeCode => "unsafe code without a reasoned waiver",
-            CFactKind::InteriorMutability => "interior-mutability type (shared mutable state)",
-            CFactKind::WeakOrdering => "atomic ordering weaker than SeqCst",
-        }
-    }
-}
-
-/// One concurrency fact, located and carrying its suppression state.
-///
-/// Facts inside a `fn` body land on that function's record (so the
-/// call-graph can propagate them from dispatch points); facts at file scope
-/// — struct fields, statics — land on [`Extraction::file_cfacts`], since no
-/// call edge can reach a declaration.
-#[derive(Debug, Clone)]
-pub struct CFact {
-    pub kind: CFactKind,
-    /// 1-based line of the source expression.
-    pub line: usize,
-    /// Short rendering of the offending expression for diagnostics.
-    pub what: String,
-    /// Rule codes suppressed at this line via `lint: allow(...)`.
-    pub allows: Vec<String>,
-    /// True when the line carries the matching reasoned waiver with a
-    /// non-empty reason: `lint: unsafe(reason)` for [`CFactKind::UnsafeCode`],
-    /// `lint: concurrency(reason)` for the other kinds.
-    pub waived: bool,
-}
-
-/// A hot-path hygiene fact: direct evidence of an allocation, a blocking
-/// operation, or a panic-capable expression, extracted for the
-/// [`crate::hotpath`] stage. Facts only matter when a BFS from a
-/// latency-critical root reaches the containing function, so extraction is
-/// deliberately eager — reachability, setup cuts, and waivers do the
-/// filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HFactKind {
     /// A heap allocation: `Vec::new`/`with_capacity`, `vec![]`, `Box::new`,
     /// `String::from`, `format!`, `.to_vec()`, `.collect()`, `.clone()`,
     /// `.to_string()`, `.to_owned()`.
@@ -128,35 +58,97 @@ pub enum HFactKind {
     PanicCapable,
 }
 
-impl HFactKind {
+impl FactKind {
     /// Human description used in diagnostics.
     pub fn describe(self) -> &'static str {
         match self {
-            HFactKind::HeapAlloc => "heap allocation on a latency-critical path",
-            HFactKind::Blocking => "blocking operation on a latency-critical path",
-            HFactKind::PanicCapable => "panic-capable op on the serve path",
+            FactKind::TimeAsData => "wall-clock time used as data",
+            FactKind::ThreadSpawn => "thread spawned outside core::exec",
+            FactKind::RngNotSeedDerived => "RNG not derived from a seed",
+            FactKind::MapIter => "iteration over unordered HashMap/HashSet",
+            FactKind::UnsafeCode => "unsafe code without a reasoned waiver",
+            FactKind::InteriorMutability => "interior-mutability type (shared mutable state)",
+            FactKind::WeakOrdering => "atomic ordering weaker than SeqCst",
+            FactKind::HeapAlloc => "heap allocation on a latency-critical path",
+            FactKind::Blocking => "blocking operation on a latency-critical path",
+            FactKind::PanicCapable => "panic-capable op on the serve path",
         }
+    }
+
+    /// The reasoned directive that waives every rule this kind fires at
+    /// its site. Blocking ops have none: a blocking call on a hot path is
+    /// either cut out of it or explicitly `allow(TL015)`ed.
+    pub(crate) fn waiver(self) -> Option<&'static str> {
+        match self {
+            FactKind::TimeAsData
+            | FactKind::ThreadSpawn
+            | FactKind::RngNotSeedDerived
+            | FactKind::MapIter => Some("nondeterministic"),
+            FactKind::UnsafeCode => Some("unsafe"),
+            FactKind::InteriorMutability | FactKind::WeakOrdering => Some("concurrency"),
+            FactKind::HeapAlloc => Some("alloc"),
+            FactKind::PanicCapable => Some("panicfree"),
+            FactKind::Blocking => None,
+        }
+    }
+
+    /// The hot-path kinds record at most one fact per line: one waiver
+    /// covers one line, so `a[i][j] = b[k]` is one indexing site, not three.
+    fn one_per_line(self) -> bool {
+        matches!(
+            self,
+            FactKind::HeapAlloc | FactKind::Blocking | FactKind::PanicCapable
+        )
     }
 }
 
-/// One hot-path fact, located and carrying its suppression state. At most
-/// one fact per (kind, line) is recorded — `a[i][j] = b[k]` is one indexing
-/// site needing one waiver, not three.
+/// One fact, located and carrying its suppression state.
+///
+/// Facts inside a `fn` body land on that function's record, so a
+/// reachability walk can find them; facts at file scope — struct fields,
+/// statics — land on [`Extraction::file_facts`], since no call edge can
+/// reach a declaration.
 #[derive(Debug, Clone)]
-pub struct HFact {
-    pub kind: HFactKind,
+pub struct Fact {
+    pub kind: FactKind,
     /// 1-based line of the source expression.
     pub line: usize,
     /// Short rendering of the offending expression for diagnostics.
     pub what: String,
     /// Rule codes suppressed at this line via `lint: allow(...)`.
     pub allows: Vec<String>,
-    /// True when the line carries the matching reasoned waiver with a
-    /// non-empty reason: `lint: alloc(reason)` for [`HFactKind::HeapAlloc`],
-    /// `lint: panicfree(reason)` for [`HFactKind::PanicCapable`]. Blocking
-    /// ops have no reasoned waiver — a blocking call on a hot path is
-    /// either cut or explicitly `allow(TL015)`ed.
+    /// True when the line carries the kind's [`FactKind::waiver`] with a
+    /// non-empty reason.
     pub waived: bool,
+}
+
+impl Fact {
+    /// True when this site silences `rule`: an explicit `allow(TLxxx)` or
+    /// the kind's reasoned waiver.
+    pub(crate) fn suppresses(&self, rule: Rule) -> bool {
+        self.waived || self.allows.iter().any(|a| a == rule.code())
+    }
+}
+
+/// An analysis a function is declared a root of with a `root(...)` marker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RootKind {
+    /// `root(determinism)`: everything reachable must be deterministic
+    /// (TL007).
+    Determinism,
+    /// `root(hot)`: everything reachable, up to the setup cut, is
+    /// latency-critical (TL014–TL016).
+    Hot,
+}
+
+impl RootKind {
+    fn from_name(name: &str) -> Option<RootKind> {
+        match name {
+            "determinism" => Some(RootKind::Determinism),
+            "hot" => Some(RootKind::Hot),
+            _ => None,
+        }
+    }
 }
 
 /// An outgoing call site.
@@ -184,12 +176,10 @@ pub struct FnInfo {
     pub file: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Analyses this function is declared a root of.
+    pub roots: Vec<RootKind>,
+    /// Facts found in the body, in source order.
     pub facts: Vec<Fact>,
-    /// Concurrency-safety facts found in the body.
-    pub cfacts: Vec<CFact>,
-    /// Hot-path hygiene facts (allocation / blocking / panic-capable) found
-    /// in the body, consumed by the [`crate::hotpath`] reachability walk.
-    pub hfacts: Vec<HFact>,
     /// Lines of executor dispatch sites in the body (`executor.map(...)`,
     /// `exec.for_each(...)`, `Executor::run(...)`, `scope.spawn(...)`).
     /// Non-empty means this function hands closures to worker threads.
@@ -233,18 +223,24 @@ enum Scope {
 pub struct Extraction {
     /// All non-test functions, in source order.
     pub fns: Vec<FnInfo>,
-    /// Concurrency facts found *outside* any function body — struct fields
-    /// holding interior-mutability types, `static mut` items, `unsafe impl`.
-    pub file_cfacts: Vec<CFact>,
+    /// Facts found *outside* any function body — struct fields holding
+    /// interior-mutability types, `static mut` items, `unsafe impl`.
+    pub file_facts: Vec<Fact>,
+    /// `file:line: message` for every `root(...)` marker that names an
+    /// unknown analysis or sits on no function definition.
+    pub marker_errors: Vec<String>,
 }
 
-/// Extracts all non-test functions (plus file-scope concurrency facts) from
-/// one lexed file. `lines` supplies test-region and suppression metadata for
-/// each source line.
+/// Extracts all non-test functions (plus file-scope facts) from one lexed
+/// file. `lines` supplies test-region, suppression and root-marker metadata
+/// for each source line.
 pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction {
     let in_exec = file.ends_with("tensor/src/exec.rs");
     let mut fns: Vec<FnInfo> = Vec::new();
-    let mut file_cfacts: Vec<CFact> = Vec::new();
+    let mut file_facts: Vec<Fact> = Vec::new();
+    // Lines where a function definition starts: the only lines a root
+    // marker may land on.
+    let mut fn_lines: BTreeSet<usize> = BTreeSet::new();
     let mut scopes: Vec<Scope> = Vec::new();
     // Pending scope classification for the next `{`.
     let mut pending: Option<Scope> = None;
@@ -256,12 +252,6 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             .get(line.saturating_sub(1))
             .map(|l| l.in_test)
             .unwrap_or(false)
-    };
-    let line_meta = |line: usize| -> (Vec<String>, bool) {
-        lines
-            .get(line.saturating_sub(1))
-            .map(|l| (l.allows.clone(), l.nondet_reason.is_some()))
-            .unwrap_or_default()
     };
     // `use std::sync::Mutex;` names a type without touching shared state —
     // import lines never produce concurrency facts.
@@ -291,8 +281,15 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                         i += 2;
                         continue;
                     }
-                    let (impl_type, trait_name) = enclosing_impl(&scopes, &fns);
+                    let (impl_type, trait_name) = enclosing_impl(&scopes);
                     let (param_maps, next) = parse_signature(tokens, i + 2);
+                    // A trait method *declaration* ends in `;` — parse past
+                    // the signature; the `{` case arms the fn scope.
+                    if tokens.get(next).map(|t| t.is_punct(";")).unwrap_or(false) {
+                        i = next + 1;
+                        continue;
+                    }
+                    fn_lines.insert(tok.line);
                     let index = fns.len();
                     fns.push(FnInfo {
                         name: fn_name.clone(),
@@ -300,19 +297,11 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                         trait_name,
                         file: file.to_string(),
                         line: tok.line,
+                        roots: root_kinds(lines.get(tok.line - 1)),
                         facts: Vec::new(),
-                        cfacts: Vec::new(),
-                        hfacts: Vec::new(),
                         dispatches: Vec::new(),
                         calls: Vec::new(),
                     });
-                    // A trait method *declaration* ends in `;` — parse past
-                    // the signature; the `{` case arms the fn scope.
-                    if tokens.get(next).map(|t| t.is_punct(";")).unwrap_or(false) {
-                        fns.pop();
-                        i = next + 1;
-                        continue;
-                    }
                     pending = Some(Scope::Fn { index });
                     map_locals.push(param_maps);
                     i = next;
@@ -339,7 +328,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             _ => {}
         }
 
-        // Concurrency facts are collected at *any* scope depth: a struct
+        // Shared-state facts are collected at *any* scope depth: a struct
         // field holding a `Cell` or a `static mut` sits outside every fn
         // body, where no call edge can reach, so those land on the file
         // record; facts inside a body land on the enclosing function so the
@@ -349,10 +338,10 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             if !in_test(tok.line) && !is_use_line(tok.line) {
                 if let Some((kind, what)) = concurrency_fact(tokens, i, name) {
                     let sink = match innermost_fn(&scopes) {
-                        Some(fn_index) => &mut fns[fn_index].cfacts,
-                        None => &mut file_cfacts,
+                        Some(fn_index) => &mut fns[fn_index].facts,
+                        None => &mut file_facts,
                     };
-                    push_cfact(sink, kind, tok.line, what, lines);
+                    push_fact(sink, kind, tok.line, what, lines);
                 }
             }
         }
@@ -363,38 +352,19 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             continue;
         };
 
-        // Hot-path hygiene facts: allocation / blocking / panic-capable
-        // evidence for the [`crate::hotpath`] stage. Collected without
-        // consuming tokens, so call recording below sees the same stream.
-        match &tok.kind {
-            Tok::Ident(name) => {
-                if let Some((kind, what)) = hotpath_fact(tokens, i, name) {
-                    push_hfact(&mut fns[fn_index], kind, tok.line, what, lines);
-                }
-            }
-            Tok::Open('[') => {
-                if let Some(what) = indexing_site(tokens, i) {
-                    push_hfact(
-                        &mut fns[fn_index],
-                        HFactKind::PanicCapable,
-                        tok.line,
-                        what,
-                        lines,
-                    );
-                }
-            }
+        // Hot-path facts: allocation / blocking / panic-capable evidence.
+        // Collected without consuming tokens, so call recording below sees
+        // the same stream.
+        let hot = match &tok.kind {
+            Tok::Ident(name) => hotpath_fact(tokens, i, name),
+            Tok::Open('[') => indexing_site(tokens, i).map(|w| (FactKind::PanicCapable, w)),
             Tok::Punct(op) if matches!(*op, "/" | "%" | "/=" | "%=") => {
-                if let Some(what) = integer_division_site(tokens, i, op) {
-                    push_hfact(
-                        &mut fns[fn_index],
-                        HFactKind::PanicCapable,
-                        tok.line,
-                        what,
-                        lines,
-                    );
-                }
+                integer_division_site(tokens, i, op).map(|w| (FactKind::PanicCapable, w))
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some((kind, what)) = hot {
+            push_fact(&mut fns[fn_index].facts, kind, tok.line, what, lines);
         }
 
         if let Tok::Ident(name) = &tok.kind {
@@ -411,132 +381,21 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                 continue;
             }
 
+            // A nondeterminism source. Its tokens are consumed, so the `now`
+            // of `Instant::now()` is not also recorded as a call; an entropy
+            // constructor (no resume index) is recorded as one.
+            if let Some((kind, what, resume)) =
+                determinism_fact(tokens, i, name, in_exec, &map_locals)
+            {
+                push_fact(&mut fns[fn_index].facts, kind, tok.line, what, lines);
+                if resume.is_none() {
+                    record_call(&mut fns[fn_index], tokens, i);
+                }
+                i = resume.unwrap_or(i + 1);
+                continue;
+            }
+
             let next_kind = tokens.get(i + 1).map(|t| &t.kind);
-
-            // `Instant::now()` / `SystemTime::now()`.
-            if (name == "Instant" || name == "SystemTime")
-                && matches!(next_kind, Some(Tok::Punct("::")))
-                && tokens.get(i + 2).and_then(Token::ident) == Some("now")
-            {
-                push_fact(
-                    &mut fns[fn_index],
-                    FactKind::TimeAsData,
-                    tok.line,
-                    format!("{name}::now()"),
-                    &line_meta,
-                );
-                i += 3;
-                continue;
-            }
-
-            // `thread::spawn` / `thread::scope` / `thread::Builder`.
-            if name == "thread" && matches!(next_kind, Some(Tok::Punct("::"))) && !in_exec {
-                if let Some(what) = tokens.get(i + 2).and_then(Token::ident) {
-                    if matches!(what, "spawn" | "scope" | "Builder") {
-                        push_fact(
-                            &mut fns[fn_index],
-                            FactKind::ThreadSpawn,
-                            tok.line,
-                            format!("thread::{what}"),
-                            &line_meta,
-                        );
-                        i += 3;
-                        continue;
-                    }
-                }
-            }
-
-            // Entropy-based RNG construction.
-            let entropy = name == "thread_rng"
-                || name == "from_entropy"
-                || (name == "random"
-                    && i >= 2
-                    && tokens[i - 1].is_punct("::")
-                    && tokens[i - 2].ident() == Some("rand"));
-            if entropy {
-                push_fact(
-                    &mut fns[fn_index],
-                    FactKind::RngNotSeedDerived,
-                    tok.line,
-                    format!("{name}()"),
-                    &line_meta,
-                );
-                record_call(&mut fns[fn_index], tokens, i);
-                i += 1;
-                continue;
-            }
-
-            // Seeded RNG whose seed expression is not visibly seed-derived.
-            if (name == "seed_from_u64" || name == "from_seed")
-                && matches!(next_kind, Some(Tok::Open('(')))
-                && !seed_arg_is_derived(tokens, i + 2)
-            {
-                push_fact(
-                    &mut fns[fn_index],
-                    FactKind::RngNotSeedDerived,
-                    tok.line,
-                    format!("{name}(<not seed-derived>)"),
-                    &line_meta,
-                );
-                i += 1;
-                continue;
-            }
-
-            // Iteration over a tracked HashMap/HashSet binding:
-            // `m.iter()`, `m.keys()`, ..., and `for x in [&][mut] m`.
-            if is_map_local(&map_locals, name) {
-                if tokens.get(i + 1).map(|t| t.is_punct(".")).unwrap_or(false) {
-                    if let Some(method) = tokens.get(i + 2).and_then(Token::ident) {
-                        if matches!(
-                            method,
-                            "iter"
-                                | "iter_mut"
-                                | "keys"
-                                | "values"
-                                | "values_mut"
-                                | "into_iter"
-                                | "drain"
-                        ) {
-                            push_fact(
-                                &mut fns[fn_index],
-                                FactKind::MapIter,
-                                tok.line,
-                                format!("{name}.{method}()"),
-                                &line_meta,
-                            );
-                            i += 3;
-                            continue;
-                        }
-                    }
-                }
-            }
-            if name == "in" {
-                let mut j = i + 1;
-                while tokens
-                    .get(j)
-                    .map(|t| t.is_punct("&") || t.ident() == Some("mut"))
-                    .unwrap_or(false)
-                {
-                    j += 1;
-                }
-                if let Some(target) = tokens.get(j).and_then(Token::ident) {
-                    let ends_stmt = tokens
-                        .get(j + 1)
-                        .map(|t| matches!(t.kind, Tok::Open('{')))
-                        .unwrap_or(false);
-                    if ends_stmt && is_map_local(&map_locals, target) {
-                        push_fact(
-                            &mut fns[fn_index],
-                            FactKind::MapIter,
-                            tok.line,
-                            format!("for _ in {target}"),
-                            &line_meta,
-                        );
-                        i = j + 1;
-                        continue;
-                    }
-                }
-            }
 
             // Executor dispatch sites: the function hands a closure to
             // worker threads here, making it a root for the shared-state
@@ -554,7 +413,136 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
         }
         i += 1;
     }
-    Extraction { fns, file_cfacts }
+    let marker_errors = check_root_markers(file, lines, &fn_lines);
+    Extraction {
+        fns,
+        file_facts,
+        marker_errors,
+    }
+}
+
+/// The analyses the `root(...)` markers on a function's `fn` line name.
+/// Unknown names are skipped here and reported by [`check_root_markers`].
+fn root_kinds(line: Option<&SourceLine>) -> Vec<RootKind> {
+    let mut kinds = Vec::new();
+    for (directive, arg) in line.map(|l| l.directives.as_slice()).unwrap_or(&[]) {
+        if *directive == "root" {
+            for kind in arg.split(',').filter_map(|n| RootKind::from_name(n.trim())) {
+                if !kinds.contains(&kind) {
+                    kinds.push(kind);
+                }
+            }
+        }
+    }
+    kinds
+}
+
+/// Every `root(...)` marker must name only known analyses and land on a
+/// line where a non-test function definition starts — trailing on that
+/// line, or on a comment-only line directly above it (see
+/// [`crate::scanner`]). A marker anywhere else would declare nothing and
+/// silently drop the root, so each one is an error naming its line.
+fn check_root_markers(file: &str, lines: &[SourceLine], fn_lines: &BTreeSet<usize>) -> Vec<String> {
+    // A comment-only line's directives also ride on the next code line,
+    // which is checked in its place; only one with no code after it is
+    // checked where it sits.
+    let last_code = lines.iter().rposition(|l| !l.code.trim().is_empty());
+    let mut errors = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        if line.code.trim().is_empty() && last_code.is_some_and(|c| c > idx) {
+            continue;
+        }
+        for (directive, arg) in &line.directives {
+            if *directive != "root" {
+                continue;
+            }
+            let at = format!("{file}:{}: `root({arg})`", line.number);
+            if arg
+                .split(',')
+                .any(|n| RootKind::from_name(n.trim()).is_none())
+            {
+                errors.push(format!("{at} must name `determinism`, `hot`, or both"));
+            }
+            if !fn_lines.contains(&line.number) {
+                errors.push(format!(
+                    "{at} is not on a function definition; put it on the `fn` line or on a comment line directly above it"
+                ));
+            }
+        }
+    }
+    errors
+}
+
+/// Classifies the identifier token at `i` as a determinism fact, with the
+/// token index the walk resumes at (`None` for an entropy constructor,
+/// which is also a call). Shapes recognised: `Instant::now` /
+/// `SystemTime::now`; `thread::spawn`/`scope`/`Builder` outside the
+/// executor; `thread_rng`, `from_entropy`, `rand::random`;
+/// `seed_from_u64(..)`/`from_seed(..)` whose argument is not visibly
+/// seed-derived; and iteration over a tracked HashMap/HashSet binding —
+/// `m.iter()`, `m.keys()`, ..., or `for x in [&][mut] m {`.
+fn determinism_fact(
+    tokens: &[Token],
+    i: usize,
+    name: &str,
+    in_exec: bool,
+    map_locals: &[BTreeSet<String>],
+) -> Option<(FactKind, String, Option<usize>)> {
+    let at = |k: usize| tokens.get(i + k);
+    let followed_by = |k: usize, p: &str| at(k).is_some_and(|t| t.is_punct(p));
+    if matches!(name, "Instant" | "SystemTime")
+        && followed_by(1, "::")
+        && at(2).and_then(Token::ident) == Some("now")
+    {
+        return Some((FactKind::TimeAsData, format!("{name}::now()"), Some(i + 3)));
+    }
+    if name == "thread" && followed_by(1, "::") && !in_exec {
+        if let Some(what @ ("spawn" | "scope" | "Builder")) = at(2).and_then(Token::ident) {
+            return Some((
+                FactKind::ThreadSpawn,
+                format!("thread::{what}"),
+                Some(i + 3),
+            ));
+        }
+    }
+    let rand_random = name == "random"
+        && i >= 2
+        && tokens[i - 1].is_punct("::")
+        && tokens[i - 2].ident() == Some("rand");
+    if matches!(name, "thread_rng" | "from_entropy") || rand_random {
+        return Some((FactKind::RngNotSeedDerived, format!("{name}()"), None));
+    }
+    if matches!(name, "seed_from_u64" | "from_seed")
+        && matches!(at(1).map(|t| &t.kind), Some(Tok::Open('(')))
+        && !seed_arg_is_derived(tokens, i + 2)
+    {
+        let what = format!("{name}(<not seed-derived>)");
+        return Some((FactKind::RngNotSeedDerived, what, Some(i + 1)));
+    }
+    if is_map_local(map_locals, name) && followed_by(1, ".") {
+        if let Some(
+            method @ ("iter" | "iter_mut" | "keys" | "values" | "values_mut" | "into_iter"
+            | "drain"),
+        ) = at(2).and_then(Token::ident)
+        {
+            return Some((FactKind::MapIter, format!("{name}.{method}()"), Some(i + 3)));
+        }
+    }
+    if name == "in" {
+        let mut j = i + 1;
+        while tokens
+            .get(j)
+            .is_some_and(|t| t.is_punct("&") || t.ident() == Some("mut"))
+        {
+            j += 1;
+        }
+        let target = tokens.get(j).and_then(Token::ident)?;
+        let opens_body = matches!(tokens.get(j + 1).map(|t| &t.kind), Some(Tok::Open('{')));
+        if opens_body && is_map_local(map_locals, target) {
+            return Some((FactKind::MapIter, format!("for _ in {target}"), Some(j + 1)));
+        }
+    }
+    None
 }
 
 /// Interior-mutability types of the standard library. Matched as exact
@@ -581,51 +569,24 @@ fn is_interior_mutability(name: &str) -> bool {
 /// one. Token-level matching keeps `#![forbid(unsafe_code)]` (the ident
 /// `unsafe_code`) and `std::cmp::Ordering::Less` structurally incapable of
 /// false positives.
-fn concurrency_fact(tokens: &[Token], i: usize, name: &str) -> Option<(CFactKind, String)> {
+fn concurrency_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String)> {
     if name == "unsafe" {
-        return Some((CFactKind::UnsafeCode, "unsafe".to_string()));
+        return Some((FactKind::UnsafeCode, "unsafe".to_string()));
     }
     if name == "static" && tokens.get(i + 1).and_then(Token::ident) == Some("mut") {
-        return Some((CFactKind::InteriorMutability, "static mut".to_string()));
+        return Some((FactKind::InteriorMutability, "static mut".to_string()));
     }
     if is_interior_mutability(name) {
-        return Some((CFactKind::InteriorMutability, name.to_string()));
+        return Some((FactKind::InteriorMutability, name.to_string()));
     }
     if name == "Ordering" && tokens.get(i + 1).map(|t| t.is_punct("::")).unwrap_or(false) {
         if let Some(variant) = tokens.get(i + 2).and_then(Token::ident) {
             if matches!(variant, "Relaxed" | "Acquire" | "Release" | "AcqRel") {
-                return Some((CFactKind::WeakOrdering, format!("Ordering::{variant}")));
+                return Some((FactKind::WeakOrdering, format!("Ordering::{variant}")));
             }
         }
     }
     None
-}
-
-/// Appends a concurrency fact, capturing the line's suppression metadata.
-/// Which reasoned waiver applies depends on the kind: `unsafe(reason)` for
-/// unsafe code, `concurrency(reason)` for shared-state facts.
-fn push_cfact(
-    out: &mut Vec<CFact>,
-    kind: CFactKind,
-    line: usize,
-    what: String,
-    lines: &[SourceLine],
-) {
-    let meta = lines.get(line.saturating_sub(1));
-    let allows = meta.map(|l| l.allows.clone()).unwrap_or_default();
-    let waived = match kind {
-        CFactKind::UnsafeCode => meta.map(|l| l.unsafe_reason.is_some()).unwrap_or(false),
-        CFactKind::InteriorMutability | CFactKind::WeakOrdering => {
-            meta.map(|l| l.conc_reason.is_some()).unwrap_or(false)
-        }
-    };
-    out.push(CFact {
-        kind,
-        line,
-        what,
-        allows,
-        waived,
-    });
 }
 
 /// Classifies the identifier token at `i` as a hot-path hygiene fact, if it
@@ -638,7 +599,7 @@ fn push_cfact(
 ///   `Box::new`, `String::from`, `File::open`, `thread::sleep`, `fs::*`,
 ///   `io::*`
 /// - macro invocations `vec![..]`, `format!(..)`
-fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(HFactKind, String)> {
+fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String)> {
     let prev_dot = i >= 1 && tokens[i - 1].is_punct(".");
     let next = tokens.get(i + 1);
     let next_open = matches!(next.map(|t| &t.kind), Some(Tok::Open('(')));
@@ -647,19 +608,19 @@ fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(HFactKind, St
     if prev_dot && (next_open || next_turbofish) {
         match name {
             "to_vec" | "to_string" | "to_owned" | "clone" | "collect" => {
-                return Some((HFactKind::HeapAlloc, format!(".{name}()")));
+                return Some((FactKind::HeapAlloc, format!(".{name}()")));
             }
             "lock" | "recv" | "recv_timeout" | "recv_deadline" => {
-                return Some((HFactKind::Blocking, format!(".{name}()")));
+                return Some((FactKind::Blocking, format!(".{name}()")));
             }
             "copy_from_slice" | "clone_from_slice" => {
-                return Some((HFactKind::PanicCapable, format!(".{name}(..)")));
+                return Some((FactKind::PanicCapable, format!(".{name}(..)")));
             }
             "read" | "write"
                 if next_open
                     && matches!(tokens.get(i + 2).map(|t| &t.kind), Some(Tok::Close(')'))) =>
             {
-                return Some((HFactKind::Blocking, format!(".{name}()")));
+                return Some((FactKind::Blocking, format!(".{name}()")));
             }
             _ => {}
         }
@@ -671,23 +632,23 @@ fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(HFactKind, St
                 if matches!(name, "Vec" | "VecDeque" | "Box" | "String")
                     && matches!(method, "new" | "with_capacity" | "from")
                 {
-                    return Some((HFactKind::HeapAlloc, format!("{name}::{method}()")));
+                    return Some((FactKind::HeapAlloc, format!("{name}::{method}()")));
                 }
                 if name == "thread" && method == "sleep" {
-                    return Some((HFactKind::Blocking, "thread::sleep".to_string()));
+                    return Some((FactKind::Blocking, "thread::sleep".to_string()));
                 }
                 if name == "File" && matches!(method, "open" | "create") {
-                    return Some((HFactKind::Blocking, format!("File::{method}()")));
+                    return Some((FactKind::Blocking, format!("File::{method}()")));
                 }
                 if matches!(name, "fs" | "io") {
-                    return Some((HFactKind::Blocking, format!("{name}::{method}()")));
+                    return Some((FactKind::Blocking, format!("{name}::{method}()")));
                 }
             }
         }
     }
 
     if matches!(name, "vec" | "format") && next.map(|t| t.is_punct("!")).unwrap_or(false) {
-        return Some((HFactKind::HeapAlloc, format!("{name}![..]")));
+        return Some((FactKind::HeapAlloc, format!("{name}![..]")));
     }
     None
 }
@@ -738,31 +699,6 @@ fn integer_division_site(tokens: &[Token], i: usize, op: &str) -> Option<String>
     Some(format!("{op} {divisor} (integer division)"))
 }
 
-/// Appends a hot-path fact, capturing the line's suppression metadata and
-/// deduplicating per (kind, line): one waiver covers one line, so
-/// `a[i] = b[j]` is a single panic-capable site.
-fn push_hfact(f: &mut FnInfo, kind: HFactKind, line: usize, what: String, lines: &[SourceLine]) {
-    if f.hfacts.iter().any(|h| h.kind == kind && h.line == line) {
-        return;
-    }
-    let meta = lines.get(line.saturating_sub(1));
-    let allows = meta.map(|l| l.allows.clone()).unwrap_or_default();
-    let waived = match kind {
-        HFactKind::HeapAlloc => meta.map(|l| l.alloc_reason.is_some()).unwrap_or(false),
-        HFactKind::PanicCapable => meta.map(|l| l.panicfree_reason.is_some()).unwrap_or(false),
-        // Blocking has no reasoned waiver: a blocking call on a hot path is
-        // either unreachable (setup cut) or explicitly `allow(TL015)`ed.
-        HFactKind::Blocking => false,
-    };
-    f.hfacts.push(HFact {
-        kind,
-        line,
-        what,
-        allows,
-        waived,
-    });
-}
-
 /// True when the call at `i` (an identifier followed by `(`) hands closures
 /// to worker threads: `map`/`run`/`for_each` on an executor-named receiver
 /// (or `Executor::`-qualified), or `spawn` on a thread-scope handle. Also
@@ -790,21 +726,36 @@ pub(crate) fn is_dispatch(tokens: &[Token], i: usize, name: &str) -> bool {
     }
 }
 
-/// Appends a fact, capturing the line's suppression metadata.
+/// Appends a fact, capturing the line's suppression metadata. Hot-path
+/// kinds are deduplicated per (kind, line), which decides what one waiver
+/// covers; facts arrive in source order, so only the current line's tail
+/// needs checking.
 fn push_fact(
-    f: &mut FnInfo,
+    facts: &mut Vec<Fact>,
     kind: FactKind,
     line: usize,
     what: String,
-    line_meta: &dyn Fn(usize) -> (Vec<String>, bool),
+    lines: &[SourceLine],
 ) {
-    let (allows, waived) = line_meta(line);
-    f.facts.push(Fact {
+    if kind.one_per_line()
+        && facts
+            .iter()
+            .rev()
+            .take_while(|f| f.line == line)
+            .any(|f| f.kind == kind)
+    {
+        return;
+    }
+    let meta = lines.get(line.saturating_sub(1));
+    facts.push(Fact {
         kind,
         line,
         what,
-        allows,
-        waived,
+        allows: meta.map(|l| l.allows.clone()).unwrap_or_default(),
+        waived: match (meta, kind.waiver()) {
+            (Some(l), Some(waiver)) => l.reason(waiver).is_some(),
+            _ => false,
+        },
     });
 }
 
@@ -821,15 +772,14 @@ fn record_call(f: &mut FnInfo, tokens: &[Token], i: usize) {
     if tokens.get(i + 1).map(|t| t.is_punct("!")).unwrap_or(false) {
         return;
     }
-    let qualifier = if i >= 2 && tokens[i - 1].is_punct("::") {
-        tokens[i - 2].ident().map(str::to_string)
-    } else if i >= 2 && tokens[i - 1].is_punct(".") {
+    let before = |k: usize| i.checked_sub(k).map(|p| &tokens[p]);
+    let qualifier = if before(1).is_some_and(|t| t.is_punct("::")) {
+        before(2).and_then(Token::ident).map(str::to_string)
+    } else if before(1).is_some_and(|t| t.is_punct("."))
+        && before(2).and_then(Token::ident) == Some("self")
+    {
         // `self.method(...)` — resolvable to the impl type.
-        if i >= 2 && tokens[i - 2].ident() == Some("self") {
-            Some("self".to_string())
-        } else {
-            None
-        }
+        Some("self".to_string())
     } else {
         None
     };
@@ -878,17 +828,18 @@ fn innermost_fn(scopes: &[Scope]) -> Option<usize> {
 }
 
 /// Finds the innermost enclosing impl scope's (type, trait).
-fn enclosing_impl(scopes: &[Scope], _fns: &[FnInfo]) -> (Option<String>, Option<String>) {
-    for s in scopes.iter().rev() {
-        if let Scope::Impl {
-            type_name,
-            trait_name,
-        } = s
-        {
-            return (type_name.clone(), trait_name.clone());
-        }
-    }
-    (None, None)
+fn enclosing_impl(scopes: &[Scope]) -> (Option<String>, Option<String>) {
+    scopes
+        .iter()
+        .rev()
+        .find_map(|s| match s {
+            Scope::Impl {
+                type_name,
+                trait_name,
+            } => Some((type_name.clone(), trait_name.clone())),
+            _ => None,
+        })
+        .unwrap_or_default()
 }
 
 /// Parses an `impl` header starting after the `impl` keyword; returns the
@@ -902,12 +853,8 @@ fn parse_impl_header(tokens: &[Token], start: usize) -> (Scope, usize) {
     let mut collecting = true;
     let mut j = start;
     while j < tokens.len() {
+        angle += angle_delta(&tokens[j].kind);
         match &tokens[j].kind {
-            Tok::Punct("<") => angle += 1,
-            Tok::Punct(">") => angle -= 1,
-            Tok::Punct("<<") => angle += 2,
-            Tok::Punct(">>") => angle -= 2,
-            Tok::Punct("->") => {}
             Tok::Ident(id) if angle == 0 => match id.as_str() {
                 "for" => {
                     saw_for = true;
@@ -923,8 +870,7 @@ fn parse_impl_header(tokens: &[Token], start: usize) -> (Scope, usize) {
                 }
                 _ => {}
             },
-            Tok::Open('{') if angle == 0 => break,
-            Tok::Punct(";") if angle == 0 => break,
+            Tok::Open('{') | Tok::Punct(";") if angle == 0 => break,
             _ => {}
         }
         j += 1;
@@ -952,13 +898,7 @@ fn parse_signature(tokens: &[Token], start: usize) -> (BTreeSet<String>, usize) 
     if tokens.get(j).map(|t| t.is_punct("<")).unwrap_or(false) {
         let mut angle = 0isize;
         while j < tokens.len() {
-            match &tokens[j].kind {
-                Tok::Punct("<") => angle += 1,
-                Tok::Punct(">") => angle -= 1,
-                Tok::Punct("<<") => angle += 2,
-                Tok::Punct(">>") => angle -= 2,
-                _ => {}
-            }
+            angle += angle_delta(&tokens[j].kind);
             j += 1;
             if angle == 0 {
                 break;
@@ -1005,18 +945,24 @@ fn parse_signature(tokens: &[Token], start: usize) -> (BTreeSet<String>, usize) 
     // Skip return type / where clause up to the body `{` or `;`.
     let mut angle = 0isize;
     while j < tokens.len() {
-        match &tokens[j].kind {
-            Tok::Punct("<") => angle += 1,
-            Tok::Punct(">") => angle -= 1,
-            Tok::Punct("<<") => angle += 2,
-            Tok::Punct(">>") => angle -= 2,
-            Tok::Open('{') if angle <= 0 => break,
-            Tok::Punct(";") if angle <= 0 => break,
-            _ => {}
+        angle += angle_delta(&tokens[j].kind);
+        if matches!(tokens[j].kind, Tok::Open('{') | Tok::Punct(";")) && angle <= 0 {
+            break;
         }
         j += 1;
     }
     (maps, j)
+}
+
+/// Generic-bracket nesting change of one token (`<<`/`>>` lex as one).
+fn angle_delta(kind: &Tok) -> isize {
+    match kind {
+        Tok::Punct("<") => 1,
+        Tok::Punct(">") => -1,
+        Tok::Punct("<<") => 2,
+        Tok::Punct(">>") => -2,
+        _ => 0,
+    }
 }
 
 /// Scans a `let` statement from just after the keyword; returns the binding
@@ -1057,6 +1003,54 @@ mod tests {
         extract("crates/x/src/lib.rs", &lex(src), &scan(src)).fns
     }
 
+    /// Rule families, told apart by the waiver each kind accepts.
+    const DETERMINISM: fn(FactKind) -> bool = |k| k.waiver() == Some("nondeterministic");
+    const SHARED_STATE: fn(FactKind) -> bool =
+        |k| matches!(k.waiver(), Some("unsafe" | "concurrency"));
+    const HOT: fn(FactKind) -> bool = FactKind::one_per_line;
+
+    /// The facts of one rule family, in source order.
+    fn of(facts: &[Fact], family: fn(FactKind) -> bool) -> Vec<&Fact> {
+        facts.iter().filter(|f| family(f.kind)).collect()
+    }
+
+    #[test]
+    fn root_markers_attach_to_the_fn_line() {
+        let src = "fn a() {} // lint: root(determinism)\n/// Docs.\n// lint: root(hot)\nfn b() {}\nfn c() {} // lint: root(hot, determinism)\nfn d() {}\n";
+        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let roots: Vec<&[RootKind]> = ex.fns.iter().map(|f| f.roots.as_slice()).collect();
+        assert_eq!(
+            roots,
+            vec![
+                &[RootKind::Determinism][..],
+                &[RootKind::Hot],
+                &[RootKind::Hot, RootKind::Determinism],
+                &[],
+            ]
+        );
+        assert!(ex.marker_errors.is_empty(), "{:?}", ex.marker_errors);
+    }
+
+    #[test]
+    fn misplaced_and_unknown_root_markers_are_errors() {
+        let src = "// lint: root(hot)\n#[inline]\nfn a() {} // lint: root(fast)\nstruct S; // lint: root(determinism)\n";
+        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let lines: Vec<&str> = ex
+            .marker_errors
+            .iter()
+            .map(|e| e.split(": ").next().unwrap_or(""))
+            .collect();
+        assert_eq!(
+            lines,
+            vec![
+                "crates/x/src/lib.rs:2",
+                "crates/x/src/lib.rs:3",
+                "crates/x/src/lib.rs:4"
+            ]
+        );
+        assert!(ex.fns[0].roots.is_empty());
+    }
+
     #[test]
     fn impl_and_trait_context_is_recorded() {
         let fns = extract_src(
@@ -1075,7 +1069,10 @@ mod tests {
         let fns = extract_src(
             "fn f() {\n    let t = Instant::now();\n    std::thread::spawn(|| SystemTime::now());\n}\n",
         );
-        let kinds: Vec<FactKind> = fns[0].facts.iter().map(|f| f.kind).collect();
+        let kinds: Vec<FactKind> = of(&fns[0].facts, DETERMINISM)
+            .iter()
+            .map(|f| f.kind)
+            .collect();
         assert_eq!(
             kinds,
             vec![
@@ -1090,11 +1087,11 @@ mod tests {
     fn exec_module_may_spawn_threads() {
         let src = "fn run() { std::thread::scope(|s| {}); }\n";
         let fns = extract("crates/tensor/src/exec.rs", &lex(src), &scan(src)).fns;
-        assert!(fns[0].facts.is_empty());
+        assert!(of(&fns[0].facts, DETERMINISM).is_empty());
         // The old executor home is a plain re-export shim now; spawning
         // there is no longer exempt.
         let fns = extract("crates/core/src/exec.rs", &lex(src), &scan(src)).fns;
-        assert!(!fns[0].facts.is_empty());
+        assert!(!of(&fns[0].facts, DETERMINISM).is_empty());
     }
 
     #[test]
@@ -1102,10 +1099,22 @@ mod tests {
         let fns = extract_src(
             "fn a(seed: u64) { let r = StdRng::seed_from_u64(seed ^ 3); }\nfn b() { let r = StdRng::seed_from_u64(name_hash(name)); }\nfn c(x: u64) { let r = StdRng::seed_from_u64(x); }\nfn d() { let r = thread_rng(); }\n",
         );
-        assert!(fns[0].facts.is_empty(), "seed ident → derived");
-        assert!(fns[1].facts.is_empty(), "hash ident → derived");
-        assert_eq!(fns[2].facts[0].kind, FactKind::RngNotSeedDerived);
-        assert_eq!(fns[3].facts[0].kind, FactKind::RngNotSeedDerived);
+        assert!(
+            of(&fns[0].facts, DETERMINISM).is_empty(),
+            "seed ident → derived"
+        );
+        assert!(
+            of(&fns[1].facts, DETERMINISM).is_empty(),
+            "hash ident → derived"
+        );
+        assert_eq!(
+            of(&fns[2].facts, DETERMINISM)[0].kind,
+            FactKind::RngNotSeedDerived
+        );
+        assert_eq!(
+            of(&fns[3].facts, DETERMINISM)[0].kind,
+            FactKind::RngNotSeedDerived
+        );
     }
 
     #[test]
@@ -1113,7 +1122,10 @@ mod tests {
         let fns = extract_src(
             "fn f(index: &HashMap<String, usize>) {\n    let mut seen = HashSet::new();\n    for k in index { }\n    seen.iter();\n    let v: Vec<u8> = Vec::new();\n    v.iter();\n}\n",
         );
-        let kinds: Vec<FactKind> = fns[0].facts.iter().map(|f| f.kind).collect();
+        let kinds: Vec<FactKind> = of(&fns[0].facts, DETERMINISM)
+            .iter()
+            .map(|f| f.kind)
+            .collect();
         assert_eq!(kinds, vec![FactKind::MapIter, FactKind::MapIter]);
     }
 
@@ -1150,46 +1162,53 @@ mod tests {
     fn concurrency_facts_split_fn_and_file_scope() {
         let src = "struct Clock {\n    now: Cell<u64>,\n}\nfn claim() {\n    let next = AtomicUsize::new(0);\n    let i = next.fetch_add(1, Ordering::Relaxed);\n}\n";
         let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
-        assert_eq!(ex.file_cfacts.len(), 1, "struct field is file-scope");
-        assert_eq!(ex.file_cfacts[0].kind, CFactKind::InteriorMutability);
-        assert_eq!(ex.file_cfacts[0].what, "Cell");
-        let kinds: Vec<CFactKind> = ex.fns[0].cfacts.iter().map(|f| f.kind).collect();
+        assert_eq!(ex.file_facts.len(), 1, "struct field is file-scope");
+        assert_eq!(ex.file_facts[0].kind, FactKind::InteriorMutability);
+        assert_eq!(ex.file_facts[0].what, "Cell");
+        let kinds: Vec<FactKind> = of(&ex.fns[0].facts, SHARED_STATE)
+            .iter()
+            .map(|f| f.kind)
+            .collect();
         assert_eq!(
             kinds,
-            vec![CFactKind::InteriorMutability, CFactKind::WeakOrdering]
+            vec![FactKind::InteriorMutability, FactKind::WeakOrdering]
         );
-        assert_eq!(ex.fns[0].cfacts[1].what, "Ordering::Relaxed");
+        assert_eq!(
+            of(&ex.fns[0].facts, SHARED_STATE)[1].what,
+            "Ordering::Relaxed"
+        );
     }
 
     #[test]
-    fn use_lines_and_lookalike_idents_produce_no_cfacts() {
+    fn use_lines_and_lookalike_idents_produce_no_shared_state_facts() {
         let src = "use std::sync::atomic::{AtomicUsize, Ordering};\nuse std::cell::Cell;\nfn f() {\n    let forbid = unsafe_code;\n    let c = cmp::Ordering::Less;\n    let s = SweepCell::new();\n    let seq = x.load(Ordering::SeqCst);\n}\n";
         let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
-        assert!(ex.file_cfacts.is_empty(), "{:?}", ex.file_cfacts);
-        assert!(ex.fns[0].cfacts.is_empty(), "{:?}", ex.fns[0].cfacts);
+        assert!(ex.file_facts.is_empty(), "{:?}", ex.file_facts);
+        let shared = of(&ex.fns[0].facts, SHARED_STATE);
+        assert!(shared.is_empty(), "{shared:?}");
     }
 
     #[test]
-    fn unsafe_and_static_mut_are_cfacts() {
+    fn unsafe_and_static_mut_are_shared_state_facts() {
         let src = "static mut COUNTER: usize = 0;\nfn f() {\n    let n = unsafe { read() };\n    // lint: unsafe(audited: bounds checked above)\n    let m = unsafe { read() };\n}\n";
         let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
-        assert_eq!(ex.file_cfacts.len(), 1);
-        assert_eq!(ex.file_cfacts[0].what, "static mut");
-        let cfacts = &ex.fns[0].cfacts;
-        assert_eq!(cfacts.len(), 2);
-        assert_eq!(cfacts[0].kind, CFactKind::UnsafeCode);
-        assert!(!cfacts[0].waived);
-        assert!(cfacts[1].waived, "unsafe(reason) waives the second block");
+        assert_eq!(ex.file_facts.len(), 1);
+        assert_eq!(ex.file_facts[0].what, "static mut");
+        let shared = of(&ex.fns[0].facts, SHARED_STATE);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared[0].kind, FactKind::UnsafeCode);
+        assert!(!shared[0].waived);
+        assert!(shared[1].waived, "unsafe(reason) waives the second block");
     }
 
     #[test]
     fn concurrency_waiver_covers_shared_state_kinds_only() {
         let src = "fn f() {\n    let a = AtomicUsize::new(0); // lint: concurrency(claim counter only)\n    let b = unsafe { read() }; // lint: concurrency(not the right waiver)\n}\n";
         let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
-        let cfacts = &ex.fns[0].cfacts;
-        assert!(cfacts[0].waived);
+        let shared = of(&ex.fns[0].facts, SHARED_STATE);
+        assert!(shared[0].waived);
         assert!(
-            !cfacts[1].waived,
+            !shared[1].waived,
             "unsafe code needs unsafe(reason), not concurrency(reason)"
         );
     }
@@ -1207,7 +1226,7 @@ mod tests {
         let fns = extract_src(
             "fn f() {\n    let t = Instant::now(); // lint: nondeterministic(telemetry only)\n    let u = Instant::now(); // lint: allow(TL007)\n    let v = Instant::now();\n}\n",
         );
-        let facts = &fns[0].facts;
+        let facts = of(&fns[0].facts, DETERMINISM);
         assert!(facts[0].waived);
         assert!(facts[1].allows.iter().any(|a| a == "TL007"));
         assert!(!facts[2].waived && facts[2].allows.is_empty());
@@ -1218,10 +1237,9 @@ mod tests {
         let fns = extract_src(
             "fn f() {\n    let a = Vec::with_capacity(8);\n    let b = vec![0u8; 4];\n    let c = xs.to_vec();\n    let d = xs.iter().collect::<Vec<u32>>();\n    let e = cfg.clone();\n    let g = format!(\"x\");\n    let h = Box::new(0);\n    let i = String::from(\"y\");\n}\n",
         );
-        let whats: Vec<&str> = fns[0]
-            .hfacts
+        let whats: Vec<&str> = of(&fns[0].facts, HOT)
             .iter()
-            .filter(|h| h.kind == HFactKind::HeapAlloc)
+            .filter(|h| h.kind == FactKind::HeapAlloc)
             .map(|h| h.what.as_str())
             .collect();
         assert_eq!(
@@ -1244,10 +1262,9 @@ mod tests {
         let fns = extract_src(
             "fn f() {\n    let g = m.lock().unwrap();\n    let v = rx.recv().unwrap();\n    thread::sleep(d);\n    let s = fs::read_to_string(p);\n    let file = File::open(p);\n    let r = lk.read();\n    let n = stream.read(&mut buf);\n}\n",
         );
-        let whats: Vec<&str> = fns[0]
-            .hfacts
+        let whats: Vec<&str> = of(&fns[0].facts, HOT)
             .iter()
-            .filter(|h| h.kind == HFactKind::Blocking)
+            .filter(|h| h.kind == FactKind::Blocking)
             .map(|h| h.what.as_str())
             .collect();
         assert_eq!(
@@ -1269,10 +1286,9 @@ mod tests {
         let fns = extract_src(
             "fn f(xs: &[f32], out: &mut [f32], n: usize, d: usize) {\n    out[0] = xs[1];\n    dst.copy_from_slice(src);\n    let q = n / d;\n    let r = n % 4;\n    let s = 1.0 / scale;\n    let half = n / 2;\n}\n",
         );
-        let whats: Vec<&str> = fns[0]
-            .hfacts
+        let whats: Vec<&str> = of(&fns[0].facts, HOT)
             .iter()
-            .filter(|h| h.kind == HFactKind::PanicCapable)
+            .filter(|h| h.kind == FactKind::PanicCapable)
             .map(|h| h.what.as_str())
             .collect();
         assert_eq!(
@@ -1291,10 +1307,9 @@ mod tests {
         let fns = extract_src(
             "fn f(v: &mut [f32]) {\n    let a: [f32; 2] = [0.0, 0.0];\n    for x in [1, 2] { let _ = x; }\n    let s = &v[..];\n}\n",
         );
-        let panics: Vec<&str> = fns[0]
-            .hfacts
+        let panics: Vec<&str> = of(&fns[0].facts, HOT)
             .iter()
-            .filter(|h| h.kind == HFactKind::PanicCapable)
+            .filter(|h| h.kind == FactKind::PanicCapable)
             .map(|h| h.what.as_str())
             .collect();
         assert_eq!(
@@ -1309,7 +1324,7 @@ mod tests {
         let fns = extract_src(
             "fn f() {\n    let a = xs.to_vec(); // lint: alloc(one-time warmup)\n    let b = xs.to_vec();\n    let c = xs[0]; // lint: panicfree(len checked above)\n    let d = xs[1]; // lint: alloc(wrong waiver kind)\n    let g = m.lock(); // lint: allow(TL015)\n}\n",
         );
-        let h = &fns[0].hfacts;
+        let h = of(&fns[0].facts, HOT);
         assert!(h[0].waived, "alloc(reason) waives HeapAlloc");
         assert!(!h[1].waived);
         assert!(h[2].waived, "panicfree(reason) waives PanicCapable");

@@ -24,13 +24,17 @@
 //! | TL015 | blocking operation reachable from a latency-critical root (with call chain) |
 //! | TL016 | panic-capable op on the serve path (with call chain) |
 //!
-//! TL001–TL006 come from the line scanner and token stream per file;
-//! TL007–TL009 from the workspace-level determinism pipeline ([`lexer`] →
-//! [`items`] → [`callgraph`] → [`taint`]); TL010–TL013 from the
-//! concurrency-safety stage ([`concurrency`]) and TL014–TL016 from the
-//! hot-path hygiene stage ([`hotpath`]), both over the same item facts and
-//! call-graph. `--explain TLxxx` prints each rule's rationale and waiver
-//! syntax.
+//! TL001–TL006 come from the line scanner and token stream per file. The
+//! workspace-level rules run over per-function facts and a call-graph
+//! ([`lexer`] → [`items`] → [`callgraph`] → [`reach`]): TL008–TL010,
+//! TL012 and file-scope TL011 fire at the fact's site, while TL007, TL011
+//! and TL014–TL016 are one reachability engine run from three root sets.
+//! Determinism and hot-path roots are declared where the function is
+//! defined, by a `root(determinism)` / `root(hot)` marker in a `lint:`
+//! comment on the `fn` line or directly above it; dispatch roots (TL011)
+//! are the functions that hand closures to worker threads. TL013 is a
+//! token walk over dispatched closures ([`concurrency`]). `--explain
+//! TLxxx` prints each rule's rationale and waiver syntax.
 //!
 //! Pre-existing violations live in `lint-baseline.txt` as per-(rule, file)
 //! counts; `--check` fails only on *new* violations and `--update-baseline`
@@ -44,13 +48,12 @@
 pub mod baseline;
 pub mod callgraph;
 pub mod concurrency;
-pub mod hotpath;
 pub mod items;
 pub mod lexer;
+pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod scanner;
-pub mod taint;
 
 use std::fs;
 use std::io;
@@ -65,7 +68,9 @@ pub const BASELINE_FILE: &str = "lint-baseline.txt";
 const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benches", "examples"];
 
 /// The analysis stages, in execution order, as reported by
-/// [`scan_workspace_timed`]. The names are part of the `--json` contract.
+/// [`scan_workspace_timed`]. The names are part of the `--json` contract:
+/// `taint` times the site rules and the determinism walk, `concurrency`
+/// the dispatch walk and TL013, `hotpath` the hot walk.
 pub const STAGES: [&str; 7] = [
     "scan",
     "rules",
@@ -92,7 +97,8 @@ pub struct StageTiming {
 }
 
 /// Scans the workspace rooted at `root` and returns all violations, sorted
-/// by (file, line, rule).
+/// by (file, line, rule). A misplaced or unknown `root(...)` marker is an
+/// `InvalidData` error naming its file and line.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     scan_workspace_timed(root).map(|(v, _)| v)
 }
@@ -122,14 +128,22 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     }
     push_timing(&mut timings, "rules", t);
 
-    // Stage "items": per-function determinism and concurrency facts.
+    // Stage "items": per-function facts, calls and root markers.
     let t = stage_clock();
     let mut fns = Vec::new();
-    let mut file_cfacts = Vec::new();
+    let mut file_facts = Vec::new();
+    let mut marker_errors = Vec::new();
     for (rel, lines, tokens) in &parsed {
         let extraction = items::extract(rel, tokens, lines);
         fns.extend(extraction.fns);
-        file_cfacts.extend(extraction.file_cfacts.into_iter().map(|f| (rel.clone(), f)));
+        file_facts.extend(extraction.file_facts.into_iter().map(|f| (rel.clone(), f)));
+        marker_errors.extend(extraction.marker_errors);
+    }
+    if !marker_errors.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            marker_errors.join("\n"),
+        ));
     }
     push_timing(&mut timings, "items", t);
 
@@ -138,23 +152,25 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     let graph = callgraph::build(fns);
     push_timing(&mut timings, "callgraph", t);
 
-    // Stage "taint": determinism dataflow (TL007–TL009).
+    // Stage "taint": site rules (TL008–TL010, TL012, file-scope TL011)
+    // and determinism reachability (TL007).
     let t = stage_clock();
-    violations.extend(taint::analyze(&graph));
+    violations.extend(reach::site_rules(&graph, &file_facts));
+    violations.extend(reach::reach(&graph, &reach::DETERMINISM));
     push_timing(&mut timings, "taint", t);
 
-    // Stage "concurrency": shared-state dataflow (TL010–TL013).
+    // Stage "concurrency": dispatch reachability (TL011) and worker-closure
+    // accumulation (TL013).
     let t = stage_clock();
-    violations.extend(concurrency::analyze(&graph, &file_cfacts));
+    violations.extend(reach::reach(&graph, &reach::DISPATCH));
     for (rel, lines, tokens) in &parsed {
         violations.extend(concurrency::check_closures(rel, tokens, lines));
     }
     push_timing(&mut timings, "concurrency", t);
 
-    // Stage "hotpath": allocation/blocking/panic reachability from
-    // latency-critical roots (TL014–TL016).
+    // Stage "hotpath": hot-path reachability (TL014–TL016).
     let t = stage_clock();
-    violations.extend(hotpath::analyze(&graph));
+    violations.extend(reach::reach(&graph, &reach::HOT));
     push_timing(&mut timings, "hotpath", t);
 
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

@@ -11,17 +11,17 @@
 //!   including TL007/TL011/TL014–TL016 call chains, plus a summary object
 //!   with per-stage wall-times and per-rule hit counts (combines with
 //!   `--check` or `--list`).
-//! * `--bench`: run the whole pipeline repeatedly and write
-//!   `BENCH_lint.json` at the workspace root — per-stage minimum wall-times
-//!   (min-of-9, the `BENCH_kernels.json` discipline) plus per-rule hit
-//!   counts, so analyzer cost and violation counts form a PR-over-PR
-//!   trajectory.
+//! * `--bench`: run the whole pipeline repeatedly and print one JSON line —
+//!   per-stage minimum wall-times (min-of-9, the `BENCH_kernels.json`
+//!   discipline) plus per-rule hit counts. Redirect it into
+//!   `BENCH_lint.json` to refresh the checked-in trajectory; a gate run
+//!   never overwrites it.
 //! * `--explain TLxxx`: print one rule's rationale and waiver syntax.
 //! * `--root <dir>`: override workspace-root autodetection.
 //!
 //! Exit codes: `0` clean, `1` new violations above the baseline, `2`
 //! internal lint error (bad arguments, unreadable workspace, malformed
-//! baseline).
+//! baseline, misplaced or unknown `root(...)` marker).
 
 use std::collections::BTreeMap;
 use std::env;
@@ -150,12 +150,7 @@ fn run() -> Result<ExitCode, String> {
             let files = taglets_lint::workspace_files(&root)
                 .map_err(|e| format!("listing {}: {e}", root.display()))?
                 .len();
-            let path = root.join("BENCH_lint.json");
-            let body = bench_json(BENCH_RUNS, files, &mins, &violations);
-            fs::write(&path, format!("{body}\n"))
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("{body}");
-            println!("wrote {}", path.display());
+            println!("{}", bench_json(BENCH_RUNS, files, &mins, &violations));
             Ok(ExitCode::SUCCESS)
         }
         Mode::UpdateBaseline => {
@@ -307,7 +302,7 @@ fn print_help() {
          --update-baseline  regenerate {BASELINE_FILE} from the current tree (or set UPDATE_BASELINE=1)\n\
          --list             print every violation, including baselined ones\n\
          --json             one JSON diagnostic per line plus a summary with stage timings\n\
-         --bench            write BENCH_lint.json (min-of-{BENCH_RUNS} per-stage wall-times + per-rule counts)\n\
+         --bench            print BENCH_lint.json's line (min-of-{BENCH_RUNS} per-stage wall-times + per-rule counts)\n\
          --explain TLxxx    print one rule's rationale and waiver syntax\n\
          --root DIR         workspace root (default: walk up from the current directory)\n\
          \n\

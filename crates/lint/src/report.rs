@@ -65,13 +65,6 @@ pub fn summary_json(
         .iter()
         .map(|t| format!("{{\"stage\":\"{}\",\"millis\":{}}}", t.stage, t.millis))
         .collect();
-    let rules: Vec<String> = ALL_RULES
-        .iter()
-        .map(|r| {
-            let hits = violations.iter().filter(|v| v.rule == *r).count();
-            format!("\"{}\":{hits}", r.code())
-        })
-        .collect();
     format!(
         "{{\"summary\":true,\"total\":{},\"regressing_entries\":{},\"blocking_entries\":{},\"ok\":{},\"stages\":[{}],\"rules\":{{{}}}}}",
         violations.len(),
@@ -79,7 +72,7 @@ pub fn summary_json(
         blocking,
         blocking == 0,
         stages.join(","),
-        rules.join(",")
+        rule_counts(violations)
     )
 }
 
@@ -105,20 +98,26 @@ pub fn bench_json(
         })
         .collect();
     let total: u128 = min_nanos.iter().map(|(_, n)| n).sum();
-    let rules: Vec<String> = ALL_RULES
+    format!(
+        "{{\"bench\":\"lint\",\"runs\":{runs},\"files\":{files},\"total_min_nanos\":{total},\"total_min_millis\":{:.3},\"stages\":[{}],\"rules\":{{{}}},\"total_violations\":{}}}",
+        total as f64 / 1e6,
+        stages.join(","),
+        rule_counts(violations),
+        violations.len()
+    )
+}
+
+/// Per-rule hit counts as JSON object members, every rule present (zeros
+/// included) so counts diff PR-over-PR.
+fn rule_counts(violations: &[Violation]) -> String {
+    let counts: Vec<String> = ALL_RULES
         .iter()
         .map(|r| {
             let hits = violations.iter().filter(|v| v.rule == *r).count();
             format!("\"{}\":{hits}", r.code())
         })
         .collect();
-    format!(
-        "{{\"bench\":\"lint\",\"runs\":{runs},\"files\":{files},\"total_min_nanos\":{total},\"total_min_millis\":{:.3},\"stages\":[{}],\"rules\":{{{}}},\"total_violations\":{}}}",
-        total as f64 / 1e6,
-        stages.join(","),
-        rules.join(","),
-        violations.len()
-    )
+    counts.join(",")
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).

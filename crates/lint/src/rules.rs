@@ -3,17 +3,15 @@
 //! TL001–TL003, TL005 and TL006 are line-level matchers over the cleaned
 //! source produced by [`crate::scanner`]. TL004 matches over the token
 //! stream from [`crate::lexer`] (so tuple indices and string contents can
-//! never look like float literals). TL007–TL009 are produced by the
-//! determinism passes ([`crate::items`] → [`crate::callgraph`] →
-//! [`crate::taint`]), TL010–TL013 by the concurrency-safety pass
-//! ([`crate::concurrency`] over the same item facts and call-graph), and
-//! TL014–TL016 by the hot-path hygiene pass ([`crate::hotpath`], a
-//! reachability walk from latency-critical roots); all three only share the
-//! [`Violation`] type and scoping logic here. Rules are scoped: TL001/TL002
-//! apply to all library code, TL003 and the
-//! determinism/concurrency/hot-path rules skip the bench crate (timing is
-//! its purpose), and TL005 is an advisory documentation rule limited to the
-//! `tensor` and `core` crates.
+//! never look like float literals). TL007–TL012 and TL014–TL016 come from
+//! item facts ([`crate::items`]) over the call-graph ([`crate::callgraph`]):
+//! at the fact's site, or through the one reachability engine
+//! ([`crate::reach`]); TL013 from a token walk over worker closures
+//! ([`crate::concurrency`]). All of them share only the [`Violation`] type
+//! and scoping logic here. Rules are scoped: TL001/TL002 apply to all
+//! library code, TL003 and the determinism/concurrency/hot-path rules skip
+//! the bench crate (timing is its purpose), and TL005 is an advisory
+//! documentation rule limited to the `tensor` and `core` crates.
 
 use crate::lexer::{Tok, Token};
 use crate::scanner::SourceLine;
@@ -166,10 +164,13 @@ impl Rule {
                  second, unaudited concurrency story."
             }
             Rule::Tl007 => {
-                "Taint analysis over the workspace call-graph: a function declared \
+                "Reachability over the workspace call-graph: a function declared \
                  deterministic (seeded training, eval, serving) transitively calls \
-                 a nondeterminism source. The chain in the diagnostic lists every \
-                 hop so the offending call can be cut or seeded."
+                 a nondeterminism source. Roots are declared where the function \
+                 is defined, by a `// lint: root(determinism)` marker on the fn \
+                 line or the comment line directly above it. The chain in the \
+                 diagnostic lists every hop so the offending call can be cut or \
+                 seeded."
             }
             Rule::Tl008 => {
                 "HashMap/HashSet iteration order depends on hasher state, so any \
@@ -195,7 +196,9 @@ impl Rule {
                  scope.spawn dispatch point, meaning worker closures can share \
                  mutable state. Lock contention or racy updates there break the \
                  bitwise-identical-at-1/2/4-workers invariant; the diagnostic's \
-                 chain shows the dispatch-to-state path."
+                 chain shows the dispatch-to-state path. The roots are read from \
+                 the code, so they need no root(...) marker; state declared at \
+                 file scope (struct fields, statics) fires at the site."
             }
             Rule::Tl012 => {
                 "Orderings weaker than SeqCst (Relaxed, Acquire, Release, AcqRel) \
@@ -212,12 +215,13 @@ impl Rule {
                  does."
             }
             Rule::Tl014 => {
-                "Hot-path reachability walk over the call-graph: a heap \
+                "Hot-path reachability over the call-graph: a heap \
                  allocation (Vec::new/with_capacity, vec![], to_vec, collect, \
                  clone, Box::new, String::from, format!) is transitively \
-                 reachable from a latency-critical root — the serving engine's \
-                 submit/flush/run path, the batched inference fast path, or \
-                 the *_into kernels. Steady-state \
+                 reachable from a latency-critical root — a function marked \
+                 `// lint: root(hot)` where it is defined: the serving \
+                 engine's and router's request path, the batched inference \
+                 fast path, and the *_into kernels. Steady-state \
                  serving must reuse scratch (InferScratch, GradScratch, \
                  PackedWeights); setup code (new/with_*/load constructors and \
                  one-time *Scratch/Packed* builders) is exempt by a \
@@ -227,7 +231,8 @@ impl Rule {
             Rule::Tl015 => {
                 "A blocking operation (Mutex/RwLock lock, channel recv, \
                  std::fs/std::io call, thread::sleep) is reachable from a \
-                 latency-critical root. One blocked worker stalls the whole \
+                 latency-critical root (a `root(hot)` marker, walked up to the \
+                 TL014 setup cut). One blocked worker stalls the whole \
                  micro-batch, so the serve and kernel paths are lock-free by \
                  construction: state is owned by the engine thread and workers \
                  get disjoint output blocks. There is no reasoned waiver — cut \
@@ -237,7 +242,8 @@ impl Rule {
             Rule::Tl016 => {
                 "A panic-capable op (slice/array indexing, copy_from_slice, \
                  integer division by a non-literal divisor) sits on the serve \
-                 path. A panic inside a worker closure poisons the executor \
+                 path: reachable from a `root(hot)` marker, up to the TL014 \
+                 setup cut. A panic inside a worker closure poisons the executor \
                  and kills every in-flight request, so hot code must argue its \
                  bounds: each surviving site carries `// lint: \
                  panicfree(reason)` stating why the index/divisor is in range \
@@ -366,8 +372,8 @@ pub struct Violation {
 }
 
 /// Runs every applicable line-level rule plus the token-level TL004 pass
-/// over one file. The determinism rules (TL007–TL009) need the whole
-/// workspace and are produced by [`crate::taint`] instead.
+/// over one file. TL007–TL016 need the whole workspace and are produced by
+/// [`crate::reach`] and [`crate::concurrency`] instead.
 pub fn check_file(path: &str, lines: &[SourceLine], tokens: &[Token]) -> Vec<Violation> {
     let mut out = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
@@ -384,17 +390,8 @@ pub fn check_file(path: &str, lines: &[SourceLine], tokens: &[Token]) -> Vec<Vio
                 Rule::Tl003 => hits_tl003(&line.code),
                 Rule::Tl005 => hits_tl005(lines, idx),
                 Rule::Tl006 => hits_tl006(&line.code),
-                Rule::Tl004
-                | Rule::Tl007
-                | Rule::Tl008
-                | Rule::Tl009
-                | Rule::Tl010
-                | Rule::Tl011
-                | Rule::Tl012
-                | Rule::Tl013
-                | Rule::Tl014
-                | Rule::Tl015
-                | Rule::Tl016 => false,
+                // TL004 is token-level (below); TL007+ are workspace-level.
+                _ => false,
             };
             if hit {
                 out.push(Violation {

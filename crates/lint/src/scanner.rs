@@ -29,29 +29,12 @@ pub struct SourceLine {
     pub in_test: bool,
     /// Rule codes suppressed on this line via `lint: allow(TLxxx, ...)`.
     pub allows: Vec<String>,
-    /// Justification from a `lint: nondeterministic(reason)` directive.
-    /// Suppresses the determinism rules (TL007–TL009) at this site. An
-    /// empty reason is rejected at parse time — the directive must say *why*
-    /// the nondeterminism is acceptable — so `None` here means either no
-    /// directive or a reasonless one, and the rules fire either way.
-    pub nondet_reason: Option<String>,
-    /// Justification from a `lint: unsafe(reason)` directive. Waives TL010
-    /// at this site; the reason is the written safety argument, so an empty
-    /// one waives nothing.
-    pub unsafe_reason: Option<String>,
-    /// Justification from a `lint: concurrency(reason)` directive. Waives
-    /// the shared-state rules (TL011–TL013) at this site; the reason must
-    /// argue why the shared state cannot break worker-count invariance.
-    pub conc_reason: Option<String>,
-    /// Justification from a `lint: alloc(reason)` directive. Waives the
-    /// hot-path allocation rule (TL014) at this site; the reason must argue
-    /// why the allocation is acceptable on a latency-critical path (one-time
-    /// growth, amortised scratch, cold branch).
-    pub alloc_reason: Option<String>,
-    /// Justification from a `lint: panicfree(reason)` directive. Waives the
-    /// hot-path panic rule (TL016) at this site; the reason is the written
-    /// bounds/precondition argument for why the op cannot panic.
-    pub panicfree_reason: Option<String>,
+    /// `(directive, argument)` for every parenthesised directive of
+    /// [`DIRECTIVES`] on this line, in source order. For a reasoned waiver
+    /// the argument is the justification, and an empty one waives nothing:
+    /// the directive must say *why* the site is acceptable. For `root` it
+    /// names the analyses the function on this line starts.
+    pub directives: Vec<(&'static str, String)>,
 }
 
 impl SourceLine {
@@ -59,7 +42,29 @@ impl SourceLine {
     pub fn allows(&self, rule_code: &str) -> bool {
         self.allows.iter().any(|a| a == rule_code)
     }
+
+    /// The first non-empty argument `directive` carries on this line: a
+    /// waiver's reason, or the analyses a `root` marker names.
+    pub fn reason(&self, directive: &str) -> Option<&str> {
+        self.directives
+            .iter()
+            .find(|(d, arg)| *d == directive && !arg.is_empty())
+            .map(|(_, arg)| arg.as_str())
+    }
 }
+
+/// The parenthesised `lint:` directives besides `allow(...)`: the reasoned
+/// waivers (`nondeterministic` for TL007–TL009, `unsafe` for TL010,
+/// `concurrency` for TL011–TL013, `alloc` for TL014, `panicfree` for
+/// TL016) and the `root` marker that declares a reachability root.
+const DIRECTIVES: [&str; 6] = [
+    "nondeterministic",
+    "unsafe",
+    "concurrency",
+    "alloc",
+    "panicfree",
+    "root",
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -80,69 +85,25 @@ enum State {
 pub fn scan(source: &str) -> Vec<SourceLine> {
     let mut lines = clean(source);
     mark_test_regions(&mut lines);
-    propagate_standalone_allows(&mut lines);
+    propagate_standalone_directives(&mut lines);
     lines
 }
 
-/// Pass 3: a directive on a comment-only line also suppresses the next line
+/// Pass 3: a directive on a comment-only line also applies to the next line
 /// carrying code. Trailing same-line directives remain the primary form, but
 /// rustfmt wraps long statements, which would detach a trailing comment from
 /// the construct it suppresses; a standalone comment directly above survives
 /// reformatting.
-fn propagate_standalone_allows(lines: &mut [SourceLine]) {
-    let mut pending: Vec<String> = Vec::new();
-    let mut pending_nondet: Option<String> = None;
-    let mut pending_unsafe: Option<String> = None;
-    let mut pending_conc: Option<String> = None;
-    let mut pending_alloc: Option<String> = None;
-    let mut pending_panicfree: Option<String> = None;
+fn propagate_standalone_directives(lines: &mut [SourceLine]) {
+    let mut allows: Vec<String> = Vec::new();
+    let mut directives: Vec<(&'static str, String)> = Vec::new();
     for line in lines.iter_mut() {
         if line.code.trim().is_empty() {
-            pending.extend(line.allows.iter().cloned());
-            if line.nondet_reason.is_some() {
-                pending_nondet = line.nondet_reason.clone();
-            }
-            if line.unsafe_reason.is_some() {
-                pending_unsafe = line.unsafe_reason.clone();
-            }
-            if line.conc_reason.is_some() {
-                pending_conc = line.conc_reason.clone();
-            }
-            if line.alloc_reason.is_some() {
-                pending_alloc = line.alloc_reason.clone();
-            }
-            if line.panicfree_reason.is_some() {
-                pending_panicfree = line.panicfree_reason.clone();
-            }
+            allows.extend(line.allows.iter().cloned());
+            directives.extend(line.directives.iter().cloned());
         } else {
-            if !pending.is_empty() {
-                line.allows.append(&mut pending);
-            }
-            if let Some(reason) = pending_nondet.take() {
-                if line.nondet_reason.is_none() {
-                    line.nondet_reason = Some(reason);
-                }
-            }
-            if let Some(reason) = pending_unsafe.take() {
-                if line.unsafe_reason.is_none() {
-                    line.unsafe_reason = Some(reason);
-                }
-            }
-            if let Some(reason) = pending_conc.take() {
-                if line.conc_reason.is_none() {
-                    line.conc_reason = Some(reason);
-                }
-            }
-            if let Some(reason) = pending_alloc.take() {
-                if line.alloc_reason.is_none() {
-                    line.alloc_reason = Some(reason);
-                }
-            }
-            if let Some(reason) = pending_panicfree.take() {
-                if line.panicfree_reason.is_none() {
-                    line.panicfree_reason = Some(reason);
-                }
-            }
+            line.allows.append(&mut allows);
+            line.directives.append(&mut directives);
         }
     }
 }
@@ -284,19 +245,15 @@ fn clean(source: &str) -> Vec<SourceLine> {
         if state == State::Char {
             state = State::Code;
         }
-        let directives = parse_directives(&comment_text);
+        let (allows, directives) = parse_directives(&comment_text);
         out.push(SourceLine {
             number: idx + 1,
             raw: raw.to_string(),
             code,
             is_doc,
             in_test: false,
-            allows: directives.allows,
-            nondet_reason: directives.nondet,
-            unsafe_reason: directives.unsafe_reason,
-            conc_reason: directives.conc,
-            alloc_reason: directives.alloc,
-            panicfree_reason: directives.panicfree,
+            allows,
+            directives,
         });
     }
     out
@@ -341,111 +298,44 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// All directives parsed out of one line's `lint:` comments.
-#[derive(Debug, Default)]
-struct Directives {
-    allows: Vec<String>,
-    nondet: Option<String>,
-    unsafe_reason: Option<String>,
-    conc: Option<String>,
-    alloc: Option<String>,
-    panicfree: Option<String>,
-}
-
 /// Extracts directives from `lint:` comments: `allow(TL001, TL002)` rule
-/// suppressions plus the reasoned waivers — `nondeterministic(reason)`
-/// for the determinism rules, `unsafe(reason)` for TL010,
-/// `concurrency(reason)` for the shared-state rules, `alloc(reason)` for
-/// the hot-path allocation rule, and `panicfree(reason)` for the hot-path
-/// panic rule. Several may appear in one comment (`// lint: allow(TL003),
-/// nondeterministic(telemetry only)`). A reasoned waiver with an empty
-/// reason is ignored — the waiver must justify itself.
-fn parse_directives(comment: &str) -> Directives {
-    let mut out = Directives::default();
+/// suppressions, plus every [`DIRECTIVES`] entry with its argument. Several
+/// may appear in one comment (`// lint: allow(TL003),
+/// nondeterministic(telemetry only)`), and an argument may itself contain
+/// balanced parentheses.
+fn parse_directives(comment: &str) -> (Vec<String>, Vec<(&'static str, String)>) {
+    let mut allows = Vec::new();
+    let mut directives = Vec::new();
     let mut rest = comment;
     while let Some(pos) = rest.find("lint:") {
         rest = &rest[pos + 5..];
-        let mut directives = rest.trim_start();
+        let mut text = rest.trim_start();
         loop {
-            if let Some(args) = directives.strip_prefix("allow(") {
+            if let Some(args) = text.strip_prefix("allow(") {
                 let Some(end) = args.find(')') else { break };
                 for code in args[..end].split(',') {
                     let code = code.trim();
                     if !code.is_empty() {
-                        out.allows.push(code.to_string());
+                        allows.push(code.to_string());
                     }
                 }
-                directives = args[end + 1..].trim_start();
-            } else if let Some(args) = strip_reasoned(directives, "nondeterministic(") {
-                let Some((reason, after)) = take_reason(args) else {
+                text = args[end + 1..].trim_start();
+            } else if let Some((name, args)) = DIRECTIVES
+                .iter()
+                .find_map(|d| Some((*d, text.strip_prefix(d)?.strip_prefix('(')?)))
+            {
+                let Some(end) = matching_paren(args) else {
                     break;
                 };
-                if out.nondet.is_none() {
-                    out.nondet = reason;
-                }
-                directives = after;
-            } else if let Some(args) = strip_reasoned(directives, "unsafe(") {
-                let Some((reason, after)) = take_reason(args) else {
-                    break;
-                };
-                if out.unsafe_reason.is_none() {
-                    out.unsafe_reason = reason;
-                }
-                directives = after;
-            } else if let Some(args) = strip_reasoned(directives, "concurrency(") {
-                let Some((reason, after)) = take_reason(args) else {
-                    break;
-                };
-                if out.conc.is_none() {
-                    out.conc = reason;
-                }
-                directives = after;
-            } else if let Some(args) = strip_reasoned(directives, "alloc(") {
-                let Some((reason, after)) = take_reason(args) else {
-                    break;
-                };
-                if out.alloc.is_none() {
-                    out.alloc = reason;
-                }
-                directives = after;
-            } else if let Some(args) = strip_reasoned(directives, "panicfree(") {
-                let Some((reason, after)) = take_reason(args) else {
-                    break;
-                };
-                if out.panicfree.is_none() {
-                    out.panicfree = reason;
-                }
-                directives = after;
+                directives.push((name, args[..end].trim().to_string()));
+                text = args[end + 1..].trim_start();
             } else {
                 break;
             }
-            directives = directives
-                .strip_prefix(',')
-                .unwrap_or(directives)
-                .trim_start();
+            text = text.strip_prefix(',').unwrap_or(text).trim_start();
         }
     }
-    out
-}
-
-/// `strip_prefix`, named for what the reasoned-waiver branches share.
-fn strip_reasoned<'a>(directives: &'a str, head: &str) -> Option<&'a str> {
-    directives.strip_prefix(head)
-}
-
-/// Consumes a parenthesised reason (already past the `(`): returns the
-/// trimmed reason (`None` when empty — an empty reason waives nothing) and
-/// the remainder after the closing paren. The reason may itself contain
-/// balanced parentheses.
-fn take_reason(args: &str) -> Option<(Option<String>, &str)> {
-    let end = matching_paren(args)?;
-    let text = args[..end].trim();
-    let reason = if text.is_empty() {
-        None
-    } else {
-        Some(text.to_string())
-    };
-    Some((reason, args[end + 1..].trim_start()))
+    (allows, directives)
 }
 
 /// Byte index of the `)` closing an already-open paren, skipping balanced
@@ -616,14 +506,14 @@ mod tests {
             "a(); // lint: nondeterministic(wall-clock telemetry only)\nb(); // lint: nondeterministic()\nc();\n",
         );
         assert_eq!(
-            lines[0].nondet_reason.as_deref(),
+            lines[0].reason("nondeterministic"),
             Some("wall-clock telemetry only")
         );
         assert!(
-            lines[1].nondet_reason.is_none(),
+            lines[1].reason("nondeterministic").is_none(),
             "empty reason is no waiver"
         );
-        assert!(lines[2].nondet_reason.is_none());
+        assert!(lines[2].reason("nondeterministic").is_none());
     }
 
     #[test]
@@ -632,7 +522,7 @@ mod tests {
             scan("t(); // lint: allow(TL003), nondeterministic(timing (stage) telemetry)\n");
         assert!(lines[0].allows("TL003"));
         assert_eq!(
-            lines[0].nondet_reason.as_deref(),
+            lines[0].reason("nondeterministic"),
             Some("timing (stage) telemetry")
         );
     }
@@ -641,8 +531,8 @@ mod tests {
     fn standalone_nondeterministic_comment_covers_next_code_line() {
         let src = "// lint: nondeterministic(jitter is display-only)\nnow();\nlater();\n";
         let lines = scan(src);
-        assert!(lines[1].nondet_reason.is_some());
-        assert!(lines[2].nondet_reason.is_none());
+        assert!(lines[1].reason("nondeterministic").is_some());
+        assert!(lines[2].reason("nondeterministic").is_none());
     }
 
     #[test]
@@ -651,14 +541,14 @@ mod tests {
             "a(); // lint: unsafe(read within bounds checked above)\nb(); // lint: unsafe()\nc();\n",
         );
         assert_eq!(
-            lines[0].unsafe_reason.as_deref(),
+            lines[0].reason("unsafe"),
             Some("read within bounds checked above")
         );
         assert!(
-            lines[1].unsafe_reason.is_none(),
+            lines[1].reason("unsafe").is_none(),
             "empty reason is no waiver"
         );
-        assert!(lines[2].unsafe_reason.is_none());
+        assert!(lines[2].reason("unsafe").is_none());
     }
 
     #[test]
@@ -667,21 +557,24 @@ mod tests {
             "a(); // lint: concurrency(claim counter; order never reaches results)\nb(); // lint: concurrency()\n",
         );
         assert_eq!(
-            lines[0].conc_reason.as_deref(),
+            lines[0].reason("concurrency"),
             Some("claim counter; order never reaches results")
         );
-        assert!(lines[1].conc_reason.is_none(), "empty reason is no waiver");
+        assert!(
+            lines[1].reason("concurrency").is_none(),
+            "empty reason is no waiver"
+        );
     }
 
     #[test]
     fn standalone_unsafe_and_concurrency_comments_cover_next_code_line() {
         let src = "// lint: unsafe(audited)\nraw();\n// lint: concurrency(worker-local)\nshared();\nafter();\n";
         let lines = scan(src);
-        assert_eq!(lines[1].unsafe_reason.as_deref(), Some("audited"));
-        assert!(lines[1].conc_reason.is_none());
-        assert_eq!(lines[3].conc_reason.as_deref(), Some("worker-local"));
-        assert!(lines[4].unsafe_reason.is_none());
-        assert!(lines[4].conc_reason.is_none());
+        assert_eq!(lines[1].reason("unsafe"), Some("audited"));
+        assert!(lines[1].reason("concurrency").is_none());
+        assert_eq!(lines[3].reason("concurrency"), Some("worker-local"));
+        assert!(lines[4].reason("unsafe").is_none());
+        assert!(lines[4].reason("concurrency").is_none());
     }
 
     #[test]
@@ -690,7 +583,7 @@ mod tests {
             scan("t(); // lint: allow(TL012), concurrency(join supplies the (only) edge)\n");
         assert!(lines[0].allows("TL012"));
         assert_eq!(
-            lines[0].conc_reason.as_deref(),
+            lines[0].reason("concurrency"),
             Some("join supplies the (only) edge")
         );
     }
@@ -701,16 +594,19 @@ mod tests {
             "a(); // lint: alloc(one-time ring growth, amortised)\nb(); // lint: alloc()\nc(); // lint: panicfree(index < len checked by the assert above)\nd(); // lint: panicfree()\n",
         );
         assert_eq!(
-            lines[0].alloc_reason.as_deref(),
+            lines[0].reason("alloc"),
             Some("one-time ring growth, amortised")
         );
-        assert!(lines[1].alloc_reason.is_none(), "empty reason is no waiver");
+        assert!(
+            lines[1].reason("alloc").is_none(),
+            "empty reason is no waiver"
+        );
         assert_eq!(
-            lines[2].panicfree_reason.as_deref(),
+            lines[2].reason("panicfree"),
             Some("index < len checked by the assert above")
         );
         assert!(
-            lines[3].panicfree_reason.is_none(),
+            lines[3].reason("panicfree").is_none(),
             "empty reason is no waiver"
         );
     }
@@ -719,11 +615,11 @@ mod tests {
     fn standalone_alloc_and_panicfree_comments_cover_next_code_line() {
         let src = "// lint: alloc(cold branch)\ngrow();\n// lint: panicfree(bounds pinned)\nidx();\nafter();\n";
         let lines = scan(src);
-        assert_eq!(lines[1].alloc_reason.as_deref(), Some("cold branch"));
-        assert!(lines[1].panicfree_reason.is_none());
-        assert_eq!(lines[3].panicfree_reason.as_deref(), Some("bounds pinned"));
-        assert!(lines[4].alloc_reason.is_none());
-        assert!(lines[4].panicfree_reason.is_none());
+        assert_eq!(lines[1].reason("alloc"), Some("cold branch"));
+        assert!(lines[1].reason("panicfree").is_none());
+        assert_eq!(lines[3].reason("panicfree"), Some("bounds pinned"));
+        assert!(lines[4].reason("alloc").is_none());
+        assert!(lines[4].reason("panicfree").is_none());
     }
 
     #[test]

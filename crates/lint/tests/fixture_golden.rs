@@ -34,8 +34,8 @@ fn tests_dir() -> PathBuf {
 fn fixture_workspaces_match_their_golden_diagnostics() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for (ws, expected_count) in WORKSPACES {
-        let violations =
-            scan_workspace(&tests_dir().join("fixtures").join(ws)).expect("fixture workspace scans");
+        let violations = scan_workspace(&tests_dir().join("fixtures").join(ws))
+            .expect("fixture workspace scans");
         assert_eq!(
             violations.len(),
             expected_count,
@@ -57,7 +57,8 @@ fn fixture_workspaces_match_their_golden_diagnostics() {
             )
         });
         assert_eq!(
-            actual, expected,
+            actual,
+            expected,
             "{ws} diagnostics diverged from {}",
             golden_path.display()
         );

@@ -9,7 +9,7 @@ pub struct Executor;
 
 impl Executor {
     /// Claims jobs atomically; results are reassembled in index order.
-    pub fn map(&self, jobs: usize) -> usize {
+    pub fn map(&self, jobs: usize) -> usize { // lint: root(determinism)
         // lint: concurrency(claim counter only orders job claiming; results carry their index and are reassembled in order)
         let next = AtomicUsize::new(0);
         // lint: concurrency(atomic RMW yields unique indices; the scope join is the happens-before edge)

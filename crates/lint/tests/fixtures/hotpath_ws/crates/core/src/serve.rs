@@ -21,7 +21,7 @@ impl ServingEngine {
     }
 
     /// The latency-critical root: drains the queue and dispatches batches.
-    pub fn run(&mut self) {
+    pub fn run(&mut self) { // lint: root(determinism, hot)
         let req = self.queue.recv();
         let flat = build_input(&req);
         let first = flat[0]; // lint: panicfree(admission rejects empty inputs)

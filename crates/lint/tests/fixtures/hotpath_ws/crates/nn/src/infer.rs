@@ -8,7 +8,7 @@ pub fn pack_rows(rows: &[f32]) -> Vec<f32> {
 }
 
 /// A latency-critical root in its own right: fires TL016 directly.
-pub fn predict_proba_batched(probs: &[f32], idx: usize) -> f32 {
+pub fn predict_proba_batched(probs: &[f32], idx: usize) -> f32 { // lint: root(hot)
     probs[idx]
 }
 

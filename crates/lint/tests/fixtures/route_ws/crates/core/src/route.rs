@@ -20,7 +20,7 @@ impl Router {
     }
 
     /// The routing root: replays a request stream across the fleet.
-    pub fn run(&mut self, stream: &[Req]) {
+    pub fn run(&mut self, stream: &[Req]) { // lint: root(determinism, hot)
         for req in stream {
             dispatch(&mut self.engines, req);
         }

@@ -5,8 +5,8 @@
 pub struct ServingEngine<'a> {
     _model: &'a (),
 }
-
 impl<'a> ServingEngine<'a> {
+    // lint: root(determinism, hot)
     pub fn run() {
         flush_deadline();
     }

@@ -3,8 +3,8 @@
 //! taint pass must reconstruct.
 
 pub struct TagletsSystem;
-
 impl TagletsSystem {
+    // lint: root(determinism)
     pub fn run(&self) {
         self.train_modules();
     }

@@ -97,6 +97,7 @@ pub struct Executor {
 
 impl Default for Executor {
     /// A serial executor.
+    // lint: root(determinism)
     fn default() -> Self {
         Executor::serial()
     }
@@ -105,11 +106,13 @@ impl Default for Executor {
 impl Executor {
     /// An executor with the given concurrency knob (already env-resolved by
     /// the caller if desired).
+    // lint: root(determinism)
     pub fn new(concurrency: Concurrency) -> Self {
         Executor { concurrency }
     }
 
     /// An executor that runs every job on the calling thread.
+    // lint: root(determinism)
     pub const fn serial() -> Self {
         Executor {
             concurrency: Concurrency::Serial,
@@ -117,6 +120,7 @@ impl Executor {
     }
 
     /// The knob this executor runs with.
+    // lint: root(determinism)
     pub fn concurrency(&self) -> Concurrency {
         self.concurrency
     }
@@ -132,6 +136,7 @@ impl Executor {
     /// # Errors
     ///
     /// The first (by index) error any job returned.
+    // lint: root(determinism)
     pub fn run<T, E, F>(&self, jobs: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
@@ -184,6 +189,7 @@ impl Executor {
     }
 
     /// [`Executor::run`] for infallible jobs.
+    // lint: root(determinism)
     pub fn map<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -205,6 +211,7 @@ impl Executor {
     /// through its item, the bytes produced are independent of the worker
     /// count and of scheduling — the kernel-equivalence tests pin this at
     /// 1, 2 and 4 workers. A panicking item propagates to the caller.
+    // lint: root(determinism)
     pub fn for_each<I, F>(&self, items: Vec<I>, f: F)
     where
         I: Send,

@@ -207,6 +207,7 @@ impl Epilogue<'_> {
 ///
 /// Panics if any buffer length disagrees with `m`/`k`/`n` (including the
 /// epilogue bias, which must have length `n`).
+// lint: root(hot)
 pub fn gemm_into(
     kind: GemmKind,
     m: usize,
@@ -239,6 +240,7 @@ pub fn gemm_into(
 /// # Panics
 ///
 /// Panics if `a`, `panel` or `out` length disagrees with `m`/`k`/`n`.
+// lint: root(hot)
 pub fn gemm_packed_into(
     kind: GemmKind,
     m: usize,

@@ -494,6 +494,7 @@ impl Tensor {
     /// as needed. `out` may be dirty (any old shape or contents): every
     /// element is overwritten, and reuse is bitwise identical to a fresh
     /// allocation.
+    // lint: root(hot)
     pub fn matmul_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();
@@ -518,6 +519,7 @@ impl Tensor {
     }
 
     /// [`Tensor::matmul_nt`] into a caller-owned (possibly dirty) output.
+    // lint: root(hot)
     pub fn matmul_nt_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();
@@ -542,6 +544,7 @@ impl Tensor {
     }
 
     /// [`Tensor::matmul_tn`] into a caller-owned (possibly dirty) output.
+    // lint: root(hot)
     pub fn matmul_tn_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();

@@ -46,21 +46,24 @@ fi
 # stream being right.
 step "lexer" cargo test --offline --quiet -p taglets-lint --test lexer_golden
 
-# The lint's own test matrix (scanner, items, call-graph, taint,
-# concurrency, fixture workspaces, JSON contract) before the workspace
-# scan relies on it.
+# The lint's own test matrix (scanner, items, call-graph, reachability
+# engine, root markers, fixture-workspace goldens, JSON contract) before
+# the workspace scan relies on it.
 step "lint-fixtures" cargo test --offline --quiet -p taglets-lint
 
 step "lint" cargo run --offline --quiet -p taglets-lint -- --check --json
 
-# Lint trajectory: min-of-9 per-stage wall-times plus per-rule hit counts,
-# written to BENCH_lint.json so analyzer cost and violation counts are
-# diffable PR-over-PR.
-step "bench-lint" cargo run --offline --quiet -p taglets-lint -- --bench
+# Lint trajectory: min-of-9 per-stage wall-times plus per-rule hit counts.
+# Output is discarded so a gate run never overwrites the checked-in
+# BENCH_lint.json; refresh it with
+#   cargo run --offline --quiet -p taglets-lint -- --bench > BENCH_lint.json
+step "bench-lint" sh -c 'cargo run --offline --quiet -p taglets-lint -- --bench > /dev/null'
 
 step "build" cargo build --offline --release
 
-step "test" cargo test --offline --quiet
+# Every package's unit, integration and golden tests: the root `cargo test`
+# covers only the facade package.
+step "test" cargo test --offline --quiet --workspace
 
 # The execution engine's core guarantee, run explicitly so a filtered or
 # skipped test run can never mask a determinism regression.

@@ -294,10 +294,9 @@ fn fixed_stream_is_identical_across_workers_and_cache() {
     assert!(runs[4].telemetry.cache_hits > 0);
 }
 
-/// `load()` — the queue-depth signal the router's least-loaded policy
-/// balances on — tracks `pending_len` exactly: it rises one per admitted
-/// request, is untouched by shed submissions, and returns to zero once the
-/// engine drains.
+/// `pending_len()` — the queue-depth signal the router's least-loaded
+/// policy balances on — rises one per admitted request, is untouched by
+/// shed submissions, and returns to zero once the engine drains.
 #[test]
 fn load_tracks_queue_depth_through_submit_and_drain() {
     let m = model();
@@ -308,17 +307,24 @@ fn load_tracks_queue_depth_through_submit_and_drain() {
         &clock,
     )
     .unwrap();
-    assert_eq!(engine.load(), 0);
+    assert_eq!(engine.pending_len(), 0);
     let requests = stream(4, 77, 0);
     for (i, r) in requests.iter().take(3).enumerate() {
         engine.submit(r.input.clone()).unwrap();
-        assert_eq!(engine.load(), i + 1, "load rises one per admitted request");
-        assert_eq!(engine.load(), engine.pending_len());
+        assert_eq!(
+            engine.pending_len(),
+            i + 1,
+            "load rises one per admitted request"
+        );
     }
     // Queue full: the shed submission must not move the load signal.
     assert!(engine.submit(requests[3].input.clone()).is_err());
-    assert_eq!(engine.load(), 3, "a shed request never counts as load");
+    assert_eq!(
+        engine.pending_len(),
+        3,
+        "a shed request never counts as load"
+    );
     engine.drain();
-    assert_eq!(engine.load(), 0, "drain empties the queue");
+    assert_eq!(engine.pending_len(), 0, "drain empties the queue");
     assert_eq!(engine.take_responses().len(), 3);
 }
