@@ -297,7 +297,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                         trait_name,
                         file: file.to_string(),
                         line: tok.line,
-                        roots: root_kinds(lines.get(tok.line - 1)),
+                        roots: lines.get(tok.line - 1).map(root_kinds).unwrap_or_default(),
                         facts: Vec::new(),
                         dispatches: Vec::new(),
                         calls: Vec::new(),
@@ -423,18 +423,11 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
 
 /// The analyses the `root(...)` markers on a function's `fn` line name.
 /// Unknown names are skipped here and reported by [`check_root_markers`].
-fn root_kinds(line: Option<&SourceLine>) -> Vec<RootKind> {
-    let mut kinds = Vec::new();
-    for (directive, arg) in line.map(|l| l.directives.as_slice()).unwrap_or(&[]) {
-        if *directive == "root" {
-            for kind in arg.split(',').filter_map(|n| RootKind::from_name(n.trim())) {
-                if !kinds.contains(&kind) {
-                    kinds.push(kind);
-                }
-            }
-        }
-    }
-    kinds
+fn root_kinds(line: &SourceLine) -> Vec<RootKind> {
+    line.args("root")
+        .flat_map(|arg| arg.split(','))
+        .filter_map(|name| RootKind::from_name(name.trim()))
+        .collect()
 }
 
 /// Every `root(...)` marker must name only known analyses and land on a
@@ -452,10 +445,7 @@ fn check_root_markers(file: &str, lines: &[SourceLine], fn_lines: &BTreeSet<usiz
         if line.code.trim().is_empty() && last_code.is_some_and(|c| c > idx) {
             continue;
         }
-        for (directive, arg) in &line.directives {
-            if *directive != "root" {
-                continue;
-            }
+        for arg in line.args("root") {
             let at = format!("{file}:{}: `root({arg})`", line.number);
             if arg
                 .split(',')

@@ -105,7 +105,7 @@ const FILE_SCOPE_RULES: [(FactKind, Rule); 3] = [
 /// serving), and methods of the one-time scratch/packing builders
 /// (`*Scratch`, `Packed*`). Anything they miss fires at the steady-state
 /// call site instead.
-pub(crate) fn is_setup(f: &FnInfo) -> bool {
+fn is_setup(f: &FnInfo) -> bool {
     f.name == "new"
         || f.name == "default"
         || f.name.starts_with("with_")

@@ -43,13 +43,21 @@ impl SourceLine {
         self.allows.iter().any(|a| a == rule_code)
     }
 
-    /// The first non-empty argument `directive` carries on this line: a
-    /// waiver's reason, or the analyses a `root` marker names.
-    pub fn reason(&self, directive: &str) -> Option<&str> {
+    /// Every argument `directive` carries on this line, in source order.
+    pub fn args<'a, 'd>(
+        &'a self,
+        directive: &'d str,
+    ) -> impl Iterator<Item = &'a str> + use<'a, 'd> {
         self.directives
             .iter()
-            .find(|(d, arg)| *d == directive && !arg.is_empty())
+            .filter(move |(d, _)| *d == directive)
             .map(|(_, arg)| arg.as_str())
+    }
+
+    /// The first non-empty argument of `directive` on this line: the
+    /// reason a waiver needs to waive anything.
+    pub fn reason(&self, directive: &str) -> Option<&str> {
+        self.args(directive).find(|arg| !arg.is_empty())
     }
 }
 
