@@ -1,7 +1,8 @@
 //! GEMM kernel baseline: blocked kernels vs the seed's naive loops, per
 //! variant, shape, and worker count, plus the serving fast paths —
 //! prepacked weight panels and fused epilogues — against per-call packing
-//! and the unfused forward.
+//! and the unfused forward, and the ZSL-KG neighbour aggregation —
+//! sparse rows against the dense blocked GEMM on the same adjacency.
 //!
 //! Default mode prints a table and writes `results/kernels.txt`; with
 //! `--json` it additionally writes the machine-readable baseline
@@ -34,8 +35,11 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 use taglets_bench::write_results;
+use taglets_data::{standard_tasks, ConceptUniverse, UniverseConfig};
+use taglets_eval::ExperimentScale;
+use taglets_graph::{normalized_adjacency, SyntheticGraphConfig};
 use taglets_tensor::kernels::{self, Epilogue, GemmKind};
-use taglets_tensor::{Concurrency, Executor, Tensor};
+use taglets_tensor::{Concurrency, Executor, SparseMatrix, Tensor};
 
 /// One timed configuration. `epilogue` is `"none"` or `"bias_relu"`.
 struct Record {
@@ -195,6 +199,25 @@ fn time_set_gated(fns: &mut [&mut dyn FnMut()], base: usize, tol: f64) -> Vec<u1
         }
     }
     best
+}
+
+/// The row-normalised adjacency of the smoke-scale SCADS graph — the
+/// operand every ZSL-KG aggregation multiplies by (350 nodes, 2098 stored
+/// entries).
+fn smoke_scads_adjacency() -> SparseMatrix {
+    let scale = ExperimentScale::Smoke;
+    let mut universe = ConceptUniverse::new(UniverseConfig {
+        graph: SyntheticGraphConfig {
+            num_concepts: scale.num_concepts(),
+            ..SyntheticGraphConfig::default()
+        },
+        ..UniverseConfig::default()
+    })
+    .expect("smoke universe");
+    standard_tasks(&mut universe).expect("standard tasks");
+    let corpus = universe.build_corpus(scale.corpus_per_concept(), 0);
+    let scads = universe.build_scads(&corpus).expect("smoke SCADS");
+    normalized_adjacency(scads.graph())
 }
 
 fn gflops(m: usize, k: usize, n: usize, ns: u128) -> f64 {
@@ -552,15 +575,58 @@ fn main() {
          micro-batch shape, best measured {best_fused_ratio:.3}x"
     );
 
+    // ZSL-KG neighbour aggregation at the smoke SCADS shape: `Â·h` (the
+    // forward, `aggregate`) and `Âᵀ·g` (its backward, `aggregate_tn`) at
+    // the node-feature width 28 and the hidden width 128, sparse rows vs
+    // the dense blocked GEMM on `to_dense()`. Both allocate their output,
+    // as the tape does. Bitwise identity is asserted before timing;
+    // `gflops` is the dense-equivalent 2·m·k·n rate for both.
+    let adj = smoke_scads_adjacency();
+    let dense = adj.to_dense();
+    let nodes = adj.rows();
+    let mut aggregation_lines: Vec<String> = Vec::new();
+    for width in [28usize, 128] {
+        let h = Tensor::randn(&[nodes, width], 1.0, &mut rng);
+        type AggRun<'x> = &'x dyn Fn() -> Tensor;
+        let ops: [(&'static str, AggRun, AggRun); 2] = [
+            ("aggregate", &|| dense.matmul(&h), &|| adj.matmul(&h)),
+            ("aggregate_tn", &|| dense.matmul_tn(&h), &|| {
+                adj.matmul_tn(&h)
+            }),
+        ];
+        for (op, dense_run, sparse_run) in ops {
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(sparse_run()),
+                bits(dense_run()),
+                "sparse {op} must match the dense GEMM bitwise at width {width}"
+            );
+            let (dns, sns) = time_pair(
+                || {
+                    std::hint::black_box(dense_run());
+                },
+                || {
+                    std::hint::black_box(sparse_run());
+                },
+            );
+            aggregation_lines.push(format!(
+                "{op} width {width} {:.1}x",
+                dns as f64 / sns as f64
+            ));
+            records.push(rec(op, "dense", nodes, nodes, width, 1, dns));
+            records.push(rec(op, "sparse", nodes, nodes, width, 1, sns));
+        }
+    }
+
     let mut out =
         String::from("GEMM kernels — blocked vs seed-naive reference (bitwise identical)\n\n");
     out.push_str(&format!(
-        "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8}\n",
+        "{:<12} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8}\n",
         "op", "impl", "m", "k", "n", "workers", "epilogue", "ns/iter", "GFLOP/s"
     ));
     for r in &records {
         out.push_str(&format!(
-            "{:<10} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8.3}\n",
+            "{:<12} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8.3}\n",
             r.op, r.imp, r.m, r.k, r.n, r.workers, r.epilogue, r.ns_per_iter, r.gflops
         ));
     }
@@ -606,6 +672,11 @@ fn main() {
     ));
     out.push_str(&format!(
         "multi-worker at 128^3 dispatches serially (PAR_MIN_FLOPS gate): worst serial/worker ratio {worst_worker_ratio:.3}\n",
+    ));
+    out.push_str(&format!(
+        "sparse vs dense aggregation on the smoke SCADS adjacency ({nodes} nodes, {} stored entries): {}\n",
+        adj.nnz(),
+        aggregation_lines.join(", ")
     ));
     write_results("kernels", &out);
 

@@ -5,10 +5,11 @@
 //! bench refactor that drops a key or a row family fails this test, not
 //! whatever script consumes the file next. Every row carries `epilogue`
 //! ("none" / "bias_relu") and `dtype` (always "f32"). Beyond the
-//! blocked-vs-reference sweep, three row families are pinned: prepacked vs
+//! blocked-vs-reference sweep, four row families are pinned: prepacked vs
 //! per-call-packed weight panels, fused-vs-unfused linear forwards at
-//! serving micro-batch shapes, and the multi-worker rows whose 128³
-//! entries the bench gates against their 1-worker counterpart.
+//! serving micro-batch shapes, the multi-worker rows whose 128³ entries
+//! the bench gates against their 1-worker counterpart, and sparse-vs-dense
+//! neighbour aggregation at the smoke SCADS adjacency.
 //!
 //! The perf *ratios* themselves are asserted inside the bench binary
 //! (`scripts/check.sh bench-kernels`), which also re-verifies bitwise
@@ -123,5 +124,24 @@ fn worker_sweep_rows_survive_at_the_gated_shape() {
             "BENCH_kernels.json missing the {workers}-worker 128^3 row the serial-dispatch \
              gate compares"
         );
+    }
+}
+
+#[test]
+fn aggregation_rows_cover_the_smoke_scads_shape() {
+    let json = baseline();
+    for op in ["aggregate", "aggregate_tn"] {
+        for width in [28usize, 128] {
+            for imp in ["dense", "sparse"] {
+                let row = format!(
+                    "\"op\": \"{op}\", \"impl\": \"{imp}\", \"m\": 350, \"k\": 350, \
+                     \"n\": {width}, \"workers\": 1, \"epilogue\": \"none\", \"dtype\": \"f32\""
+                );
+                assert!(
+                    json.contains(&row),
+                    "BENCH_kernels.json missing the {imp} {op} row at width {width}"
+                );
+            }
+        }
     }
 }

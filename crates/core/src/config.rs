@@ -124,8 +124,9 @@ pub struct ZslKgConfig {
     /// Neighbourhood aggregation: uniform mean (fast default) or the
     /// original ZSL-KG's transformer-style attention (TrGCN).
     pub aggregation: taglets_graph::Aggregation,
-    /// GNN pretraining epochs (paper: 1000; the graph here is ~600 nodes,
-    /// so full-batch epochs are cheap).
+    /// GNN pretraining epochs (paper: 1000). Each epoch is one full-graph
+    /// forward plus one backward; the SCADS graph has 350 nodes at smoke
+    /// scale and 600 at paper scale, so full-batch epochs are cheap.
     pub pretrain_epochs: usize,
     /// Adam learning rate for pretraining (paper: 1e-3; raised ×3 — the
     /// regression targets are small-magnitude head columns and the paper's

@@ -54,7 +54,7 @@ impl ZslKgModule {
             cfg.aggregation,
             &mut rng,
         );
-        let a_norm = normalized_adjacency(scads.graph());
+        let adj = normalized_adjacency(scads.graph());
         let targets = source.zslkg_targets();
         let pre_cfg = GnnPretrainConfig {
             epochs: cfg.pretrain_epochs,
@@ -66,7 +66,7 @@ impl ZslKgModule {
         pretrain_encoder(
             &mut encoder,
             scads.embeddings().matrix(),
-            &a_norm,
+            &adj,
             &targets,
             &pre_cfg,
         );
@@ -93,8 +93,8 @@ impl ZslKgModule {
         target_concepts: &[taglets_graph::ConceptId],
     ) -> Classifier {
         let source = zoo.get(BackboneKind::BitImageNet21k);
-        let a_norm = normalized_adjacency(scads.graph());
-        let z = self.encoder.encode(scads.embeddings().matrix(), &a_norm);
+        let adj = normalized_adjacency(scads.graph());
+        let z = self.encoder.encode(scads.embeddings().matrix(), &adj);
         let feat = source.feature_dim();
         // Head weight column c = class representation of target concept c.
         let mut w = Tensor::zeros(&[feat, target_concepts.len()]);

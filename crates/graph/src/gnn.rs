@@ -10,12 +10,17 @@
 //! ```text
 //! L_Z = (1/n) Σ_i (w_i − z_i)²
 //! ```
+//!
+//! Neighbour aggregation multiplies by the row-normalised adjacency
+//! [`normalized_adjacency`], held as a [`SparseMatrix`]: each layer pays
+//! for the graph's stored entries, not for all `n²` node pairs, and the
+//! result is bitwise equal to the dense product.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use taglets_nn::{Linear, Module};
-use taglets_tensor::{Adam, AdamConfig, Optimizer, Tape, Tensor, Var};
+use taglets_tensor::{Adam, AdamConfig, Optimizer, SparseMatrix, Tape, Tensor, Var};
 
 use crate::{ConceptGraph, ConceptId};
 
@@ -104,11 +109,11 @@ impl GraphEncoder {
 
     /// Forward pass over the whole graph.
     ///
-    /// `x` is the `[n, in_dim]` node-feature matrix and `a_norm` the
-    /// `[n, n]` row-normalised adjacency (under attention it is only used
-    /// as the neighbourhood mask: entries `> 0` mark edges); returns
-    /// `[n, out_dim]`.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, a_norm: Var) -> Var {
+    /// `x` is the `[n, in_dim]` node-feature matrix and `adj` the `n × n`
+    /// row-normalised adjacency from [`normalized_adjacency`] (under
+    /// attention it is only the neighbourhood mask: stored entries mark
+    /// edges); returns `[n, out_dim]`.
+    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, adj: &SparseMatrix) -> Var {
         debug_assert_eq!(
             vars.len(),
             self.parameters().len(),
@@ -121,7 +126,7 @@ impl GraphEncoder {
             None => {
                 let layer =
                     |tape: &mut Tape, s: &Linear, n: &Linear, sv: &[Var], nv: &[Var], h: Var| {
-                        let agg = tape.matmul(a_norm, h);
+                        let agg = tape.sparse_matmul(adj, h);
                         let hs = s.forward(tape, sv, h);
                         let hn = n.forward(tape, nv, agg);
                         let sum = tape.add(hs, hn);
@@ -140,17 +145,13 @@ impl GraphEncoder {
             }
             Some([q1, k1, q2, k2]) => {
                 // A constant mask with 0 on edges/diagonal and a large
-                // negative value elsewhere, built first so the tape's op
-                // order matches the pre-refactor layout exactly.
-                let a = tape.value(a_norm).clone();
-                let n = a.rows();
+                // negative value elsewhere.
+                let n = adj.rows();
                 let mut m = Tensor::full(&[n, n], -1e4);
                 for i in 0..n {
                     m.set(i, i, 0.0);
-                    for j in 0..n {
-                        if a.at(i, j) > 0.0 {
-                            m.set(i, j, 0.0);
-                        }
+                    for (j, _) in adj.row(i) {
+                        m.set(i, j, 0.0);
                     }
                 }
                 let mask = tape.constant(m);
@@ -185,12 +186,11 @@ impl GraphEncoder {
     }
 
     /// Inference: class representations for every node.
-    pub fn encode(&self, features: &Tensor, a_norm: &Tensor) -> Tensor {
+    pub fn encode(&self, features: &Tensor, adj: &SparseMatrix) -> Tensor {
         let mut tape = Tape::new();
         let vars = self.bind_frozen(&mut tape);
         let xv = tape.constant(features.clone());
-        let av = tape.constant(a_norm.clone());
-        let out = self.forward(&mut tape, &vars, xv, av);
+        let out = self.forward(&mut tape, &vars, xv, adj);
         tape.value(out).clone()
     }
 }
@@ -239,37 +239,37 @@ impl Module for GraphEncoder {
     }
 }
 
-/// Row-normalised dense adjacency matrix of a graph (`Â_ij = 1/deg(i)` for
-/// each neighbour `j`; isolated nodes get a self-loop so aggregation is
-/// well-defined).
-pub fn normalized_adjacency(graph: &ConceptGraph) -> Tensor {
-    let n = graph.len();
-    let mut a = Tensor::zeros(&[n, n]);
-    for id in graph.concepts() {
-        let edges = graph.neighbors(id);
-        if edges.is_empty() {
-            a.set(id.0, id.0, 1.0);
-            continue;
-        }
-        let w = 1.0 / edges.len() as f32;
-        for e in edges {
-            a.set(id.0, e.to.0, w);
-        }
-    }
-    a
+/// Row-normalised sparse adjacency of a graph: `Â_ij = 1/deg(i)` for each
+/// neighbour `j`, and a self-loop of `1.0` on isolated nodes so aggregation
+/// is well-defined. Neighbour lists are in edge-insertion order;
+/// [`SparseMatrix::from_rows`] sorts each row by column.
+pub fn normalized_adjacency(graph: &ConceptGraph) -> SparseMatrix {
+    let rows = graph
+        .concepts()
+        .map(|id| {
+            let edges = graph.neighbors(id);
+            if edges.is_empty() {
+                return vec![(id.0, 1.0)];
+            }
+            let w = 1.0 / edges.len() as f32;
+            edges.iter().map(|e| (e.to.0, w)).collect()
+        })
+        .collect();
+    SparseMatrix::from_rows(graph.len(), rows)
 }
 
 /// Configuration for [`pretrain_encoder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GnnPretrainConfig {
-    /// Training epochs (full-batch).
+    /// Training epochs; each is one full-graph forward and one backward.
     pub epochs: usize,
     /// Adam learning rate (paper: 1e-3).
     pub lr: f32,
     /// Adam weight decay (paper: 5e-4).
     pub weight_decay: f32,
     /// Fraction of training classes held out for checkpoint selection
-    /// (paper: 50 of 1000).
+    /// (paper: 50 of 1000); at least one class is held out whenever there
+    /// are two or more.
     pub validation_fraction: f32,
     /// Seed for the train/validation split.
     pub seed: u64,
@@ -290,9 +290,11 @@ impl Default for GnnPretrainConfig {
 /// Telemetry from [`pretrain_encoder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GnnPretrainReport {
-    /// Validation loss of the selected checkpoint.
+    /// Validation loss of the selected checkpoint (`f32::INFINITY` when
+    /// nothing was held out or no epoch ran).
     pub best_validation_loss: f32,
-    /// Epoch (1-based) at which the best checkpoint was observed.
+    /// Epoch (1-based) at which the best checkpoint was observed (the
+    /// final epoch when nothing was held out; `0` when no epoch ran).
     pub best_epoch: usize,
     /// Training loss per epoch.
     pub train_losses: Vec<f32>,
@@ -303,7 +305,18 @@ pub struct GnnPretrainReport {
 /// loss on a held-out class split.
 ///
 /// `targets` pairs concept ids with their target weight vectors (rows of a
-/// pretrained classifier head, one per training class).
+/// pretrained classifier head, one per training class); `adj` is the
+/// graph's [`normalized_adjacency`].
+///
+/// Each epoch runs one tape forward over the whole graph, then one backward
+/// and one Adam step. That forward computes the representations of the
+/// parameters the previous step produced, so it also scores the previous
+/// epoch's checkpoint on the held-out classes; one frozen forward after the
+/// loop scores the final epoch.
+///
+/// With fewer than two targets nothing can be held out: every target
+/// trains, the final epoch is kept, and the report carries
+/// `best_validation_loss = f32::INFINITY` with `best_epoch = cfg.epochs`.
 ///
 /// # Panics
 ///
@@ -312,7 +325,7 @@ pub struct GnnPretrainReport {
 pub fn pretrain_encoder(
     encoder: &mut GraphEncoder,
     features: &Tensor,
-    a_norm: &Tensor,
+    adj: &SparseMatrix,
     targets: &[(ConceptId, Vec<f32>)],
     cfg: &GnnPretrainConfig,
 ) -> GnnPretrainReport {
@@ -326,13 +339,17 @@ pub fn pretrain_encoder(
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    // Split classes into train/validation.
+    // Split classes into train/validation; a single class cannot be split.
     let mut order: Vec<usize> = (0..targets.len()).collect();
     use rand::seq::SliceRandom;
     order.shuffle(&mut rng);
-    let n_val = ((targets.len() as f32 * cfg.validation_fraction).round() as usize)
-        .clamp(1, targets.len().saturating_sub(1).max(1));
-    let (val_idx, train_idx) = order.split_at(n_val.min(targets.len() - 1));
+    let n_val = if targets.len() < 2 {
+        0
+    } else {
+        ((targets.len() as f32 * cfg.validation_fraction).round() as usize)
+            .clamp(1, targets.len() - 1)
+    };
+    let (val_idx, train_idx) = order.split_at(n_val);
 
     let collect = |idx: &[usize]| -> (Vec<usize>, Tensor) {
         let ids: Vec<usize> = idx.iter().map(|&i| targets[i].0 .0).collect();
@@ -340,7 +357,7 @@ pub fn pretrain_encoder(
         (ids, Tensor::stack_rows(&rows))
     };
     let (train_ids, train_targets) = collect(train_idx);
-    let (val_ids, val_targets) = collect(val_idx);
+    let validation = (!val_idx.is_empty()).then(|| collect(val_idx));
 
     let mut opt = Adam::new(AdamConfig {
         lr: cfg.lr,
@@ -348,37 +365,48 @@ pub fn pretrain_encoder(
         ..AdamConfig::default()
     });
 
+    // Scores the encoder's current parameters — those `epoch` produced —
+    // from their full-graph output `z`, snapshotting them if they beat
+    // every earlier epoch on the held-out classes.
     let mut best: Option<(f32, usize, Vec<Tensor>)> = None;
+    let mut score = |z: &Tensor, epoch: usize, encoder: &GraphEncoder| {
+        let Some((val_ids, val_targets)) = &validation else {
+            return;
+        };
+        let z_val = z.gather_rows(val_ids);
+        let val_loss = z_val.sub(val_targets).map(|v| v * v).mean();
+        if best.as_ref().is_none_or(|(b, _, _)| val_loss < *b) {
+            let snapshot = encoder.parameters().into_iter().cloned().collect();
+            best = Some((val_loss, epoch, snapshot));
+        }
+    };
+
     let mut train_losses = Vec::with_capacity(cfg.epochs);
     for epoch in 1..=cfg.epochs {
         let mut tape = Tape::new();
         let vars = encoder.bind(&mut tape);
         let xv = tape.constant(features.clone());
-        let av = tape.constant(a_norm.clone());
-        let z = encoder.forward(&mut tape, &vars, xv, av);
+        let z = encoder.forward(&mut tape, &vars, xv, adj);
+        if epoch > 1 {
+            score(tape.value(z), epoch - 1, encoder);
+        }
         let z_train = tape.gather_rows(z, &train_ids);
         let loss = tape.mse(z_train, &train_targets);
         train_losses.push(tape.value(loss).item());
         let mut grads = tape.backward(loss);
         let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
         opt.step(&mut encoder.parameters_mut(), &grad_vec);
-
-        // Validation on held-out classes.
-        let z_all = encoder.encode(features, a_norm);
-        let z_val = z_all.gather_rows(&val_ids);
-        let val_loss = z_val.sub(&val_targets).map(|v| v * v).mean();
-        if best.as_ref().is_none_or(|(b, _, _)| val_loss < *b) {
-            let snapshot = encoder.parameters().into_iter().cloned().collect();
-            best = Some((val_loss, epoch, snapshot));
-        }
+    }
+    if cfg.epochs > 0 && validation.is_some() {
+        score(&encoder.encode(features, adj), cfg.epochs, encoder);
     }
 
-    // Zero configured epochs runs no training at all: report a degenerate
-    // result instead of asserting that the loop body executed.
+    // No held-out classes, or zero configured epochs: keep the parameters
+    // as they are and report a degenerate selection.
     let Some((best_validation_loss, best_epoch, snapshot)) = best else {
         return GnnPretrainReport {
             best_validation_loss: f32::INFINITY,
-            best_epoch: 0,
+            best_epoch: cfg.epochs,
             train_losses,
         };
     };
@@ -409,10 +437,42 @@ mod tests {
     fn normalized_adjacency_rows_sum_to_one() {
         let s = tiny_graph();
         let a = normalized_adjacency(&s.graph);
-        for row in a.rows_iter() {
-            let sum: f32 = row.iter().sum();
+        for i in 0..a.rows() {
+            let sum: f32 = a.row(i).map(|(_, v)| v).sum();
             assert!((sum - 1.0).abs() < 1e-5, "row sum {sum}");
         }
+    }
+
+    #[test]
+    fn isolated_nodes_keep_a_self_loop() {
+        let mut g = ConceptGraph::new();
+        for name in ["a", "b", "c"] {
+            g.add_concept(name);
+        }
+        g.add_edge(ConceptId(2), ConceptId(0), crate::Relation::RelatedTo);
+        let a = normalized_adjacency(&g);
+        assert_eq!(a.row(0).collect::<Vec<_>>(), vec![(2, 1.0)]);
+        assert_eq!(a.row(1).collect::<Vec<_>>(), vec![(1, 1.0)]);
+        assert_eq!(a.row(2).collect::<Vec<_>>(), vec![(0, 1.0)]);
+    }
+
+    #[test]
+    fn a_single_target_class_trains_without_a_validation_split() {
+        let s = tiny_graph();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut enc = GraphEncoder::new(8, 16, 4, &mut rng);
+        let a = normalized_adjacency(&s.graph);
+        let targets = vec![(ConceptId(3), vec![0.5, -0.25, 0.125, 1.0])];
+        let cfg = GnnPretrainConfig {
+            epochs: 5,
+            ..GnnPretrainConfig::default()
+        };
+        let before = enc.clone();
+        let report = pretrain_encoder(&mut enc, s.word_vectors.matrix(), &a, &targets, &cfg);
+        assert_eq!(report.train_losses.len(), 5);
+        assert_eq!(report.best_epoch, 5);
+        assert_eq!(report.best_validation_loss, f32::INFINITY);
+        assert_ne!(enc, before, "the final epoch's parameters are kept");
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use taglets_graph::{
     generate, normalized_adjacency, retrofit, ConceptGraph, ConceptId, Relation, RetrofitConfig,
     SyntheticGraphConfig, Taxonomy,
 };
+use taglets_tensor::Tensor;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -56,11 +59,40 @@ proptest! {
             g.add_edge(ConceptId(a % n), ConceptId(b % n), Relation::RelatedTo);
         }
         let adj = normalized_adjacency(&g);
-        for row in adj.rows_iter() {
-            let sum: f32 = row.iter().sum();
+        prop_assert_eq!(adj.rows(), n);
+        for i in 0..n {
+            let sum: f32 = adj.row(i).map(|(_, v)| v).sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "row sum {sum}");
-            prop_assert!(row.iter().all(|&v| v >= 0.0));
+            prop_assert!(adj.row(i).all(|(_, v)| v > 0.0));
+            let cols: Vec<usize> = adj.row(i).map(|(j, _)| j).collect();
+            prop_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i} unsorted: {cols:?}");
         }
+    }
+
+    #[test]
+    fn sparse_aggregation_matches_the_dense_kernels_bitwise(
+        n in 1usize..40,
+        edges in prop::collection::vec((0usize..40, 0usize..40), 0..80),
+        width in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // Edges arrive in arbitrary order and may leave nodes isolated;
+        // both products must equal the dense GEMM on `to_dense()` bit for
+        // bit.
+        let mut g = ConceptGraph::new();
+        for i in 0..n {
+            g.add_concept(&format!("c{i}"));
+        }
+        for &(a, b) in &edges {
+            g.add_edge(ConceptId(a % n), ConceptId(b % n), Relation::RelatedTo);
+        }
+        let adj = normalized_adjacency(&g);
+        let dense = adj.to_dense();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = Tensor::randn(&[n, width], 1.0, &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&adj.matmul(&h)), bits(&dense.matmul(&h)));
+        prop_assert_eq!(bits(&adj.matmul_tn(&h)), bits(&dense.matmul_tn(&h)));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::exec::Executor;
 use crate::kernels::{self, GemmKind};
 use crate::tensor::gemm_tensors;
-use crate::{argmax_slice, Tensor};
+use crate::{argmax_slice, SparseMatrix, Tensor};
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -70,6 +70,9 @@ declare_ops! {
     MatMul(Var, Var),
     /// `a × bᵀ` where `b` is stored untransposed.
     MatMulNt(Var, Var),
+    /// Constant sparse matrix times a dense node; the matrix's entry
+    /// arrays are shared with the caller, not copied.
+    SparseMatMul(SparseMatrix, Var),
     Add(Var, Var),
     /// Broadcasting add of a rank-1 bias to every row of a rank-2 input.
     AddRow(Var, Var),
@@ -378,6 +381,21 @@ impl Tape {
         let value = self.forward_gemm(GemmKind::Nt, a, b);
         let rg = self.needs(a) || self.needs(b);
         self.push(value, Op::MatMulNt(a, b), rg)
+    }
+
+    /// Product `a × b` of a constant sparse matrix and a dense node — the
+    /// neighbour aggregation of a graph layer. Bitwise equal to
+    /// [`Tape::matmul`] with `a.to_dense()` as a constant, forward and
+    /// backward, while touching only the stored entries; recording it
+    /// shares `a`'s entries instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not rank 2 with `a.cols()` rows.
+    pub fn sparse_matmul(&mut self, a: &SparseMatrix, b: Var) -> Var {
+        let value = a.matmul(self.value(b));
+        let rg = self.needs(b);
+        self.push(value, Op::SparseMatMul(a.clone(), b), rg)
     }
 
     /// Elementwise sum of same-shaped tensors.
@@ -763,6 +781,12 @@ impl Tape {
                         let db = self.grad_gemm(GemmKind::Tn, &g, self.value(*a), scratch);
                         accumulate(&mut grads, b.0, db, scratch);
                     }
+                    scratch.recycle_tensor(g);
+                }
+                Op::SparseMatMul(a, b) => {
+                    // y = A b ⇒ db = Aᵀ g (A is constant).
+                    let db = a.multiply(true, &g, scratch.buf());
+                    accumulate(&mut grads, b.0, db, scratch);
                     scratch.recycle_tensor(g);
                 }
                 Op::Add(a, b) => {

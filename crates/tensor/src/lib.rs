@@ -7,6 +7,8 @@
 //! The original system runs on PyTorch; this crate replaces it with a small,
 //! fully-tested engine sufficient for every model in the pipeline (MLP
 //! backbones, classifier heads, graph neural networks, contrastive encoders).
+//! Graph aggregation multiplies by a [`SparseMatrix`], bitwise equal to the
+//! dense product but paying only for stored entries.
 //! Gradients of every op are validated against finite differences (see
 //! [`check_gradients`]), and the optional `strict-numerics` cargo feature
 //! adds runtime guards that validate gradient shape and finiteness on every
@@ -52,6 +54,7 @@ mod init;
 pub mod kernels;
 mod optim;
 mod schedule;
+mod sparse;
 mod tensor;
 
 #[cfg(feature = "strict-numerics")]
@@ -63,6 +66,7 @@ pub use gradcheck::{check_gradients, GradCheckReport};
 pub use init::Init;
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd, SgdConfig};
 pub use schedule::LrSchedule;
+pub use sparse::SparseMatrix;
 pub use tensor::{argmax_slice, cosine_similarity, Tensor};
 
 use std::error::Error;
@@ -113,5 +117,6 @@ mod tests {
         assert_ss::<LrSchedule>();
         assert_ss::<Sgd>();
         assert_ss::<Adam>();
+        assert_ss::<SparseMatrix>();
     }
 }

@@ -6,7 +6,7 @@
 //! entry here fails this test rather than shipping unchecked.
 
 use rand::{rngs::StdRng, SeedableRng};
-use taglets_tensor::{check_gradients, softmax_rows, GradCheckReport, Tape, Tensor};
+use taglets_tensor::{check_gradients, softmax_rows, GradCheckReport, SparseMatrix, Tape, Tensor};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -51,6 +51,30 @@ fn audit_table() -> Vec<AuditEntry> {
                     let y = tape.matmul_nt(av, bv);
                     let loss = tape.mean(y);
                     (tape, av, loss)
+                })
+            },
+        },
+        AuditEntry {
+            op: "SparseMatMul",
+            run: || {
+                // A row-normalised adjacency with an isolated node's
+                // self-loop, the shape of a graph layer's aggregation.
+                let a = SparseMatrix::from_rows(
+                    4,
+                    vec![
+                        vec![(2, 0.5), (1, 0.5)],
+                        vec![(0, 1.0)],
+                        vec![(3, 1.0 / 3.0), (0, 1.0 / 3.0), (1, 1.0 / 3.0)],
+                        vec![(3, 1.0)],
+                    ],
+                );
+                check_gradients(&randn(&[4, 3], 29), EPS, move |value| {
+                    let mut tape = Tape::new();
+                    let hv = tape.leaf(value.clone());
+                    let y = tape.sparse_matmul(&a, hv);
+                    let y = tape.tanh(y);
+                    let loss = tape.mean(y);
+                    (tape, hv, loss)
                 })
             },
         },

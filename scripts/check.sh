@@ -65,6 +65,10 @@ step "build" cargo build --offline --release
 # covers only the facade package.
 step "test" cargo test --offline --quiet --workspace
 
+# The repository benchmark is a workspace of its own, so `--workspace`
+# above does not reach its tests (input generators, statistics).
+step "bench-crate" cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # The execution engine's core guarantee, run explicitly so a filtered or
 # skipped test run can never mask a determinism regression.
 step "determinism" cargo test --offline --quiet --test exec_determinism
