@@ -10,7 +10,5 @@
 #![warn(missing_docs)]
 
 mod support;
-mod traffic;
 
 pub use support::{method_table, shot_grid, table_cell, write_results, TableCell};
-pub use traffic::{generate_traffic, tape_span_nanos, TrafficConfig, TrafficShape};

@@ -40,7 +40,6 @@ pub mod distillation;
 mod ensemble;
 pub mod exec;
 mod modules;
-pub mod route;
 mod servable;
 pub mod serve;
 mod system;
@@ -54,10 +53,6 @@ pub use config::{
 pub use ensemble::Ensemble;
 pub use exec::{Concurrency, Executor};
 pub use modules::{fixmatch_train, FixMatchModule, MultiTaskModule, TransferModule, ZslKgModule};
-pub use route::{
-    DispatchPolicy, RouteConfig, RouteError, RouteResponse, RouteRun, RouteTelemetry,
-    RoutedRequest, Router, TenantId, TenantTelemetry,
-};
 pub use servable::ServableModel;
 pub use serve::{
     Clock, ServeConfig, ServeError, ServeResponse, ServeRun, ServeTelemetry, ServingEngine,
@@ -91,6 +86,16 @@ pub enum CoreError {
     /// A SCADS operation failed (e.g. extending the graph for an
     /// out-of-vocabulary class).
     Scads(ScadsError),
+    /// The [`taglets_data::TaskSplit`] handed to a run is malformed.
+    InvalidSplit {
+        /// The offending split field (`labeled_x`, `labeled_y` or
+        /// `unlabeled_x`).
+        field: &'static str,
+        /// The first offending row of that field.
+        row: usize,
+        /// What is wrong with the row.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -104,6 +109,9 @@ impl fmt::Display for CoreError {
                 write!(f, "active module `{name}` is not registered")
             }
             CoreError::Scads(e) => write!(f, "scads error: {e}"),
+            CoreError::InvalidSplit { field, row, reason } => {
+                write!(f, "invalid split: `{field}` row {row}: {reason}")
+            }
         }
     }
 }

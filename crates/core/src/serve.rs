@@ -250,16 +250,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Adds every observation of `other` into `self` — the router's
-    /// cross-replica latency merge. Buckets are fixed-edge, so merging is
-    /// exact: the result is the histogram of the union of observations.
-    pub fn absorb(&mut self, other: &LatencyHistogram) {
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += *src;
-        }
-        self.total += other.total;
-    }
-
     /// Count in bucket `i`; out-of-range buckets read as empty.
     pub fn count(&self, i: usize) -> u64 {
         self.counts.get(i).copied().unwrap_or(0)
@@ -300,9 +290,9 @@ pub enum FlushCause {
 }
 
 /// Everything the serving engine records about *how* it served — counters,
-/// the latency histogram, and the batch-size distribution. Attached to
-/// [`crate::RunTelemetry::serve`] when a run's end model is exercised
-/// through the engine.
+/// the latency histogram, and the batch-size distribution. A replay
+/// returns it in [`ServeRun::telemetry`]; a driven engine hands it over
+/// through [`ServingEngine::into_telemetry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeTelemetry {
     /// Submit calls, including shed and malformed ones.
@@ -641,9 +631,8 @@ impl<'a> ServingEngine<'a> {
         &self.telemetry
     }
 
-    /// Requests admitted but not yet executed: the admission-queue depth a
-    /// [`crate::route::Router`] balances on for least-loaded dispatch, so
-    /// it stays a cheap length read that never consults the clock.
+    /// Requests admitted but not yet executed: the admission-queue depth,
+    /// a cheap length read that never consults the clock.
     // lint: root(hot)
     pub fn pending_len(&self) -> usize {
         self.pending.len()

@@ -183,6 +183,10 @@ impl<'a> TagletsSystem<'a> {
     ///
     /// # Errors
     ///
+    /// * [`CoreError::InvalidSplit`] if `split` is malformed: a label
+    ///   count that differs from the `labeled_x` row count, a label not
+    ///   below the class count, a feature row whose width differs from the
+    ///   backbone input, or a NaN/±Inf feature.
     /// * [`CoreError::NoModules`] if every module was disabled.
     /// * [`CoreError::Scads`] if extending SCADS for an out-of-vocabulary
     ///   class fails.
@@ -195,6 +199,8 @@ impl<'a> TagletsSystem<'a> {
         prune: PruneLevel,
         seed: u64,
     ) -> Result<TagletsRun, CoreError> {
+        let input_dim = self.zoo.get(self.config.backbone).input_dim();
+        validate_split(split, task.num_classes(), input_dim)?;
         let module_names = self.active_module_names();
         if module_names.is_empty() {
             return Err(CoreError::NoModules);
@@ -271,8 +277,6 @@ impl<'a> TagletsSystem<'a> {
                 stages,
                 modules: module_telemetry,
                 end_model: end_telemetry,
-                serve: None,
-                route: None,
             },
         })
     }
@@ -467,4 +471,40 @@ fn name_hash(s: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// Checks `split` before any stage consumes it: one label per labeled row,
+/// every label below `num_classes`, every feature row `input_dim` wide,
+/// and every feature finite (the rule serving applies as
+/// [`crate::ServeError::NonFinite`]).
+fn validate_split(
+    split: &TaskSplit,
+    num_classes: usize,
+    input_dim: usize,
+) -> Result<(), CoreError> {
+    let invalid = |field, row, reason| Err(CoreError::InvalidSplit { field, row, reason });
+    for (field, x) in [
+        ("labeled_x", &split.labeled_x),
+        ("unlabeled_x", &split.unlabeled_x),
+    ] {
+        if x.shape().len() != 2 || x.shape()[1] != input_dim {
+            return invalid(field, 0, "row width differs from the backbone input width");
+        }
+        if let Some(row) = x.rows_iter().position(|r| r.iter().any(|v| !v.is_finite())) {
+            return invalid(field, row, "non-finite feature");
+        }
+    }
+    let rows = split.labeled_x.rows();
+    if split.labeled_y.len() != rows {
+        let row = rows.min(split.labeled_y.len());
+        return invalid(
+            "labeled_y",
+            row,
+            "label count differs from the labeled_x row count",
+        );
+    }
+    if let Some(row) = split.labeled_y.iter().position(|&y| y >= num_classes) {
+        return invalid("labeled_y", row, "label is not below the class count");
+    }
+    Ok(())
 }

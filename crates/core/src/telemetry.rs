@@ -10,8 +10,6 @@
 use taglets_nn::FitReport;
 
 use crate::exec::Concurrency;
-use crate::route::RouteTelemetry;
-use crate::serve::ServeTelemetry;
 
 /// Wall-clock timing of one named pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,13 +47,6 @@ pub struct RunTelemetry {
     pub modules: Vec<ModuleTelemetry>,
     /// The distillation stage's end-model training record.
     pub end_model: ModuleTelemetry,
-    /// Serving telemetry, when the run's end model was exercised through a
-    /// [`crate::ServingEngine`] (`None` for train-only runs).
-    pub serve: Option<ServeTelemetry>,
-    /// Routing telemetry, when the run's end model was exercised through a
-    /// multi-replica [`crate::Router`] (`None` for train-only or
-    /// single-engine runs).
-    pub route: Option<RouteTelemetry>,
 }
 
 impl RunTelemetry {
@@ -133,8 +124,6 @@ mod tests {
                 seconds: 0.75,
                 report: FitReport::default(),
             },
-            serve: None,
-            route: None,
         }
     }
 

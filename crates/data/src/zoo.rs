@@ -72,6 +72,11 @@ impl PretrainedModel {
         self.classifier.backbone().clone()
     }
 
+    /// Input (raw image) width the encoder expects.
+    pub fn input_dim(&self) -> usize {
+        self.classifier.input_dim()
+    }
+
     /// Feature dimensionality of the encoder.
     pub fn feature_dim(&self) -> usize {
         self.classifier.backbone().output_dim()

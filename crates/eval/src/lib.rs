@@ -14,7 +14,6 @@ mod confusion;
 mod error;
 mod format;
 mod metrics;
-mod route_report;
 mod runner;
 mod serve_report;
 
@@ -22,7 +21,6 @@ pub use confusion::ConfusionMatrix;
 pub use error::EvalError;
 pub use format::{fmt_delta_pct, fmt_stats, TextTable};
 pub use metrics::{mean, Stats};
-pub use route_report::{render_route_json, render_route_text};
 pub use runner::{
     run_taglets_detailed, sweep_method, Experiment, ExperimentScale, Method, SweepCell,
     TagletsDetail,

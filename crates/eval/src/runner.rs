@@ -497,8 +497,6 @@ mod tests {
                     seconds: 0.0,
                     report: taglets_nn::FitReport::default(),
                 },
-                serve: None,
-                route: None,
             },
         };
         assert!((d.module_mean() - 0.4).abs() < 1e-6);

@@ -220,8 +220,8 @@ impl Rule {
                  clone, Box::new, String::from, format!) is transitively \
                  reachable from a latency-critical root — a function marked \
                  `// lint: root(hot)` where it is defined: the serving \
-                 engine's and router's request path, the batched inference \
-                 fast path, and the *_into kernels. Steady-state \
+                 engine's request path, the batched inference fast path, \
+                 and the *_into kernels. Steady-state \
                  serving must reuse scratch (InferScratch, GradScratch, \
                  PackedWeights); setup code (new/with_*/load constructors and \
                  one-time *Scratch/Packed* builders) is exempt by a \

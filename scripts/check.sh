@@ -79,19 +79,6 @@ step "determinism" cargo test --offline --quiet --test exec_determinism
 step "serve" cargo test --offline --quiet --test serve_properties
 step "serve-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet --test serve_properties
 
-# Multi-replica router contract (ISSUE 9): answered-exactly-once, the
-# 1-replica == bare-engine bitwise equivalence, consistent-hash stability,
-# per-tenant accounting, and quota isolation — serially and with replica
-# engines resolving TAGLETS_THREADS=4.
-step "router" cargo test --offline --quiet --test router_properties
-step "router-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet --test router_properties
-
-# The serving_router bench replays every (shape, replica-count) tape twice
-# and asserts byte-identical telemetry before timing, so it doubles as a
-# determinism gate. Run without --json so a gate run never overwrites the
-# checked-in BENCH_serving.json baseline.
-step "bench-serving" cargo bench --offline --quiet -p taglets-bench --bench serving_router
-
 step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features strict-numerics
 
 # Kernel equivalence: the blocked GEMM kernels must be bitwise identical

@@ -294,9 +294,9 @@ fn fixed_stream_is_identical_across_workers_and_cache() {
     assert!(runs[4].telemetry.cache_hits > 0);
 }
 
-/// `pending_len()` — the queue-depth signal the router's least-loaded
-/// policy balances on — rises one per admitted request, is untouched by
-/// shed submissions, and returns to zero once the engine drains.
+/// `pending_len()` — the admission-queue depth — rises one per admitted
+/// request, is untouched by shed submissions, and returns to zero once the
+/// engine drains.
 #[test]
 fn load_tracks_queue_depth_through_submit_and_drain() {
     let m = model();

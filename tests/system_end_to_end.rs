@@ -4,8 +4,10 @@
 mod common;
 
 use taglets::nn::Module as _;
+use taglets::tensor::Tensor;
 use taglets::{
-    BackboneKind, PruneLevel, TagletsConfig, TagletsSystem, TransferModule, ZslKgModule,
+    BackboneKind, CoreError, PruneLevel, TagletsConfig, TagletsSystem, TaskSplit, TransferModule,
+    ZslKgModule,
 };
 
 fn system(backbone: BackboneKind) -> TagletsSystem<'static> {
@@ -219,4 +221,114 @@ fn grocery_extension_is_isolated_to_the_run() {
         "shared SCADS must stay clean"
     );
     assert_eq!(run.end_model.num_classes(), 42);
+}
+
+#[test]
+fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
+    // Malformed splits end in `CoreError::InvalidSplit` naming the field
+    // and first offending row, before any stage runs; degenerate but
+    // well-formed tasks end in their documented outcome.
+    enum Expect {
+        Invalid(&'static str, usize),
+        NoLabeledData,
+        Runs,
+    }
+    let task = common::task("grocery_store");
+    let clean = task.split(0, 1);
+    let dim = clean.labeled_x.cols();
+    let classes = task.num_classes();
+    let last_label = clean.labeled_y.len() - 1;
+    let cases: Vec<(&str, Box<dyn Fn(&mut TaskSplit)>, PruneLevel, Expect)> = vec![
+        (
+            "label out of range",
+            Box::new(move |s| s.labeled_y[2] = classes),
+            PruneLevel::NoPruning,
+            Expect::Invalid("labeled_y", 2),
+        ),
+        (
+            "one label short",
+            Box::new(|s| {
+                s.labeled_y.pop();
+            }),
+            PruneLevel::NoPruning,
+            Expect::Invalid("labeled_y", last_label),
+        ),
+        (
+            "labeled rows one column too wide",
+            Box::new(|s| {
+                let wide: Vec<Vec<f32>> = s
+                    .labeled_x
+                    .rows_iter()
+                    .map(|r| r.iter().copied().chain([0.0]).collect())
+                    .collect();
+                let refs: Vec<&[f32]> = wide.iter().map(Vec::as_slice).collect();
+                s.labeled_x = Tensor::from_rows(&refs);
+            }),
+            PruneLevel::NoPruning,
+            Expect::Invalid("labeled_x", 0),
+        ),
+        (
+            "NaN labeled feature",
+            Box::new(move |s| s.labeled_x.data_mut()[3 * dim + 5] = f32::NAN),
+            PruneLevel::NoPruning,
+            Expect::Invalid("labeled_x", 3),
+        ),
+        (
+            "infinite unlabeled feature",
+            Box::new(move |s| s.unlabeled_x.data_mut()[7 * dim] = f32::INFINITY),
+            PruneLevel::NoPruning,
+            Expect::Invalid("unlabeled_x", 7),
+        ),
+        (
+            "empty unlabeled pool",
+            Box::new(move |s| {
+                s.unlabeled_x = Tensor::zeros(&[0, dim]);
+                s.unlabeled_y.clear();
+            }),
+            PruneLevel::NoPruning,
+            Expect::Runs,
+        ),
+        (
+            "no labeled examples",
+            Box::new(move |s| {
+                s.labeled_x = Tensor::zeros(&[0, dim]);
+                s.labeled_y.clear();
+            }),
+            PruneLevel::NoPruning,
+            Expect::NoLabeledData,
+        ),
+        (
+            "prune level 1",
+            Box::new(|_| {}),
+            PruneLevel::Level1,
+            Expect::Runs,
+        ),
+    ];
+    let sys = system(BackboneKind::ResNet50ImageNet1k);
+    for (name, edit, prune, expect) in cases {
+        let mut split = clean.clone();
+        edit(&mut split);
+        let result = sys.run(task, &split, prune, 0);
+        match (expect, result) {
+            (
+                Expect::Invalid(field, row),
+                Err(CoreError::InvalidSplit {
+                    field: f, row: r, ..
+                }),
+            ) => {
+                assert_eq!((f, r), (field, row), "{name}: wrong field or row");
+            }
+            (Expect::NoLabeledData, Err(CoreError::NoLabeledData { .. })) => {}
+            (Expect::Runs, Ok(run)) => {
+                assert!(run.num_auxiliary_examples > 0, "{name}: no auxiliary data");
+                let probs = run.end_model.predict_proba(&split.test_x);
+                assert!(
+                    probs.data().iter().all(|p| p.is_finite()),
+                    "{name}: non-finite probabilities"
+                );
+            }
+            (_, Err(e)) => panic!("{name}: unexpected error {e}"),
+            (_, Ok(_)) => panic!("{name}: run succeeded where an error was expected"),
+        }
+    }
 }
