@@ -1,6 +1,11 @@
 //! Sanity tests for the evaluation baselines: each must clearly beat chance
 //! under the shared protocol, and SimCLR-lite must reproduce the small-data
 //! degradation that led the paper to exclude it from the result tables.
+//!
+//! SimCLR-lite's contrastive losses and the MPL student's test-set
+//! probabilities are also bitwise pinned. The constants were recorded from
+//! the implementation in which each baseline wrote out its own training
+//! step; any change that moves one bit of either fails here.
 
 mod common;
 
@@ -11,6 +16,16 @@ use taglets::baselines::{
     SimclrConfig,
 };
 use taglets::BackboneKind;
+
+/// FNV-1a over a sequence of `f32` bit patterns.
+fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const PINNED_MPL_STUDENT_PROBA: u64 = 0x8df6_a0b9_c52b_4c97;
+const PINNED_SIMCLR_LOSSES: u64 = 0x65da_795a_ecf5_ef6f;
 
 #[test]
 fn all_table_baselines_beat_chance_at_five_shot() {
@@ -63,6 +78,9 @@ fn all_table_baselines_beat_chance_at_five_shot() {
         &mut rng,
     );
     assert!(mpl.accuracy(&split.test_x, &split.test_y) > 3.0 * chance);
+    let proba = checksum(mpl.predict_proba(&split.test_x).data());
+    println!("mpl student proba {proba:#018x}");
+    assert_eq!(proba, PINNED_MPL_STUDENT_PROBA, "MPL student bits moved");
 }
 
 #[test]
@@ -95,6 +113,9 @@ fn simclr_degrades_on_small_data_as_the_paper_reports() {
         &mut rng,
     );
     assert!(!report.contrastive_losses.is_empty(), "pretraining ran");
+    let losses = checksum(&report.contrastive_losses);
+    println!("simclr losses {losses:#018x}");
+    assert_eq!(losses, PINNED_SIMCLR_LOSSES, "SimCLR-lite loss bits moved");
     let simclr_acc = simclr.accuracy(&split.test_x, &split.test_y);
 
     let ft = fine_tune(
