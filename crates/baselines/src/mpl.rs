@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use taglets_data::{BackboneKind, ModelZoo, TaskSplit};
-use taglets_nn::{fit_hard, Classifier, FitConfig, Module};
-use taglets_tensor::{LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
+use taglets_nn::{fit_hard, train_step, Classifier, FitConfig, Module};
+use taglets_tensor::{Executor, GradScratch, LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
 
 /// Hyperparameters of the Meta Pseudo Labels baseline (Appendix A.5).
 #[derive(Debug, Clone, PartialEq)]
@@ -56,36 +56,42 @@ fn labeled_loss(clf: &Classifier, x: &Tensor, y: &[usize]) -> f32 {
     tape.value(loss).item()
 }
 
+/// One step of `clf` on weakly-augmented `(x, y)`, plus `coeff ×` the
+/// unaugmented cross-entropy on `extra = (x, y, coeff)` when `coeff ≠ 0`.
 fn supervised_step(
     clf: &mut Classifier,
     opt: &mut dyn Optimizer,
     lr: f32,
-    x: &Tensor,
-    y: &[usize],
+    (x, y): (&Tensor, &[usize]),
     extra: Option<(&Tensor, &[usize], f32)>,
+    scratch: &mut GradScratch,
     rng: &mut StdRng,
 ) {
     let augmenter = taglets_nn::Augmenter::default();
-    let mut tape = Tape::new();
-    let vars = clf.bind(&mut tape);
-    let xv = tape.constant(augmenter.weak_batch(x, rng));
-    let logits = clf.forward_logits(&mut tape, &vars, xv, true, rng);
-    let mut loss = tape.softmax_cross_entropy(logits, y);
-    if let Some((ex, ey, coeff)) = extra {
-        // Exact-zero means "no feedback term was computed" — a sentinel, not
-        // an arithmetic result. lint: allow(TL004)
-        if coeff != 0.0 {
-            let exv = tape.constant(ex.clone());
-            let elogits = clf.forward_logits(&mut tape, &vars, exv, true, rng);
-            let eloss = tape.softmax_cross_entropy(elogits, ey);
-            let scaled = tape.scale(eloss, coeff);
-            loss = tape.add(loss, scaled);
-        }
-    }
-    let mut grads = tape.backward(loss);
-    let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
-    opt.set_lr(lr);
-    opt.step(&mut clf.parameters_mut(), &grad_vec);
+    train_step(
+        clf,
+        opt,
+        Some(lr),
+        Executor::serial(),
+        scratch,
+        |clf, tape, vars| {
+            let xv = tape.constant(augmenter.weak_batch(x, rng));
+            let logits = clf.forward_logits(tape, vars, xv, true, rng);
+            let mut loss = tape.softmax_cross_entropy(logits, y);
+            if let Some((ex, ey, coeff)) = extra {
+                // Exact-zero means "no feedback term was computed" — a sentinel, not
+                // an arithmetic result. lint: allow(TL004)
+                if coeff != 0.0 {
+                    let exv = tape.constant(ex.clone());
+                    let elogits = clf.forward_logits(tape, vars, exv, true, rng);
+                    let eloss = tape.softmax_cross_entropy(elogits, ey);
+                    let scaled = tape.scale(eloss, coeff);
+                    loss = tape.add(loss, scaled);
+                }
+            }
+            loss
+        },
+    );
 }
 
 /// Runs Meta Pseudo Labels and returns the trained *student*.
@@ -137,6 +143,7 @@ pub fn meta_pseudo_labels(
         let s_schedule = LrSchedule::half_cosine(cfg.student_lr, cfg.steps);
         let labeled_n = split.labeled_x.rows();
         let l_batch_size = cfg.batch_size.min(labeled_n);
+        let mut scratch = GradScratch::new();
 
         for step in 0..cfg.steps {
             let u_idx: Vec<usize> = (0..cfg.batch_size.min(unlabeled.rows()))
@@ -158,9 +165,9 @@ pub fn meta_pseudo_labels(
                 &mut student,
                 &mut s_opt,
                 s_schedule.lr_at(step),
-                &u,
-                &pseudo,
+                (&u, &pseudo),
                 None,
+                &mut scratch,
                 rng,
             );
             let loss_after = labeled_loss(&student, &lx, &ly);
@@ -172,9 +179,9 @@ pub fn meta_pseudo_labels(
                 &mut teacher,
                 &mut t_opt,
                 t_schedule.lr_at(step),
-                &lx,
-                &ly,
+                (&lx, &ly),
                 Some((&u, &pseudo, h)),
+                &mut scratch,
                 rng,
             );
         }

@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 
 use taglets_data::{Augmenter, BackboneKind, ModelZoo, TaskSplit};
-use taglets_nn::{fit_hard, shuffled_batches, Classifier, FitConfig, Linear, Mlp, Module};
-use taglets_tensor::{Optimizer, Sgd, SgdConfig, Tape, Tensor};
+use taglets_nn::{fit_hard, shuffled_batches, train_step, Classifier, FitConfig, Linear, Mlp};
+use taglets_tensor::{Executor, GradScratch, Optimizer, Sgd, SgdConfig, Tensor};
 
 /// Hyperparameters of SimCLR-lite.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,17 +50,18 @@ impl Default for SimclrConfig {
     }
 }
 
-/// One NT-Xent training step over a batch of positive view-pairs.
+/// One NT-Xent training step of the encoder and its projection over a
+/// batch of positive view-pairs.
 ///
 /// `views_a[i]` and `views_b[i]` are two augmentations of the same image;
 /// every other row in the doubled batch is a negative.
 fn ntxent_step(
-    encoder: &mut Mlp,
-    projection: &mut Linear,
+    model: &mut (Mlp, Linear),
     views_a: &Tensor,
     views_b: &Tensor,
     temperature: f32,
     opt: &mut dyn Optimizer,
+    scratch: &mut GradScratch,
     rng: &mut StdRng,
 ) -> f32 {
     let b = views_a.rows();
@@ -68,36 +69,35 @@ fn ntxent_step(
     // Stack [a; b] into one 2B batch.
     let stacked = Tensor::vstack(&[views_a, views_b]);
 
-    let mut tape = Tape::new();
-    let enc_vars = encoder.bind(&mut tape);
-    let proj_vars = projection.bind(&mut tape);
-    let xv = tape.constant(stacked);
-    let feats = encoder.forward(&mut tape, &enc_vars, xv, true, rng);
-    let proj = projection.forward(&mut tape, &proj_vars, feats);
-    let z = tape.row_normalize(proj);
-    let sim = tape.matmul_nt(z, z);
-    let scaled = tape.scale(sim, 1.0 / temperature);
-    // Mask self-similarity on the diagonal.
-    let mut mask = Tensor::zeros(&[2 * b, 2 * b]);
-    for i in 0..2 * b {
-        mask.set(i, i, -1e4);
-    }
-    let mv = tape.constant(mask);
-    let logits = tape.add(scaled, mv);
-    // Row i's positive is i+b (first half) or i−b (second half).
-    let labels: Vec<usize> = (0..2 * b)
-        .map(|i| if i < b { i + b } else { i - b })
-        .collect();
-    let loss = tape.softmax_cross_entropy(logits, &labels);
-    let value = tape.value(loss).item();
-
-    let mut grads = tape.backward(loss);
-    let all_vars: Vec<_> = enc_vars.iter().chain(&proj_vars).copied().collect();
-    let grad_vec: Vec<Option<Tensor>> = all_vars.iter().map(|&v| grads.take(v)).collect();
-    let mut params = encoder.parameters_mut();
-    params.extend(projection.parameters_mut());
-    opt.step(&mut params, &grad_vec);
-    value
+    train_step(
+        model,
+        opt,
+        None,
+        Executor::serial(),
+        scratch,
+        |(encoder, projection), tape, vars| {
+            // The projection binds last, as exactly [w, b].
+            let (enc_vars, proj_vars) = vars.split_at(vars.len() - 2);
+            let xv = tape.constant(stacked);
+            let feats = encoder.forward(tape, enc_vars, xv, true, rng);
+            let proj = projection.forward(tape, proj_vars, feats);
+            let z = tape.row_normalize(proj);
+            let sim = tape.matmul_nt(z, z);
+            let scaled = tape.scale(sim, 1.0 / temperature);
+            // Mask self-similarity on the diagonal.
+            let mut mask = Tensor::zeros(&[2 * b, 2 * b]);
+            for i in 0..2 * b {
+                mask.set(i, i, -1e4);
+            }
+            let mv = tape.constant(mask);
+            let logits = tape.add(scaled, mv);
+            // Row i's positive is i+b (first half) or i−b (second half).
+            let labels: Vec<usize> = (0..2 * b)
+                .map(|i| if i < b { i + b } else { i - b })
+                .collect();
+            tape.softmax_cross_entropy(logits, &labels)
+        },
+    )
 }
 
 /// Telemetry from [`simclr_lite`].
@@ -119,8 +119,9 @@ pub fn simclr_lite(
     rng: &mut StdRng,
 ) -> (Classifier, SimclrReport) {
     let input_dim = split.labeled_x.cols();
-    let mut encoder = Mlp::new(&[input_dim, cfg.hidden, cfg.feature_dim], 0.0, rng);
-    let mut projection = Linear::new(cfg.feature_dim, cfg.feature_dim, rng);
+    let encoder = Mlp::new(&[input_dim, cfg.hidden, cfg.feature_dim], 0.0, rng);
+    let projection = Linear::new(cfg.feature_dim, cfg.feature_dim, rng);
+    let mut model = (encoder, projection);
     let augmenter = Augmenter::default();
     let mut report = SimclrReport {
         contrastive_losses: Vec::new(),
@@ -132,6 +133,7 @@ pub fn simclr_lite(
             momentum: 0.9,
             ..SgdConfig::default()
         });
+        let mut scratch = GradScratch::new();
         for _ in 0..cfg.pretrain_epochs {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
@@ -143,12 +145,12 @@ pub fn simclr_lite(
                 let a = augmenter.strong_batch(&x, rng);
                 let b = augmenter.strong_batch(&x, rng);
                 epoch_loss += ntxent_step(
-                    &mut encoder,
-                    &mut projection,
+                    &mut model,
                     &a,
                     &b,
                     cfg.temperature,
                     &mut opt,
+                    &mut scratch,
                     rng,
                 );
                 batches += 1;
@@ -160,6 +162,7 @@ pub fn simclr_lite(
     }
 
     // Supervised fine-tuning of encoder + fresh head on the labeled data.
+    let (encoder, _projection) = model;
     let mut clf = Classifier::new(encoder, num_classes, rng);
     let mut opt = Sgd::with_momentum(cfg.finetune_lr, 0.9);
     let fit = FitConfig::new(cfg.finetune_epochs, cfg.batch_size, cfg.finetune_lr);

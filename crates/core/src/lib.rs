@@ -96,6 +96,14 @@ pub enum CoreError {
         /// What is wrong with the row.
         reason: &'static str,
     },
+    /// A [`TagletsConfig`] hyperparameter handed to a run is out of range.
+    InvalidConfig {
+        /// The offending field, as its path in the config
+        /// (`fixmatch.batch_size`, say).
+        field: &'static str,
+        /// What is wrong with the value.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -111,6 +119,9 @@ impl fmt::Display for CoreError {
             CoreError::Scads(e) => write!(f, "scads error: {e}"),
             CoreError::InvalidSplit { field, row, reason } => {
                 write!(f, "invalid split: `{field}` row {row}: {reason}")
+            }
+            CoreError::InvalidConfig { field, reason } => {
+                write!(f, "invalid config: `{field}`: {reason}")
             }
         }
     }

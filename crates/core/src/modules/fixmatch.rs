@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 
 use taglets_data::Augmenter;
-use taglets_nn::{fit_hard, shuffled_batches, Classifier, FitConfig, FitReport, Module};
-use taglets_tensor::{confidence_rows, LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
+use taglets_nn::{fit_hard, shuffled_batches, train_step, Classifier, FitConfig, FitReport};
+use taglets_tensor::{confidence_rows, Executor, GradScratch, LrSchedule, Sgd, SgdConfig, Tensor};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
@@ -155,6 +155,7 @@ pub fn fixmatch_train(
 
     let labeled_n = labeled_x.rows();
     let labeled_batch = cfg.batch_size.min(labeled_n);
+    let mut scratch = GradScratch::new();
     let mut step = 0usize;
     for _epoch in 0..cfg.epochs {
         let mut epoch_loss = 0.0;
@@ -180,26 +181,28 @@ pub fn fixmatch_train(
             let l_weak = augmenter.weak_batch(&l_rows, rng);
             let l_y: Vec<usize> = l_idx.iter().map(|&i| labeled_y[i]).collect();
 
-            let mut tape = Tape::new();
-            let vars = clf.bind(&mut tape);
-            let lx = tape.constant(l_weak);
-            let logits_l = clf.forward_logits(&mut tape, &vars, lx, true, rng);
-            let loss_l = tape.softmax_cross_entropy(logits_l, &l_y);
+            let lr = Some(schedule.lr_at(step));
+            epoch_loss += train_step(
+                clf,
+                &mut opt,
+                lr,
+                Executor::serial(),
+                &mut scratch,
+                |clf, tape, vars| {
+                    let lx = tape.constant(l_weak);
+                    let logits_l = clf.forward_logits(tape, vars, lx, true, rng);
+                    let loss_l = tape.softmax_cross_entropy(logits_l, &l_y);
 
-            let ux = tape.constant(u_strong);
-            let logits_u = clf.forward_logits(&mut tape, &vars, ux, true, rng);
-            let lp_u = tape.log_softmax(logits_u);
-            let loss_u = tape.nll_weighted(lp_u, &pseudo, &weights);
+                    let ux = tape.constant(u_strong);
+                    let logits_u = clf.forward_logits(tape, vars, ux, true, rng);
+                    let lp_u = tape.log_softmax(logits_u);
+                    let loss_u = tape.nll_weighted(lp_u, &pseudo, &weights);
 
-            let weighted_u = tape.scale(loss_u, cfg.lambda_u);
-            let loss = tape.add(loss_l, weighted_u);
-            epoch_loss += tape.value(loss).item();
+                    let weighted_u = tape.scale(loss_u, cfg.lambda_u);
+                    tape.add(loss_l, weighted_u)
+                },
+            );
             epoch_batches += 1;
-
-            let mut grads = tape.backward(loss);
-            let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
-            opt.set_lr(schedule.lr_at(step));
-            opt.step(&mut clf.parameters_mut(), &grad_vec);
             step += 1;
         }
         report

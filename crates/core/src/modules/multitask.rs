@@ -7,8 +7,8 @@
 
 use rand::rngs::StdRng;
 
-use taglets_nn::{shuffled_batches, Augmenter, Classifier, FitReport, Linear, Module};
-use taglets_tensor::{LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
+use taglets_nn::{shuffled_batches, train_step, Augmenter, Classifier, FitReport, Linear};
+use taglets_tensor::{Executor, GradScratch, LrSchedule, Sgd, SgdConfig};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
@@ -42,13 +42,13 @@ impl TagletModule for MultiTaskModule {
                 taglets_tensor::Init::Zeros.bias(classes),
             )
         };
-        let mut target_head = zero_head(ctx.num_classes());
+        let target_head = zero_head(ctx.num_classes());
+        let mut clf = Classifier::from_parts(backbone, target_head);
 
         let aux = ctx.auxiliary_training_set();
         let Some((aux_x, aux_y)) = aux else {
             // Fully pruned SCADS: joint training degenerates to plain
             // fine-tuning of the shared backbone on the target data.
-            let mut clf = Classifier::from_parts(backbone, target_head);
             let mut opt = Sgd::with_momentum(cfg.lr, 0.9);
             let fit = taglets_nn::FitConfig::new(cfg.epochs * 4, cfg.batch_size, cfg.lr);
             let report = taglets_nn::fit_hard(
@@ -65,8 +65,9 @@ impl TagletModule for MultiTaskModule {
             ));
         };
 
-        let mut shared = backbone;
-        let mut aux_head = zero_head(ctx.selection.num_aux_classes());
+        // The target classifier (shared backbone + target head) and the
+        // auxiliary head train as one model, in that binding order.
+        let mut model = (clf, zero_head(ctx.selection.num_aux_classes()));
         let mut opt = Sgd::new(SgdConfig {
             lr: cfg.lr,
             momentum: 0.9,
@@ -82,6 +83,8 @@ impl TagletModule for MultiTaskModule {
 
         let labeled_n = ctx.split.labeled_x.rows();
         let target_batch = cfg.batch_size.min(labeled_n);
+        let augmenter = Augmenter::default();
+        let mut scratch = GradScratch::new();
         let mut report = FitReport::default();
         let mut step = 0usize;
         for _epoch in 0..cfg.epochs {
@@ -94,46 +97,39 @@ impl TagletModule for MultiTaskModule {
                     .map(|_| rand::Rng::gen_range(rng, 0..labeled_n))
                     .collect();
 
-                let augmenter = Augmenter::default();
-                let mut tape = Tape::new();
-                let shared_vars = shared.bind(&mut tape);
-                let target_vars = target_head.bind(&mut tape);
-                let aux_vars = aux_head.bind(&mut tape);
+                let lr = Some(schedule.lr_at(step));
+                epoch_loss += train_step(
+                    &mut model,
+                    &mut opt,
+                    lr,
+                    Executor::serial(),
+                    &mut scratch,
+                    |(clf, aux_head), tape, vars| {
+                        // Both heads bind as exactly [w, b]: the auxiliary head
+                        // last, the target head just before it.
+                        let (clf_vars, aux_vars) = vars.split_at(vars.len() - 2);
+                        let backbone_vars = &clf_vars[..clf_vars.len() - 2];
 
-                let xt_rows =
-                    augmenter.weak_batch(&ctx.split.labeled_x.gather_rows(&target_idx), rng);
-                let xt = tape.constant(xt_rows);
-                let yt: Vec<usize> = target_idx.iter().map(|&i| ctx.split.labeled_y[i]).collect();
-                let ft = shared.forward(&mut tape, &shared_vars, xt, true, rng);
-                let logits_t = target_head.forward(&mut tape, &target_vars, ft);
-                let loss_t = tape.softmax_cross_entropy(logits_t, &yt);
+                        let xt_rows = augmenter
+                            .weak_batch(&ctx.split.labeled_x.gather_rows(&target_idx), rng);
+                        let xt = tape.constant(xt_rows);
+                        let yt: Vec<usize> =
+                            target_idx.iter().map(|&i| ctx.split.labeled_y[i]).collect();
+                        let logits_t = clf.forward_logits(tape, clf_vars, xt, true, rng);
+                        let loss_t = tape.softmax_cross_entropy(logits_t, &yt);
 
-                let xa_rows = augmenter.weak_batch(&aux_x.gather_rows(&aux_batch), rng);
-                let xa = tape.constant(xa_rows);
-                let ya: Vec<usize> = aux_batch.iter().map(|&i| aux_y[i]).collect();
-                let fa = shared.forward(&mut tape, &shared_vars, xa, true, rng);
-                let logits_a = aux_head.forward(&mut tape, &aux_vars, fa);
-                let loss_a = tape.softmax_cross_entropy(logits_a, &ya);
+                        let xa_rows = augmenter.weak_batch(&aux_x.gather_rows(&aux_batch), rng);
+                        let xa = tape.constant(xa_rows);
+                        let ya: Vec<usize> = aux_batch.iter().map(|&i| aux_y[i]).collect();
+                        let fa = clf.backbone().forward(tape, backbone_vars, xa, true, rng);
+                        let logits_a = aux_head.forward(tape, aux_vars, fa);
+                        let loss_a = tape.softmax_cross_entropy(logits_a, &ya);
 
-                let weighted_aux = tape.scale(loss_a, cfg.lambda);
-                let loss = tape.add(loss_t, weighted_aux);
-                epoch_loss += tape.value(loss).item();
+                        let weighted_aux = tape.scale(loss_a, cfg.lambda);
+                        tape.add(loss_t, weighted_aux)
+                    },
+                );
                 epoch_batches += 1;
-
-                let mut grads = tape.backward(loss);
-                let all_vars: Vec<_> = shared_vars
-                    .iter()
-                    .chain(&target_vars)
-                    .chain(&aux_vars)
-                    .copied()
-                    .collect();
-                let grad_vec: Vec<Option<Tensor>> =
-                    all_vars.iter().map(|&v| grads.take(v)).collect();
-                let mut params = shared.parameters_mut();
-                params.extend(target_head.parameters_mut());
-                params.extend(aux_head.parameters_mut());
-                opt.set_lr(schedule.lr_at(step));
-                opt.step(&mut params, &grad_vec);
                 step += 1;
             }
             report
@@ -142,7 +138,7 @@ impl TagletModule for MultiTaskModule {
         }
         report.steps = step;
 
-        let clf = Classifier::from_parts(shared, target_head);
+        let (clf, _aux_head) = model;
         Ok(TrainedTaglet::new(
             Box::new(ClassifierTaglet::new(Self::NAME, clf)),
             report,

@@ -187,6 +187,8 @@ impl<'a> TagletsSystem<'a> {
     ///   count that differs from the `labeled_x` row count, a label not
     ///   below the class count, a feature row whose width differs from the
     ///   backbone input, or a NaN/±Inf feature.
+    /// * [`CoreError::InvalidConfig`] if a module or end-model batch size is
+    ///   zero, or a learning rate is not finite and positive.
     /// * [`CoreError::NoModules`] if every module was disabled.
     /// * [`CoreError::Scads`] if extending SCADS for an out-of-vocabulary
     ///   class fails.
@@ -201,6 +203,7 @@ impl<'a> TagletsSystem<'a> {
     ) -> Result<TagletsRun, CoreError> {
         let input_dim = self.zoo.get(self.config.backbone).input_dim();
         validate_split(split, task.num_classes(), input_dim)?;
+        validate_config(&self.config)?;
         let module_names = self.active_module_names();
         if module_names.is_empty() {
             return Err(CoreError::NoModules);
@@ -505,6 +508,34 @@ fn validate_split(
     }
     if let Some(row) = split.labeled_y.iter().position(|&y| y >= num_classes) {
         return invalid("labeled_y", row, "label is not below the class count");
+    }
+    Ok(())
+}
+
+/// Checks the hyperparameters a run trains with: every module and
+/// end-model batch size positive, every learning rate finite and positive.
+fn validate_config(config: &TagletsConfig) -> Result<(), CoreError> {
+    let batch_sizes = [
+        ("transfer.batch_size", config.transfer.batch_size),
+        ("multitask.batch_size", config.multitask.batch_size),
+        ("fixmatch.batch_size", config.fixmatch.batch_size),
+        ("end_model.batch_size", config.end_model.batch_size),
+    ];
+    if let Some(&(field, _)) = batch_sizes.iter().find(|(_, size)| *size == 0) {
+        let reason = "batch size must be positive";
+        return Err(CoreError::InvalidConfig { field, reason });
+    }
+    let rates = [
+        ("transfer.lr", config.transfer.lr),
+        ("multitask.lr", config.multitask.lr),
+        ("fixmatch.lr", config.fixmatch.lr),
+        ("fixmatch.pretrain_lr", config.fixmatch.pretrain_lr),
+        ("zslkg.lr", config.zslkg.lr),
+        ("end_model.lr", config.end_model.lr),
+    ];
+    if let Some(&(field, _)) = rates.iter().find(|(_, lr)| !(lr.is_finite() && *lr > 0.0)) {
+        let reason = "learning rate must be finite and positive";
+        return Err(CoreError::InvalidConfig { field, reason });
     }
     Ok(())
 }

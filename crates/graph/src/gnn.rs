@@ -19,8 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use taglets_nn::{Linear, Module};
-use taglets_tensor::{Adam, AdamConfig, Optimizer, SparseMatrix, Tape, Tensor, Var};
+use taglets_nn::{train_step, Linear, Module};
+use taglets_tensor::{Adam, AdamConfig, Executor, GradScratch, SparseMatrix, Tape, Tensor, Var};
 
 use crate::{ConceptGraph, ConceptId};
 
@@ -381,21 +381,26 @@ pub fn pretrain_encoder(
         }
     };
 
+    let mut scratch = GradScratch::new();
     let mut train_losses = Vec::with_capacity(cfg.epochs);
     for epoch in 1..=cfg.epochs {
-        let mut tape = Tape::new();
-        let vars = encoder.bind(&mut tape);
-        let xv = tape.constant(features.clone());
-        let z = encoder.forward(&mut tape, &vars, xv, adj);
-        if epoch > 1 {
-            score(tape.value(z), epoch - 1, encoder);
-        }
-        let z_train = tape.gather_rows(z, &train_ids);
-        let loss = tape.mse(z_train, &train_targets);
-        train_losses.push(tape.value(loss).item());
-        let mut grads = tape.backward(loss);
-        let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
-        opt.step(&mut encoder.parameters_mut(), &grad_vec);
+        let loss = train_step(
+            encoder,
+            &mut opt,
+            None,
+            Executor::serial(),
+            &mut scratch,
+            |encoder, tape, vars| {
+                let xv = tape.constant(features.clone());
+                let z = encoder.forward(tape, vars, xv, adj);
+                if epoch > 1 {
+                    score(tape.value(z), epoch - 1, encoder);
+                }
+                let z_train = tape.gather_rows(z, &train_ids);
+                tape.mse(z_train, &train_targets)
+            },
+        );
+        train_losses.push(loss);
     }
     if cfg.epochs > 0 && validation.is_some() {
         score(&encoder.encode(features, adj), cfg.epochs, encoder);

@@ -131,20 +131,6 @@ impl Classifier {
         self.head.forward(tape, &vars[split..], feats)
     }
 
-    /// Forward pass where the backbone is frozen and only the head trains
-    /// (used for linear evaluation in SimCLR-style baselines).
-    pub fn forward_logits_frozen_backbone<R: Rng + ?Sized>(
-        &self,
-        tape: &mut Tape,
-        head_vars: &[Var],
-        x: Var,
-        rng: &mut R,
-    ) -> Var {
-        let backbone_vars = self.backbone.bind_frozen(tape);
-        let feats = self.backbone.forward(tape, &backbone_vars, x, false, rng);
-        self.head.forward(tape, head_vars, feats)
-    }
-
     /// Inference: class probabilities for a batch of inputs.
     pub fn predict_proba(&self, x: &Tensor) -> Tensor {
         softmax_rows(&self.logits(x))

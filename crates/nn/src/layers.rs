@@ -42,6 +42,23 @@ pub trait Module {
     }
 }
 
+/// Two modules trained jointly (a shared encoder and an extra head, say)
+/// bind as one: `a`'s parameters, then `b`'s.
+impl<A: Module, B: Module> Module for (A, B) {
+    fn parameters(&self) -> Vec<&Tensor> {
+        let mut p = self.0.parameters();
+        p.extend(self.1.parameters());
+        p
+    }
+
+    fn parameters_mut(&mut self) -> Vec<&mut Tensor> {
+        let (a, b) = self;
+        let mut p = a.parameters_mut();
+        p.extend(b.parameters_mut());
+        p
+    }
+}
+
 /// A fully-connected layer `y = xW + b`.
 ///
 /// Binding order: `[w, b]`.

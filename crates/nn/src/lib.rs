@@ -2,8 +2,9 @@
 //!
 //! Neural-network building blocks on top of [`taglets_tensor`]: linear
 //! layers, MLP backbones (the stand-ins for the paper's ResNet-50/BiT
-//! encoders), classifiers, and the shared supervised training loops used by
-//! every module and baseline in the TAGLETS pipeline.
+//! encoders), classifiers, and the one training step ([`train_step`]) and
+//! supervised training loops used by every module and baseline in the
+//! TAGLETS pipeline.
 //!
 //! ## Example
 //!
@@ -36,4 +37,6 @@ pub use classifier::{accuracy, Classifier};
 pub use infer::{InferScratch, PackedWeights};
 pub use layers::{Activation, Linear, Mlp, Module};
 pub use serialize::{load_classifier, save_classifier};
-pub use train::{fit, fit_hard, fit_soft, shuffled_batches, FitConfig, FitReport, Targets};
+pub use train::{
+    fit, fit_hard, fit_soft, shuffled_batches, train_step, FitConfig, FitReport, Targets,
+};

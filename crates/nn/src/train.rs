@@ -1,14 +1,17 @@
-//! Supervised training loops.
+//! Training steps and supervised training loops.
 //!
-//! These loops implement the shared skeleton of every recipe in the paper's
-//! Appendix A.5: mini-batch SGD over shuffled data with a learning-rate
-//! schedule, for either hard integer labels or soft target distributions
-//! (the distillation stage trains on soft pseudo labels).
+//! [`train_step`] is the one optimizer step every training loop in the
+//! workspace takes; the loops differ only in their data and their loss
+//! (paper Sec. 3.2–3.3). [`fit`] implements the shared skeleton of every
+//! supervised recipe in the paper's Appendix A.5: mini-batch SGD over
+//! shuffled data with a learning-rate schedule, for either hard integer
+//! labels or soft target distributions (the distillation stage trains on
+//! soft pseudo labels).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use taglets_tensor::{Executor, GradScratch, LrSchedule, Optimizer, Tape, Tensor};
+use taglets_tensor::{Executor, GradScratch, LrSchedule, Optimizer, Tape, Tensor, Var};
 
 use crate::{Classifier, Module};
 
@@ -111,13 +114,46 @@ impl FitReport {
         self.epoch_losses.extend(other.epoch_losses);
         self.steps += other.steps;
     }
+}
 
-    /// [`FitReport::absorb`] as a chainable constructor.
-    #[must_use]
-    pub fn merged(mut self, other: FitReport) -> FitReport {
-        self.absorb(other);
-        self
+/// One optimizer step of `model` on the loss that `loss` records.
+///
+/// Binds every parameter of `model` as a trainable leaf on a fresh tape
+/// dispatching through `executor`, then calls `loss(model, tape, vars)`
+/// with the bound variables in [`Module::parameters`] order; the closure
+/// records the forward pass and returns the scalar loss node. The backward
+/// pass draws its buffers from `scratch`, the gradients pair with the
+/// parameters in binding order, the optimizer steps at `lr` (or at its
+/// current rate when `None`), and every gradient buffer returns to
+/// `scratch` for the next step. Returns the loss value.
+///
+/// Models trained jointly bind as one tuple (`(A, B)` implements
+/// [`Module`]). Keep one `scratch` across a loop's steps: after the first,
+/// the backward pass allocates nothing, and the bits are those of a fresh
+/// scratch.
+pub fn train_step<M: Module>(
+    model: &mut M,
+    opt: &mut dyn Optimizer,
+    lr: Option<f32>,
+    executor: Executor,
+    scratch: &mut GradScratch,
+    loss: impl FnOnce(&M, &mut Tape, &[Var]) -> Var,
+) -> f32 {
+    let mut tape = Tape::with_executor(executor);
+    let vars = model.bind(&mut tape);
+    let loss = loss(model, &mut tape, &vars);
+    let value = tape.value(loss).item();
+    let mut grads = tape.backward_with(loss, scratch);
+    let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
+    if let Some(lr) = lr {
+        opt.set_lr(lr);
     }
+    opt.step(&mut model.parameters_mut(), &grad_vec);
+    scratch.recycle(grads);
+    for g in grad_vec.into_iter().flatten() {
+        scratch.recycle_tensor(g);
+    }
+    value
 }
 
 /// Random mini-batch index partitions for one epoch.
@@ -155,9 +191,6 @@ pub fn fit<R: Rng + ?Sized>(
         return report;
     }
     let batch_size = cfg.batch_size.min(x.rows()).max(1);
-    // One gradient-buffer pool for the whole fit: after the first batch the
-    // backward pass runs allocation-free, recycling each step's gradient
-    // tensors (and the GEMM packing panel) for the next step.
     let mut scratch = GradScratch::new();
     for _epoch in 0..cfg.epochs {
         let mut epoch_loss = 0.0;
@@ -168,31 +201,29 @@ pub fn fit<R: Rng + ?Sized>(
             if let Some(aug) = &cfg.augment {
                 xb = aug.weak_batch(&xb, rng);
             }
-            let mut tape = Tape::with_executor(cfg.executor);
-            let vars = clf.bind(&mut tape);
-            let xv = tape.constant(xb);
-            let logits = clf.forward_logits(&mut tape, &vars, xv, true, rng);
-            let loss = match &targets {
-                Targets::Hard(labels) => {
-                    let yb: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    tape.softmax_cross_entropy(logits, &yb)
-                }
-                Targets::Soft(t) => {
-                    let tb = t.gather_rows(&batch);
-                    tape.soft_cross_entropy(logits, &tb)
-                }
-            };
-            epoch_loss += tape.value(loss).item();
-            let mut grads = tape.backward_with(loss, &mut scratch);
-            let grad_vec: Vec<Option<Tensor>> = vars.iter().map(|&v| grads.take(v)).collect();
-            opt.set_lr(cfg.schedule.lr_at(report.steps));
-            opt.step(&mut clf.parameters_mut(), &grad_vec);
+            let lr = cfg.schedule.lr_at(report.steps);
+            epoch_loss += train_step(
+                clf,
+                opt,
+                Some(lr),
+                cfg.executor,
+                &mut scratch,
+                |clf, tape, vars| {
+                    let xv = tape.constant(xb);
+                    let logits = clf.forward_logits(tape, vars, xv, true, rng);
+                    match &targets {
+                        Targets::Hard(labels) => {
+                            let yb: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                            tape.softmax_cross_entropy(logits, &yb)
+                        }
+                        Targets::Soft(t) => {
+                            let tb = t.gather_rows(&batch);
+                            tape.soft_cross_entropy(logits, &tb)
+                        }
+                    }
+                },
+            );
             report.steps += 1;
-            // Hand every gradient buffer back to the pool for the next batch.
-            scratch.recycle(grads);
-            for g in grad_vec.into_iter().flatten() {
-                scratch.recycle_tensor(g);
-            }
         }
         report.epoch_losses.push(epoch_loss / n_batches as f32);
     }
@@ -322,7 +353,8 @@ mod tests {
             epoch_losses: vec![1.0],
             steps: 4,
         };
-        let merged = a.merged(b);
+        let mut merged = a;
+        merged.absorb(b);
         assert_eq!(merged.epoch_losses, vec![3.0, 2.0, 1.0]);
         assert_eq!(merged.steps, 14);
         assert_eq!(merged.final_loss(), Some(1.0));

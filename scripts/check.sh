@@ -73,6 +73,12 @@ step "bench-crate" cargo test --release --offline --manifest-path benchmark/Carg
 # skipped test run can never mask a determinism regression.
 step "determinism" cargo test --offline --quiet --test exec_determinism
 
+# Bitwise pins of training: ZSL-KG pretraining, and the SimCLR-lite and MPL
+# baselines (the full system run is pinned inside `determinism` above).
+# Run by name so a filtered or skipped test run can never mask a change of
+# bits in the one training step every loop shares.
+step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain_pin && cargo test --offline --quiet --test baselines_sanity'
+
 # Serving-engine contract (properties a–d of ISSUE 4). Proptest seeds are
 # derived from test names, so this run is fixed-seed by construction; the
 # second pass pins batched dispatch under multi-worker resolution.

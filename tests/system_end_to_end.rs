@@ -226,10 +226,12 @@ fn grocery_extension_is_isolated_to_the_run() {
 #[test]
 fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
     // Malformed splits end in `CoreError::InvalidSplit` naming the field
-    // and first offending row, before any stage runs; degenerate but
-    // well-formed tasks end in their documented outcome.
+    // and first offending row, and out-of-range hyperparameters in
+    // `CoreError::InvalidConfig` naming the field, before any stage runs;
+    // degenerate but well-formed tasks end in their documented outcome.
     enum Expect {
         Invalid(&'static str, usize),
+        InvalidConfig(&'static str),
         NoLabeledData,
         Runs,
     }
@@ -238,16 +240,17 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
     let dim = clean.labeled_x.cols();
     let classes = task.num_classes();
     let last_label = clean.labeled_y.len() - 1;
-    let cases: Vec<(&str, Box<dyn Fn(&mut TaskSplit)>, PruneLevel, Expect)> = vec![
+    type Edit = Box<dyn Fn(&mut TaskSplit, &mut TagletsConfig)>;
+    let cases: Vec<(&str, Edit, PruneLevel, Expect)> = vec![
         (
             "label out of range",
-            Box::new(move |s| s.labeled_y[2] = classes),
+            Box::new(move |s, _| s.labeled_y[2] = classes),
             PruneLevel::NoPruning,
             Expect::Invalid("labeled_y", 2),
         ),
         (
             "one label short",
-            Box::new(|s| {
+            Box::new(|s, _| {
                 s.labeled_y.pop();
             }),
             PruneLevel::NoPruning,
@@ -255,7 +258,7 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
         ),
         (
             "labeled rows one column too wide",
-            Box::new(|s| {
+            Box::new(|s, _| {
                 let wide: Vec<Vec<f32>> = s
                     .labeled_x
                     .rows_iter()
@@ -269,19 +272,19 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
         ),
         (
             "NaN labeled feature",
-            Box::new(move |s| s.labeled_x.data_mut()[3 * dim + 5] = f32::NAN),
+            Box::new(move |s, _| s.labeled_x.data_mut()[3 * dim + 5] = f32::NAN),
             PruneLevel::NoPruning,
             Expect::Invalid("labeled_x", 3),
         ),
         (
             "infinite unlabeled feature",
-            Box::new(move |s| s.unlabeled_x.data_mut()[7 * dim] = f32::INFINITY),
+            Box::new(move |s, _| s.unlabeled_x.data_mut()[7 * dim] = f32::INFINITY),
             PruneLevel::NoPruning,
             Expect::Invalid("unlabeled_x", 7),
         ),
         (
             "empty unlabeled pool",
-            Box::new(move |s| {
+            Box::new(move |s, _| {
                 s.unlabeled_x = Tensor::zeros(&[0, dim]);
                 s.unlabeled_y.clear();
             }),
@@ -290,7 +293,7 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
         ),
         (
             "no labeled examples",
-            Box::new(move |s| {
+            Box::new(move |s, _| {
                 s.labeled_x = Tensor::zeros(&[0, dim]);
                 s.labeled_y.clear();
             }),
@@ -299,15 +302,54 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
         ),
         (
             "prune level 1",
-            Box::new(|_| {}),
+            Box::new(|_, _| {}),
             PruneLevel::Level1,
             Expect::Runs,
         ),
+        (
+            "zero FixMatch batch size",
+            Box::new(|_, c| c.fixmatch.batch_size = 0),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("fixmatch.batch_size"),
+        ),
+        (
+            "zero multi-task batch size",
+            Box::new(|_, c| c.multitask.batch_size = 0),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("multitask.batch_size"),
+        ),
+        (
+            "zero end-model batch size",
+            Box::new(|_, c| c.end_model.batch_size = 0),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("end_model.batch_size"),
+        ),
+        (
+            "NaN transfer learning rate",
+            Box::new(|_, c| c.transfer.lr = f32::NAN),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("transfer.lr"),
+        ),
+        (
+            "infinite FixMatch pretraining rate",
+            Box::new(|_, c| c.fixmatch.pretrain_lr = f32::INFINITY),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("fixmatch.pretrain_lr"),
+        ),
+        (
+            "zero end-model learning rate",
+            Box::new(|_, c| c.end_model.lr = 0.0),
+            PruneLevel::NoPruning,
+            Expect::InvalidConfig("end_model.lr"),
+        ),
     ];
+    let w = common::world();
     let sys = system(BackboneKind::ResNet50ImageNet1k);
     for (name, edit, prune, expect) in cases {
         let mut split = clean.clone();
-        edit(&mut split);
+        let mut config = sys.config().clone();
+        edit(&mut split, &mut config);
+        let sys = TagletsSystem::prepare_with_zslkg(&w.scads, &w.zoo, config, sys.zslkg().clone());
         let result = sys.run(task, &split, prune, 0);
         match (expect, result) {
             (
@@ -317,6 +359,9 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
                 }),
             ) => {
                 assert_eq!((f, r), (field, row), "{name}: wrong field or row");
+            }
+            (Expect::InvalidConfig(field), Err(CoreError::InvalidConfig { field: f, .. })) => {
+                assert_eq!(f, field, "{name}: wrong field");
             }
             (Expect::NoLabeledData, Err(CoreError::NoLabeledData { .. })) => {}
             (Expect::Runs, Ok(run)) => {
