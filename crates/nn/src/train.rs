@@ -131,6 +131,10 @@ impl FitReport {
 /// [`Module`]). Keep one `scratch` across a loop's steps: after the first,
 /// the backward pass allocates nothing, and the bits are those of a fresh
 /// scratch.
+///
+/// # Panics
+///
+/// Panics if the node `loss` returns is not a scalar.
 pub fn train_step<M: Module>(
     model: &mut M,
     opt: &mut dyn Optimizer,
