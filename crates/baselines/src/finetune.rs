@@ -80,18 +80,8 @@ pub fn fine_tune_distilled(
         &split.labeled_y,
         num_classes,
     );
-    // Baselines are timed single-model runs; keep the kernels serial so the
-    // comparison against the parallel TAGLETS pipeline stays conservative.
-    let (end, _report) = train_end_model(
-        zoo,
-        backbone,
-        &inputs,
-        &targets,
-        num_classes,
-        end_cfg,
-        &taglets_tensor::Executor::serial(),
-        rng,
-    );
+    let (end, _report) =
+        train_end_model(zoo, backbone, &inputs, &targets, num_classes, end_cfg, rng);
     ServableModel::new(end)
 }
 

@@ -14,7 +14,7 @@ use rand::Rng;
 
 use taglets_data::{BackboneKind, ModelZoo, TaskSplit};
 use taglets_nn::{fit_hard, train_step, Classifier, FitConfig, Module};
-use taglets_tensor::{Executor, GradScratch, LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
+use taglets_tensor::{GradScratch, LrSchedule, Optimizer, Sgd, SgdConfig, Tape, Tensor};
 
 /// Hyperparameters of the Meta Pseudo Labels baseline (Appendix A.5).
 #[derive(Debug, Clone, PartialEq)]
@@ -68,30 +68,23 @@ fn supervised_step(
     rng: &mut StdRng,
 ) {
     let augmenter = taglets_nn::Augmenter::default();
-    train_step(
-        clf,
-        opt,
-        Some(lr),
-        Executor::serial(),
-        scratch,
-        |clf, tape, vars| {
-            let xv = tape.constant(augmenter.weak_batch(x, rng));
-            let logits = clf.forward_logits(tape, vars, xv, true, rng);
-            let mut loss = tape.softmax_cross_entropy(logits, y);
-            if let Some((ex, ey, coeff)) = extra {
-                // Exact-zero means "no feedback term was computed" — a sentinel, not
-                // an arithmetic result. lint: allow(TL004)
-                if coeff != 0.0 {
-                    let exv = tape.constant(ex.clone());
-                    let elogits = clf.forward_logits(tape, vars, exv, true, rng);
-                    let eloss = tape.softmax_cross_entropy(elogits, ey);
-                    let scaled = tape.scale(eloss, coeff);
-                    loss = tape.add(loss, scaled);
-                }
+    train_step(clf, opt, Some(lr), scratch, |clf, tape, vars| {
+        let xv = tape.constant(augmenter.weak_batch(x, rng));
+        let logits = clf.forward_logits(tape, vars, xv, true, rng);
+        let mut loss = tape.softmax_cross_entropy(logits, y);
+        if let Some((ex, ey, coeff)) = extra {
+            // Exact-zero means "no feedback term was computed" — a sentinel, not
+            // an arithmetic result. lint: allow(TL004)
+            if coeff != 0.0 {
+                let exv = tape.constant(ex.clone());
+                let elogits = clf.forward_logits(tape, vars, exv, true, rng);
+                let eloss = tape.softmax_cross_entropy(elogits, ey);
+                let scaled = tape.scale(eloss, coeff);
+                loss = tape.add(loss, scaled);
             }
-            loss
-        },
-    );
+        }
+        loss
+    });
 }
 
 /// Runs Meta Pseudo Labels and returns the trained *student*.

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 
 use taglets_data::{Augmenter, BackboneKind, ModelZoo, TaskSplit};
 use taglets_nn::{fit_hard, shuffled_batches, train_step, Classifier, FitConfig, Linear, Mlp};
-use taglets_tensor::{Executor, GradScratch, Optimizer, Sgd, SgdConfig, Tensor};
+use taglets_tensor::{GradScratch, Optimizer, Sgd, SgdConfig, Tensor};
 
 /// Hyperparameters of SimCLR-lite.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,6 @@ fn ntxent_step(
         model,
         opt,
         None,
-        Executor::serial(),
         scratch,
         |(encoder, projection), tape, vars| {
             // The projection binds last, as exactly [w, b].

@@ -1,5 +1,5 @@
 //! GEMM kernel baseline: blocked kernels vs the seed's naive loops, per
-//! variant, shape, and worker count, plus the serving fast paths —
+//! variant and shape, plus the serving fast paths —
 //! prepacked weight panels and fused epilogues — against per-call packing
 //! and the unfused forward, and the ZSL-KG neighbour aggregation —
 //! sparse rows against the dense blocked GEMM on the same adjacency.
@@ -7,29 +7,21 @@
 //! Default mode prints a table and writes `results/kernels.txt`; with
 //! `--json` it additionally writes the machine-readable baseline
 //! `BENCH_kernels.json` at the workspace root, one record per
-//! (op, impl, m, k, n, workers, epilogue) with `ns_per_iter` and
-//! `gflops`. CI and future sessions diff that file instead of re-parsing
-//! prose.
+//! (op, impl, m, k, n, epilogue) with `ns_per_iter` and `gflops`. CI and
+//! future sessions diff that file instead of re-parsing prose.
 //!
-//! The kernels are bitwise identical at every worker count and with every
+//! The kernels are bitwise identical to the reference loops and with every
 //! epilogue fusion (asserted here on every timed configuration, not just
-//! claimed), so the only thing this bench measures is speed.
-//! Honest-reporting note: on a single-core box the
-//! multi-worker rows legitimately read ~1.0x of the 1-worker row; the
-//! speedup that must hold everywhere is blocked-vs-reference at workers=1.
+//! claimed), so the only thing this bench measures is speed. Every kernel
+//! runs serially on the calling thread.
 //!
-//! Two ratio gates run in every mode (so `scripts/check.sh
-//! bench-kernels` fails on a regression even without `--json`):
-//!
-//! * fused epilogue ≥ 1.1x over the pre-fusion three-pass forward at the
-//!   smallest serving micro-batch shapes (where the O(m·n) epilogue passes
-//!   are a real fraction of the O(m·k·n) product);
-//! * no 2/4-worker row slower than its paired 1-worker counterpart at
-//!   128³, the shape [`kernels::PAR_MIN_FLOPS`] pins to serial dispatch.
-//!
-//! Each gate is measured with the interleaved pairing below and retried up
-//! to three times keeping the best ratio, so a single scheduler preemption
-//! cannot fail a build.
+//! One ratio gate runs in every mode (so `scripts/check.sh bench-kernels`
+//! fails on a regression even without `--json`): fused epilogue ≥ 1.1x over
+//! the pre-fusion three-pass forward at the smallest serving micro-batch
+//! shapes (where the O(m·n) epilogue passes are a real fraction of the
+//! O(m·k·n) product). It is measured with the interleaved pairing below and
+//! retried up to three times keeping the best ratio, so a single scheduler
+//! preemption cannot fail a build.
 
 use std::time::Instant;
 
@@ -39,7 +31,7 @@ use taglets_data::{standard_tasks, ConceptUniverse, UniverseConfig};
 use taglets_eval::ExperimentScale;
 use taglets_graph::{normalized_adjacency, SyntheticGraphConfig};
 use taglets_tensor::kernels::{self, Epilogue, GemmKind};
-use taglets_tensor::{Concurrency, Executor, SparseMatrix, Tensor};
+use taglets_tensor::{SparseMatrix, Tensor};
 
 /// One timed configuration. `epilogue` is `"none"` or `"bias_relu"`.
 struct Record {
@@ -48,56 +40,23 @@ struct Record {
     m: usize,
     k: usize,
     n: usize,
-    workers: usize,
     epilogue: &'static str,
     ns_per_iter: u128,
     gflops: f64,
 }
 
 /// A record with no fused epilogue.
-fn rec(
-    op: &'static str,
-    imp: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-    ns: u128,
-) -> Record {
+fn rec(op: &'static str, imp: &'static str, m: usize, k: usize, n: usize, ns: u128) -> Record {
     Record {
         op,
         imp,
         m,
         k,
         n,
-        workers,
         epilogue: "none",
         ns_per_iter: ns,
         gflops: gflops(m, k, n, ns),
     }
-}
-
-/// Min-of-9 timing of `f`, with iteration count chosen so each sample runs
-/// at least ~25ms (one warmup call calibrates; the cap only binds for
-/// calls slower than ~100ns, so the sub-microsecond fused closures
-/// still fill a full window instead of a noisy 40µs sliver). Minimum, not
-/// median: timer noise and scheduler preemption only ever *add* time, so
-/// the fastest sample is the closest estimate of the true cost.
-fn time_ns(mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    f();
-    let once = start.elapsed().as_nanos().max(1);
-    let iters = (25_000_000 / once).clamp(1, 250_000) as u32;
-    (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() / iters as u128
-        })
-        .min()
-        .unwrap_or(u128::MAX)
 }
 
 /// Paired min-of-9 timing: samples of `fa` and `fb` alternate inside one
@@ -148,59 +107,6 @@ fn time_pair_gated(mut fa: impl FnMut(), mut fb: impl FnMut(), target: f64) -> (
     best
 }
 
-/// The N-way generalization of [`time_pair`]: samples of every closure
-/// rotate inside each of the 9 rounds, so all reported ns share one timing
-/// context and are mutually comparable. Absolute ns from *different*
-/// contexts on this shared box have been observed ~1.6x apart for
-/// identical code, so any row family a reader will compare side by side
-/// must come from a single interleaved set.
-fn time_set(fns: &mut [&mut dyn FnMut()]) -> Vec<u128> {
-    let iters: Vec<u32> = fns
-        .iter_mut()
-        .map(|f| {
-            let start = Instant::now();
-            f();
-            let once = start.elapsed().as_nanos().max(1);
-            (25_000_000 / once).clamp(1, 250_000) as u32
-        })
-        .collect();
-    let mut best = vec![u128::MAX; fns.len()];
-    for _ in 0..9 {
-        for (i, f) in fns.iter_mut().enumerate() {
-            let start = Instant::now();
-            for _ in 0..iters[i] {
-                f();
-            }
-            best[i] = best[i].min(start.elapsed().as_nanos() / iters[i] as u128);
-        }
-    }
-    best
-}
-
-/// [`time_set`] retried up to three times for the serial-dispatch gate:
-/// closure `base` is the serial baseline and every later closure must land
-/// within `tol` of it. Keeps the attempt whose worst baseline/other ratio
-/// is best, breaking early once all clear.
-fn time_set_gated(fns: &mut [&mut dyn FnMut()], base: usize, tol: f64) -> Vec<u128> {
-    let mut best: Vec<u128> = Vec::new();
-    let mut best_worst = f64::NEG_INFINITY;
-    for _ in 0..3 {
-        let t = time_set(fns);
-        let worst = t[base + 1..]
-            .iter()
-            .map(|&w| t[base] as f64 / w as f64)
-            .fold(f64::INFINITY, f64::min);
-        if worst > best_worst {
-            best_worst = worst;
-            best = t;
-        }
-        if best_worst * tol >= 1.0 {
-            break;
-        }
-    }
-    best
-}
-
 /// The row-normalised adjacency of the smoke-scale SCADS graph — the
 /// operand every ZSL-KG aggregation multiplies by (350 nodes, 2098 stored
 /// entries).
@@ -232,9 +138,7 @@ fn main() {
         (256, 256, 256),
         (192, 96, 56),
     ];
-    let worker_counts = [1usize, 2, 4];
     let mut records: Vec<Record> = Vec::new();
-    let mut worst_worker_ratio = 0.0f64;
 
     for &(m, k, n) in &shapes {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
@@ -242,143 +146,42 @@ fn main() {
         let bt = b.transposed();
         let at = a.transposed();
 
-        let nn_ref = a.matmul_reference(&b);
-        let nt_ref = a.matmul_nt_reference(&bt);
-        let tn_ref = at.matmul_tn_reference(&b);
-
-        // One descriptor per GEMM orientation so gated and ungated shapes
-        // share a single timing structure below. `*_into` with a reused
-        // output is the steady-state training/serving call pattern (no
-        // allocation inside the timed region); bitwise equality is
-        // asserted on every timed configuration, not just claimed.
+        // `*_into` with a reused output is the steady-state training and
+        // serving call pattern (no allocation inside the timed region);
+        // bitwise equality is asserted on every timed configuration, not
+        // just claimed.
         type RefRun<'x> = &'x dyn Fn() -> Tensor;
-        type BlkRun<'x> = &'x dyn Fn(&Executor, &mut Tensor);
-        let ops: [(&'static str, RefRun, BlkRun, &Tensor); 3] = [
-            (
-                "matmul",
-                &|| a.matmul_reference(&b),
-                &|e, o| a.matmul_into(&b, e, o),
-                &nn_ref,
-            ),
-            (
-                "matmul_nt",
-                &|| a.matmul_nt_reference(&bt),
-                &|e, o| a.matmul_nt_into(&bt, e, o),
-                &nt_ref,
-            ),
-            (
-                "matmul_tn",
-                &|| at.matmul_tn_reference(&b),
-                &|e, o| at.matmul_tn_into(&b, e, o),
-                &tn_ref,
-            ),
+        type BlkRun<'x> = &'x dyn Fn(&mut Tensor);
+        let ops: [(&'static str, RefRun, BlkRun); 3] = [
+            ("matmul", &|| a.matmul_reference(&b), &|o| {
+                a.matmul_into(&b, o)
+            }),
+            ("matmul_nt", &|| a.matmul_nt_reference(&bt), &|o| {
+                a.matmul_nt_into(&bt, o)
+            }),
+            ("matmul_tn", &|| at.matmul_tn_reference(&b), &|o| {
+                at.matmul_tn_into(&b, o)
+            }),
         ];
-
-        let serial = Executor::serial();
-        let gated = 2 * m * k * n < kernels::PAR_MIN_FLOPS;
-        for (op, ref_run, run, expect) in ops {
-            if gated {
-                // Below PAR_MIN_FLOPS the multi-worker call dispatches
-                // serially, so it must not be slower than the 1-worker
-                // call beyond timing noise — and a reader will compare the
-                // worker rows side by side, so reference and all three
-                // worker counts are timed in ONE interleaved set. (Pulling
-                // the 1-worker row from an earlier pair produced rows
-                // ~1.6x apart for identical serial dispatch, pure
-                // cross-context noise.)
-                let exec2 = Executor::new(Concurrency::Threads(2));
-                let exec4 = Executor::new(Concurrency::Threads(4));
-                let mut o1 = Tensor::default();
-                let mut o2 = Tensor::default();
-                let mut o4 = Tensor::default();
-                let t = time_set_gated(
-                    &mut [
-                        &mut || {
-                            std::hint::black_box(ref_run());
-                        },
-                        &mut || {
-                            run(&serial, &mut o1);
-                            std::hint::black_box(&o1);
-                        },
-                        &mut || {
-                            run(&exec2, &mut o2);
-                            std::hint::black_box(&o2);
-                        },
-                        &mut || {
-                            run(&exec4, &mut o4);
-                            std::hint::black_box(&o4);
-                        },
-                    ],
-                    1,
-                    1.05,
-                );
-                for o in [&o1, &o2, &o4] {
-                    assert_eq!(
-                        o.data(),
-                        expect.data(),
-                        "blocked {op} must match reference bitwise at {m}x{k}x{n}"
-                    );
-                }
-                records.push(rec(op, "reference", m, k, n, 1, t[0]));
-                for (i, &w) in worker_counts.iter().enumerate() {
-                    let ns = t[1 + i];
-                    if w > 1 {
-                        let ratio = t[1] as f64 / ns as f64;
-                        worst_worker_ratio = if worst_worker_ratio == 0.0 {
-                            ratio
-                        } else {
-                            worst_worker_ratio.min(ratio)
-                        };
-                        assert!(
-                            ns as f64 <= t[1] as f64 * 1.05,
-                            "{w}-worker {op} at {m}x{k}x{n} ({ns} ns) must not be slower than \
-                             1-worker ({} ns): below PAR_MIN_FLOPS both dispatch serially",
-                            t[1]
-                        );
-                    }
-                    records.push(rec(op, "blocked", m, k, n, w, ns));
-                }
-            } else {
-                // Reference vs blocked-at-1-worker is the headline ratio,
-                // timed as an interleaved pair; larger worker counts go
-                // through real thread dispatch and are timed unpaired, as
-                // before.
-                let mut out = Tensor::default();
-                run(&serial, &mut out);
-                assert_eq!(
-                    out.data(),
-                    expect.data(),
-                    "blocked {op} must match reference bitwise at {m}x{k}x{n}"
-                );
-                let (rns, bns) = time_pair(
-                    || {
-                        std::hint::black_box(ref_run());
-                    },
-                    || {
-                        run(&serial, &mut out);
-                        std::hint::black_box(&out);
-                    },
-                );
-                records.push(rec(op, "reference", m, k, n, 1, rns));
-                records.push(rec(op, "blocked", m, k, n, 1, bns));
-                for &w in &worker_counts {
-                    if w == 1 {
-                        continue; // timed above, paired with the reference
-                    }
-                    let exec = Executor::new(Concurrency::Threads(w));
-                    run(&exec, &mut out);
-                    assert_eq!(
-                        out.data(),
-                        expect.data(),
-                        "blocked {op} must match reference bitwise at {m}x{k}x{n}"
-                    );
-                    let ns = time_ns(|| {
-                        run(&exec, &mut out);
-                        std::hint::black_box(&out);
-                    });
-                    records.push(rec(op, "blocked", m, k, n, w, ns));
-                }
-            }
+        for (op, ref_run, run) in ops {
+            let mut out = Tensor::default();
+            run(&mut out);
+            assert_eq!(
+                out.data(),
+                ref_run().data(),
+                "blocked {op} must match reference bitwise at {m}x{k}x{n}"
+            );
+            let (rns, bns) = time_pair(
+                || {
+                    std::hint::black_box(ref_run());
+                },
+                || {
+                    run(&mut out);
+                    std::hint::black_box(&out);
+                },
+            );
+            records.push(rec(op, "reference", m, k, n, rns));
+            records.push(rec(op, "blocked", m, k, n, bns));
         }
     }
 
@@ -395,7 +198,6 @@ fn main() {
     ] {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let serial = Executor::serial();
         let mut panel = Vec::new();
         let mut repack_out = vec![0.0f32; m * n];
         kernels::gemm_into(
@@ -406,7 +208,6 @@ fn main() {
             a.data(),
             b.data(),
             Epilogue::None,
-            &serial,
             &mut panel,
             &mut repack_out,
         );
@@ -421,7 +222,6 @@ fn main() {
             a.data(),
             &weights,
             Epilogue::None,
-            &serial,
             &mut packed_out,
         );
         assert_eq!(
@@ -438,7 +238,6 @@ fn main() {
                     a.data(),
                     b.data(),
                     Epilogue::None,
-                    &serial,
                     &mut panel,
                     &mut repack_out,
                 );
@@ -453,14 +252,13 @@ fn main() {
                     a.data(),
                     &weights,
                     Epilogue::None,
-                    &serial,
                     &mut packed_out,
                 );
                 std::hint::black_box(&packed_out);
             },
         );
-        records.push(rec("matmul", "repack", m, k, n, 1, rns));
-        records.push(rec("matmul", "prepacked", m, k, n, 1, pns));
+        records.push(rec("matmul", "repack", m, k, n, rns));
+        records.push(rec("matmul", "prepacked", m, k, n, pns));
     }
 
     // Fused epilogue vs the pre-fusion forward (ISSUE 10). The unfused
@@ -490,23 +288,12 @@ fn main() {
         let x = Tensor::randn(&[m, k], 1.0, &mut rng);
         let w = Tensor::randn(&[k, n], 0.5, &mut rng);
         let bias = Tensor::randn(&[1, n], 1.0, &mut rng);
-        let serial = Executor::serial();
         let mut panel = Vec::new();
         kernels::pack_b(GemmKind::Nn, k, n, w.data(), &mut panel);
         let mut unfused_out = vec![0.0f32; m * n];
         let mut fused_out = vec![0.0f32; m * n];
         let unfused = |out: &mut Vec<f32>| {
-            kernels::gemm_packed_into(
-                GemmKind::Nn,
-                m,
-                k,
-                n,
-                x.data(),
-                &panel,
-                Epilogue::None,
-                &serial,
-                out,
-            );
+            kernels::gemm_packed_into(GemmKind::Nn, m, k, n, x.data(), &panel, Epilogue::None, out);
             for r in 0..m {
                 let row = &mut out[r * n..(r + 1) * n];
                 for (o, &bv) in row.iter_mut().zip(bias.data().iter()) {
@@ -526,7 +313,6 @@ fn main() {
             x.data(),
             &panel,
             Epilogue::BiasRelu(bias.data()),
-            &serial,
             &mut fused_out,
         );
         assert_eq!(
@@ -548,7 +334,6 @@ fn main() {
                     x.data(),
                     &panel,
                     Epilogue::BiasRelu(bias.data()),
-                    &serial,
                     &mut fused_out,
                 );
                 std::hint::black_box(&fused_out);
@@ -562,11 +347,11 @@ fn main() {
         fused_ratio_lines.push(format!("m={m} k={k} n={n} {ratio:.2}x"));
         records.push(Record {
             epilogue: "bias_relu",
-            ..rec("linear", "unfused", m, k, n, 1, uns)
+            ..rec("linear", "unfused", m, k, n, uns)
         });
         records.push(Record {
             epilogue: "bias_relu",
-            ..rec("linear", "fused", m, k, n, 1, fns_)
+            ..rec("linear", "fused", m, k, n, fns_)
         });
     }
     assert!(
@@ -613,21 +398,21 @@ fn main() {
                 "{op} width {width} {:.1}x",
                 dns as f64 / sns as f64
             ));
-            records.push(rec(op, "dense", nodes, nodes, width, 1, dns));
-            records.push(rec(op, "sparse", nodes, nodes, width, 1, sns));
+            records.push(rec(op, "dense", nodes, nodes, width, dns));
+            records.push(rec(op, "sparse", nodes, nodes, width, sns));
         }
     }
 
     let mut out =
         String::from("GEMM kernels — blocked vs seed-naive reference (bitwise identical)\n\n");
     out.push_str(&format!(
-        "{:<12} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8}\n",
-        "op", "impl", "m", "k", "n", "workers", "epilogue", "ns/iter", "GFLOP/s"
+        "{:<12} {:<10} {:>4} {:>4} {:>4} {:>10} {:>14} {:>8}\n",
+        "op", "impl", "m", "k", "n", "epilogue", "ns/iter", "GFLOP/s"
     ));
     for r in &records {
         out.push_str(&format!(
-            "{:<12} {:<10} {:>4} {:>4} {:>4} {:>7} {:>10} {:>14} {:>8.3}\n",
-            r.op, r.imp, r.m, r.k, r.n, r.workers, r.epilogue, r.ns_per_iter, r.gflops
+            "{:<12} {:<10} {:>4} {:>4} {:>4} {:>10} {:>14} {:>8.3}\n",
+            r.op, r.imp, r.m, r.k, r.n, r.epilogue, r.ns_per_iter, r.gflops
         ));
     }
     // Headline: the acceptance number for the 256^3 matmul.
@@ -638,7 +423,7 @@ fn main() {
             .map_or(0, |r| r.ns_per_iter);
         let blk_ns = records
             .iter()
-            .find(|r| r.op == op && r.imp == "blocked" && r.m == 256 && r.workers == 1)
+            .find(|r| r.op == op && r.imp == "blocked" && r.m == 256)
             .map_or(1, |r| r.ns_per_iter);
         ref_ns as f64 / blk_ns as f64
     };
@@ -671,9 +456,6 @@ fn main() {
         fused_ratio_lines.join(", ")
     ));
     out.push_str(&format!(
-        "multi-worker at 128^3 dispatches serially (PAR_MIN_FLOPS gate): worst serial/worker ratio {worst_worker_ratio:.3}\n",
-    ));
-    out.push_str(&format!(
         "sparse vs dense aggregation on the smoke SCADS adjacency ({nodes} nodes, {} stored entries): {}\n",
         adj.nnz(),
         aggregation_lines.join(", ")
@@ -686,13 +468,12 @@ fn main() {
             // Every kernel is f32; the `dtype` key keeps the row schema of
             // earlier baselines so rows stay diffable.
             json.push_str(&format!(
-                "    {{\"op\": \"{}\", \"impl\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"workers\": {}, \"epilogue\": \"{}\", \"dtype\": \"f32\", \"ns_per_iter\": {}, \"gflops\": {:.4}}}{}\n",
+                "    {{\"op\": \"{}\", \"impl\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"epilogue\": \"{}\", \"dtype\": \"f32\", \"ns_per_iter\": {}, \"gflops\": {:.4}}}{}\n",
                 r.op,
                 r.imp,
                 r.m,
                 r.k,
                 r.n,
-                r.workers,
                 r.epilogue,
                 r.ns_per_iter,
                 r.gflops,

@@ -5,11 +5,10 @@
 //! bench refactor that drops a key or a row family fails this test, not
 //! whatever script consumes the file next. Every row carries `epilogue`
 //! ("none" / "bias_relu") and `dtype` (always "f32"). Beyond the
-//! blocked-vs-reference sweep, four row families are pinned: prepacked vs
+//! blocked-vs-reference sweep, three row families are pinned: prepacked vs
 //! per-call-packed weight panels, fused-vs-unfused linear forwards at
-//! serving micro-batch shapes, the multi-worker rows whose 128³ entries
-//! the bench gates against their 1-worker counterpart, and sparse-vs-dense
-//! neighbour aggregation at the smoke SCADS adjacency.
+//! serving micro-batch shapes, and sparse-vs-dense neighbour aggregation at
+//! the smoke SCADS adjacency.
 //!
 //! The perf *ratios* themselves are asserted inside the bench binary
 //! (`scripts/check.sh bench-kernels`), which also re-verifies bitwise
@@ -49,7 +48,6 @@ fn every_row_carries_every_diffed_key() {
         "\"m\"",
         "\"k\"",
         "\"n\"",
-        "\"workers\"",
         "\"epilogue\"",
         "\"dtype\"",
         "\"ns_per_iter\"",
@@ -77,7 +75,7 @@ fn fused_epilogue_rows_cover_the_micro_batch_shapes() {
         for imp in ["unfused", "fused"] {
             let row = format!(
                 "\"op\": \"linear\", \"impl\": \"{imp}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
-                 \"workers\": 1, \"epilogue\": \"bias_relu\", \"dtype\": \"f32\""
+                 \"epilogue\": \"bias_relu\", \"dtype\": \"f32\""
             );
             assert!(
                 json.contains(&row),
@@ -94,7 +92,7 @@ fn prepacked_rows_cover_the_serving_sweep() {
         for imp in ["repack", "prepacked"] {
             let row = format!(
                 "\"op\": \"matmul\", \"impl\": \"{imp}\", \"m\": {m}, \"k\": 256, \"n\": 256, \
-                 \"workers\": 1, \"epilogue\": \"none\", \"dtype\": \"f32\""
+                 \"epilogue\": \"none\", \"dtype\": \"f32\""
             );
             assert!(
                 json.contains(&row),
@@ -112,22 +110,6 @@ fn every_row_is_f32() {
 }
 
 #[test]
-fn worker_sweep_rows_survive_at_the_gated_shape() {
-    let json = baseline();
-    for workers in [1usize, 2, 4] {
-        let row = format!(
-            "\"op\": \"matmul\", \"impl\": \"blocked\", \"m\": 128, \"k\": 128, \"n\": 128, \
-             \"workers\": {workers}, \"epilogue\": \"none\", \"dtype\": \"f32\""
-        );
-        assert!(
-            json.contains(&row),
-            "BENCH_kernels.json missing the {workers}-worker 128^3 row the serial-dispatch \
-             gate compares"
-        );
-    }
-}
-
-#[test]
 fn aggregation_rows_cover_the_smoke_scads_shape() {
     let json = baseline();
     for op in ["aggregate", "aggregate_tn"] {
@@ -135,7 +117,7 @@ fn aggregation_rows_cover_the_smoke_scads_shape() {
             for imp in ["dense", "sparse"] {
                 let row = format!(
                     "\"op\": \"{op}\", \"impl\": \"{imp}\", \"m\": 350, \"k\": 350, \
-                     \"n\": {width}, \"workers\": 1, \"epilogue\": \"none\", \"dtype\": \"f32\""
+                     \"n\": {width}, \"epilogue\": \"none\", \"dtype\": \"f32\""
                 );
                 assert!(
                     json.contains(&row),

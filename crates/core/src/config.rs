@@ -9,7 +9,7 @@
 
 use taglets_data::BackboneKind;
 
-use crate::exec::Concurrency;
+use crate::Concurrency;
 
 /// How the auxiliary set `R` is chosen from SCADS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

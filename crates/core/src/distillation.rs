@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use taglets_data::{BackboneKind, ModelZoo};
 use taglets_nn::{fit_soft, Classifier, FitConfig, FitReport};
-use taglets_tensor::{Adam, AdamConfig, Executor, LrSchedule, Tensor};
+use taglets_tensor::{Adam, AdamConfig, LrSchedule, Tensor};
 
 use crate::EndModelConfig;
 
@@ -66,10 +66,8 @@ pub fn distillation_set(
 /// on the distillation set with soft cross-entropy, Adam, and the paper's
 /// milestone decay. Returns the classifier together with its fit telemetry.
 ///
-/// Distillation trains a *single* model, so unlike the module stage (which
-/// parallelizes across modules) the workers go to intra-op row-block
-/// parallelism inside the training matmuls via `executor` — bitwise
-/// identical to serial at any worker count.
+/// Distillation trains a *single* model on the calling thread; the run's
+/// workers parallelize only the module stage before it.
 pub fn train_end_model(
     zoo: &ModelZoo,
     backbone: BackboneKind,
@@ -77,7 +75,6 @@ pub fn train_end_model(
     soft_targets: &Tensor,
     num_classes: usize,
     cfg: &EndModelConfig,
-    executor: &Executor,
     rng: &mut StdRng,
 ) -> (Classifier, FitReport) {
     let mut clf = Classifier::new(zoo.get(backbone).backbone(), num_classes, rng);
@@ -90,8 +87,7 @@ pub fn train_end_model(
         .map(|&e| e * steps_per_epoch)
         .collect();
     let fit = FitConfig::new(cfg.epochs, cfg.batch_size, cfg.lr)
-        .with_schedule(LrSchedule::milestones(cfg.lr, milestones, 0.1))
-        .with_executor(*executor);
+        .with_schedule(LrSchedule::milestones(cfg.lr, milestones, 0.1));
     let mut opt = Adam::new(AdamConfig {
         lr: cfg.lr,
         weight_decay: cfg.weight_decay,
@@ -165,7 +161,6 @@ mod tests {
             &soft,
             2,
             &EndModelConfig::default(),
-            &Executor::new(taglets_tensor::Concurrency::Threads(2)),
             &mut rng,
         );
         assert!(report.steps > 0, "distillation telemetry must be populated");

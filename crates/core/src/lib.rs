@@ -38,7 +38,6 @@
 mod config;
 pub mod distillation;
 mod ensemble;
-pub mod exec;
 mod modules;
 mod servable;
 pub mod serve;
@@ -51,7 +50,6 @@ pub use config::{
     TransferConfig, ZslKgConfig,
 };
 pub use ensemble::Ensemble;
-pub use exec::{Concurrency, Executor};
 pub use modules::{fixmatch_train, FixMatchModule, MultiTaskModule, TransferModule, ZslKgModule};
 pub use servable::ServableModel;
 pub use serve::{
@@ -60,6 +58,7 @@ pub use serve::{
 };
 pub use system::{TagletsRun, TagletsSystem};
 pub use taglet::{ClassifierTaglet, ModuleContext, Taglet, TagletModule, TrainedTaglet};
+pub use taglets_tensor::{Concurrency, Executor};
 pub use telemetry::{ModuleTelemetry, RunTelemetry, StageTelemetry};
 
 use std::error::Error;

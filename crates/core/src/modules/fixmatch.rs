@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 
 use taglets_data::Augmenter;
 use taglets_nn::{fit_hard, shuffled_batches, train_step, Classifier, FitConfig, FitReport};
-use taglets_tensor::{confidence_rows, Executor, GradScratch, LrSchedule, Sgd, SgdConfig, Tensor};
+use taglets_tensor::{confidence_rows, GradScratch, LrSchedule, Sgd, SgdConfig, Tensor};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
@@ -182,26 +182,19 @@ pub fn fixmatch_train(
             let l_y: Vec<usize> = l_idx.iter().map(|&i| labeled_y[i]).collect();
 
             let lr = Some(schedule.lr_at(step));
-            epoch_loss += train_step(
-                clf,
-                &mut opt,
-                lr,
-                Executor::serial(),
-                &mut scratch,
-                |clf, tape, vars| {
-                    let lx = tape.constant(l_weak);
-                    let logits_l = clf.forward_logits(tape, vars, lx, true, rng);
-                    let loss_l = tape.softmax_cross_entropy(logits_l, &l_y);
+            epoch_loss += train_step(clf, &mut opt, lr, &mut scratch, |clf, tape, vars| {
+                let lx = tape.constant(l_weak);
+                let logits_l = clf.forward_logits(tape, vars, lx, true, rng);
+                let loss_l = tape.softmax_cross_entropy(logits_l, &l_y);
 
-                    let ux = tape.constant(u_strong);
-                    let logits_u = clf.forward_logits(tape, vars, ux, true, rng);
-                    let lp_u = tape.log_softmax(logits_u);
-                    let loss_u = tape.nll_weighted(lp_u, &pseudo, &weights);
+                let ux = tape.constant(u_strong);
+                let logits_u = clf.forward_logits(tape, vars, ux, true, rng);
+                let lp_u = tape.log_softmax(logits_u);
+                let loss_u = tape.nll_weighted(lp_u, &pseudo, &weights);
 
-                    let weighted_u = tape.scale(loss_u, cfg.lambda_u);
-                    tape.add(loss_l, weighted_u)
-                },
-            );
+                let weighted_u = tape.scale(loss_u, cfg.lambda_u);
+                tape.add(loss_l, weighted_u)
+            });
             epoch_batches += 1;
             step += 1;
         }

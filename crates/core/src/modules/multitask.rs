@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 
 use taglets_nn::{shuffled_batches, train_step, Augmenter, Classifier, FitReport, Linear};
-use taglets_tensor::{Executor, GradScratch, LrSchedule, Sgd, SgdConfig};
+use taglets_tensor::{GradScratch, LrSchedule, Sgd, SgdConfig};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
@@ -102,7 +102,6 @@ impl TagletModule for MultiTaskModule {
                     &mut model,
                     &mut opt,
                     lr,
-                    Executor::serial(),
                     &mut scratch,
                     |(clf, aux_head), tape, vars| {
                         // Both heads bind as exactly [w, b]: the auxiliary head

@@ -14,7 +14,7 @@
 //!           remainder (max_delay elapsed for the oldest request)
 //!               │
 //!               ▼
-//!        core::exec::Executor — one worker per cut batch, results
+//!        Executor — one worker per cut batch, results
 //!        reassembled in cut order, rows in arrival order
 //!               │
 //!               ▼
@@ -31,7 +31,7 @@
 //!    (`taglets_nn::InferScratch` docs),
 //! 2. every forward op is row-independent, so a row's output does not
 //!    depend on which batch it rides in, and
-//! 3. [`crate::exec::Executor`] reassembles batch results in index order,
+//! 3. [`crate::Executor`] reassembles batch results in index order,
 //!    so worker scheduling never leaks into output order.
 //!
 //! The cache preserves this exactly: an entry is only returned after a
@@ -57,8 +57,8 @@ use std::fmt;
 use taglets_nn::InferScratch;
 use taglets_tensor::{argmax_slice, Tensor};
 
-use crate::exec::{Concurrency, Executor};
 use crate::servable::ServableModel;
+use crate::{Concurrency, Executor};
 
 // ---------------------------------------------------------------------
 // Clock

@@ -2,7 +2,7 @@
 //! `select` → `train_modules` → `ensemble` → `distill`.
 //!
 //! Each stage is a named method; the `train_modules` stage hands its
-//! independent jobs to [`crate::exec::Executor`], which may fan them out
+//! independent jobs to [`crate::Executor`], which may fan them out
 //! over scoped worker threads. Because every module derives its RNG from
 //! `seed ^ name_hash(name)` and the executor reassembles results in module
 //! order, the parallel path is bitwise identical to the serial one (see the
@@ -18,10 +18,9 @@ use taglets_graph::ConceptId;
 use taglets_scads::{AuxiliarySelection, PruneLevel, Scads};
 use taglets_tensor::Tensor;
 
-use crate::exec::Executor;
 use crate::telemetry::{ModuleTelemetry, RunTelemetry, StageTelemetry};
 use crate::{
-    distillation, CoreError, Ensemble, FixMatchModule, ModuleContext, MultiTaskModule,
+    distillation, CoreError, Ensemble, Executor, FixMatchModule, ModuleContext, MultiTaskModule,
     ServableModel, Taglet, TagletModule, TagletsConfig, TransferModule, ZslKgModule,
 };
 
@@ -254,14 +253,8 @@ impl<'a> TagletsSystem<'a> {
 
         // Stage 4: distill into the end model (Eq. 7).
         let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
-        let (end_model, end_telemetry) = self.distill(
-            task,
-            split,
-            &selected.unlabeled_used,
-            &pseudo_labels,
-            seed,
-            &executor,
-        );
+        let (end_model, end_telemetry) =
+            self.distill(task, split, &selected.unlabeled_used, &pseudo_labels, seed);
         stages.push(StageTelemetry {
             name: "distill",
             seconds: start.elapsed().as_secs_f32(),
@@ -426,9 +419,8 @@ impl<'a> TagletsSystem<'a> {
     }
 
     /// `distill` stage: train the servable end model on pseudo-labeled plus
-    /// labeled data (Eq. 7). The stage trains one model, so the run's
-    /// workers are spent on intra-op row-block parallelism inside its
-    /// matmuls instead of across modules.
+    /// labeled data (Eq. 7). The stage trains one model on the calling
+    /// thread.
     fn distill(
         &self,
         task: &Task,
@@ -436,7 +428,6 @@ impl<'a> TagletsSystem<'a> {
         unlabeled_used: &Tensor,
         pseudo_labels: &Tensor,
         seed: u64,
-        executor: &Executor,
     ) -> (ServableModel, ModuleTelemetry) {
         let (inputs, soft_targets) = distillation::distillation_set(
             unlabeled_used,
@@ -455,7 +446,6 @@ impl<'a> TagletsSystem<'a> {
             &soft_targets,
             task.num_classes(),
             &self.config.end_model,
-            executor,
             &mut rng,
         );
         let telemetry = ModuleTelemetry {

@@ -165,7 +165,7 @@ impl TrainedTaglet {
 /// "modular framework is extensible").
 ///
 /// Implementations must be `Send + Sync`: the execution engine
-/// ([`crate::exec`]) may train independent modules on scoped worker threads,
+/// ([`crate::Executor`]) may train independent modules on scoped worker threads,
 /// each holding a shared reference to the module and the context.
 pub trait TagletModule: Send + Sync {
     /// The module's display name (used in reports and figures).

@@ -9,7 +9,7 @@
 
 use taglets_nn::FitReport;
 
-use crate::exec::Concurrency;
+use crate::Concurrency;
 
 /// Wall-clock timing of one named pipeline stage.
 #[derive(Debug, Clone, PartialEq)]

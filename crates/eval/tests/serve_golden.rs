@@ -54,6 +54,9 @@ fn fixed_telemetry() -> ServeTelemetry {
         cache_capacity: 32,
         concurrency: Concurrency::Serial,
     };
+    // TAGLETS_THREADS would override the serial knob, and the goldens pin
+    // the worker count the telemetry reports.
+    std::env::remove_var("TAGLETS_THREADS");
     ServingEngine::run(&model, cfg, &stream)
         .expect("fixed replay succeeds")
         .telemetry

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use taglets_nn::{train_step, Linear, Module};
-use taglets_tensor::{Adam, AdamConfig, Executor, GradScratch, SparseMatrix, Tape, Tensor, Var};
+use taglets_tensor::{Adam, AdamConfig, GradScratch, SparseMatrix, Tape, Tensor, Var};
 
 use crate::{ConceptGraph, ConceptId};
 
@@ -388,7 +388,6 @@ pub fn pretrain_encoder(
             encoder,
             &mut opt,
             None,
-            Executor::serial(),
             &mut scratch,
             |encoder, tape, vars| {
                 let xv = tape.constant(features.clone());

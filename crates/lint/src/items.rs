@@ -63,7 +63,7 @@ impl FactKind {
     pub fn describe(self) -> &'static str {
         match self {
             FactKind::TimeAsData => "wall-clock time used as data",
-            FactKind::ThreadSpawn => "thread spawned outside core::exec",
+            FactKind::ThreadSpawn => "thread spawned outside tensor::exec",
             FactKind::RngNotSeedDerived => "RNG not derived from a seed",
             FactKind::MapIter => "iteration over unordered HashMap/HashSet",
             FactKind::UnsafeCode => "unsafe code without a reasoned waiver",
@@ -1078,8 +1078,7 @@ mod tests {
         let src = "fn run() { std::thread::scope(|s| {}); }\n";
         let fns = extract("crates/tensor/src/exec.rs", &lex(src), &scan(src)).fns;
         assert!(of(&fns[0].facts, DETERMINISM).is_empty());
-        // The old executor home is a plain re-export shim now; spawning
-        // there is no longer exempt.
+        // The executor's former home in core is not exempt.
         let fns = extract("crates/core/src/exec.rs", &lex(src), &scan(src)).fns;
         assert!(!of(&fns[0].facts, DETERMINISM).is_empty());
     }

@@ -28,7 +28,7 @@
 //! [`softmax_rows`]: taglets_tensor::softmax_rows
 
 use taglets_tensor::kernels::{self, GemmKind};
-use taglets_tensor::{softmax_rows, Executor, Tensor};
+use taglets_tensor::{softmax_rows, Tensor};
 
 use crate::{Activation, Classifier, Linear};
 
@@ -88,9 +88,6 @@ impl PackedWeights {
 /// block is register-hot. The fused epilogue replicates `Tape::add_row`'s
 /// per-element op order exactly, so results stay bitwise identical to the
 /// tape path.
-///
-/// Intra-op parallelism stays off here: `core::serve` already runs one
-/// inference per worker, so the serial kernel keeps workers independent.
 fn linear_forward(
     x: &[f32],
     rows: usize,
@@ -104,17 +101,7 @@ fn linear_forward(
     // The kernel overwrites every element, so a dirty resize (no re-zeroing
     // of the kept prefix) is safe.
     out.resize(rows * n, 0.0);
-    kernels::gemm_packed_into(
-        GemmKind::Nn,
-        rows,
-        k,
-        n,
-        x,
-        panel,
-        epi,
-        &Executor::serial(),
-        out,
-    );
+    kernels::gemm_packed_into(GemmKind::Nn, rows, k, n, x, panel, epi, out);
 }
 
 impl Classifier {

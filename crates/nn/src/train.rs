@@ -11,7 +11,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use taglets_tensor::{Executor, GradScratch, LrSchedule, Optimizer, Tape, Tensor, Var};
+use taglets_tensor::{GradScratch, LrSchedule, Optimizer, Tape, Tensor, Var};
 
 use crate::{Classifier, Module};
 
@@ -53,10 +53,6 @@ pub struct FitConfig {
     /// (Appendix A.5). On by default; essential in the 1-shot regime, where
     /// unaugmented full fine-tuning collapses onto single exemplars.
     pub augment: Option<crate::Augmenter>,
-    /// Executor for intra-op (row-block) parallelism inside the forward and
-    /// backward matmuls. The blocked kernels are bitwise identical at any
-    /// worker count, so this only affects wall-clock time, never results.
-    pub executor: Executor,
 }
 
 impl FitConfig {
@@ -68,19 +64,12 @@ impl FitConfig {
             batch_size,
             schedule: LrSchedule::constant(lr),
             augment: Some(crate::Augmenter::default()),
-            executor: Executor::serial(),
         }
     }
 
     /// Replaces the schedule.
     pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Replaces the executor used for intra-op kernel parallelism.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -118,8 +107,8 @@ impl FitReport {
 
 /// One optimizer step of `model` on the loss that `loss` records.
 ///
-/// Binds every parameter of `model` as a trainable leaf on a fresh tape
-/// dispatching through `executor`, then calls `loss(model, tape, vars)`
+/// Binds every parameter of `model` as a trainable leaf on a fresh tape,
+/// then calls `loss(model, tape, vars)`
 /// with the bound variables in [`Module::parameters`] order; the closure
 /// records the forward pass and returns the scalar loss node. The backward
 /// pass draws its buffers from `scratch`, the gradients pair with the
@@ -139,11 +128,10 @@ pub fn train_step<M: Module>(
     model: &mut M,
     opt: &mut dyn Optimizer,
     lr: Option<f32>,
-    executor: Executor,
     scratch: &mut GradScratch,
     loss: impl FnOnce(&M, &mut Tape, &[Var]) -> Var,
 ) -> f32 {
-    let mut tape = Tape::with_executor(executor);
+    let mut tape = Tape::new();
     let vars = model.bind(&mut tape);
     let loss = loss(model, &mut tape, &vars);
     let value = tape.value(loss).item();
@@ -206,27 +194,20 @@ pub fn fit<R: Rng + ?Sized>(
                 xb = aug.weak_batch(&xb, rng);
             }
             let lr = cfg.schedule.lr_at(report.steps);
-            epoch_loss += train_step(
-                clf,
-                opt,
-                Some(lr),
-                cfg.executor,
-                &mut scratch,
-                |clf, tape, vars| {
-                    let xv = tape.constant(xb);
-                    let logits = clf.forward_logits(tape, vars, xv, true, rng);
-                    match &targets {
-                        Targets::Hard(labels) => {
-                            let yb: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                            tape.softmax_cross_entropy(logits, &yb)
-                        }
-                        Targets::Soft(t) => {
-                            let tb = t.gather_rows(&batch);
-                            tape.soft_cross_entropy(logits, &tb)
-                        }
+            epoch_loss += train_step(clf, opt, Some(lr), &mut scratch, |clf, tape, vars| {
+                let xv = tape.constant(xb);
+                let logits = clf.forward_logits(tape, vars, xv, true, rng);
+                match &targets {
+                    Targets::Hard(labels) => {
+                        let yb: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        tape.softmax_cross_entropy(logits, &yb)
                     }
-                },
-            );
+                    Targets::Soft(t) => {
+                        let tb = t.gather_rows(&batch);
+                        tape.soft_cross_entropy(logits, &tb)
+                    }
+                }
+            });
             report.steps += 1;
         }
         report.epoch_losses.push(epoch_loss / n_batches as f32);

@@ -17,7 +17,6 @@
 //! assert_eq!(gw.data(), &[1.0, 2.0]);
 //! ```
 
-use crate::exec::Executor;
 use crate::kernels::{self, GemmKind};
 use crate::tensor::gemm_tensors;
 use crate::{argmax_slice, SparseMatrix, Tensor};
@@ -124,14 +123,11 @@ struct Node {
 /// A gradient tape for reverse-mode differentiation.
 ///
 /// Matmul nodes (forward and backward) run through the blocked kernel
-/// layer ([`crate::kernels`]) on the tape's [`Executor`] — serial by
-/// default, row-block parallel via [`Tape::with_executor`], bitwise
-/// identical either way. See the [module documentation](self) for a usage
-/// example.
+/// layer ([`crate::kernels`]). See the [module documentation](self) for a
+/// usage example.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    exec: Executor,
     /// Packed-panel scratch reused by every forward matmul on this tape.
     panel: Vec<f32>,
     #[cfg(feature = "strict-numerics")]
@@ -266,20 +262,6 @@ impl Tape {
         Tape::default()
     }
 
-    /// Creates an empty tape whose matmul nodes dispatch row blocks through
-    /// `exec` (bitwise identical to a serial tape at any worker count).
-    pub fn with_executor(exec: Executor) -> Self {
-        Tape {
-            exec,
-            ..Tape::default()
-        }
-    }
-
-    /// The executor this tape's matmul nodes dispatch through.
-    pub fn executor(&self) -> Executor {
-        self.exec
-    }
-
     /// Names of every op the tape can record, in declaration order.
     ///
     /// The gradient-audit sweep uses this to guarantee each differentiable
@@ -352,19 +334,12 @@ impl Tape {
     // Ops
     // ------------------------------------------------------------------
 
-    /// Runs a kernel-layer gemm on this tape's executor, reusing the tape's
-    /// packed-panel scratch across ops.
+    /// Runs a kernel-layer gemm, reusing the tape's packed-panel scratch
+    /// across ops.
     fn forward_gemm(&mut self, kind: GemmKind, a: Var, b: Var) -> Tensor {
         let mut panel = std::mem::take(&mut self.panel);
         let mut value = Tensor::default();
-        gemm_tensors(
-            kind,
-            self.value(a),
-            self.value(b),
-            &self.exec,
-            &mut panel,
-            &mut value,
-        );
+        gemm_tensors(kind, self.value(a), self.value(b), &mut panel, &mut value);
         self.panel = panel;
         value
     }
@@ -707,7 +682,7 @@ impl Tape {
         scratch: &mut GradScratch,
     ) -> Tensor {
         let mut out = scratch.take_any();
-        gemm_tensors(kind, a, b, &self.exec, &mut scratch.panel, &mut out);
+        gemm_tensors(kind, a, b, &mut scratch.panel, &mut out);
         out
     }
 

@@ -3,23 +3,14 @@
 //! This module is the single home of thread spawning in the workspace (the
 //! `taglets-lint` rule TL006 enforces that `std::thread::spawn`/`scope`
 //! appear nowhere else in library code). It lives in the tensor crate — the
-//! bottom of the dependency stack — so both the staged execution engine in
-//! `taglets-core` (which re-exports these types as `core::exec`) and the
-//! blocked matmul kernels in [`crate::kernels`] can dispatch work through
-//! the same [`Executor`].
+//! bottom of the dependency stack — and `taglets-core` re-exports its types
+//! for the staged execution engine, serving and the evaluation sweeps.
 //!
-//! Two dispatch shapes are offered, both deterministic:
-//!
-//! * [`Executor::run`]/[`Executor::map`] — `n` independent indexed jobs,
-//!   claimed work-stealing style, results reassembled **in index order** so
-//!   scheduling never leaks into the output. Combined with each job deriving
-//!   its own RNG from the run seed (`seed ^ name_hash(name)` for modules),
-//!   parallel execution is bitwise identical to serial.
-//! * [`Executor::for_each`] — `n` owned work items (typically disjoint
-//!   `&mut` sub-slices of one output buffer), statically assigned round-robin.
-//!   Each worker writes only through the items it owns, so any schedule
-//!   produces the same bytes; the matmul kernels use this to give every
-//!   worker a disjoint block of output rows.
+//! [`Executor::run`]/[`Executor::map`] dispatch `n` independent indexed
+//! jobs, claimed work-stealing style, with results reassembled **in index
+//! order** so scheduling never leaks into the output. Combined with each job
+//! deriving its own RNG from the run seed (`seed ^ name_hash(name)` for
+//! modules), parallel execution is bitwise identical to serial.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -95,34 +86,12 @@ pub struct Executor {
     concurrency: Concurrency,
 }
 
-impl Default for Executor {
-    /// A serial executor.
-    // lint: root(determinism)
-    fn default() -> Self {
-        Executor::serial()
-    }
-}
-
 impl Executor {
     /// An executor with the given concurrency knob (already env-resolved by
     /// the caller if desired).
     // lint: root(determinism)
     pub fn new(concurrency: Concurrency) -> Self {
         Executor { concurrency }
-    }
-
-    /// An executor that runs every job on the calling thread.
-    // lint: root(determinism)
-    pub const fn serial() -> Self {
-        Executor {
-            concurrency: Concurrency::Serial,
-        }
-    }
-
-    /// The knob this executor runs with.
-    // lint: root(determinism)
-    pub fn concurrency(&self) -> Concurrency {
-        self.concurrency
     }
 
     /// Runs `jobs` fallible jobs and returns their results in index order.
@@ -200,55 +169,6 @@ impl Executor {
             Err(e) => match e {},
         }
     }
-
-    /// Runs `f(index, item)` for every owned item, distributing items over
-    /// the workers with a *static round-robin* assignment (item `i` goes to
-    /// worker `i % workers`).
-    ///
-    /// The items are typically disjoint `&mut` sub-slices of one output
-    /// buffer (e.g. blocks of matmul output rows). Because each item is
-    /// *moved* to exactly one worker and `f` communicates only by writing
-    /// through its item, the bytes produced are independent of the worker
-    /// count and of scheduling — the kernel-equivalence tests pin this at
-    /// 1, 2 and 4 workers. A panicking item propagates to the caller.
-    // lint: root(determinism)
-    pub fn for_each<I, F>(&self, items: Vec<I>, f: F)
-    where
-        I: Send,
-        F: Fn(usize, I) + Sync,
-    {
-        let workers = self.concurrency.workers(items.len());
-        if workers <= 1 || items.len() <= 1 {
-            for (i, item) in items.into_iter().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-
-        // lint: alloc(one queue per worker per dispatch; the serial path above allocates nothing)
-        let mut queues: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push((i, item)); // lint: panicfree(workers > 1 on this path; i % workers < workers)
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queues
-                .into_iter()
-                .map(|queue| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        for (i, item) in queue {
-                            f(i, item);
-                        }
-                    })
-                })
-                .collect(); // lint: alloc(one join handle per worker per dispatch)
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -315,45 +235,5 @@ mod tests {
         assert_eq!(Concurrency::Threads(2).from_env(), Concurrency::Threads(2));
         std::env::remove_var("TAGLETS_THREADS");
         assert_eq!(Concurrency::Threads(2).from_env(), Concurrency::Threads(2));
-    }
-
-    #[test]
-    fn for_each_writes_every_disjoint_slot_once() {
-        for conc in [
-            Concurrency::Serial,
-            Concurrency::Threads(2),
-            Concurrency::Threads(4),
-        ] {
-            let mut data = vec![0usize; 23];
-            let slots: Vec<&mut usize> = data.iter_mut().collect();
-            Executor::new(conc).for_each(slots, |i, slot| *slot = i + 1);
-            assert_eq!(data, (1..=23).collect::<Vec<_>>(), "{conc}");
-        }
-    }
-
-    #[test]
-    fn for_each_over_mut_chunks_is_worker_count_invariant() {
-        let fill = |conc: Concurrency| {
-            let mut buf = vec![0.0f32; 37];
-            let chunks: Vec<&mut [f32]> = buf.chunks_mut(8).collect();
-            Executor::new(conc).for_each(chunks, |i, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = (i * 100 + j) as f32;
-                }
-            });
-            buf
-        };
-        let serial = fill(Concurrency::Serial);
-        assert_eq!(serial, fill(Concurrency::Threads(2)));
-        assert_eq!(serial, fill(Concurrency::Threads(4)));
-    }
-
-    #[test]
-    fn for_each_empty_and_single() {
-        let exec = Executor::new(Concurrency::Threads(4));
-        exec.for_each(Vec::<usize>::new(), |_, _| {});
-        let mut one = 0usize;
-        exec.for_each(vec![&mut one], |i, slot| *slot = i + 7);
-        assert_eq!(one, 7);
     }
 }

@@ -10,7 +10,6 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::exec::Executor;
 use crate::kernels::{self, GemmKind};
 use crate::TensorError;
 
@@ -478,15 +477,8 @@ impl Tensor {
     /// Panics if inner dimensions disagree or either operand is not rank 2.
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_with(other, &Executor::serial())
-    }
-
-    /// [`Tensor::matmul`] with output row blocks dispatched through `exec`
-    /// (bitwise identical at any worker count; see [`crate::kernels`]).
-    #[must_use = "this op returns a new tensor and does not modify self"]
-    pub fn matmul_with(&self, other: &Tensor, exec: &Executor) -> Tensor {
         let mut out = Tensor::default();
-        self.matmul_into(other, exec, &mut out);
+        self.matmul_into(other, &mut out);
         out
     }
 
@@ -495,10 +487,10 @@ impl Tensor {
     /// element is overwritten, and reuse is bitwise identical to a fresh
     /// allocation.
     // lint: root(hot)
-    pub fn matmul_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();
-        gemm_tensors(GemmKind::Nn, self, other, exec, &mut panel, out);
+        gemm_tensors(GemmKind::Nn, self, other, &mut panel, out);
     }
 
     /// Matrix product with transposed rhs: `self [m,k] × otherᵀ [n,k] → [m,n]`.
@@ -507,23 +499,17 @@ impl Tensor {
     /// seed loop kept as [`Tensor::matmul_nt_reference`].
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        self.matmul_nt_with(other, &Executor::serial())
-    }
-
-    /// [`Tensor::matmul_nt`] with row blocks dispatched through `exec`.
-    #[must_use = "this op returns a new tensor and does not modify self"]
-    pub fn matmul_nt_with(&self, other: &Tensor, exec: &Executor) -> Tensor {
         let mut out = Tensor::default();
-        self.matmul_nt_into(other, exec, &mut out);
+        self.matmul_nt_into(other, &mut out);
         out
     }
 
     /// [`Tensor::matmul_nt`] into a caller-owned (possibly dirty) output.
     // lint: root(hot)
-    pub fn matmul_nt_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
+    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();
-        gemm_tensors(GemmKind::Nt, self, other, exec, &mut panel, out);
+        gemm_tensors(GemmKind::Nt, self, other, &mut panel, out);
     }
 
     /// Matrix product with transposed lhs: `selfᵀ [k,m] × other [k,n] → [m,n]`.
@@ -532,23 +518,17 @@ impl Tensor {
     /// seed loop kept as [`Tensor::matmul_tn_reference`].
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        self.matmul_tn_with(other, &Executor::serial())
-    }
-
-    /// [`Tensor::matmul_tn`] with row blocks dispatched through `exec`.
-    #[must_use = "this op returns a new tensor and does not modify self"]
-    pub fn matmul_tn_with(&self, other: &Tensor, exec: &Executor) -> Tensor {
         let mut out = Tensor::default();
-        self.matmul_tn_into(other, exec, &mut out);
+        self.matmul_tn_into(other, &mut out);
         out
     }
 
     /// [`Tensor::matmul_tn`] into a caller-owned (possibly dirty) output.
     // lint: root(hot)
-    pub fn matmul_tn_into(&self, other: &Tensor, exec: &Executor, out: &mut Tensor) {
+    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         // lint: alloc(convenience path repacks B per call; the packed API reuses a caller panel)
         let mut panel = Vec::new();
-        gemm_tensors(GemmKind::Tn, self, other, exec, &mut panel, out);
+        gemm_tensors(GemmKind::Tn, self, other, &mut panel, out);
     }
 
     /// Transposed copy of a rank-2 tensor.
@@ -656,7 +636,6 @@ pub(crate) fn gemm_tensors(
     kind: GemmKind,
     a: &Tensor,
     b: &Tensor,
-    exec: &Executor,
     panel: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
@@ -695,7 +674,6 @@ pub(crate) fn gemm_tensors(
         &a.data,
         &b.data,
         kernels::Epilogue::None,
-        exec,
         panel,
         &mut out.data,
     );
@@ -871,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_equals_matmul_with_transpose() {
+    fn matmul_nt_equals_matmul_of_transpose() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Tensor::randn(&[3, 4], 1.0, &mut rng);
         let b = Tensor::randn(&[5, 4], 1.0, &mut rng);

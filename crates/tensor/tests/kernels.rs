@@ -1,17 +1,14 @@
 //! Kernel-layer equivalence suite (enabled by the `reference-kernels`
 //! feature, which keeps the seed's naive loops compiled in as oracles).
 //!
-//! Three claims are pinned here, each load-bearing for the rest of the
+//! Two claims are pinned here, each load-bearing for the rest of the
 //! system:
 //!
 //! 1. **Blocked == reference, bitwise.** The register-tiled, cache-blocked
 //!    kernels produce bit-for-bit the floats the seed's naive loops did,
 //!    across randomized shapes including ragged tails, for all three GEMM
 //!    variants and the blocked transpose.
-//! 2. **Worker-count invariance.** Serial, 1, 2, and 4 workers (including
-//!    a `TAGLETS_THREADS` override) are bitwise identical — row-block
-//!    partitioning never changes any element's accumulation order.
-//! 3. **Scratch reuse is invisible.** `*_into` with a dirty, reused output
+//! 2. **Scratch reuse is invisible.** `*_into` with a dirty, reused output
 //!    buffer and a reused packing panel — and `backward_with` with a dirty
 //!    recycled [`GradScratch`] — equal fresh allocation bitwise, because
 //!    every kernel output element is stored exactly once.
@@ -20,23 +17,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use taglets_tensor::{check_gradients, Concurrency, Executor, GradScratch, Tape, Tensor};
+use taglets_tensor::{check_gradients, GradScratch, Tape, Tensor};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-fn executors() -> Vec<Executor> {
-    vec![
-        Executor::serial(),
-        Executor::new(Concurrency::Threads(1)),
-        Executor::new(Concurrency::Threads(2)),
-        Executor::new(Concurrency::Threads(4)),
-    ]
-}
-
 /// Randomized shapes: small, ragged (every combination of tail sizes around
-/// the MR/NR tile edges), and a few crossing the parallel threshold.
+/// the MR/NR tile edges), and a few larger ones spanning many row tiles.
 fn random_shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![
         (1, 1, 1),
@@ -54,14 +42,14 @@ fn random_shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
             rng.gen_range(1..40),
         ));
     }
-    // Over the parallel work threshold so the row-block path engages.
     shapes.push((96, 80, 70));
     shapes.push((130, 64, 64));
+    shapes.push((61, 35, 29));
     shapes
 }
 
 #[test]
-fn blocked_gemm_is_bitwise_identical_to_reference_at_all_worker_counts() {
+fn blocked_gemm_is_bitwise_identical_to_reference() {
     let mut rng = StdRng::seed_from_u64(0xB10C);
     for (m, k, n) in random_shapes(&mut rng) {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
@@ -72,44 +60,15 @@ fn blocked_gemm_is_bitwise_identical_to_reference_at_all_worker_counts() {
         let nn_ref = bits(&a.matmul_reference(&b));
         let nt_ref = bits(&a.matmul_nt_reference(&bt));
         let tn_ref = bits(&at.matmul_tn_reference(&b));
-        for exec in executors() {
-            assert_eq!(
-                bits(&a.matmul_with(&b, &exec)),
-                nn_ref,
-                "Nn {m}x{k}x{n} @ {exec:?}"
-            );
-            assert_eq!(
-                bits(&a.matmul_nt_with(&bt, &exec)),
-                nt_ref,
-                "Nt {m}x{k}x{n} @ {exec:?}"
-            );
-            assert_eq!(
-                bits(&at.matmul_tn_with(&b, &exec)),
-                tn_ref,
-                "Tn {m}x{k}x{n} @ {exec:?}"
-            );
-        }
+        assert_eq!(bits(&a.matmul(&b)), nn_ref, "Nn {m}x{k}x{n}");
+        assert_eq!(bits(&a.matmul_nt(&bt)), nt_ref, "Nt {m}x{k}x{n}");
+        assert_eq!(bits(&at.matmul_tn(&b)), tn_ref, "Tn {m}x{k}x{n}");
     }
-}
-
-#[test]
-fn taglets_threads_env_concurrency_matches_serial() {
-    // `Concurrency::from_env` is how the system picks up TAGLETS_THREADS;
-    // whatever it resolves to must be bitwise inert.
-    let mut rng = StdRng::seed_from_u64(7);
-    let exec = Executor::new(Concurrency::Threads(4).from_env());
-    let a = Tensor::randn(&[61, 35], 1.0, &mut rng);
-    let b = Tensor::randn(&[35, 29], 1.0, &mut rng);
-    assert_eq!(
-        bits(&a.matmul_with(&b, &exec)),
-        bits(&a.matmul_reference(&b))
-    );
 }
 
 #[test]
 fn into_variants_with_dirty_reused_scratch_equal_fresh_allocation() {
     let mut rng = StdRng::seed_from_u64(42);
-    let exec = Executor::new(Concurrency::Threads(2));
     // One output tensor reused across every shape, poisoned with NaN before
     // first use and never cleared between uses: results must still be
     // bitwise identical to the freshly allocated path.
@@ -123,11 +82,11 @@ fn into_variants_with_dirty_reused_scratch_equal_fresh_allocation() {
         let bt = b.transposed();
         let at = a.transposed();
 
-        a.matmul_into(&b, &exec, &mut out);
+        a.matmul_into(&b, &mut out);
         assert_eq!(bits(&out), bits(&a.matmul(&b)), "Nn {m}x{k}x{n}");
-        a.matmul_nt_into(&bt, &exec, &mut out);
+        a.matmul_nt_into(&bt, &mut out);
         assert_eq!(bits(&out), bits(&a.matmul_nt(&bt)), "Nt {m}x{k}x{n}");
-        at.matmul_tn_into(&b, &exec, &mut out);
+        at.matmul_tn_into(&b, &mut out);
         assert_eq!(bits(&out), bits(&at.matmul_tn(&b)), "Tn {m}x{k}x{n}");
     }
 }
@@ -148,14 +107,13 @@ fn blocked_transpose_matches_reference() {
 #[test]
 fn backward_with_recycled_scratch_is_bitwise_identical_to_fresh() {
     let mut rng = StdRng::seed_from_u64(0xD1F7);
-    let exec = Executor::new(Concurrency::Threads(4));
     let w0 = Tensor::randn(&[11, 7], 0.8, &mut rng);
     let xs: Vec<Tensor> = (0..6)
         .map(|_| Tensor::randn(&[9, 11], 1.0, &mut rng))
         .collect();
 
     let run = |x: &Tensor, scratch: &mut GradScratch| -> (Vec<u32>, Vec<u32>) {
-        let mut tape = Tape::with_executor(exec);
+        let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let wv = tape.leaf(w0.clone());
         let h = tape.matmul(xv, wv); // [9, 7]
@@ -183,18 +141,17 @@ fn backward_with_recycled_scratch_is_bitwise_identical_to_fresh() {
 }
 
 #[test]
-fn gradcheck_matmul_variants_through_parallel_tape_with_scratch_reuse() {
+fn gradcheck_matmul_variants_through_tape_with_scratch_reuse() {
     // Finite differences against the new kernel paths: each matmul variant
     // flows through `forward_gemm` (packed panels, register tiling) and its
-    // backward through `grad_gemm` with pooled buffers, on a 4-worker tape.
+    // backward through `grad_gemm` with pooled buffers.
     let mut rng = StdRng::seed_from_u64(0xF00D);
-    let exec = Executor::new(Concurrency::Threads(4));
     let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
     let w = Tensor::randn(&[5, 4], 1.0, &mut rng);
 
     // Nn: loss = mean(x · w), checking w.
     let report = check_gradients(&w, 1e-2, |value| {
-        let mut tape = Tape::with_executor(exec);
+        let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let wv = tape.leaf(value.clone());
         let y = tape.matmul(xv, wv);
@@ -206,7 +163,7 @@ fn gradcheck_matmul_variants_through_parallel_tape_with_scratch_reuse() {
     // Nt: loss = mean(x · wᵀ), checking w — backward runs the Tn kernel.
     let wt = Tensor::randn(&[4, 5], 1.0, &mut rng);
     let report = check_gradients(&wt, 1e-2, |value| {
-        let mut tape = Tape::with_executor(exec);
+        let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let wv = tape.leaf(value.clone());
         let y = tape.matmul_nt(xv, wv);
@@ -217,7 +174,7 @@ fn gradcheck_matmul_variants_through_parallel_tape_with_scratch_reuse() {
 
     // Checking the data side too: grad of x runs the Nt (for Nn) kernel.
     let report = check_gradients(&x, 1e-2, |value| {
-        let mut tape = Tape::with_executor(exec);
+        let mut tape = Tape::new();
         let xv = tape.leaf(value.clone());
         let wv = tape.constant(w.clone());
         let y = tape.matmul(xv, wv);
@@ -234,11 +191,9 @@ fn tape_forward_values_match_reference_kernels() {
     let mut rng = StdRng::seed_from_u64(3);
     let x = Tensor::randn(&[21, 13], 1.0, &mut rng);
     let w = Tensor::randn(&[13, 10], 1.0, &mut rng);
-    for exec in executors() {
-        let mut tape = Tape::with_executor(exec);
-        let xv = tape.constant(x.clone());
-        let wv = tape.constant(w.clone());
-        let y = tape.matmul(xv, wv);
-        assert_eq!(bits(tape.value(y)), bits(&x.matmul_reference(&w)));
-    }
+    let mut tape = Tape::new();
+    let xv = tape.constant(x.clone());
+    let wv = tape.constant(w.clone());
+    let y = tape.matmul(xv, wv);
+    assert_eq!(bits(tape.value(y)), bits(&x.matmul_reference(&w)));
 }

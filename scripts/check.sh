@@ -88,24 +88,18 @@ step "serve-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet --test s
 step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features strict-numerics
 
 # Kernel equivalence: the blocked GEMM kernels must be bitwise identical
-# to the seed's naive reference loops, serially and under multi-worker
-# row-block dispatch (the second pass resolves TAGLETS_THREADS=4 through
-# Concurrency::from_env, the path production configs take).
+# to the seed's naive reference loops.
 step "kernels" cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
-step "kernels-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 
 # Fused-epilogue contracts: bitwise identity of the fused kernel epilogue
 # against the unfused walk, of the fused packed forward against the tape
-# `predict_proba`, and v1 serialization back-compat — run serially and
-# with the executor resolving TAGLETS_THREADS=4, since the epilogue is
-# applied inside per-row-block worker closures.
+# `predict_proba`, and v1 serialization back-compat.
 step "fused" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
-step "fused-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
 
 # The kernels bench asserts blocked-vs-reference and fused-vs-unfused
 # bitwise identity on every timed configuration and enforces the fused
-# and serial-dispatch ratio gates. Run without --json so a gate run never
-# overwrites the checked-in BENCH_kernels.json baseline.
+# ratio gate. Run without --json so a gate run never overwrites the
+# checked-in BENCH_kernels.json baseline.
 step "bench-kernels" cargo bench --offline --quiet -p taglets-bench --bench kernels
 
 # Dynamic concurrency checks (TSan/Miri) when a capable nightly toolchain
