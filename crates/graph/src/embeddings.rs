@@ -12,7 +12,7 @@
 //! 2016). Setting `α_i = 0` yields the paper's rule for out-of-vocabulary
 //! concepts: their embedding becomes a pure neighbourhood average.
 
-use taglets_tensor::{cosine_similarity, Tensor};
+use taglets_tensor::{cosine_from_parts, Tensor};
 
 use crate::{ConceptGraph, ConceptId, GraphError};
 
@@ -91,23 +91,102 @@ impl ConceptEmbeddings {
     }
 
     /// The `top_n` most cosine-similar concepts to `query`, excluding ids for
-    /// which `exclude` returns `true`. Results are sorted by descending
-    /// similarity.
+    /// which `exclude` returns `true`: the one-row case of
+    /// [`ConceptEmbeddings::most_similar_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len()` differs from [`ConceptEmbeddings::dim`].
     pub fn most_similar(
         &self,
         query: &[f32],
         top_n: usize,
-        mut exclude: impl FnMut(ConceptId) -> bool,
+        exclude: impl FnMut(ConceptId) -> bool,
     ) -> Vec<(ConceptId, f32)> {
-        let mut scored: Vec<(ConceptId, f32)> = (0..self.len())
-            .map(ConceptId)
-            .filter(|&id| !exclude(id))
-            .map(|id| (id, cosine_similarity(query, self.get(id))))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(top_n);
-        scored
+        let queries = Tensor::from_rows(&[query]);
+        self.most_similar_rows(&queries, top_n, exclude)
+            .pop()
+            .unwrap_or_default()
     }
+
+    /// For each row of the `[m, dim]` matrix `queries`, the `top_n` most
+    /// cosine-similar concepts, excluding ids for which `exclude` returns
+    /// `true` (asked once per concept). Row `i` of the result answers query
+    /// `i`, by descending similarity, ties by ascending id.
+    ///
+    /// Every score has the bits of `cosine_similarity(query, get(id))`
+    /// ([`taglets_tensor::cosine_similarity`]). All dots come from one
+    /// `queries · Eᵀ` product, whose Nt kernel sums each from `+0.0` in
+    /// ascending order with no zero skip, exactly like that function's
+    /// loop; the squared norms are the same sequential sums, taken once per
+    /// row; and [`cosine_from_parts`] is the same final step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries` is not rank 2 or its width differs from
+    /// [`ConceptEmbeddings::dim`]. A wrong-width query has no meaningful
+    /// similarity, so it is refused instead of truncated.
+    pub fn most_similar_rows(
+        &self,
+        queries: &Tensor,
+        top_n: usize,
+        mut exclude: impl FnMut(ConceptId) -> bool,
+    ) -> Vec<Vec<(ConceptId, f32)>> {
+        assert_eq!(queries.rank(), 2, "queries must be a [m, d] matrix");
+        assert_eq!(
+            queries.cols(),
+            self.dim(),
+            "query width {} vs embedding dim {}",
+            queries.cols(),
+            self.dim()
+        );
+        let n = self.len();
+        let candidates: Vec<usize> = (0..n).filter(|&i| !exclude(ConceptId(i))).collect();
+        let norms: Vec<f32> = (0..n).map(|i| squared_norm(self.vectors.row(i))).collect();
+        let dots = queries.matmul_nt(&self.vectors);
+        let mut scored = Vec::with_capacity(candidates.len());
+        (0..queries.rows())
+            .map(|r| {
+                let qn = squared_norm(queries.row(r));
+                let row = dots.row(r);
+                scored.clear();
+                scored.extend(
+                    candidates
+                        .iter()
+                        .map(|&i| (ConceptId(i), cosine_from_parts(row[i], qn, norms[i]))),
+                );
+                top_sorted(&mut scored, top_n).to_vec()
+            })
+            .collect()
+    }
+}
+
+/// `Σ x²` summed in index order from `+0.0`: the norm chain of
+/// [`taglets_tensor::cosine_similarity`].
+fn squared_norm(v: &[f32]) -> f32 {
+    let mut acc = 0.0;
+    for &x in v {
+        acc += x * x;
+    }
+    acc
+}
+
+/// The first `top_n` of `scored` under descending score (`total_cmp`), then
+/// ascending id. Ids are distinct, so the order is total and a partial
+/// selection followed by a sort of `top_n` equals a full sort truncated.
+fn top_sorted(scored: &mut [(ConceptId, f32)], top_n: usize) -> &[(ConceptId, f32)] {
+    let order =
+        |a: &(ConceptId, f32), b: &(ConceptId, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    let keep = top_n.min(scored.len());
+    if keep == 0 {
+        return &[];
+    }
+    if keep < scored.len() {
+        scored.select_nth_unstable_by(keep - 1, order);
+    }
+    let top = &mut scored[..keep];
+    top.sort_unstable_by(order);
+    top
 }
 
 /// Configuration for [`retrofit`].
@@ -221,6 +300,7 @@ pub fn approximate_embedding(
 mod tests {
     use super::*;
     use crate::Relation;
+    use taglets_tensor::cosine_similarity;
 
     fn line_graph(n: usize) -> ConceptGraph {
         let mut g = ConceptGraph::new();

@@ -2,13 +2,53 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use taglets_graph::{
-    generate, normalized_adjacency, retrofit, ConceptGraph, ConceptId, Relation, RetrofitConfig,
-    SyntheticGraphConfig, Taxonomy,
+    generate, normalized_adjacency, retrofit, ConceptEmbeddings, ConceptGraph, ConceptId, Relation,
+    RetrofitConfig, SyntheticGraphConfig, Taxonomy,
 };
-use taglets_tensor::Tensor;
+use taglets_tensor::{cosine_similarity, Tensor};
+
+/// The per-pair query `most_similar_rows` replaces: one
+/// `cosine_similarity` per concept, a full sort, then truncation.
+fn reference_most_similar(
+    emb: &ConceptEmbeddings,
+    query: &[f32],
+    top_n: usize,
+    exclude: impl Fn(ConceptId) -> bool,
+) -> Vec<(ConceptId, f32)> {
+    let mut scored: Vec<(ConceptId, f32)> = (0..emb.len())
+        .map(ConceptId)
+        .filter(|&id| !exclude(id))
+        .map(|id| (id, cosine_similarity(query, emb.get(id))))
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(top_n);
+    scored
+}
+
+/// A random row, a zero row, or (when `pool` has rows) a copy of one of
+/// them, so that exact ties and zero norms both occur.
+fn tie_prone_row(rng: &mut StdRng, dim: usize, pool: &[Vec<f32>]) -> Vec<f32> {
+    match rng.gen_range(0..10) {
+        0 | 1 => vec![0.0; dim],
+        2..=4 if !pool.is_empty() => pool[rng.gen_range(0..pool.len())].clone(),
+        _ => (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
+    }
+}
+
+fn bits(hits: &[(ConceptId, f32)]) -> Vec<(ConceptId, u32)> {
+    hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+}
+
+#[test]
+#[should_panic(expected = "query width")]
+fn most_similar_refuses_a_wrong_width_query() {
+    let emb = ConceptEmbeddings::new(Tensor::eye(3));
+    // One element short: a truncating zip would score it silently.
+    let _ = emb.most_similar(&[1.0, 0.0], 2, |_| false);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -154,6 +194,49 @@ proptest! {
         prop_assert!(hits.len() <= top_n);
         for pair in hits.windows(2) {
             prop_assert!(pair[0].1 >= pair[1].1, "results must be sorted by similarity");
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases; enough of them to cross every `top_n` choice with every
+    // exclusion mode many times over.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn batched_query_matches_the_per_pair_cosine_bitwise(
+        n in 0usize..20,
+        dim in 1usize..10,
+        m in 0usize..5,
+        top_pick in 0usize..5,
+        exclude_mode in 0u8..3,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let row = tie_prone_row(&mut rng, dim, &rows);
+            rows.push(row);
+        }
+        let queries: Vec<Vec<f32>> = (0..m).map(|_| tie_prone_row(&mut rng, dim, &rows)).collect();
+        let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+        let exclude = |id: ConceptId| match exclude_mode {
+            0 => false,
+            1 => mask[id.0],
+            _ => true,
+        };
+        let top_n = [0, 1, n.saturating_sub(1), n, n + 5][top_pick];
+        let flat: Vec<f32> = rows.concat();
+        let emb = ConceptEmbeddings::new(Tensor::from_shape(vec![n, dim], flat).unwrap());
+        let q_flat: Vec<f32> = queries.concat();
+        let q = Tensor::from_shape(vec![m, dim], q_flat).unwrap();
+
+        let batched = emb.most_similar_rows(&q, top_n, exclude);
+        prop_assert_eq!(batched.len(), m);
+        for (query, hits) in queries.iter().zip(&batched) {
+            let want = reference_most_similar(&emb, query, top_n, exclude);
+            prop_assert_eq!(bits(hits), bits(&want));
+            prop_assert_eq!(bits(&emb.most_similar(query, top_n, exclude)), bits(&want));
         }
     }
 }

@@ -236,7 +236,8 @@ impl<X: Clone> Scads<X> {
     /// This is the graph-based similarity query of Example 3.1: cosine
     /// similarity in SCADS-embedding space over `Q_{Y_S}` (concepts with
     /// data), never touching images — which is what keeps selection cheap
-    /// and robust to visual domain shift.
+    /// and robust to visual domain shift. It is the one-target case of the
+    /// batched query [`Scads::select_related`] makes, with the same bits.
     pub fn related_concepts(
         &self,
         target: ConceptId,
@@ -244,9 +245,25 @@ impl<X: Clone> Scads<X> {
         prune: PruneLevel,
         all_targets: &[ConceptId],
     ) -> Vec<(ConceptId, f32)> {
+        self.related_rows(&[target], top_n, prune, all_targets)
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// [`Scads::related_concepts`] for every target of `targets` at once:
+    /// one pruned set and one similarity GEMM for the whole list.
+    fn related_rows(
+        &self,
+        targets: &[ConceptId],
+        top_n: usize,
+        prune: PruneLevel,
+        all_targets: &[ConceptId],
+    ) -> Vec<Vec<(ConceptId, f32)>> {
         let pruned = prune.pruned_set(&self.taxonomy, all_targets);
-        let query = self.embeddings.get(target).to_vec();
-        self.embeddings.most_similar(&query, top_n, |id| {
+        let ids: Vec<usize> = targets.iter().map(|t| t.0).collect();
+        // `[targets.len(), dim]`, also when `targets` is empty.
+        let queries = self.embeddings.matrix().gather_rows(&ids);
+        self.embeddings.most_similar_rows(&queries, top_n, |id| {
             pruned.binary_search(&id).is_ok() || self.store[id.0].is_empty()
         })
     }
@@ -292,7 +309,11 @@ impl<X: Clone> Scads<X> {
     /// from each up to `k_per_concept` examples (`|R| ≤ C · N · K`).
     ///
     /// Concepts retrieved by multiple targets are deduplicated into a single
-    /// auxiliary class.
+    /// auxiliary class, in first-retrieved order.
+    ///
+    /// All targets share one pruned set and one batched similarity query
+    /// ([`ConceptEmbeddings::most_similar_rows`]), so `per_target[i]` has
+    /// the bits of `related_concepts(targets[i], n_concepts, prune, targets)`.
     pub fn select_related(
         &self,
         targets: &[ConceptId],
@@ -300,16 +321,13 @@ impl<X: Clone> Scads<X> {
         k_per_concept: usize,
         prune: PruneLevel,
     ) -> AuxiliarySelection<X> {
+        let per_target = self.related_rows(targets, n_concepts, prune, targets);
+        let mut seen = vec![false; self.graph.len()];
         let mut concepts: Vec<ConceptId> = Vec::new();
-        let mut per_target = Vec::with_capacity(targets.len());
-        for &target in targets {
-            let related = self.related_concepts(target, n_concepts, prune, targets);
-            for &(c, _) in &related {
-                if !concepts.contains(&c) {
-                    concepts.push(c);
-                }
+        for &(c, _) in per_target.iter().flatten() {
+            if !std::mem::replace(&mut seen[c.0], true) {
+                concepts.push(c);
             }
-            per_target.push(related);
         }
         let mut examples = Vec::new();
         for (aux_label, &concept) in concepts.iter().enumerate() {

@@ -67,7 +67,7 @@ pub use init::Init;
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd, SgdConfig};
 pub use schedule::LrSchedule;
 pub use sparse::SparseMatrix;
-pub use tensor::{argmax_slice, cosine_similarity, Tensor};
+pub use tensor::{argmax_slice, cosine_from_parts, cosine_similarity, Tensor};
 
 use std::error::Error;
 use std::fmt;

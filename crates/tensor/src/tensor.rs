@@ -820,6 +820,15 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
         na += x * x;
         nb += y * y;
     }
+    cosine_from_parts(dot, na, nb)
+}
+
+/// Cosine similarity from a dot product and the two squared norms:
+/// `dot / (√na · √nb)`, or 0 when either norm is exactly zero.
+///
+/// [`cosine_similarity`] ends in this, so a caller that batches the dot
+/// products (one GEMM) and the norms gets the same bits per pair.
+pub fn cosine_from_parts(dot: f32, na: f32, nb: f32) -> f32 {
     // Guards division by an exactly-zero norm; near-zero vectors still get a
     // meaningful similarity. lint: allow(TL004)
     if na == 0.0 || nb == 0.0 {

@@ -79,6 +79,12 @@ step "determinism" cargo test --offline --quiet --test exec_determinism
 # bits in the one training step every loop shares.
 step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain_pin && cargo test --offline --quiet --test baselines_sanity'
 
+# SCADS selection: the batched similarity query (one GEMM per call) against
+# a per-pair cosine oracle, bit for bit, and `select_related` against
+# `related_concepts` per target plus its degenerate inputs. Run by name so
+# a filtered or skipped test run can never mask a change of selected data.
+step "selection" sh -c 'cargo test --offline --quiet -p taglets-graph --test proptests && cargo test --offline --quiet -p taglets-scads --test selection'
+
 # Serving-engine contract (properties a–d of ISSUE 4). Proptest seeds are
 # derived from test names, so this run is fixed-seed by construction; the
 # second pass pins batched dispatch under multi-worker resolution.
