@@ -1,12 +1,10 @@
-//! Serving-engine throughput/latency sweep (ISSUE 4): batch size × worker
-//! count over the micro-batched [`ServingEngine`], against the
-//! single-request tape path as baseline, plus the cache-hit shortcut
-//! against a full forward pass. Writes `results/serving.txt`.
+//! Serving-engine throughput/latency sweep: batch size over the
+//! micro-batched [`ServingEngine`], against the single-request tape path
+//! as baseline, plus the cache-hit shortcut against a full forward pass.
+//! Writes `results/serving.txt`.
 //!
-//! This subsumes the old criterion bench of the paper's serving claim
-//! (challenge 3, Sec. 1/3.3 — end model answers in fixed time): the
-//! single-request baseline *is* that tape path, now compared against the
-//! engine that production serving would actually run.
+//! It times the end model alone (the paper's serving claim, challenge 3,
+//! Sec. 1/3.3: the end model answers in fixed time); no ensemble is built.
 //!
 //! This binary lives in `benches/`, outside the lint determinism scope, so
 //! wall-clock time is allowed: it implements [`Clock`] over
@@ -18,7 +16,7 @@ use std::time::Instant;
 use rand::{rngs::StdRng, SeedableRng};
 use taglets_bench::write_results;
 use taglets_core::serve::Clock;
-use taglets_core::{Concurrency, ServableModel, ServeConfig, ServingEngine};
+use taglets_core::{ServableModel, ServeConfig, ServingEngine};
 use taglets_nn::{Classifier, InferScratch};
 use taglets_tensor::Tensor;
 
@@ -47,8 +45,6 @@ const NUM_CLASSES: usize = 10;
 const REQUESTS: usize = 2048;
 
 fn main() {
-    std::env::remove_var("TAGLETS_THREADS"); // the sweep sets workers explicitly
-
     let mut rng = StdRng::seed_from_u64(4242);
     let model = ServableModel::new(Classifier::from_dims(
         &[INPUT_DIM, 256, 128],
@@ -79,27 +75,16 @@ fn main() {
         "single-request baseline (tape path): {single_rps:>10.0} req/s\n\n"
     ));
 
-    out.push_str("batch  workers      req/s   speedup   p50(us)   p99(us)\n");
-    out.push_str("-------------------------------------------------------\n");
-    let mut batch16_speedups = Vec::new();
+    out.push_str("batch      req/s   speedup   p50(us)   p99(us)\n");
+    out.push_str("----------------------------------------------\n");
     for &batch in &[1usize, 4, 16, 64] {
-        for &workers in &[1usize, 2, 4] {
-            let (rps, p50, p99) = sweep_cell(&model, &inputs, batch, workers);
-            let speedup = rps / single_rps;
-            if batch == 16 {
-                batch16_speedups.push(speedup);
-            }
-            out.push_str(&format!(
-                "{batch:>5}  {workers:>7}  {rps:>9.0}  {speedup:>7.2}x  {p50:>8.1}  {p99:>8.1}\n"
-            ));
-        }
+        let (rps, p50, p99) = sweep_cell(&model, &inputs, batch);
+        let speedup = rps / single_rps;
+        out.push_str(&format!(
+            "{batch:>5}  {rps:>9.0}  {speedup:>7.2}x  {p50:>8.1}  {p99:>8.1}\n"
+        ));
     }
-    out.push('\n');
-
-    let best16 = batch16_speedups.iter().cloned().fold(0.0f64, f64::max);
-    out.push_str(&format!(
-        "pure micro-batching (unique inputs, cache off), batch-16 best: {best16:.2}x\n\n"
-    ));
+    out.push_str("(pure micro-batching: unique inputs, cache off)\n\n");
 
     // End-to-end serving: the full engine (batch 16 + default LRU cache)
     // against the pre-engine serving path (one tape predict_proba per
@@ -145,7 +130,6 @@ fn main() {
             max_batch: 16,
             max_delay_nanos: u64::MAX,
             queue_cap: REQUESTS,
-            concurrency: Concurrency::Serial,
             ..ServeConfig::default() // default cache_capacity
         };
         // A fresh engine per round: the cache must warm up inside the
@@ -191,7 +175,6 @@ fn main() {
         max_batch: 1,
         queue_cap: REQUESTS,
         cache_capacity: 16,
-        concurrency: Concurrency::Serial,
         ..ServeConfig::default()
     };
     let mut engine = ServingEngine::new(&model, cfg, &clock).expect("engine config is valid");
@@ -228,39 +211,27 @@ fn main() {
     );
 }
 
-/// One sweep cell: serve every input through an engine at (`batch`,
-/// `workers`), submitting in `batch × workers` waves so each tick cuts
-/// enough full batches to occupy every worker. Returns
+/// One sweep cell: serve every input through an engine at `batch`, ticking
+/// once per `batch` submissions so each tick cuts one full batch. Returns
 /// `(req/s, p50 us, p99 us)`.
-fn sweep_cell(
-    model: &ServableModel,
-    inputs: &[Vec<f32>],
-    batch: usize,
-    workers: usize,
-) -> (f64, f64, f64) {
+fn sweep_cell(model: &ServableModel, inputs: &[Vec<f32>], batch: usize) -> (f64, f64, f64) {
     let clock = WallClock::new();
     let cfg = ServeConfig {
         max_batch: batch,
         max_delay_nanos: u64::MAX, // flush on size only; drain handles the tail
         queue_cap: inputs.len(),
         cache_capacity: 0,
-        concurrency: if workers <= 1 {
-            Concurrency::Serial
-        } else {
-            Concurrency::threads(workers)
-        },
     };
     let mut engine = ServingEngine::new(model, cfg, &clock).expect("engine config is valid");
 
     // Owned request payloads, built outside the timed region like the
     // single-request baseline's.
     let owned: Vec<Vec<f32>> = inputs.to_vec();
-    let wave = batch * workers;
     let total = owned.len();
     let t0 = Instant::now();
     for (i, input) in owned.into_iter().enumerate() {
         engine.submit(input).expect("queue_cap fits all");
-        if (i + 1) % wave == 0 {
+        if (i + 1) % batch == 0 {
             engine.tick();
         }
     }

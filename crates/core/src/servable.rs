@@ -3,7 +3,9 @@
 //!
 //! A [`ServableModel`] is a single backbone + head with a fixed-work predict
 //! path — unlike the taglet ensemble, whose inference cost grows with the
-//! number of modules. The `serving_latency` bench quantifies the gap.
+//! number of modules. That gap is not measured yet: the end-model vs
+//! ensemble row is an open item of ROADMAP.md (item 1), and the
+//! `serving_latency` bench times the end model alone.
 
 use taglets_nn::{Classifier, InferScratch, Module, PackedWeights};
 use taglets_tensor::Tensor;

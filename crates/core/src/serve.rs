@@ -14,8 +14,8 @@
 //!           remainder (max_delay elapsed for the oldest request)
 //!               │
 //!               ▼
-//!        Executor — one worker per cut batch, results
-//!        reassembled in cut order, rows in arrival order
+//!        forward pass per cut batch on the calling thread,
+//!        batches in cut order, rows in arrival order
 //!               │
 //!               ▼
 //!        responses + cache fill + ServeTelemetry
@@ -23,16 +23,14 @@
 //!
 //! ## Determinism
 //!
-//! The engine extends the execution engine's guarantee (PR 2) to serving:
-//! batched, cached, parallel inference is **bitwise identical** to calling
-//! [`ServableModel::predict_proba`] once per request. Three facts compose:
+//! Batched, cached inference is **bitwise identical** to calling
+//! [`ServableModel::predict_proba`] once per request. Two facts compose:
 //!
 //! 1. the tape-free fast path is bitwise identical to the tape path
-//!    (`taglets_nn::InferScratch` docs),
+//!    (`taglets_nn::InferScratch` docs), and
 //! 2. every forward op is row-independent, so a row's output does not
-//!    depend on which batch it rides in, and
-//! 3. [`crate::Executor`] reassembles batch results in index order,
-//!    so worker scheduling never leaks into output order.
+//!    depend on which batch it rides in or what the reused scratch held
+//!    before.
 //!
 //! The cache preserves this exactly: an entry is only returned after a
 //! *bitwise* input comparison, so a hit replays precisely the bytes a
@@ -58,7 +56,6 @@ use taglets_nn::InferScratch;
 use taglets_tensor::{argmax_slice, Tensor};
 
 use crate::servable::ServableModel;
-use crate::{Concurrency, Executor};
 
 // ---------------------------------------------------------------------
 // Clock
@@ -127,9 +124,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Prediction-cache entries to retain (LRU); `0` disables caching.
     pub cache_capacity: usize,
-    /// Worker threads for batch dispatch, resolved through the
-    /// `TAGLETS_THREADS` environment override exactly like training runs.
-    pub concurrency: Concurrency,
 }
 
 /// Hard ceiling on [`ServeConfig::max_batch`], so a corrupt config cannot
@@ -143,7 +137,6 @@ impl Default for ServeConfig {
             max_delay_nanos: 2_000_000, // 2 ms
             queue_cap: 256,
             cache_capacity: 1024,
-            concurrency: Concurrency::Serial,
         }
     }
 }
@@ -235,18 +228,16 @@ impl LatencyHistogram {
     }
 
     /// `[lower, upper)` bounds of bucket `i` in nanoseconds (the final
-    /// bucket's upper bound saturates at `u64::MAX`).
+    /// bucket's upper bound saturates at `u64::MAX`). A bucket that does not
+    /// exist (`i >= LATENCY_BUCKETS`) reads as the empty range
+    /// `(u64::MAX, u64::MAX)`, just as [`LatencyHistogram::count`] reads it
+    /// as empty.
     pub fn bucket_range(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 1)
-        } else {
-            let lo = 1u64 << (i - 1);
-            let hi = if i >= 63 || i == LATENCY_BUCKETS - 1 {
-                u64::MAX
-            } else {
-                1u64 << i
-            };
-            (lo, hi)
+        match i {
+            0 => (0, 1),
+            _ if i >= LATENCY_BUCKETS => (u64::MAX, u64::MAX),
+            _ if i == LATENCY_BUCKETS - 1 => (1u64 << (i - 1), u64::MAX),
+            _ => (1u64 << (i - 1), 1u64 << i),
         }
     }
 
@@ -323,12 +314,10 @@ pub struct ServeTelemetry {
     pub batch_sizes: Vec<u64>,
     /// Per-response latency histogram (clock nanoseconds).
     pub latency: LatencyHistogram,
-    /// Upper bound on worker threads batch dispatch may use.
-    pub workers: usize,
 }
 
 impl ServeTelemetry {
-    fn new(max_batch: usize, workers: usize) -> Self {
+    fn new(max_batch: usize) -> Self {
         ServeTelemetry {
             submitted: 0,
             admitted: 0,
@@ -343,7 +332,6 @@ impl ServeTelemetry {
             drain_flushes: 0,
             batch_sizes: vec![0; max_batch + 1],
             latency: LatencyHistogram::new(),
-            workers,
         }
     }
 
@@ -547,15 +535,13 @@ struct Pending {
 
 /// Micro-batched, cached, backpressured server around a [`ServableModel`].
 ///
-/// Single-threaded control loop, parallel batch execution: callers drive
-/// `submit`/`tick`/`drain` from one thread, and each tick dispatches the
-/// cut batches across [`Executor`] workers. See the module docs for the
+/// Callers drive `submit`/`tick`/`drain` from one thread, and each tick
+/// executes its cut batches on that thread. See the module docs for the
 /// queue/batcher/cache picture and the determinism argument.
 pub struct ServingEngine<'a> {
     model: &'a ServableModel,
     config: ServeConfig,
     clock: &'a dyn Clock,
-    executor: Executor,
     pending: VecDeque<Pending>,
     ready: Vec<ServeResponse>,
     cache: PredictionCache,
@@ -580,8 +566,7 @@ impl<'a> fmt::Debug for ServingEngine<'a> {
 
 impl<'a> ServingEngine<'a> {
     /// Builds an engine serving `model` under `config`, reading time from
-    /// `clock`. The concurrency knob is resolved through `TAGLETS_THREADS`
-    /// exactly like [`crate::TagletsSystem::run`].
+    /// `clock`.
     ///
     /// # Errors
     ///
@@ -603,13 +588,10 @@ impl<'a> ServingEngine<'a> {
         if config.queue_cap == 0 {
             return Err(ServeError::InvalidConfig("queue_cap must be >= 1"));
         }
-        let concurrency = config.concurrency.from_env();
-        let workers = concurrency.workers(config.max_batch);
         Ok(ServingEngine {
             model,
-            telemetry: ServeTelemetry::new(config.max_batch, workers),
+            telemetry: ServeTelemetry::new(config.max_batch),
             cache: PredictionCache::new(config.cache_capacity),
-            executor: Executor::new(concurrency),
             pending: VecDeque::new(),
             ready: Vec::new(),
             next_id: 0,
@@ -715,7 +697,7 @@ impl<'a> ServingEngine<'a> {
 
     /// Advances the batcher: cuts every full `max_batch` chunk from the
     /// queue, plus the remainder when the oldest request has hit its
-    /// deadline, and executes all cut batches across the executor.
+    /// deadline, and executes the cut batches in cut order.
     // lint: root(hot)
     pub fn tick(&mut self) {
         // lint: alloc(Vec::new defers; allocates only on ticks that cut a batch)
@@ -757,43 +739,23 @@ impl<'a> ServingEngine<'a> {
         std::mem::take(&mut self.ready)
     }
 
-    /// Executes cut batches: one executor job per batch, reassembled in
-    /// cut order so parallel dispatch is invisible in the output.
+    /// Executes cut batches one after another on the calling thread, in cut
+    /// order, reusing the engine's scratch. A batch's rows are stamped with
+    /// the clock reading taken when its forward pass returns.
     // lint: root(hot)
     fn execute(&mut self, batches: Vec<(FlushCause, Vec<Pending>)>) {
-        if batches.is_empty() {
-            return;
-        }
         let dim = self.model.input_dim();
-        let tensors: Vec<Tensor> = batches
-            .iter()
-            .map(|(_, rows)| {
-                // lint: alloc(batch assembly owns the flat row-major copy handed to the tensor)
-                let mut flat = Vec::with_capacity(rows.len() * dim);
-                for p in rows {
-                    flat.extend_from_slice(&p.input);
-                }
-                Tensor::from_vec(flat).reshaped(&[rows.len(), dim])
-            })
-            .collect(); // lint: alloc(one owned input tensor per cut batch)
-
-        let model = self.model;
-        let probs: Vec<Tensor> = if tensors.len() == 1 {
-            // Serial fast path: reuse the engine's preallocated scratch.
-            // lint: alloc(one-element result list), panicfree(this branch checked len() == 1)
-            vec![model.predict_proba_batched(&tensors[0], &mut self.scratch)]
-        } else {
-            let executor = self.executor;
-            executor.map(tensors.len(), |i| {
-                let mut scratch = InferScratch::new();
-                // lint: panicfree(executor.map yields i < tensors.len())
-                model.predict_proba_batched(&tensors[i], &mut scratch)
-            })
-        };
-
-        let done = self.clock.now_nanos();
-        for ((cause, rows), batch_probs) in batches.into_iter().zip(probs) {
+        for (cause, rows) in batches {
             let n = rows.len();
+            // lint: alloc(batch assembly owns the flat row-major copy handed to the tensor)
+            let mut flat = Vec::with_capacity(n * dim);
+            for p in &rows {
+                flat.extend_from_slice(&p.input);
+            }
+            let x = Tensor::from_vec(flat).reshaped(&[n, dim]);
+            let batch_probs = self.model.predict_proba_batched(&x, &mut self.scratch);
+            let done = self.clock.now_nanos();
+
             self.telemetry.batches += 1;
             if let Some(slot) = self.telemetry.batch_sizes.get_mut(n) {
                 *slot += 1;
@@ -929,6 +891,25 @@ mod tests {
         assert_eq!(responses.len(), 4);
         assert!(responses.iter().all(|r| r.batch_size == 4 && !r.cache_hit));
         assert_eq!(engine.telemetry().full_flushes, 1);
+
+        // One tick that cuts two full batches and a deadline remainder runs
+        // all three through the one reused scratch, at row counts 4, 4, 3.
+        let inputs = rows(11, 5);
+        for input in inputs.clone() {
+            engine.submit(input).unwrap();
+        }
+        clock.advance(ServeConfig::default().max_delay_nanos + 1);
+        engine.tick();
+        let responses = engine.take_responses();
+        let t = engine.telemetry();
+        assert_eq!((t.full_flushes, t.deadline_flushes), (3, 1));
+        let sizes: Vec<usize> = responses.iter().map(|r| r.batch_size).collect();
+        assert_eq!(sizes, [[4; 8].as_slice(), &[3; 3]].concat());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (input, r) in inputs.into_iter().zip(&responses) {
+            let one = m.predict_proba(&Tensor::from_vec(input).reshaped(&[1, 4]));
+            assert_eq!(bits(&r.probs), bits(one.row(0)));
+        }
     }
 
     #[test]
@@ -1118,6 +1099,16 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
         assert_eq!(LatencyHistogram::bucket_range(0), (0, 1));
         assert_eq!(LatencyHistogram::bucket_range(3), (4, 8));
+        assert_eq!(
+            LatencyHistogram::bucket_range(LATENCY_BUCKETS - 1),
+            (1 << (LATENCY_BUCKETS - 2), u64::MAX)
+        );
+        // Buckets that do not exist read as the empty range, never as a
+        // range past the last edge or a shift overflow.
+        for i in [32, 64, 65, usize::MAX] {
+            assert_eq!(LatencyHistogram::bucket_range(i), (u64::MAX, u64::MAX));
+            assert_eq!(LatencyHistogram::new().count(i), 0);
+        }
         let mut h = LatencyHistogram::new();
         for n in [0, 1, 5, 5, 1000] {
             h.record(n);
@@ -1132,7 +1123,7 @@ mod tests {
 
     #[test]
     fn telemetry_rates_are_well_defined() {
-        let t = ServeTelemetry::new(4, 1);
+        let t = ServeTelemetry::new(4);
         assert_eq!(t.cache_hit_rate(), 0.0);
         assert_eq!(t.mean_batch_size(), 0.0);
     }

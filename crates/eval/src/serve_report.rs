@@ -34,10 +34,9 @@ pub fn render_serve_text(t: &ServeTelemetry) -> String {
         t.drain_flushes
     ));
     out.push_str(&format!(
-        "latency    p50 <= {} ns  p99 <= {} ns  (workers {})\n",
+        "latency    p50 <= {} ns  p99 <= {} ns\n",
         t.latency.quantile_upper_nanos(0.5),
-        t.latency.quantile_upper_nanos(0.99),
-        t.workers
+        t.latency.quantile_upper_nanos(0.99)
     ));
 
     let sizes: Vec<(usize, u64)> = t
@@ -99,7 +98,6 @@ pub fn render_serve_json(t: &ServeTelemetry) -> String {
     field("full_flushes", t.full_flushes.to_string(), false);
     field("deadline_flushes", t.deadline_flushes.to_string(), false);
     field("drain_flushes", t.drain_flushes.to_string(), false);
-    field("workers", t.workers.to_string(), false);
     field(
         "latency_p50_upper_nanos",
         t.latency.quantile_upper_nanos(0.5).to_string(),

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use rand::{rngs::StdRng, SeedableRng};
 
 use taglets_core::serve::{ServeConfig, ServingEngine, TimedRequest};
-use taglets_core::{Concurrency, ServableModel, ServeTelemetry};
+use taglets_core::{ServableModel, ServeTelemetry};
 use taglets_eval::{render_serve_json, render_serve_text};
 
 fn golden_dir() -> PathBuf {
@@ -52,11 +52,7 @@ fn fixed_telemetry() -> ServeTelemetry {
         max_delay_nanos: 200,
         queue_cap: 6,
         cache_capacity: 32,
-        concurrency: Concurrency::Serial,
     };
-    // TAGLETS_THREADS would override the serial knob, and the goldens pin
-    // the worker count the telemetry reports.
-    std::env::remove_var("TAGLETS_THREADS");
     ServingEngine::run(&model, cfg, &stream)
         .expect("fixed replay succeeds")
         .telemetry

@@ -192,7 +192,7 @@ impl Rule {
             Rule::Tl011 => {
                 "Concurrency dataflow over the call-graph: an interior-mutability \
                  type (Mutex, RwLock, RefCell, Cell, UnsafeCell, atomics, static \
-                 mut) is reachable from an Executor::map/run/for_each or \
+                 mut) is reachable from an executor map/run/for_each or \
                  scope.spawn dispatch point, meaning worker closures can share \
                  mutable state. Lock contention or racy updates there break the \
                  bitwise-identical-at-1/2/4-workers invariant; the diagnostic's \

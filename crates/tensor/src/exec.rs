@@ -4,11 +4,11 @@
 //! `taglets-lint` rule TL006 enforces that `std::thread::spawn`/`scope`
 //! appear nowhere else in library code). It lives in the tensor crate — the
 //! bottom of the dependency stack — and `taglets-core` re-exports its types
-//! for the staged execution engine, serving and the evaluation sweeps.
+//! for the staged execution engine and the evaluation sweeps.
 //!
-//! [`Executor::run`]/[`Executor::map`] dispatch `n` independent indexed
-//! jobs, claimed work-stealing style, with results reassembled **in index
-//! order** so scheduling never leaks into the output. Combined with each job
+//! [`Executor::run`] dispatches `n` independent indexed jobs, claimed
+//! work-stealing style, with results reassembled **in index order** so
+//! scheduling never leaks into the output. Combined with each job
 //! deriving its own RNG from the run seed (`seed ^ name_hash(name)` for
 //! modules), parallel execution is bitwise identical to serial.
 
@@ -156,31 +156,22 @@ impl Executor {
         }
         Ok(out)
     }
-
-    /// [`Executor::run`] for infallible jobs.
-    // lint: root(determinism)
-    pub fn map<T, F>(&self, jobs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.run::<T, std::convert::Infallible, _>(jobs, |i| Ok(f(i))) {
-            Ok(v) => v,
-            Err(e) => match e {},
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn square(i: usize) -> Result<usize, ()> {
+        Ok(i * i)
+    }
+
     #[test]
     fn serial_and_parallel_agree_on_order() {
-        let serial = Executor::new(Concurrency::Serial).map(16, |i| i * i);
-        let parallel = Executor::new(Concurrency::Threads(4)).map(16, |i| i * i);
+        let serial = Executor::new(Concurrency::Serial).run(16, square);
+        let parallel = Executor::new(Concurrency::Threads(4)).run(16, square);
         assert_eq!(serial, parallel);
-        assert_eq!(serial, (0..16).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(serial, Ok((0..16).map(|i| i * i).collect()));
     }
 
     #[test]
@@ -217,8 +208,8 @@ mod tests {
     #[test]
     fn zero_and_one_job_edge_cases() {
         let exec = Executor::new(Concurrency::Threads(4));
-        assert_eq!(exec.map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(exec.map(1, |i| i + 41), vec![41]);
+        assert_eq!(exec.run(0, square), Ok(Vec::new()));
+        assert_eq!(exec.run(1, |i| Ok::<_, ()>(i + 41)), Ok(vec![41]));
     }
 
     #[test]

@@ -85,11 +85,10 @@ step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain
 # a filtered or skipped test run can never mask a change of selected data.
 step "selection" sh -c 'cargo test --offline --quiet -p taglets-graph --test proptests && cargo test --offline --quiet -p taglets-scads --test selection'
 
-# Serving-engine contract (properties a–d of ISSUE 4). Proptest seeds are
-# derived from test names, so this run is fixed-seed by construction; the
-# second pass pins batched dispatch under multi-worker resolution.
+# Serving-engine contract (properties a–e in the test file's docs).
+# Proptest seeds are derived from test names, so this run is fixed-seed by
+# construction.
 step "serve" cargo test --offline --quiet --test serve_properties
-step "serve-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet --test serve_properties
 
 step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features strict-numerics
 
@@ -107,6 +106,10 @@ step "fused" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p tag
 # ratio gate. Run without --json so a gate run never overwrites the
 # checked-in BENCH_kernels.json baseline.
 step "bench-kernels" cargo bench --offline --quiet -p taglets-bench --bench kernels
+
+# Every bench target must compile: `cargo test --workspace` builds none of
+# them, so an API change could otherwise break a paper-table bench unseen.
+step "benches" cargo bench --offline --quiet --no-run -p taglets-bench
 
 # Dynamic concurrency checks (TSan/Miri) when a capable nightly toolchain
 # exists; scripts/sanitize.sh degrades to a documented skip otherwise, so

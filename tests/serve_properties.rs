@@ -1,8 +1,8 @@
-//! Property-based tests on the serving engine's contract (ISSUE 4):
+//! Property-based tests on the serving engine's contract:
 //!
 //! a. every admitted request is answered exactly once,
 //! b. batched outputs are **bitwise** equal to one-at-a-time
-//!    [`ServableModel::predict_proba`] — at 1, 2, and 4 workers,
+//!    [`ServableModel::predict_proba`],
 //! c. caching on vs. off never changes any prediction,
 //! d. `shed + answered == submitted` (no request silently lost),
 //! e. rows holding NaN or ±Inf are refused and never disturb clean rows.
@@ -20,9 +20,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use taglets::nn::Classifier;
 use taglets::tensor::Tensor;
-use taglets::{
-    Concurrency, ServableModel, ServeConfig, ServeError, ServingEngine, TimedRequest, VirtualClock,
-};
+use taglets::{ServableModel, ServeConfig, ServeError, ServingEngine, TimedRequest, VirtualClock};
 
 const INPUT_DIM: usize = 5;
 const NUM_CLASSES: usize = 4;
@@ -68,18 +66,12 @@ fn config(
     max_delay_nanos: u64,
     queue_cap: usize,
     cache_capacity: usize,
-    workers: usize,
 ) -> ServeConfig {
     ServeConfig {
         max_batch,
         max_delay_nanos,
         queue_cap,
         cache_capacity,
-        concurrency: if workers <= 1 {
-            Concurrency::Serial
-        } else {
-            Concurrency::threads(workers)
-        },
     }
 }
 
@@ -102,7 +94,7 @@ proptest! {
         let m = model();
         let run = ServingEngine::run(
             &m,
-            config(max_batch, delay, queue_cap, cache, 1),
+            config(max_batch, delay, queue_cap, cache),
             &stream(n, seed, 30),
         ).unwrap();
 
@@ -120,10 +112,10 @@ proptest! {
             run.telemetry.submitted);
     }
 
-    // Property (b): batched, parallel serving is bitwise identical to
-    // calling predict_proba one row at a time — across 1, 2, and 4 workers.
+    // Property (b): batched serving is bitwise identical to calling
+    // predict_proba one row at a time.
     #[test]
-    fn batched_parallel_output_is_bitwise_equal_to_serial_single_requests(
+    fn batched_output_is_bitwise_equal_to_single_requests(
         n in 1usize..60,
         seed in 0u64..1_000_000,
         max_batch in 1usize..16,
@@ -132,27 +124,15 @@ proptest! {
         let m = model();
         let requests = stream(n, seed, 20);
         // Queue wide open: every request admitted, so all are comparable.
-        let mut baseline: Option<Vec<Vec<f32>>> = None;
-        for workers in [1usize, 2, 4] {
-            let run = ServingEngine::run(
-                &m,
-                config(max_batch, delay, 4096, 0, workers),
-                &requests,
-            ).unwrap();
-            let probs: Vec<Vec<f32>> = run.responses.iter().map(|r| {
-                r.as_ref().expect("queue_cap 4096 admits everything").probs.clone()
-            }).collect();
-            for (req, got) in requests.iter().zip(&probs) {
-                let x = Tensor::from_vec(req.input.clone()).reshaped(&[1, INPUT_DIM]);
-                let one = m.predict_proba(&x);
-                prop_assert_eq!(got.as_slice(), one.row(0),
-                    "workers={} differs from single-request path", workers);
-            }
-            match &baseline {
-                None => baseline = Some(probs),
-                Some(b) => prop_assert_eq!(b, &probs,
-                    "worker count {} changed outputs", workers),
-            }
+        let run = ServingEngine::run(&m, config(max_batch, delay, 4096, 0), &requests).unwrap();
+        for (slot, (req, r)) in requests.iter().zip(&run.responses).enumerate() {
+            let got = &r.as_ref().expect("queue_cap 4096 admits everything").probs;
+            let x = Tensor::from_vec(req.input.clone()).reshaped(&[1, INPUT_DIM]);
+            let one = m.predict_proba(&x);
+            prop_assert!(
+                got.iter().zip(one.row(0)).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "slot {} differs from the single-request path", slot
+            );
         }
     }
 
@@ -169,10 +149,10 @@ proptest! {
         let m = model();
         let requests = stream(n, seed, 50); // heavy duplication → real hits
         let cached = ServingEngine::run(
-            &m, config(max_batch, delay, 4096, cache, 1), &requests,
+            &m, config(max_batch, delay, 4096, cache), &requests,
         ).unwrap();
         let uncached = ServingEngine::run(
-            &m, config(max_batch, delay, 4096, 0, 1), &requests,
+            &m, config(max_batch, delay, 4096, 0), &requests,
         ).unwrap();
 
         prop_assert_eq!(uncached.telemetry.cache_hits, 0);
@@ -198,7 +178,7 @@ proptest! {
         // Long deadline + bursty arrivals → the queue really fills up.
         let run = ServingEngine::run(
             &m,
-            config(max_batch, 10_000, queue_cap, cache, 1),
+            config(max_batch, 10_000, queue_cap, cache),
             &stream(n, seed, 25),
         ).unwrap();
 
@@ -222,7 +202,7 @@ proptest! {
         poison_pct in 1u32..60,
         cache_sel in 0usize..2,
     ) {
-        let cfg = config(max_batch, 200, 4096, [0usize, 16][cache_sel], 1);
+        let cfg = config(max_batch, 200, 4096, [0usize, 16][cache_sel]);
         let m = model();
         let clean = stream(n, seed, 30);
         let reference = ServingEngine::run(&m, cfg.clone(), &clean).unwrap();
@@ -270,28 +250,22 @@ proptest! {
 }
 
 /// Deterministic non-proptest check used by `scripts/check.sh serve`: one
-/// fixed stream, asserted identical across 1/2/4 workers and cache on/off,
-/// so the CI step has a stable, env-independent anchor.
+/// fixed stream, asserted identical with the cache on and off, so the CI
+/// step has a stable anchor.
 #[test]
-fn fixed_stream_is_identical_across_workers_and_cache() {
+fn fixed_stream_is_identical_with_and_without_cache() {
     let m = model();
     let requests = stream(48, 1234, 40);
-    let runs: Vec<_> = [(1, 0), (2, 0), (4, 0), (1, 32), (4, 32)]
-        .into_iter()
-        .map(|(workers, cache)| {
-            ServingEngine::run(&m, config(6, 150, 4096, cache, workers), &requests).unwrap()
-        })
-        .collect();
-    for run in &runs[1..] {
-        assert_eq!(run.responses.len(), runs[0].responses.len());
-        for (a, b) in runs[0].responses.iter().zip(&run.responses) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.probs, b.probs);
-            assert_eq!(a.predicted, b.predicted);
-        }
+    let uncached = ServingEngine::run(&m, config(6, 150, 4096, 0), &requests).unwrap();
+    let cached = ServingEngine::run(&m, config(6, 150, 4096, 32), &requests).unwrap();
+    assert_eq!(cached.responses.len(), uncached.responses.len());
+    for (a, b) in uncached.responses.iter().zip(&cached.responses) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(a.probs, b.probs);
+        assert_eq!(a.predicted, b.predicted);
     }
-    // The cached runs actually exercised the cache.
-    assert!(runs[4].telemetry.cache_hits > 0);
+    // The cached run actually exercised the cache.
+    assert!(cached.telemetry.cache_hits > 0);
 }
 
 /// `pending_len()` — the admission-queue depth — rises one per admitted
@@ -303,7 +277,7 @@ fn load_tracks_queue_depth_through_submit_and_drain() {
     let clock = VirtualClock::new();
     let mut engine = ServingEngine::new(
         &m,
-        config(16, 10_000, 3, 0, 1), // cap 3: the 4th submit sheds
+        config(16, 10_000, 3, 0), // cap 3: the 4th submit sheds
         &clock,
     )
     .unwrap();
