@@ -213,7 +213,8 @@ fn main() {
 
 /// One sweep cell: serve every input through an engine at `batch`, ticking
 /// once per `batch` submissions so each tick cuts one full batch. Returns
-/// `(req/s, p50 us, p99 us)`.
+/// `(req/s, p50 us, p99 us)`, the percentiles exact by nearest rank over
+/// every response's latency.
 fn sweep_cell(model: &ServableModel, inputs: &[Vec<f32>], batch: usize) -> (f64, f64, f64) {
     let clock = WallClock::new();
     let cfg = ServeConfig {
@@ -240,8 +241,16 @@ fn sweep_cell(model: &ServableModel, inputs: &[Vec<f32>], batch: usize) -> (f64,
 
     let responses = engine.take_responses();
     assert_eq!(responses.len(), total, "every request answered");
-    let telemetry = engine.into_telemetry();
-    let p50 = telemetry.latency.quantile_upper_nanos(0.5) as f64 / 1_000.0;
-    let p99 = telemetry.latency.quantile_upper_nanos(0.99) as f64 / 1_000.0;
+    let mut latencies: Vec<u64> = responses.iter().map(|r| r.latency_nanos).collect();
+    latencies.sort_unstable();
+    let p50 = nearest_rank(&latencies, 0.5) as f64 / 1_000.0;
+    let p99 = nearest_rank(&latencies, 0.99) as f64 / 1_000.0;
     (total as f64 / elapsed, p50, p99)
+}
+
+/// The `q` quantile of ascending, non-empty `sorted` by nearest rank: the
+/// smallest value with at least a `q` share of the values at or below it.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -3,9 +3,8 @@
 //! Benchmark harness for the TAGLETS reproduction. Each paper table/figure
 //! has a bench target under `benches/` (plain `harness = false` binaries
 //! that print paper-style rows), plus the serving-engine sweep
-//! (`serving_latency`), the GEMM kernel rows (`kernels`) and the
-//! module fan-out timing (`exec_speedup`). Helpers shared by the bench
-//! binaries live here.
+//! (`serving_latency`) and the GEMM kernel rows (`kernels`). Helpers
+//! shared by the bench binaries live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

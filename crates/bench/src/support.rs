@@ -3,7 +3,6 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use taglets_core::Concurrency;
 use taglets_data::{BackboneKind, Task};
 use taglets_eval::{sweep_method, EvalError, Experiment, Method, Stats, SweepCell};
 
@@ -25,9 +24,8 @@ pub struct TableCell {
 /// Evaluates one cell of a results table: `method` on `task` at `shots`,
 /// averaged over the environment scale's training seeds.
 ///
-/// The per-seed runs are independent, so they go through the deterministic
-/// eval sweep — serial by default, parallel when `TAGLETS_THREADS` asks for
-/// it, identical results either way.
+/// The per-seed runs go through the eval sweep one after another; each
+/// TAGLETS run fans its own modules out over the available cores.
 ///
 /// # Errors
 ///
@@ -46,7 +44,7 @@ pub fn table_cell(
         .iter()
         .map(|&seed| SweepCell::new(task.name.clone(), split_seed, shots, seed))
         .collect();
-    let values = sweep_method(env, method, backbone, &cells, Concurrency::default())?;
+    let values = sweep_method(env, method, backbone, &cells)?;
     Ok(TableCell {
         method: method.label(),
         backbone: backbone.display_name(),

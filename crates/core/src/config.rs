@@ -9,8 +9,6 @@
 
 use taglets_data::BackboneKind;
 
-use crate::Concurrency;
-
 /// How the auxiliary set `R` is chosen from SCADS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
@@ -197,10 +195,6 @@ pub struct TagletsConfig {
     pub max_unlabeled: Option<usize>,
     /// Auxiliary-data selection strategy (graph-based vs random ablation).
     pub selection: SelectionStrategy,
-    /// Worker threads for the parallelizable `train_modules` stage
-    /// (overridable at run time via `TAGLETS_THREADS`). Results are bitwise
-    /// identical at every setting; this only trades wall-clock for cores.
-    pub concurrency: Concurrency,
     /// Transfer module settings.
     pub transfer: TransferConfig,
     /// Multi-task module settings.
@@ -222,7 +216,6 @@ impl TagletsConfig {
             images_per_concept: 15,
             max_unlabeled: Some(600),
             selection: SelectionStrategy::default(),
-            concurrency: Concurrency::default(),
             transfer: TransferConfig::default(),
             multitask: MultiTaskConfig::default(),
             fixmatch: FixMatchConfig::default(),

@@ -58,7 +58,6 @@ pub use serve::{
 };
 pub use system::{TagletsRun, TagletsSystem};
 pub use taglet::{ClassifierTaglet, ModuleContext, Taglet, TagletModule, TrainedTaglet};
-pub use taglets_tensor::{Concurrency, Executor};
 pub use telemetry::{ModuleTelemetry, RunTelemetry, StageTelemetry};
 
 use std::error::Error;

@@ -2,11 +2,11 @@
 //! `select` → `train_modules` → `ensemble` → `distill`.
 //!
 //! Each stage is a named method; the `train_modules` stage hands its
-//! independent jobs to [`crate::Executor`], which may fan them out
-//! over scoped worker threads. Because every module derives its RNG from
-//! `seed ^ name_hash(name)` and the executor reassembles results in module
-//! order, the parallel path is bitwise identical to the serial one (see the
-//! `exec_determinism` integration test).
+//! independent jobs to an [`Executor`], which fans them out over one
+//! scoped worker thread per available core. Because every module derives
+//! its RNG from `seed ^ name_hash(name)` and the executor reassembles
+//! results in module order, the parallel path is bitwise identical to the
+//! serial one (see the `exec_determinism` integration test).
 
 use std::borrow::Cow;
 
@@ -16,11 +16,12 @@ use rand::SeedableRng;
 use taglets_data::{Image, ModelZoo, Task, TaskSplit};
 use taglets_graph::ConceptId;
 use taglets_scads::{AuxiliarySelection, PruneLevel, Scads};
+use taglets_tensor::exec::Executor;
 use taglets_tensor::Tensor;
 
 use crate::telemetry::{ModuleTelemetry, RunTelemetry, StageTelemetry};
 use crate::{
-    distillation, CoreError, Ensemble, Executor, FixMatchModule, ModuleContext, MultiTaskModule,
+    distillation, CoreError, Ensemble, FixMatchModule, ModuleContext, MultiTaskModule,
     ServableModel, Taglet, TagletModule, TagletsConfig, TransferModule, ZslKgModule,
 };
 
@@ -64,7 +65,7 @@ pub struct TagletsRun {
     /// Number of auxiliary classes (`≤ N·C`).
     pub num_auxiliary_classes: usize,
     /// Structured execution telemetry: per-stage timings, per-module
-    /// training reports, and the concurrency the run resolved.
+    /// training reports, and the worker count the run used.
     pub telemetry: RunTelemetry,
 }
 
@@ -176,9 +177,12 @@ impl<'a> TagletsSystem<'a> {
     ///
     /// `seed` is the training seed of Appendix A.3 (module initialisation
     /// and data shuffling); the split itself carries the split seed. The
-    /// module-training stage parallelizes according to
-    /// [`TagletsConfig::concurrency`] (overridable via `TAGLETS_THREADS`);
-    /// results are bitwise identical at every concurrency level.
+    /// module-training stage trains modules on one worker per available
+    /// core (at most one per module); results are bitwise identical to a
+    /// serial run at every worker count.
+    ///
+    /// A one-class task is not an error: it runs like any other, and the
+    /// end model puts all probability on that class.
     ///
     /// # Errors
     ///
@@ -207,8 +211,7 @@ impl<'a> TagletsSystem<'a> {
         if module_names.is_empty() {
             return Err(CoreError::NoModules);
         }
-        let concurrency = self.config.concurrency.from_env();
-        let executor = Executor::new(concurrency);
+        let executor = Executor::new();
         let mut stages: Vec<StageTelemetry> = Vec::with_capacity(4);
 
         // Stage 1: SCADS extension, concept resolution, auxiliary selection,
@@ -268,8 +271,7 @@ impl<'a> TagletsSystem<'a> {
             num_auxiliary_examples: selected.selection.len(),
             num_auxiliary_classes: selected.selection.num_aux_classes(),
             telemetry: RunTelemetry {
-                concurrency,
-                workers: concurrency.workers(module_names.len()),
+                workers: executor.workers(module_names.len()),
                 stages,
                 modules: module_telemetry,
                 end_model: end_telemetry,
@@ -356,7 +358,7 @@ impl<'a> TagletsSystem<'a> {
     /// `train_modules` stage: resolve the active modules and train each on
     /// the executor. Each job derives its RNG from `seed ^ name_hash(name)`
     /// — independent of scheduling — and the executor returns results in
-    /// module order, so this stage is deterministic at any concurrency.
+    /// module order, so this stage is deterministic at any worker count.
     fn train_modules(
         &self,
         ctx: &ModuleContext<'_>,

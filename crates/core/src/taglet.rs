@@ -165,8 +165,9 @@ impl TrainedTaglet {
 /// "modular framework is extensible").
 ///
 /// Implementations must be `Send + Sync`: the execution engine
-/// ([`crate::Executor`]) may train independent modules on scoped worker threads,
-/// each holding a shared reference to the module and the context.
+/// ([`taglets_tensor::exec::Executor`]) trains independent modules on scoped
+/// worker threads, one per available core, each holding a shared reference
+/// to the module and the context.
 pub trait TagletModule: Send + Sync {
     /// The module's display name (used in reports and figures).
     fn name(&self) -> &str;

@@ -9,8 +9,6 @@
 
 use taglets_nn::FitReport;
 
-use crate::Concurrency;
-
 /// Wall-clock timing of one named pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTelemetry {
@@ -32,13 +30,12 @@ pub struct ModuleTelemetry {
     pub report: FitReport,
 }
 
-/// Everything a run records about *how* it executed (timings, concurrency,
+/// Everything a run records about *how* it executed (timings, worker count,
 /// per-component training curves) — as opposed to *what* it produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTelemetry {
-    /// The concurrency knob the run resolved (config + `TAGLETS_THREADS`).
-    pub concurrency: Concurrency,
-    /// Worker threads actually used by the `train_modules` stage.
+    /// Worker threads the `train_modules` stage used: the cores available
+    /// to the process, capped at the number of active modules.
     pub workers: usize,
     /// Per-stage wall-clock timings, in pipeline order.
     pub stages: Vec<StageTelemetry>,
@@ -92,7 +89,6 @@ mod tests {
 
     fn sample() -> RunTelemetry {
         RunTelemetry {
-            concurrency: Concurrency::Threads(2),
             workers: 2,
             stages: vec![
                 StageTelemetry {

@@ -8,9 +8,7 @@ use rand::SeedableRng;
 use taglets_baselines::{
     fine_tune, fine_tune_distilled, fixmatch_baseline, meta_pseudo_labels, MplConfig,
 };
-use taglets_core::{
-    Concurrency, Executor, RunTelemetry, TagletsConfig, TagletsSystem, ZslKgModule,
-};
+use taglets_core::{RunTelemetry, TagletsConfig, TagletsSystem, ZslKgModule};
 use taglets_data::{
     standard_tasks, AuxiliaryCorpus, BackboneKind, ConceptUniverse, Image, ModelZoo, Task,
     TaskSplit, UniverseConfig, ZooConfig,
@@ -325,7 +323,7 @@ pub struct TagletsDetail {
     /// Test accuracy of the distilled end model.
     pub end_model_accuracy: f32,
     /// The run's structured execution telemetry (stage/module timings,
-    /// per-module training curves, resolved concurrency).
+    /// per-module training curves, worker count).
     pub telemetry: RunTelemetry,
 }
 
@@ -416,35 +414,33 @@ impl SweepCell {
     }
 }
 
-/// Evaluates `method` on every cell, returning accuracies in cell order.
+/// Evaluates `method` on every cell, in cell order, returning accuracies
+/// in that order.
 ///
-/// Cells are fanned out over the deterministic executor (`concurrency` is
-/// still subject to the `TAGLETS_THREADS` override): every cell derives all
-/// of its randomness from its own coordinates, so results are bitwise
-/// identical at any concurrency, including the error reported when several
-/// cells fail (the lowest-indexed one, as a serial loop would surface).
-///
-/// Runs inside a cell stay serial unless the environment's config says
-/// otherwise — nesting both levels of parallelism oversubscribes cores.
+/// Cells run one after another: a TAGLETS cell already fans its modules out
+/// over the available cores, and a second fan-out across cells would only
+/// oversubscribe them. Every cell derives all of its randomness from its
+/// own coordinates, so a cell's result does not depend on its neighbours.
 ///
 /// # Errors
 ///
-/// The first (by cell order) [`EvalError`] any cell produced.
+/// The first (by cell order) [`EvalError`] any cell produced; later cells
+/// are not run.
 // lint: root(determinism)
 pub fn sweep_method(
     env: &Experiment,
     method: Method,
     backbone: BackboneKind,
     cells: &[SweepCell],
-    concurrency: Concurrency,
 ) -> Result<Vec<f32>, EvalError> {
-    let executor = Executor::new(concurrency.from_env());
-    executor.run(cells.len(), |i| {
-        let cell = &cells[i];
-        let task = env.task(&cell.task)?;
-        let split = task.split(cell.split_seed, cell.shots);
-        method.evaluate(env, task, &split, backbone, cell.seed)
-    })
+    cells
+        .iter()
+        .map(|cell| {
+            let task = env.task(&cell.task)?;
+            let split = task.split(cell.split_seed, cell.shots);
+            method.evaluate(env, task, &split, backbone, cell.seed)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -488,7 +484,6 @@ mod tests {
             ensemble_accuracy: 0.7,
             end_model_accuracy: 0.65,
             telemetry: RunTelemetry {
-                concurrency: Concurrency::Serial,
                 workers: 1,
                 stages: vec![],
                 modules: vec![],

@@ -69,16 +69,16 @@ const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benches", "e
 
 /// The analysis stages, in execution order, as reported by
 /// [`scan_workspace_timed`]. The names are part of the `--json` contract:
-/// `taint` times the site rules and the determinism walk, `concurrency`
-/// the dispatch walk and TL013, `hotpath` the hot walk.
+/// `determinism` times the site rules and the determinism walk,
+/// `concurrency` the dispatch walk and TL013, `hot` the hot walk.
 pub const STAGES: [&str; 7] = [
     "scan",
     "rules",
     "items",
     "callgraph",
-    "taint",
+    "determinism",
     "concurrency",
-    "hotpath",
+    "hot",
 ];
 
 /// Wall-time spent in one analysis stage. Telemetry only: the values feed
@@ -152,12 +152,12 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     let graph = callgraph::build(fns);
     push_timing(&mut timings, "callgraph", t);
 
-    // Stage "taint": site rules (TL008–TL010, TL012, file-scope TL011)
+    // Stage "determinism": site rules (TL008–TL010, TL012, file-scope TL011)
     // and determinism reachability (TL007).
     let t = stage_clock();
     violations.extend(reach::site_rules(&graph, &file_facts));
     violations.extend(reach::reach(&graph, &reach::DETERMINISM));
-    push_timing(&mut timings, "taint", t);
+    push_timing(&mut timings, "determinism", t);
 
     // Stage "concurrency": dispatch reachability (TL011) and worker-closure
     // accumulation (TL013).
@@ -168,10 +168,10 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     }
     push_timing(&mut timings, "concurrency", t);
 
-    // Stage "hotpath": hot-path reachability (TL014–TL016).
+    // Stage "hot": hot-path reachability (TL014–TL016).
     let t = stage_clock();
     violations.extend(reach::reach(&graph, &reach::HOT));
-    push_timing(&mut timings, "hotpath", t);
+    push_timing(&mut timings, "hot", t);
 
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok((violations, timings))

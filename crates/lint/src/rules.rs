@@ -712,7 +712,7 @@ mod tests {
         assert!(violations("crates/tensor/src/exec.rs", src).is_empty());
         // The executor's former home no longer gets a pass.
         assert!(!violations("crates/core/src/exec.rs", src).is_empty());
-        assert!(violations("crates/bench/benches/exec_speedup.rs", src).is_empty());
+        assert!(violations("crates/bench/benches/kernels.rs", src).is_empty());
     }
 
     #[test]

@@ -20,6 +20,19 @@ fn stage_timings_cover_the_pipeline_in_order() {
     let (_, timings) = scan_workspace_timed(&fixture_root()).expect("fixture scans");
     let stages: Vec<&str> = timings.iter().map(|t| t.stage).collect();
     assert_eq!(stages, STAGES.to_vec());
+    assert_eq!(
+        STAGES,
+        [
+            "scan",
+            "rules",
+            "items",
+            "callgraph",
+            "determinism",
+            "concurrency",
+            "hot"
+        ],
+        "stage names are part of the --json contract"
+    );
 }
 
 #[test]

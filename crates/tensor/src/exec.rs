@@ -3,76 +3,20 @@
 //! This module is the single home of thread spawning in the workspace (the
 //! `taglets-lint` rule TL006 enforces that `std::thread::spawn`/`scope`
 //! appear nowhere else in library code). It lives in the tensor crate — the
-//! bottom of the dependency stack — and `taglets-core` re-exports its types
-//! for the staged execution engine and the evaluation sweeps.
+//! bottom of the dependency stack — and `taglets-core`'s staged execution
+//! engine uses it to train modules.
 //!
 //! [`Executor::run`] dispatches `n` independent indexed jobs, claimed
 //! work-stealing style, with results reassembled **in index order** so
 //! scheduling never leaks into the output. Combined with each job
 //! deriving its own RNG from the run seed (`seed ^ name_hash(name)` for
 //! modules), parallel execution is bitwise identical to serial.
+//!
+//! The worker count is the host's: [`std::thread::available_parallelism`],
+//! which on Linux already honours CPU affinity and cgroup quotas, so
+//! `taskset` or a container limit caps it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How many worker threads a parallelizable stage may use.
-///
-/// The knob lives in `TagletsConfig::concurrency` (in `taglets-core`) and
-/// can be overridden at run time by the `TAGLETS_THREADS` environment
-/// variable (`TAGLETS_THREADS=1` or `serial` forces serial,
-/// `TAGLETS_THREADS=N` allows up to `N` workers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Concurrency {
-    /// Run jobs one after another on the calling thread.
-    #[default]
-    Serial,
-    /// Run jobs on up to this many scoped worker threads (clamped to the
-    /// job count; `Threads(1)` behaves like [`Concurrency::Serial`]).
-    Threads(usize),
-}
-
-impl Concurrency {
-    /// Normalizing constructor: `n <= 1` collapses to [`Concurrency::Serial`].
-    pub fn threads(n: usize) -> Self {
-        if n <= 1 {
-            Concurrency::Serial
-        } else {
-            Concurrency::Threads(n)
-        }
-    }
-
-    /// Applies the `TAGLETS_THREADS` environment override, falling back to
-    /// `self` when the variable is unset or unparsable.
-    pub fn from_env(self) -> Self {
-        match std::env::var("TAGLETS_THREADS") {
-            Ok(v) => {
-                let v = v.trim();
-                if v.eq_ignore_ascii_case("serial") {
-                    Concurrency::Serial
-                } else {
-                    v.parse::<usize>().map(Concurrency::threads).unwrap_or(self)
-                }
-            }
-            Err(_) => self,
-        }
-    }
-
-    /// Effective worker count for a stage of `jobs` independent jobs.
-    pub fn workers(self, jobs: usize) -> usize {
-        match self {
-            Concurrency::Serial => 1,
-            Concurrency::Threads(n) => n.max(1).min(jobs.max(1)),
-        }
-    }
-}
-
-impl std::fmt::Display for Concurrency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Concurrency::Serial => write!(f, "serial"),
-            Concurrency::Threads(n) => write!(f, "threads({n})"),
-        }
-    }
-}
 
 /// Deterministic executor over indexed, independent jobs.
 ///
@@ -83,15 +27,29 @@ impl std::fmt::Display for Concurrency {
 /// guarantees this by seeding each module's RNG as `seed ^ name_hash(name)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
-    concurrency: Concurrency,
+    threads: usize,
 }
 
 impl Executor {
-    /// An executor with the given concurrency knob (already env-resolved by
-    /// the caller if desired).
+    /// An executor with one worker per core available to this process
+    /// (1 if the count cannot be read).
     // lint: root(determinism)
-    pub fn new(concurrency: Concurrency) -> Self {
-        Executor { concurrency }
+    pub fn new() -> Self {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Executor { threads }
+    }
+
+    /// An executor with exactly `threads` workers, so the unit tests
+    /// exercise fan-out whatever the host's core count.
+    #[cfg(test)]
+    fn with_threads(threads: usize) -> Self {
+        Executor { threads }
+    }
+
+    /// Worker threads [`Executor::run`] uses for `jobs` jobs: the host's
+    /// count clamped to the job count, and at least 1.
+    pub fn workers(&self, jobs: usize) -> usize {
+        self.threads.min(jobs).max(1)
     }
 
     /// Runs `jobs` fallible jobs and returns their results in index order.
@@ -112,8 +70,8 @@ impl Executor {
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
-        let workers = self.concurrency.workers(jobs);
-        if workers <= 1 || jobs <= 1 {
+        let workers = self.workers(jobs);
+        if workers <= 1 {
             return (0..jobs).map(f).collect();
         }
 
@@ -168,14 +126,15 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree_on_order() {
-        let serial = Executor::new(Concurrency::Serial).run(16, square);
-        let parallel = Executor::new(Concurrency::Threads(4)).run(16, square);
-        assert_eq!(serial, parallel);
+        let serial = Executor::with_threads(1).run(16, square);
+        for threads in [2, 4] {
+            assert_eq!(Executor::with_threads(threads).run(16, square), serial);
+        }
         assert_eq!(serial, Ok((0..16).map(|i| i * i).collect()));
     }
 
     #[test]
-    fn lowest_indexed_error_wins_in_both_modes() {
+    fn lowest_indexed_error_wins_at_every_worker_count() {
         let job = |i: usize| -> Result<usize, usize> {
             if i % 3 == 2 {
                 Err(i)
@@ -183,48 +142,25 @@ mod tests {
                 Ok(i)
             }
         };
-        let serial = Executor::new(Concurrency::Serial).run(10, job);
-        let parallel = Executor::new(Concurrency::Threads(4)).run(10, job);
-        assert_eq!(serial, Err(2));
-        assert_eq!(parallel, Err(2));
+        for threads in [1, 2, 4] {
+            assert_eq!(Executor::with_threads(threads).run(10, job), Err(2));
+        }
     }
 
     #[test]
     fn worker_count_is_clamped_to_jobs() {
-        assert_eq!(Concurrency::Serial.workers(8), 1);
-        assert_eq!(Concurrency::Threads(4).workers(8), 4);
-        assert_eq!(Concurrency::Threads(16).workers(3), 3);
-        assert_eq!(Concurrency::Threads(0).workers(3), 1);
-        assert_eq!(Concurrency::Threads(4).workers(0), 1);
-    }
-
-    #[test]
-    fn threads_constructor_normalizes() {
-        assert_eq!(Concurrency::threads(0), Concurrency::Serial);
-        assert_eq!(Concurrency::threads(1), Concurrency::Serial);
-        assert_eq!(Concurrency::threads(3), Concurrency::Threads(3));
+        assert_eq!(Executor::with_threads(1).workers(8), 1);
+        assert_eq!(Executor::with_threads(4).workers(8), 4);
+        assert_eq!(Executor::with_threads(16).workers(3), 3);
+        assert_eq!(Executor::with_threads(0).workers(3), 1);
+        assert_eq!(Executor::with_threads(4).workers(0), 1);
+        assert!(Executor::new().workers(usize::MAX) >= 1);
     }
 
     #[test]
     fn zero_and_one_job_edge_cases() {
-        let exec = Executor::new(Concurrency::Threads(4));
+        let exec = Executor::with_threads(4);
         assert_eq!(exec.run(0, square), Ok(Vec::new()));
         assert_eq!(exec.run(1, |i| Ok::<_, ()>(i + 41)), Ok(vec![41]));
-    }
-
-    #[test]
-    fn env_override_parses_all_forms() {
-        // Set/removed around the assertions only; tests in this module run
-        // in one process, so keep the variable's lifetime tight.
-        std::env::set_var("TAGLETS_THREADS", "4");
-        assert_eq!(Concurrency::Serial.from_env(), Concurrency::Threads(4));
-        std::env::set_var("TAGLETS_THREADS", "1");
-        assert_eq!(Concurrency::Threads(8).from_env(), Concurrency::Serial);
-        std::env::set_var("TAGLETS_THREADS", "serial");
-        assert_eq!(Concurrency::Threads(8).from_env(), Concurrency::Serial);
-        std::env::set_var("TAGLETS_THREADS", "not-a-number");
-        assert_eq!(Concurrency::Threads(2).from_env(), Concurrency::Threads(2));
-        std::env::remove_var("TAGLETS_THREADS");
-        assert_eq!(Concurrency::Threads(2).from_env(), Concurrency::Threads(2));
     }
 }

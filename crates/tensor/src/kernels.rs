@@ -47,8 +47,8 @@
 //! # One serial path
 //!
 //! Every product runs serially on the calling thread. Parallelism lives a
-//! level up, where jobs are independent (modules and eval cells
-//! dispatched through [`crate::Executor`]): the system's GEMMs are
+//! level up, where jobs are independent (modules dispatched through
+//! [`crate::exec::Executor`]): the system's GEMMs are
 //! ~1 Mflop or less, far below the size at which a row-block fan-out
 //! repays its thread-scope overhead.
 //!

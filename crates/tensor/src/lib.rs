@@ -61,7 +61,6 @@ mod tensor;
 pub use autograd::BackwardFault;
 pub use autograd::{confidence_rows, softmax_rows, GradScratch, Gradients, Tape, Var};
 pub use checks::validate_shape;
-pub use exec::{Concurrency, Executor};
 pub use gradcheck::{check_gradients, GradCheckReport};
 pub use init::Init;
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd, SgdConfig};

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Dynamic counterpart to the lint's static concurrency rules (TL010–TL013):
-# runs the kernel-equivalence and serve-property suites under
-# ThreadSanitizer, and the executor unit tests under Miri, when a nightly
-# toolchain with the required components is installed.
+# runs the code that spawns threads under ThreadSanitizer — the executor
+# unit tests, which force 1, 2 and 4 workers whatever the host's core
+# count, and the module-trait tests of taglets-core — and the executor unit
+# tests under Miri, when a nightly toolchain with the required components
+# is installed.
 #
 # Both sanitizers need nightly-only machinery the pinned stable toolchain
 # cannot provide (TSan requires rebuilding std with -Zbuild-std, Miri is a
@@ -40,14 +42,14 @@ host="$(rustc -vV | sed -n 's/^host: //p')"
 # --- ThreadSanitizer -------------------------------------------------------
 # Needs std rebuilt with the sanitizer, which needs the rust-src component.
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
-    echo "==> sanitize: ThreadSanitizer (kernels + serve properties, 4 workers)"
+    echo "==> sanitize: ThreadSanitizer (executor at 2 and 4 workers, module traits)"
     tsan_flags="-Zsanitizer=thread"
-    if RUSTFLAGS="$tsan_flags" TAGLETS_THREADS=4 \
+    if RUSTFLAGS="$tsan_flags" \
         cargo +nightly test --offline --quiet -Zbuild-std --target "$host" \
-        -p taglets-tensor --features reference-kernels --test kernels \
-        && RUSTFLAGS="$tsan_flags" TAGLETS_THREADS=4 \
+        -p taglets-tensor --lib exec:: \
+        && RUSTFLAGS="$tsan_flags" \
             cargo +nightly test --offline --quiet -Zbuild-std --target "$host" \
-            --test serve_properties; then
+            -p taglets-core --lib taglet::; then
         echo "==> sanitize: ThreadSanitizer ok"
     else
         echo "==> sanitize: ThreadSanitizer FAILED"

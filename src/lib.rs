@@ -46,12 +46,11 @@
 #![warn(missing_docs)]
 
 pub use taglets_core::{
-    fixmatch_train, ClassifierTaglet, Concurrency, CoreError, EndModelConfig, Ensemble, Executor,
-    FixMatchConfig, FixMatchModule, ModuleContext, ModuleTelemetry, MultiTaskConfig,
-    MultiTaskModule, RunTelemetry, ServableModel, ServeConfig, ServeError, ServeResponse, ServeRun,
-    ServeTelemetry, ServingEngine, StageTelemetry, Taglet, TagletModule, TagletsConfig, TagletsRun,
-    TagletsSystem, TimedRequest, TrainedTaglet, TransferConfig, TransferModule, VirtualClock,
-    ZslKgConfig, ZslKgModule,
+    fixmatch_train, ClassifierTaglet, CoreError, EndModelConfig, Ensemble, FixMatchConfig,
+    FixMatchModule, ModuleContext, ModuleTelemetry, MultiTaskConfig, MultiTaskModule, RunTelemetry,
+    ServableModel, ServeConfig, ServeError, ServeResponse, ServeRun, ServeTelemetry, ServingEngine,
+    StageTelemetry, Taglet, TagletModule, TagletsConfig, TagletsRun, TagletsSystem, TimedRequest,
+    TrainedTaglet, TransferConfig, TransferModule, VirtualClock, ZslKgConfig, ZslKgModule,
 };
 pub use taglets_data::{
     standard_tasks, Augmenter, AuxiliaryCorpus, BackboneKind, ClassSpec, ConceptUniverse,

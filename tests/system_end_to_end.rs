@@ -377,3 +377,22 @@ fn malformed_splits_are_refused_and_degenerate_tasks_fall_back() {
         }
     }
 }
+
+#[test]
+fn one_class_task_runs_and_answers_that_class() {
+    // A one-class task is not refused: the documented fallback is an
+    // ordinary run whose end model puts all mass on the one class.
+    let mut task = common::task("office_home_product").clone();
+    task.classes.truncate(1);
+    let split = task.split(0, 1);
+    let run = system(BackboneKind::ResNet50ImageNet1k)
+        .run(&task, &split, PruneLevel::NoPruning, 0)
+        .expect("a one-class task runs");
+    let probs = run.end_model.predict_proba(&split.test_x);
+    assert_eq!(probs.shape(), &[split.test_x.rows(), 1]);
+    assert!(
+        probs.data().iter().all(|p| p.is_finite()),
+        "non-finite probabilities"
+    );
+    assert_eq!(run.end_model.accuracy(&split.test_x, &split.test_y), 1.0);
+}
