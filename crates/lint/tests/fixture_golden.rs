@@ -1,10 +1,12 @@
-//! Golden-file tests for the workspace-level analyses: every diagnostic each
-//! fixture workspace (`tests/fixtures/<ws>/`) produces, rendered with
+//! Golden-file tests for the analyses: every diagnostic each fixture
+//! workspace (`tests/fixtures/<ws>/`) produces, rendered with
 //! [`taglets_lint::report::violation_json`] in [`taglets_lint::scan_workspace`]
 //! order, must match the checked-in `tests/golden/<ws>.jsonl` byte for byte.
 //! The files pin rule, site, excerpt and call chain at once, so a change to
-//! the extractor, call-graph or reachability engine that moves any of them
-//! shows up as a diff.
+//! the lexer, the per-line metadata, the per-file rules, the extractor,
+//! call-graph or reachability engine that moves any of them shows up as a
+//! diff. `rules_ws` holds the TL001–TL006 hits and non-hits: literals,
+//! comments, test regions and allow directives.
 //!
 //! Regenerate after an intentional analysis change with:
 //!
@@ -19,10 +21,11 @@ use taglets_lint::report::violation_json;
 use taglets_lint::scan_workspace;
 
 /// Fixture workspaces and how many diagnostics each must produce.
-const WORKSPACES: [(&str, usize); 4] = [
+const WORKSPACES: [(&str, usize); 5] = [
     ("conc_ws", 5),
     ("hotpath_ws", 3),
     ("route_ws", 3),
+    ("rules_ws", 31),
     ("taint_ws", 6),
 ];
 
