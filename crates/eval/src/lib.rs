@@ -10,14 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod confusion;
 mod error;
 mod format;
 mod metrics;
 mod runner;
 mod serve_report;
 
-pub use confusion::ConfusionMatrix;
 pub use error::EvalError;
 pub use format::{fmt_delta_pct, fmt_stats, TextTable};
 pub use metrics::{mean, Stats};

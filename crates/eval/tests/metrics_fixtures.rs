@@ -1,114 +1,9 @@
-//! Hand-computed fixtures pinning the eval metrics (ISSUE 4): every number
-//! asserted here was derived on paper from the 3-class count tables in the
-//! comments, so a regression in normalization or averaging order breaks
-//! against an independent source rather than a re-derivation of the code.
+//! Hand-computed fixtures pinning the eval metrics: every number asserted
+//! here was derived on paper, so a regression in averaging or the interval
+//! formula breaks against an independent source rather than a
+//! re-derivation of the code.
 
-use taglets_eval::{ConfusionMatrix, Stats};
-
-/// Fixture A — 10 examples over 3 classes:
-///
-/// ```text
-/// counts[truth][pred]   p=0  p=1  p=2   support
-///   t=0                  3    0    1       4
-///   t=1                  1    2    0       3
-///   t=2                  0    2    1       3
-/// ```
-fn fixture_a() -> ConfusionMatrix {
-    let labels = [0, 0, 0, 0, 1, 1, 1, 2, 2, 2];
-    let preds = [0, 0, 0, 2, 0, 1, 1, 1, 1, 2];
-    ConfusionMatrix::from_predictions(&preds, &labels, 3)
-}
-
-#[test]
-fn fixture_a_counts_match_the_table() {
-    let m = fixture_a();
-    let expected = [[3, 0, 1], [1, 2, 0], [0, 2, 1]];
-    for (t, row) in expected.iter().enumerate() {
-        for (p, &n) in row.iter().enumerate() {
-            assert_eq!(m.count(t, p), n, "count[{t}][{p}]");
-        }
-    }
-    assert_eq!(m.total(), 10);
-    // accuracy = (3 + 2 + 1) / 10
-    assert!((m.accuracy() - 0.6).abs() < 1e-6);
-}
-
-#[test]
-fn row_normalization_matches_hand_computed_rates() {
-    let rates = fixture_a().row_rates();
-    let expected = [
-        [0.75, 0.0, 0.25],           // support 4
-        [1.0 / 3.0, 2.0 / 3.0, 0.0], // support 3
-        [0.0, 2.0 / 3.0, 1.0 / 3.0], // support 3
-    ];
-    for (t, row) in expected.iter().enumerate() {
-        let sum: f32 = rates[t].iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6, "row {t} sums to {sum}");
-        for (p, &r) in row.iter().enumerate() {
-            assert!(
-                (rates[t][p] - r).abs() < 1e-6,
-                "rates[{t}][{p}] = {}, expected {r}",
-                rates[t][p]
-            );
-        }
-        assert!(
-            (rates[t][t] - fixture_a().recall(t)).abs() < 1e-6,
-            "diagonal of row {t} is that class's recall"
-        );
-    }
-}
-
-#[test]
-fn macro_f1_matches_hand_computed_value() {
-    let m = fixture_a();
-    // Per class, from the count table:
-    //   class 0: precision 3/4, recall 3/4            → F1 = 3/4
-    //   class 1: precision 2/4, recall 2/3            → F1 = 2·(1/2·2/3)/(1/2+2/3) = 4/7
-    //   class 2: precision 1/2, recall 1/3            → F1 = 2·(1/2·1/3)/(1/2+1/3) = 2/5
-    assert!((m.precision(0) - 0.75).abs() < 1e-6);
-    assert!((m.recall(1) - 2.0 / 3.0).abs() < 1e-6);
-    assert!((m.f1(0) - 0.75).abs() < 1e-6);
-    assert!((m.f1(1) - 4.0 / 7.0).abs() < 1e-6);
-    assert!((m.f1(2) - 2.0 / 5.0).abs() < 1e-6);
-    let expected_macro = (0.75 + 4.0 / 7.0 + 2.0 / 5.0) / 3.0; // ≈ 0.573810
-    assert!(
-        (m.macro_f1() - expected_macro).abs() < 1e-6,
-        "macro-F1 {} vs hand-computed {expected_macro}",
-        m.macro_f1()
-    );
-}
-
-/// Fixture B — imbalance where macro-F1 punishes what accuracy hides: a
-/// degenerate classifier predicting the majority class everywhere.
-///
-/// ```text
-/// counts[truth][pred]   p=0  p=1  p=2   support
-///   t=0                  8    0    0       8
-///   t=1                  1    0    0       1
-///   t=2                  1    0    0       1
-/// ```
-#[test]
-fn macro_f1_exposes_majority_class_collapse() {
-    let labels = [0, 0, 0, 0, 0, 0, 0, 0, 1, 2];
-    let preds = [0; 10];
-    let m = ConfusionMatrix::from_predictions(&preds, &labels, 3);
-    assert!((m.accuracy() - 0.8).abs() < 1e-6, "accuracy looks great");
-    // class 0: precision 8/10, recall 1 → F1 = 2·0.8/1.8 = 8/9
-    // classes 1, 2: never predicted → precision, recall, F1 all 0
-    assert!((m.f1(0) - 8.0 / 9.0).abs() < 1e-6);
-    assert_eq!(m.f1(1), 0.0);
-    assert_eq!(m.f1(2), 0.0);
-    let expected_macro = (8.0 / 9.0) / 3.0; // ≈ 0.296296
-    assert!(
-        (m.macro_f1() - expected_macro).abs() < 1e-6,
-        "macro-F1 {} vs hand-computed {expected_macro}",
-        m.macro_f1()
-    );
-    // A zero-support situation stays finite in the normalized view too.
-    let empty = ConfusionMatrix::from_predictions(&[0, 0], &[0, 0], 3);
-    let rates = empty.row_rates();
-    assert_eq!(rates[1], vec![0.0, 0.0, 0.0], "no NaN for empty rows");
-}
+use taglets_eval::Stats;
 
 #[test]
 fn stats_interval_matches_hand_computed_ci() {

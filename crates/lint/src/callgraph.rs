@@ -79,12 +79,10 @@ pub fn build(fns: Vec<FnInfo>) -> CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::scanner::scan;
+    use crate::source::parse;
 
     fn graph(src: &str) -> CallGraph {
-        let lines = scan(src);
-        build(crate::items::extract("crates/x/src/lib.rs", &lex(src), &lines).fns)
+        build(crate::items::extract("crates/x/src/lib.rs", &parse(src)).fns)
     }
 
     fn names(g: &CallGraph, from: &str) -> Vec<String> {

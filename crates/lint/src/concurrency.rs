@@ -12,7 +12,7 @@
 use crate::items::is_dispatch;
 use crate::lexer::{Tok, Token};
 use crate::rules::{Rule, Violation};
-use crate::scanner::SourceLine;
+use crate::source::SourceFile;
 
 /// TL013: inspects the closure arguments of each dispatch call site in one
 /// file for compound float accumulation onto non-closure-local state.
@@ -24,12 +24,13 @@ use crate::scanner::SourceLine;
 /// identifier is not local is flagged when the accumulation is visibly
 /// floating-point: a float literal or `f32`/`f64` in the statement, or an
 /// accumulator-style target name (`sum`, `acc`, `total`, `loss`, `mean`).
-pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec<Violation> {
+pub fn check_closures(path: &str, src: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     if !Rule::Tl013.applies_to(path) {
         return out;
     }
-    let meta = |line: usize| lines.get(line.saturating_sub(1));
+    let tokens = &src.tokens;
+    let meta = |line: usize| src.line(line);
     let mut i = 0usize;
     while i < tokens.len() {
         let Some(name) = tokens[i].ident() else {
@@ -64,9 +65,9 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
         let mut locals: Vec<&str> = Vec::new();
         let mut j = 0usize;
         while j < span.len() {
-            if span[j].is_punct("|") {
+            if span[j].is("|") {
                 j += 1;
-                while j < span.len() && !span[j].is_punct("|") {
+                while j < span.len() && !span[j].is("|") {
                     if let Some(id) = span[j].ident() {
                         locals.push(id);
                     }
@@ -86,7 +87,7 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
 
         // Compound assignments onto non-local targets.
         for (op_idx, op) in span.iter().enumerate() {
-            if !(op.is_punct("+=") || op.is_punct("-=") || op.is_punct("*=") || op.is_punct("/=")) {
+            if !(op.is("+=") || op.is("-=") || op.is("*=") || op.is("/=")) {
                 continue;
             }
             let line_meta = meta(op.line);
@@ -104,7 +105,7 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
                 .unwrap_or(0);
             let stmt_end = span[op_idx..]
                 .iter()
-                .position(|t| t.is_punct(";"))
+                .position(|t| t.is(";"))
                 .map(|p| op_idx + p)
                 .unwrap_or(span.len());
             let Some(base) = span[stmt_start..op_idx]
@@ -143,14 +144,12 @@ pub fn check_closures(path: &str, tokens: &[Token], lines: &[SourceLine]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::scanner::scan;
+    use crate::source::parse;
 
     #[test]
     fn tl013_flags_external_float_accumulation_only() {
         let src = "fn reduce(executor: &Executor, total: &mut f32) {\n    executor.for_each(chunks, |i, chunk| {\n        total += chunk;\n    });\n    executor.for_each(chunks, |i, chunk| {\n        let mut local = 0.0;\n        local += chunk;\n    });\n}\n";
-        let lines = scan(src);
-        let v = check_closures("crates/core/src/pool.rs", &lex(src), &lines);
+        let v = check_closures("crates/core/src/pool.rs", &parse(src));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::Tl013);
         assert_eq!(v[0].line, 3);
@@ -159,18 +158,15 @@ mod tests {
     #[test]
     fn tl013_ignores_integer_counters_and_waived_lines() {
         let src = "fn reduce(executor: &Executor) {\n    executor.for_each(chunks, |i, chunk| {\n        count += 1;\n        weight_sum += chunk; // lint: concurrency(merged in index order after join)\n    });\n}\n";
-        let lines = scan(src);
-        assert!(check_closures("crates/core/src/pool.rs", &lex(src), &lines).is_empty());
+        assert!(check_closures("crates/core/src/pool.rs", &parse(src)).is_empty());
     }
 
     #[test]
     fn tl013_skips_bench_and_plain_iterator_maps() {
         let src = "fn reduce(xs: &[f32]) {\n    let mut total = 0.0;\n    xs.iter().for_each(|x| total += x);\n}\n";
-        let lines = scan(src);
         // `xs.iter().for_each` is not a dispatch: the receiver is `)`.
-        assert!(check_closures("crates/core/src/pool.rs", &lex(src), &lines).is_empty());
+        assert!(check_closures("crates/core/src/pool.rs", &parse(src)).is_empty());
         let src2 = "fn reduce(executor: &Executor) {\n    executor.for_each(chunks, |i, chunk| { total += chunk; });\n}\n";
-        let lines2 = scan(src2);
-        assert!(check_closures("crates/bench/src/lib.rs", &lex(src2), &lines2).is_empty());
+        assert!(check_closures("crates/bench/src/lib.rs", &parse(src2)).is_empty());
     }
 }

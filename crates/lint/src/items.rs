@@ -18,9 +18,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{spells, Tok, Token};
 use crate::rules::Rule;
-use crate::scanner::SourceLine;
+use crate::source::{SourceFile, SourceLine};
 
 /// What a [`Fact`] is evidence of. [`crate::reach`] maps each kind to the
 /// rule it fires, at the site or when a root's walk reaches it.
@@ -231,10 +231,11 @@ pub struct Extraction {
     pub marker_errors: Vec<String>,
 }
 
-/// Extracts all non-test functions (plus file-scope facts) from one lexed
-/// file. `lines` supplies test-region, suppression and root-marker metadata
-/// for each source line.
-pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction {
+/// Extracts all non-test functions (plus file-scope facts) from one parsed
+/// file. Its lines supply test-region, suppression and root-marker
+/// metadata.
+pub fn extract(file: &str, src: &SourceFile) -> Extraction {
+    let tokens = &src.tokens;
     let in_exec = file.ends_with("tensor/src/exec.rs");
     let mut fns: Vec<FnInfo> = Vec::new();
     let mut file_facts: Vec<Fact> = Vec::new();
@@ -247,22 +248,14 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
     // HashMap/HashSet-typed bindings per open fn scope (parallel stack).
     let mut map_locals: Vec<BTreeSet<String>> = Vec::new();
 
-    let in_test = |line: usize| -> bool {
-        lines
-            .get(line.saturating_sub(1))
-            .map(|l| l.in_test)
-            .unwrap_or(false)
-    };
+    let in_test = |line: usize| src.line(line).is_some_and(|l| l.in_test);
     // `use std::sync::Mutex;` names a type without touching shared state —
     // import lines never produce concurrency facts.
-    let is_use_line = |line: usize| -> bool {
-        lines
-            .get(line.saturating_sub(1))
-            .map(|l| {
-                let t = l.code.trim_start();
-                t.starts_with("use ") || t.starts_with("pub use ")
-            })
-            .unwrap_or(false)
+    let is_use_line = |line: usize| {
+        src.line(line).is_some_and(|l| {
+            let t = src.tokens_on(l);
+            spells(t, &["use"]) || spells(t, &["pub", "use"])
+        })
     };
 
     let mut i = 0usize;
@@ -285,7 +278,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                     let (param_maps, next) = parse_signature(tokens, i + 2);
                     // A trait method *declaration* ends in `;` — parse past
                     // the signature; the `{` case arms the fn scope.
-                    if tokens.get(next).map(|t| t.is_punct(";")).unwrap_or(false) {
+                    if tokens.get(next).map(|t| t.is(";")).unwrap_or(false) {
                         i = next + 1;
                         continue;
                     }
@@ -297,7 +290,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                         trait_name,
                         file: file.to_string(),
                         line: tok.line,
-                        roots: lines.get(tok.line - 1).map(root_kinds).unwrap_or_default(),
+                        roots: src.line(tok.line).map(root_kinds).unwrap_or_default(),
                         facts: Vec::new(),
                         dispatches: Vec::new(),
                         calls: Vec::new(),
@@ -341,7 +334,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
                         Some(fn_index) => &mut fns[fn_index].facts,
                         None => &mut file_facts,
                     };
-                    push_fact(sink, kind, tok.line, what, lines);
+                    push_fact(sink, kind, tok.line, what, src);
                 }
             }
         }
@@ -364,7 +357,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             _ => None,
         };
         if let Some((kind, what)) = hot {
-            push_fact(&mut fns[fn_index].facts, kind, tok.line, what, lines);
+            push_fact(&mut fns[fn_index].facts, kind, tok.line, what, src);
         }
 
         if let Tok::Ident(name) = &tok.kind {
@@ -387,7 +380,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
             if let Some((kind, what, resume)) =
                 determinism_fact(tokens, i, name, in_exec, &map_locals)
             {
-                push_fact(&mut fns[fn_index].facts, kind, tok.line, what, lines);
+                push_fact(&mut fns[fn_index].facts, kind, tok.line, what, src);
                 if resume.is_none() {
                     record_call(&mut fns[fn_index], tokens, i);
                 }
@@ -413,7 +406,7 @@ pub fn extract(file: &str, tokens: &[Token], lines: &[SourceLine]) -> Extraction
         }
         i += 1;
     }
-    let marker_errors = check_root_markers(file, lines, &fn_lines);
+    let marker_errors = check_root_markers(file, &src.lines, &fn_lines);
     Extraction {
         fns,
         file_facts,
@@ -433,16 +426,16 @@ fn root_kinds(line: &SourceLine) -> Vec<RootKind> {
 /// Every `root(...)` marker must name only known analyses and land on a
 /// line where a non-test function definition starts — trailing on that
 /// line, or on a comment-only line directly above it (see
-/// [`crate::scanner`]). A marker anywhere else would declare nothing and
+/// [`crate::source`]). A marker anywhere else would declare nothing and
 /// silently drop the root, so each one is an error naming its line.
 fn check_root_markers(file: &str, lines: &[SourceLine], fn_lines: &BTreeSet<usize>) -> Vec<String> {
     // A comment-only line's directives also ride on the next code line,
     // which is checked in its place; only one with no code after it is
     // checked where it sits.
-    let last_code = lines.iter().rposition(|l| !l.code.trim().is_empty());
+    let last_code = lines.iter().rposition(SourceLine::has_code);
     let mut errors = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
-        if line.code.trim().is_empty() && last_code.is_some_and(|c| c > idx) {
+        if !line.has_code() && last_code.is_some_and(|c| c > idx) {
             continue;
         }
         for arg in line.args("root") {
@@ -465,9 +458,8 @@ fn check_root_markers(file: &str, lines: &[SourceLine], fn_lines: &BTreeSet<usiz
 
 /// Classifies the identifier token at `i` as a determinism fact, with the
 /// token index the walk resumes at (`None` for an entropy constructor,
-/// which is also a call). Shapes recognised: `Instant::now` /
-/// `SystemTime::now`; `thread::spawn`/`scope`/`Builder` outside the
-/// executor; `thread_rng`, `from_entropy`, `rand::random`;
+/// which is also a call). Shapes recognised: the [`ambient_source`]s, with
+/// thread spawns only outside the executor;
 /// `seed_from_u64(..)`/`from_seed(..)` whose argument is not visibly
 /// seed-derived; and iteration over a tracked HashMap/HashSet binding —
 /// `m.iter()`, `m.keys()`, ..., or `for x in [&][mut] m {`.
@@ -479,28 +471,11 @@ fn determinism_fact(
     map_locals: &[BTreeSet<String>],
 ) -> Option<(FactKind, String, Option<usize>)> {
     let at = |k: usize| tokens.get(i + k);
-    let followed_by = |k: usize, p: &str| at(k).is_some_and(|t| t.is_punct(p));
-    if matches!(name, "Instant" | "SystemTime")
-        && followed_by(1, "::")
-        && at(2).and_then(Token::ident) == Some("now")
-    {
-        return Some((FactKind::TimeAsData, format!("{name}::now()"), Some(i + 3)));
-    }
-    if name == "thread" && followed_by(1, "::") && !in_exec {
-        if let Some(what @ ("spawn" | "scope" | "Builder")) = at(2).and_then(Token::ident) {
-            return Some((
-                FactKind::ThreadSpawn,
-                format!("thread::{what}"),
-                Some(i + 3),
-            ));
+    let followed_by = |k: usize, p: &str| at(k).is_some_and(|t| t.is(p));
+    if let Some(fact) = ambient_source(tokens, i, name) {
+        if !(in_exec && fact.0 == FactKind::ThreadSpawn) {
+            return Some(fact);
         }
-    }
-    let rand_random = name == "random"
-        && i >= 2
-        && tokens[i - 1].is_punct("::")
-        && tokens[i - 2].ident() == Some("rand");
-    if matches!(name, "thread_rng" | "from_entropy") || rand_random {
-        return Some((FactKind::RngNotSeedDerived, format!("{name}()"), None));
     }
     if matches!(name, "seed_from_u64" | "from_seed")
         && matches!(at(1).map(|t| &t.kind), Some(Tok::Open('(')))
@@ -522,7 +497,7 @@ fn determinism_fact(
         let mut j = i + 1;
         while tokens
             .get(j)
-            .is_some_and(|t| t.is_punct("&") || t.ident() == Some("mut"))
+            .is_some_and(|t| t.is("&") || t.ident() == Some("mut"))
         {
             j += 1;
         }
@@ -531,6 +506,43 @@ fn determinism_fact(
         if opens_body && is_map_local(map_locals, target) {
             return Some((FactKind::MapIter, format!("for _ in {target}"), Some(j + 1)));
         }
+    }
+    None
+}
+
+/// Classifies the identifier token at `i` as an ambient nondeterminism
+/// source, with the token index a walk resumes at (`None` for an entropy
+/// constructor, which is also a call): `Instant::now` / `SystemTime::now`,
+/// `thread::spawn`/`scope`/`Builder`, and `thread_rng`, `from_entropy`,
+/// `rand::random`. TL003 and TL006 match these shapes at the site, too.
+pub(crate) fn ambient_source(
+    tokens: &[Token],
+    i: usize,
+    name: &str,
+) -> Option<(FactKind, String, Option<usize>)> {
+    let at = |k: usize| tokens.get(i + k);
+    let followed_by = |k: usize, p: &str| at(k).is_some_and(|t| t.is(p));
+    if matches!(name, "Instant" | "SystemTime")
+        && followed_by(1, "::")
+        && at(2).and_then(Token::ident) == Some("now")
+    {
+        return Some((FactKind::TimeAsData, format!("{name}::now()"), Some(i + 3)));
+    }
+    if name == "thread" && followed_by(1, "::") {
+        if let Some(what @ ("spawn" | "scope" | "Builder")) = at(2).and_then(Token::ident) {
+            return Some((
+                FactKind::ThreadSpawn,
+                format!("thread::{what}"),
+                Some(i + 3),
+            ));
+        }
+    }
+    let rand_random = name == "random"
+        && i >= 2
+        && tokens[i - 1].is("::")
+        && tokens[i - 2].ident() == Some("rand");
+    if matches!(name, "thread_rng" | "from_entropy") || rand_random {
+        return Some((FactKind::RngNotSeedDerived, format!("{name}()"), None));
     }
     None
 }
@@ -569,7 +581,7 @@ fn concurrency_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind,
     if is_interior_mutability(name) {
         return Some((FactKind::InteriorMutability, name.to_string()));
     }
-    if name == "Ordering" && tokens.get(i + 1).map(|t| t.is_punct("::")).unwrap_or(false) {
+    if name == "Ordering" && tokens.get(i + 1).map(|t| t.is("::")).unwrap_or(false) {
         if let Some(variant) = tokens.get(i + 2).and_then(Token::ident) {
             if matches!(variant, "Relaxed" | "Acquire" | "Release" | "AcqRel") {
                 return Some((FactKind::WeakOrdering, format!("Ordering::{variant}")));
@@ -590,10 +602,10 @@ fn concurrency_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind,
 ///   `io::*`
 /// - macro invocations `vec![..]`, `format!(..)`
 fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String)> {
-    let prev_dot = i >= 1 && tokens[i - 1].is_punct(".");
+    let prev_dot = i >= 1 && tokens[i - 1].is(".");
     let next = tokens.get(i + 1);
     let next_open = matches!(next.map(|t| &t.kind), Some(Tok::Open('(')));
-    let next_turbofish = next.map(|t| t.is_punct("::")).unwrap_or(false);
+    let next_turbofish = next.map(|t| t.is("::")).unwrap_or(false);
 
     if prev_dot && (next_open || next_turbofish) {
         match name {
@@ -637,7 +649,7 @@ fn hotpath_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, Str
         }
     }
 
-    if matches!(name, "vec" | "format") && next.map(|t| t.is_punct("!")).unwrap_or(false) {
+    if matches!(name, "vec" | "format") && next.map(|t| t.is("!")).unwrap_or(false) {
         return Some((FactKind::HeapAlloc, format!("{name}![..]")));
     }
     None
@@ -694,12 +706,12 @@ fn integer_division_site(tokens: &[Token], i: usize, op: &str) -> Option<String>
 /// (or `Executor::`-qualified), or `spawn` on a thread-scope handle. Also
 /// used by [`crate::concurrency`] to locate the closures TL013 inspects.
 pub(crate) fn is_dispatch(tokens: &[Token], i: usize, name: &str) -> bool {
-    let receiver = if i >= 2 && tokens[i - 1].is_punct(".") {
+    let receiver = if i >= 2 && tokens[i - 1].is(".") {
         tokens[i - 2].ident()
     } else {
         None
     };
-    let qualifier = if i >= 2 && tokens[i - 1].is_punct("::") {
+    let qualifier = if i >= 2 && tokens[i - 1].is("::") {
         tokens[i - 2].ident()
     } else {
         None
@@ -720,13 +732,7 @@ pub(crate) fn is_dispatch(tokens: &[Token], i: usize, name: &str) -> bool {
 /// kinds are deduplicated per (kind, line), which decides what one waiver
 /// covers; facts arrive in source order, so only the current line's tail
 /// needs checking.
-fn push_fact(
-    facts: &mut Vec<Fact>,
-    kind: FactKind,
-    line: usize,
-    what: String,
-    lines: &[SourceLine],
-) {
+fn push_fact(facts: &mut Vec<Fact>, kind: FactKind, line: usize, what: String, src: &SourceFile) {
     if kind.one_per_line()
         && facts
             .iter()
@@ -736,7 +742,7 @@ fn push_fact(
     {
         return;
     }
-    let meta = lines.get(line.saturating_sub(1));
+    let meta = src.line(line);
     facts.push(Fact {
         kind,
         line,
@@ -759,13 +765,13 @@ fn record_call(f: &mut FnInfo, tokens: &[Token], i: usize) {
     };
     // Macro invocation `name!(...)` — the `!` sits between name and paren,
     // so this branch never sees it; guard anyway for `name !(`-style spacing.
-    if tokens.get(i + 1).map(|t| t.is_punct("!")).unwrap_or(false) {
+    if tokens.get(i + 1).map(|t| t.is("!")).unwrap_or(false) {
         return;
     }
     let before = |k: usize| i.checked_sub(k).map(|p| &tokens[p]);
-    let qualifier = if before(1).is_some_and(|t| t.is_punct("::")) {
+    let qualifier = if before(1).is_some_and(|t| t.is("::")) {
         before(2).and_then(Token::ident).map(str::to_string)
-    } else if before(1).is_some_and(|t| t.is_punct("."))
+    } else if before(1).is_some_and(|t| t.is("."))
         && before(2).and_then(Token::ident) == Some("self")
     {
         // `self.method(...)` — resolvable to the impl type.
@@ -885,7 +891,7 @@ fn parse_impl_header(tokens: &[Token], start: usize) -> (Scope, usize) {
 fn parse_signature(tokens: &[Token], start: usize) -> (BTreeSet<String>, usize) {
     let mut j = start;
     // Skip `<...>` generics.
-    if tokens.get(j).map(|t| t.is_punct("<")).unwrap_or(false) {
+    if tokens.get(j).map(|t| t.is("<")).unwrap_or(false) {
         let mut angle = 0isize;
         while j < tokens.len() {
             angle += angle_delta(&tokens[j].kind);
@@ -986,11 +992,10 @@ fn scan_let(tokens: &[Token], start: usize) -> Option<(String, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::scanner::scan;
+    use crate::source::parse;
 
     fn extract_src(src: &str) -> Vec<FnInfo> {
-        extract("crates/x/src/lib.rs", &lex(src), &scan(src)).fns
+        extract("crates/x/src/lib.rs", &parse(src)).fns
     }
 
     /// Rule families, told apart by the waiver each kind accepts.
@@ -1007,7 +1012,7 @@ mod tests {
     #[test]
     fn root_markers_attach_to_the_fn_line() {
         let src = "fn a() {} // lint: root(determinism)\n/// Docs.\n// lint: root(hot)\nfn b() {}\nfn c() {} // lint: root(hot, determinism)\nfn d() {}\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         let roots: Vec<&[RootKind]> = ex.fns.iter().map(|f| f.roots.as_slice()).collect();
         assert_eq!(
             roots,
@@ -1024,7 +1029,7 @@ mod tests {
     #[test]
     fn misplaced_and_unknown_root_markers_are_errors() {
         let src = "// lint: root(hot)\n#[inline]\nfn a() {} // lint: root(fast)\nstruct S; // lint: root(determinism)\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         let lines: Vec<&str> = ex
             .marker_errors
             .iter()
@@ -1076,10 +1081,10 @@ mod tests {
     #[test]
     fn exec_module_may_spawn_threads() {
         let src = "fn run() { std::thread::scope(|s| {}); }\n";
-        let fns = extract("crates/tensor/src/exec.rs", &lex(src), &scan(src)).fns;
+        let fns = extract("crates/tensor/src/exec.rs", &parse(src)).fns;
         assert!(of(&fns[0].facts, DETERMINISM).is_empty());
         // The executor's former home in core is not exempt.
-        let fns = extract("crates/core/src/exec.rs", &lex(src), &scan(src)).fns;
+        let fns = extract("crates/core/src/exec.rs", &parse(src)).fns;
         assert!(!of(&fns[0].facts, DETERMINISM).is_empty());
     }
 
@@ -1150,7 +1155,7 @@ mod tests {
     #[test]
     fn concurrency_facts_split_fn_and_file_scope() {
         let src = "struct Clock {\n    now: Cell<u64>,\n}\nfn claim() {\n    let next = AtomicUsize::new(0);\n    let i = next.fetch_add(1, Ordering::Relaxed);\n}\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         assert_eq!(ex.file_facts.len(), 1, "struct field is file-scope");
         assert_eq!(ex.file_facts[0].kind, FactKind::InteriorMutability);
         assert_eq!(ex.file_facts[0].what, "Cell");
@@ -1171,7 +1176,7 @@ mod tests {
     #[test]
     fn use_lines_and_lookalike_idents_produce_no_shared_state_facts() {
         let src = "use std::sync::atomic::{AtomicUsize, Ordering};\nuse std::cell::Cell;\nfn f() {\n    let forbid = unsafe_code;\n    let c = cmp::Ordering::Less;\n    let s = SweepCell::new();\n    let seq = x.load(Ordering::SeqCst);\n}\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         assert!(ex.file_facts.is_empty(), "{:?}", ex.file_facts);
         let shared = of(&ex.fns[0].facts, SHARED_STATE);
         assert!(shared.is_empty(), "{shared:?}");
@@ -1180,7 +1185,7 @@ mod tests {
     #[test]
     fn unsafe_and_static_mut_are_shared_state_facts() {
         let src = "static mut COUNTER: usize = 0;\nfn f() {\n    let n = unsafe { read() };\n    // lint: unsafe(audited: bounds checked above)\n    let m = unsafe { read() };\n}\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         assert_eq!(ex.file_facts.len(), 1);
         assert_eq!(ex.file_facts[0].what, "static mut");
         let shared = of(&ex.fns[0].facts, SHARED_STATE);
@@ -1193,7 +1198,7 @@ mod tests {
     #[test]
     fn concurrency_waiver_covers_shared_state_kinds_only() {
         let src = "fn f() {\n    let a = AtomicUsize::new(0); // lint: concurrency(claim counter only)\n    let b = unsafe { read() }; // lint: concurrency(not the right waiver)\n}\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         let shared = of(&ex.fns[0].facts, SHARED_STATE);
         assert!(shared[0].waived);
         assert!(
@@ -1205,7 +1210,7 @@ mod tests {
     #[test]
     fn dispatch_sites_require_executor_like_receivers() {
         let src = "fn a(executor: &Executor) { executor.map(4, |i| i); }\nfn b(exec: &Executor) { exec.for_each(v, |i, x| x); }\nfn c() { scope.spawn(|| {}); }\nfn d(xs: &[u8]) { xs.iter().map(|x| x).count(); }\nfn e() { Executor::run(4); }\n";
-        let ex = extract("crates/x/src/lib.rs", &lex(src), &scan(src));
+        let ex = extract("crates/x/src/lib.rs", &parse(src));
         let dispatched: Vec<bool> = ex.fns.iter().map(|f| !f.dispatches.is_empty()).collect();
         assert_eq!(dispatched, vec![true, true, true, false, true]);
     }

@@ -1,18 +1,18 @@
-//! A token-level lexer for Rust source.
+//! The lint's one tokenizer.
 //!
-//! The line scanner in [`crate::scanner`] is enough for substring rules, but
-//! the determinism taint analysis (TL007–TL009) and the float-comparison
-//! rule (TL004) need real tokens: raw strings with hash fences, nested block
-//! comments, byte strings, `'a'` char literals vs `'a` lifetimes, and float
-//! literals vs `..` range punctuation are all cases where a line regex
-//! misclassifies. This lexer produces a flat stream of spanned tokens with
-//! comments and whitespace removed; literal *contents* are dropped (a string
-//! is one [`Tok::Str`] token), so downstream passes can never match inside
-//! them.
+//! Every analysis reads this token stream, directly or through the per-line
+//! metadata [`crate::source`] builds from it: raw strings with hash fences,
+//! nested block comments, byte strings, `'a'` char literals vs `'a`
+//! lifetimes, and float literals vs `..` range punctuation are all cases
+//! where a line regex misclassifies. The lexer produces a flat stream of
+//! spanned tokens with comments and whitespace removed; literal *contents*
+//! are dropped (a string is one [`Tok::Str`] token), so downstream passes
+//! can never match inside them. The comments it skips come back beside the
+//! stream, for doc flags and `lint:` directives.
 //!
 //! The lexer is lossy in exactly the ways the analyses can afford: it does
-//! not preserve literal values or comment text (the scanner still owns
-//! directive parsing), and it treats keywords as ordinary identifiers.
+//! not preserve literal values, and it treats keywords as ordinary
+//! identifiers.
 
 /// A lexed token kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,10 +60,34 @@ impl Token {
         }
     }
 
-    /// True when this token is the punctuation `p`.
-    pub fn is_punct(&self, p: &str) -> bool {
-        matches!(&self.kind, Tok::Punct(s) if *s == p)
+    /// True when this token is the identifier, punctuation or delimiter
+    /// spelled `text`.
+    pub fn is(&self, text: &str) -> bool {
+        match &self.kind {
+            Tok::Ident(s) => s == text,
+            Tok::Punct(p) => *p == text,
+            Tok::Open(c) | Tok::Close(c) => text.chars().eq([*c]),
+            _ => false,
+        }
     }
+}
+
+/// True when `tokens` starts with tokens spelled `words`, in order.
+pub fn spells(tokens: &[Token], words: &[&str]) -> bool {
+    words.len() <= tokens.len() && tokens.iter().zip(words).all(|(t, w)| t.is(w))
+}
+
+/// A comment the lexer skipped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Comment {
+    /// 1-based line the comment starts on.
+    pub line: usize,
+    /// The text after `//` or between `/*` and `*/`, doc marker included;
+    /// a block comment's text keeps its newlines and drops nested `/*`
+    /// `*/` pairs.
+    pub text: String,
+    /// True for outer/inner doc comments (`///`, `//!`, `/**`, `/*!`).
+    pub doc: bool,
 }
 
 /// Multi-character operators, longest first so joining is greedy.
@@ -108,9 +132,10 @@ impl Cursor {
     }
 }
 
-/// Lexes `source` into a token stream. Unterminated literals or comments end
-/// at end-of-file; the lexer never fails.
-pub fn lex(source: &str) -> Vec<Token> {
+/// Lexes `source` into a token stream plus the comments it skipped, both in
+/// source order. Unterminated literals or comments end at end-of-file; the
+/// lexer never fails.
+pub fn lex(source: &str) -> (Vec<Token>, Vec<Comment>) {
     let mut cur = Cursor {
         chars: source.chars().collect(),
         i: 0,
@@ -118,41 +143,44 @@ pub fn lex(source: &str) -> Vec<Token> {
         col: 1,
     };
     let mut out: Vec<Token> = Vec::new();
+    let mut comments: Vec<Comment> = Vec::new();
     while let Some(c) = cur.peek(0) {
         let (line, col) = (cur.line, cur.col);
         if c.is_whitespace() {
             cur.bump();
             continue;
         }
-        // Comments.
-        if c == '/' && cur.peek(1) == Some('/') {
-            while let Some(c) = cur.peek(0) {
-                if c == '\n' {
-                    break;
-                }
-                cur.bump();
-            }
-            continue;
-        }
-        if c == '/' && cur.peek(1) == Some('*') {
+        // Comments. `///` and `//!`, `/**` and `/*!` are doc comments.
+        if c == '/' && matches!(cur.peek(1), Some('/' | '*')) {
+            let line_comment = cur.peek(1) == Some('/');
+            let marker = if line_comment { '/' } else { '*' };
+            let doc = cur.peek(2) == Some('!')
+                || (cur.peek(2) == Some(marker) && cur.peek(3) != Some(marker));
             cur.bump_n(2);
-            let mut depth = 1usize;
-            while depth > 0 {
-                match (cur.peek(0), cur.peek(1)) {
-                    (Some('*'), Some('/')) => {
-                        depth -= 1;
-                        cur.bump_n(2);
+            let mut text = String::new();
+            if line_comment {
+                while let Some(c) = cur.peek(0).filter(|&c| c != '\n') {
+                    text.push(c);
+                    cur.bump();
+                }
+            } else {
+                let mut depth = 1usize;
+                while depth > 0 {
+                    match (cur.peek(0), cur.peek(1)) {
+                        (Some('*'), Some('/')) => {
+                            depth -= 1;
+                            cur.bump_n(2);
+                        }
+                        (Some('/'), Some('*')) => {
+                            depth += 1;
+                            cur.bump_n(2);
+                        }
+                        (Some(_), _) => text.extend(cur.bump()),
+                        (None, _) => break,
                     }
-                    (Some('/'), Some('*')) => {
-                        depth += 1;
-                        cur.bump_n(2);
-                    }
-                    (Some(_), _) => {
-                        cur.bump();
-                    }
-                    (None, _) => break,
                 }
             }
+            comments.push(Comment { line, text, doc });
             continue;
         }
         // String-ish prefixes: r"", r#""#, b"", br"", b'', and raw idents.
@@ -182,7 +210,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             continue;
         }
         if c.is_ascii_digit() {
-            let after_dot = out.last().map(|t| t.is_punct(".")).unwrap_or(false);
+            let after_dot = out.last().map(|t| t.is(".")).unwrap_or(false);
             let kind = lex_number(&mut cur, after_dot);
             out.push(Token { kind, line, col });
             continue;
@@ -246,7 +274,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             }
         }
     }
-    out
+    (out, comments)
 }
 
 /// Interns single-character punctuation as `&'static str`.
@@ -532,7 +560,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).into_iter().map(|t| t.kind).collect()
+        lex(src).0.into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -650,8 +678,38 @@ mod tests {
     }
 
     #[test]
+    fn comments_come_back_with_line_text_and_doc_flag() {
+        let (toks, comments) =
+            lex("a // note\n/// doc\n/*! inner\n/* x */ y */ b //// plain\n/** */");
+        assert_eq!(toks.len(), 2);
+        let got: Vec<(usize, &str, bool)> = comments
+            .iter()
+            .map(|c| (c.line, c.text.as_str(), c.doc))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, " note", false),
+                (2, "/ doc", true),
+                (3, "! inner\n x  y ", true),
+                (4, "// plain", false),
+                (5, "* ", true),
+            ]
+        );
+    }
+
+    #[test]
+    fn spells_matches_token_sequences() {
+        let (toks, _) = lex("#[cfg(test)] x.unwrap()");
+        assert!(spells(&toks, &["#", "[", "cfg", "(", "test", ")", "]"]));
+        assert!(spells(&toks[7..], &["x", ".", "unwrap", "(", ")"]));
+        assert!(!spells(&toks[7..], &["x", ".", "expect"]));
+        assert!(!spells(&toks[10..], &[")", ")"]));
+    }
+
+    #[test]
     fn spans_are_one_based() {
-        let toks = lex("x\n  y");
+        let (toks, _) = lex("x\n  y");
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
     }

@@ -1,9 +1,9 @@
 //! `taglets-lint`: a dependency-free static-analysis pass for the TAGLETS
 //! workspace.
 //!
-//! The engine scans every library source file (`crates/*/src/**/*.rs` plus
-//! the root `src/`), strips comments and literal contents with a small
-//! Rust-aware scanner, and applies the TL rule set:
+//! The engine lexes every library source file (`crates/*/src/**/*.rs` plus
+//! the root `src/`) once, builds per-line test, doc and directive metadata
+//! from the tokens and comments ([`source`]), and applies the TL rule set:
 //!
 //! | rule  | checks |
 //! |-------|--------|
@@ -24,7 +24,7 @@
 //! | TL015 | blocking operation reachable from a latency-critical root (with call chain) |
 //! | TL016 | panic-capable op on the serve path (with call chain) |
 //!
-//! TL001–TL006 come from the line scanner and token stream per file. The
+//! TL001–TL006 match over each file's tokens ([`rules`]). The
 //! workspace-level rules run over per-function facts and a call-graph
 //! ([`lexer`] → [`items`] → [`callgraph`] → [`reach`]): TL008–TL010,
 //! TL012 and file-scope TL011 fire at the fact's site, while TL007, TL011
@@ -36,16 +36,13 @@
 //! token walk over dispatched closures ([`concurrency`]). `--explain
 //! TLxxx` prints each rule's rationale and waiver syntax.
 //!
-//! Pre-existing violations live in `lint-baseline.txt` as per-(rule, file)
-//! counts; `--check` fails only on *new* violations and `--update-baseline`
-//! locks in burn-down progress. Individual intentional sites can be
-//! suppressed with a trailing `// lint: allow(TL002)` comment.
+//! `--check` fails on any non-advisory violation. Individual intentional
+//! sites can be suppressed with a trailing `// lint: allow(TL002)` comment.
 //!
 //! The crate is deliberately std-only so the gate builds and runs with
 //! `cargo run -p taglets-lint -- --check` even when the crate registry is
 //! unreachable.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod concurrency;
 pub mod items;
@@ -53,16 +50,13 @@ pub mod lexer;
 pub mod reach;
 pub mod report;
 pub mod rules;
-pub mod scanner;
+pub mod source;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 pub use rules::{Hop, Rule, Violation, ALL_RULES};
-
-/// Name of the checked-in baseline file at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
 
 /// Directory components never scanned (generated, vendored, or test-only).
 const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benches", "examples"];
@@ -107,24 +101,21 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<StageTiming>)> {
     let mut timings = Vec::new();
 
-    // Stage "scan": file discovery, comment stripping, lexing.
+    // Stage "scan": file discovery, one lexing pass per file, line metadata.
     let t = stage_clock();
     let files = workspace_file_paths(root)?;
     let mut parsed = Vec::new();
     for file in &files {
-        let source = fs::read_to_string(file)?;
-        let rel = relative_path(root, file);
-        let lines = scanner::scan(&source);
-        let tokens = lexer::lex(&source);
-        parsed.push((rel, lines, tokens));
+        let text = fs::read_to_string(file)?;
+        parsed.push((relative_path(root, file), source::parse(&text)));
     }
     push_timing(&mut timings, "scan", t);
 
-    // Stage "rules": per-file line- and token-level rules.
+    // Stage "rules": per-file token rules.
     let t = stage_clock();
     let mut violations = Vec::new();
-    for (rel, lines, tokens) in &parsed {
-        violations.extend(rules::check_file(rel, lines, tokens));
+    for (rel, src) in &parsed {
+        violations.extend(rules::check_file(rel, src));
     }
     push_timing(&mut timings, "rules", t);
 
@@ -133,8 +124,8 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     let mut fns = Vec::new();
     let mut file_facts = Vec::new();
     let mut marker_errors = Vec::new();
-    for (rel, lines, tokens) in &parsed {
-        let extraction = items::extract(rel, tokens, lines);
+    for (rel, src) in &parsed {
+        let extraction = items::extract(rel, src);
         fns.extend(extraction.fns);
         file_facts.extend(extraction.file_facts.into_iter().map(|f| (rel.clone(), f)));
         marker_errors.extend(extraction.marker_errors);
@@ -163,8 +154,8 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     // accumulation (TL013).
     let t = stage_clock();
     violations.extend(reach::reach(&graph, &reach::DISPATCH));
-    for (rel, lines, tokens) in &parsed {
-        violations.extend(concurrency::check_closures(rel, tokens, lines));
+    for (rel, src) in &parsed {
+        violations.extend(concurrency::check_closures(rel, src));
     }
     push_timing(&mut timings, "concurrency", t);
 
@@ -248,44 +239,11 @@ fn relative_path(root: &Path, file: &Path) -> String {
         .join("/")
 }
 
-/// Locates the workspace root: walks up from `start` looking for the
-/// baseline file or a `Cargo.toml` declaring `[workspace]`.
+/// Locates the workspace root: walks up from `start` to the first
+/// `Cargo.toml` declaring `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        if d.join(BASELINE_FILE).is_file() {
-            return Some(d);
-        }
-        if let Ok(manifest) = fs::read_to_string(d.join("Cargo.toml")) {
-            if manifest.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
-}
-
-/// Regenerates `lint-baseline.txt` at `root` from the current tree and
-/// returns `(total violations, rule/file entries)`. Backs both the
-/// `--update-baseline` flag and the `UPDATE_BASELINE=1` environment mode
-/// (the `UPDATE_GOLDEN=1` idiom), so the baseline is never hand-edited.
-pub fn update_baseline(root: &Path) -> Result<(usize, usize), String> {
-    let violations =
-        scan_workspace(root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let counts = baseline::count(&violations);
-    let path = root.join(BASELINE_FILE);
-    fs::write(&path, baseline::render(&counts))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((violations.len(), counts.len()))
-}
-
-/// Loads the baseline at `root`, treating a missing file as empty.
-pub fn load_baseline(root: &Path) -> Result<baseline::Counts, String> {
-    let path = root.join(BASELINE_FILE);
-    match fs::read_to_string(&path) {
-        Ok(text) => baseline::parse(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(baseline::Counts::new()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
+    start.ancestors().find_map(|d| {
+        let manifest = fs::read_to_string(d.join("Cargo.toml")).ok()?;
+        manifest.contains("[workspace]").then(|| d.to_path_buf())
+    })
 }

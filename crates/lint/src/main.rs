@@ -1,12 +1,8 @@
 //! CLI for the workspace lint: `cargo run -p taglets-lint -- [FLAGS]`.
 //!
-//! * `--check` (default): scan and diff against `lint-baseline.txt`; exit 1
-//!   on new non-advisory violations.
-//! * `--update-baseline`: regenerate `lint-baseline.txt` from the current
-//!   tree (how burn-down progress is locked in). Setting `UPDATE_BASELINE=1`
-//!   in the environment does the same — the `UPDATE_GOLDEN=1` idiom — so the
-//!   baseline is never hand-edited.
-//! * `--list`: print every current violation (including baselined ones).
+//! * `--check` (default): scan and report; exit 1 on any non-advisory
+//!   violation.
+//! * `--list`: print every current violation, advisory ones included.
 //! * `--json`: machine-readable output — one JSON diagnostic per line,
 //!   including TL007/TL011/TL014–TL016 call chains, plus a summary object
 //!   with per-stage wall-times and per-rule hit counts (combines with
@@ -19,26 +15,24 @@
 //! * `--explain TLxxx`: print one rule's rationale and waiver syntax.
 //! * `--root <dir>`: override workspace-root autodetection.
 //!
-//! Exit codes: `0` clean, `1` new violations above the baseline, `2`
-//! internal lint error (bad arguments, unreadable workspace, malformed
-//! baseline, misplaced or unknown `root(...)` marker).
+//! Exit codes: `0` clean (advisory findings only), `1` non-advisory
+//! violations, `2` internal lint error (bad arguments, unreadable
+//! workspace, misplaced or unknown `root(...)` marker).
 
 use std::collections::BTreeMap;
 use std::env;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use taglets_lint::report::{bench_json, summary_json, violation_json};
-use taglets_lint::{baseline, find_workspace_root, load_baseline, scan_workspace_timed};
-use taglets_lint::{Rule, Violation, ALL_RULES, BASELINE_FILE};
+use taglets_lint::{find_workspace_root, scan_workspace_timed};
+use taglets_lint::{Rule, Violation, ALL_RULES};
 
 /// Pipeline repetitions for `--bench`, matching BENCH_kernels.json.
 const BENCH_RUNS: usize = 9;
 
 enum Mode {
     Check,
-    UpdateBaseline,
     List,
     Bench,
     Explain(String),
@@ -62,7 +56,6 @@ fn run() -> Result<ExitCode, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => mode = Mode::Check,
-            "--update-baseline" => mode = Mode::UpdateBaseline,
             "--list" => mode = Mode::List,
             "--json" => json = true,
             "--bench" => mode = Mode::Bench,
@@ -84,12 +77,6 @@ fn run() -> Result<ExitCode, String> {
         }
     }
 
-    // The UPDATE_GOLDEN=1 idiom for the baseline: the env var turns a
-    // plain `--check` invocation into a regeneration run.
-    if env::var_os("UPDATE_BASELINE").is_some() && matches!(mode, Mode::Check) {
-        mode = Mode::UpdateBaseline;
-    }
-
     // `--explain` needs no workspace at all.
     if let Mode::Explain(code) = &mode {
         let rule = Rule::from_code(&code.to_uppercase())
@@ -109,7 +96,6 @@ fn run() -> Result<ExitCode, String> {
 
     let (violations, timings) =
         scan_workspace_timed(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let current = baseline::count(&violations);
 
     match mode {
         Mode::Explain(_) => unreachable!("handled before scanning"), // lint: allow(TL002)
@@ -153,52 +139,22 @@ fn run() -> Result<ExitCode, String> {
             println!("{}", bench_json(BENCH_RUNS, files, &mins, &violations));
             Ok(ExitCode::SUCCESS)
         }
-        Mode::UpdateBaseline => {
-            let path = root.join(BASELINE_FILE);
-            fs::write(&path, baseline::render(&current))
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!(
-                "wrote {} ({} violations across {} rule/file entries)",
-                path.display(),
-                violations.len(),
-                current.len()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
         Mode::Check => {
-            let base = load_baseline(&root)?;
-            let diff = baseline::diff(&current, &base);
             if json {
-                report_check_json(&violations, &diff, &timings);
+                for v in &violations {
+                    println!("{}", violation_json(v));
+                }
+                println!("{}", summary_json(&violations, &timings));
             } else {
-                report_check(&violations, &diff);
+                report_check(&violations);
             }
-            if baseline::has_blocking_regression(&diff) {
+            if violations.iter().any(|v| !v.rule.is_advisory()) {
                 Ok(ExitCode::FAILURE)
             } else {
                 Ok(ExitCode::SUCCESS)
             }
         }
     }
-}
-
-/// JSON check output: one diagnostic per line for every violation in a
-/// regressing (rule, file) bucket, then a one-line summary object carrying
-/// stage timings and per-rule totals.
-fn report_check_json(
-    violations: &[Violation],
-    diff: &baseline::Diff,
-    timings: &[taglets_lint::StageTiming],
-) {
-    for (rule, file, _, _) in &diff.regressions {
-        for v in violations
-            .iter()
-            .filter(|v| v.rule.code() == rule && &v.file == file)
-        {
-            println!("{}", violation_json(v));
-        }
-    }
-    println!("{}", summary_json(violations, diff, timings));
 }
 
 /// Prints a TL007/TL011 chain under its diagnostic in the human-readable
@@ -215,43 +171,29 @@ fn print_chain(v: &Violation) {
     }
 }
 
-/// Prints new violations (with their sites) and ratchet opportunities.
-fn report_check(violations: &[Violation], diff: &baseline::Diff) {
-    let mut by_key: BTreeMap<(&str, &str), Vec<&Violation>> = BTreeMap::new();
+/// Prints every violation with its site, then the verdict.
+fn report_check(violations: &[Violation]) {
     for v in violations {
-        by_key
-            .entry((v.rule.code(), v.file.as_str()))
-            .or_default()
-            .push(v);
-    }
-    let mut blocking = 0usize;
-    for (rule, file, current, base) in &diff.regressions {
-        let advisory = Rule::from_code(rule)
-            .map(Rule::is_advisory)
-            .unwrap_or(false);
-        let label = if advisory { "advisory" } else { "NEW" };
-        println!("{label}: {rule} {file}: {current} violation(s), baseline allows {base}");
-        if let Some(sites) = by_key.get(&(rule.as_str(), file.as_str())) {
-            for v in sites {
-                println!("    {}:{} | {}", v.file, v.line, v.excerpt);
-                print_chain(v);
-            }
-        }
-        if !advisory {
-            blocking += 1;
-        }
-    }
-    for (rule, file, current, base) in &diff.improvements {
-        println!("stale baseline: {rule} {file}: {current} < {base} — run --update-baseline to ratchet down");
-    }
-    if blocking > 0 {
+        let label = if v.rule.is_advisory() {
+            "advisory"
+        } else {
+            "error"
+        };
         println!(
-            "lint check FAILED: {blocking} rule/file entr{} above baseline",
-            if blocking == 1 { "y" } else { "ies" }
+            "{label}: {} {}:{} | {}",
+            v.rule.code(),
+            v.file,
+            v.line,
+            v.excerpt
         );
+        print_chain(v);
+    }
+    let blocking = violations.iter().filter(|v| !v.rule.is_advisory()).count();
+    if blocking > 0 {
+        println!("lint check FAILED: {blocking} violation(s)");
     } else {
         println!(
-            "lint check passed ({} baselined violations tolerated)",
+            "lint check passed ({} advisory finding(s))",
             violations.len()
         );
     }
@@ -296,16 +238,15 @@ fn print_help() {
     println!(
         "taglets-lint: std-only static analysis for the TAGLETS workspace\n\
          \n\
-         USAGE: cargo run -p taglets-lint -- [--check | --update-baseline | --list | --bench | --explain TLxxx] [--root DIR]\n\
+         USAGE: cargo run -p taglets-lint -- [--check | --list | --bench | --explain TLxxx] [--root DIR]\n\
          \n\
-         --check            diff violations against {BASELINE_FILE}; exit 1 on new ones (default)\n\
-         --update-baseline  regenerate {BASELINE_FILE} from the current tree (or set UPDATE_BASELINE=1)\n\
-         --list             print every violation, including baselined ones\n\
+         --check            report violations; exit 1 on any non-advisory one (default)\n\
+         --list             print every violation, advisory ones included\n\
          --json             one JSON diagnostic per line plus a summary with stage timings\n\
          --bench            print BENCH_lint.json's line (min-of-{BENCH_RUNS} per-stage wall-times + per-rule counts)\n\
          --explain TLxxx    print one rule's rationale and waiver syntax\n\
          --root DIR         workspace root (default: walk up from the current directory)\n\
          \n\
-         EXIT CODES: 0 clean · 1 new violations above baseline · 2 internal lint error"
+         EXIT CODES: 0 clean (advisory only) · 1 non-advisory violations · 2 internal lint error"
     );
 }

@@ -216,13 +216,12 @@ mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::items::extract;
-    use crate::lexer::lex;
-    use crate::scanner::scan;
+    use crate::source::parse;
 
     /// Every graph-level rule over one file: site rules, then the three
     /// reachability analyses.
     fn analyze(path: &str, src: &str) -> Vec<Violation> {
-        let ex = extract(path, &lex(src), &scan(src));
+        let ex = extract(path, &parse(src));
         let file_facts: Vec<(String, Fact)> = ex
             .file_facts
             .into_iter()
@@ -257,7 +256,7 @@ mod tests {
     #[test]
     fn unmarked_taglets_system_run_is_not_a_root() {
         let src = "impl TagletsSystem {\n    fn run(&self) { let t = Instant::now(); }\n}\nimpl<'a> ServingEngine<'a> {\n    fn run(&mut self, xs: &[f32]) { let v = xs.to_vec(); }\n}\nfn predict_proba_batched(xs: &[f32]) { let v = xs.to_vec(); }\n";
-        let fns = extract(SYSTEM, &lex(src), &scan(src)).fns;
+        let fns = extract(SYSTEM, &parse(src)).fns;
         assert!(fns.iter().all(|f| f.roots.is_empty()));
         assert!(analyze(SYSTEM, src).is_empty());
     }

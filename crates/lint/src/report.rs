@@ -10,12 +10,13 @@
 //! * a **diagnostic** per violation — `rule`, `file`, `line`,
 //!   `description`, `excerpt`, `advisory`, and the (possibly empty) TL007/
 //!   TL011 call `chain`;
-//! * one trailing **summary** object — totals, baseline diff state,
-//!   per-stage wall-times (`stages`), and per-rule hit counts (`rules`,
+//! * one trailing **summary** object — totals, the (rule, file) entries
+//!   with hits and how many of them block, per-stage wall-times (`stages`), and per-rule hit counts (`rules`,
 //!   every rule present, zeros included, so counts are diffable
 //!   PR-over-PR).
 
-use crate::baseline;
+use std::collections::BTreeSet;
+
 use crate::rules::{Rule, Violation};
 use crate::{StageTiming, ALL_RULES};
 
@@ -47,20 +48,14 @@ pub fn violation_json(v: &Violation) -> String {
 }
 
 /// Renders the trailing summary object for `--check --json`.
-pub fn summary_json(
-    violations: &[Violation],
-    diff: &baseline::Diff,
-    timings: &[StageTiming],
-) -> String {
-    let blocking = diff
-        .regressions
+/// `regressing_entries` counts the (rule, file) entries with any hit,
+/// `blocking_entries` those with a non-advisory hit; `ok` means none block.
+pub fn summary_json(violations: &[Violation], timings: &[StageTiming]) -> String {
+    let entries: BTreeSet<(Rule, &str)> = violations
         .iter()
-        .filter(|(rule, _, _, _)| {
-            !Rule::from_code(rule)
-                .map(Rule::is_advisory)
-                .unwrap_or(false)
-        })
-        .count();
+        .map(|v| (v.rule, v.file.as_str()))
+        .collect();
+    let blocking = entries.iter().filter(|(r, _)| !r.is_advisory()).count();
     let stages: Vec<String> = timings
         .iter()
         .map(|t| format!("{{\"stage\":\"{}\",\"millis\":{}}}", t.stage, t.millis))
@@ -68,7 +63,7 @@ pub fn summary_json(
     format!(
         "{{\"summary\":true,\"total\":{},\"regressing_entries\":{},\"blocking_entries\":{},\"ok\":{},\"stages\":[{}],\"rules\":{{{}}}}}",
         violations.len(),
-        diff.regressions.len(),
+        entries.len(),
         blocking,
         blocking == 0,
         stages.join(","),
@@ -174,16 +169,34 @@ mod tests {
                 nanos: 1_000_000,
             },
         ];
-        let diff = baseline::Diff {
-            regressions: Vec::new(),
-            improvements: Vec::new(),
-        };
-        let json = summary_json(&[], &diff, &timings);
+        let json = summary_json(&[], &timings);
         for rule in ALL_RULES {
             assert!(json.contains(&format!("\"{}\":0", rule.code())), "{json}");
         }
         assert!(json.contains("{\"stage\":\"scan\",\"millis\":3}"));
         assert!(json.contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn summary_counts_entries_and_blocking_ones() {
+        let v = |rule: Rule, file: &str| Violation {
+            rule,
+            file: file.to_string(),
+            line: 1,
+            excerpt: String::new(),
+            chain: Vec::new(),
+        };
+        let violations = [
+            v(Rule::Tl001, "a.rs"),
+            v(Rule::Tl001, "a.rs"),
+            v(Rule::Tl001, "b.rs"),
+            v(Rule::Tl005, "a.rs"),
+        ];
+        let json = summary_json(&violations, &[]);
+        assert!(json
+            .contains("\"total\":4,\"regressing_entries\":3,\"blocking_entries\":2,\"ok\":false"));
+        let advisory_only = summary_json(&violations[3..], &[]);
+        assert!(advisory_only.contains("\"blocking_entries\":0,\"ok\":true"));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The TL rule set.
 //!
-//! TL001–TL003, TL005 and TL006 are line-level matchers over the cleaned
-//! source produced by [`crate::scanner`]. TL004 matches over the token
-//! stream from [`crate::lexer`] (so tuple indices and string contents can
-//! never look like float literals). TL007–TL012 and TL014–TL016 come from
+//! TL001–TL006 match over each file's token stream from [`crate::lexer`],
+//! with the per-line test, doc and directive metadata of
+//! [`crate::source`], so string contents, comments and tuple indices can
+//! never look like code; the wall-clock, entropy and thread-spawn shapes
+//! of TL003 and TL006 are the item extractor's classifier
+//! ([`crate::items::ambient_source`]). TL007–TL012 and TL014–TL016 come from
 //! item facts ([`crate::items`]) over the call-graph ([`crate::callgraph`]):
 //! at the fact's site, or through the one reachability engine
 //! ([`crate::reach`]); TL013 from a token walk over worker closures
@@ -13,8 +15,11 @@
 //! the bench crate (timing is its purpose), and TL005 is an advisory
 //! documentation rule limited to the `tensor` and `core` crates.
 
-use crate::lexer::{Tok, Token};
-use crate::scanner::SourceLine;
+use std::collections::BTreeSet;
+
+use crate::items::{ambient_source, FactKind};
+use crate::lexer::{spells, Tok, Token};
+use crate::source::{SourceFile, SourceLine};
 
 /// A lint rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -371,43 +376,61 @@ pub struct Violation {
     pub chain: Vec<Hop>,
 }
 
-/// Runs every applicable line-level rule plus the token-level TL004 pass
-/// over one file. TL007–TL016 need the whole workspace and are produced by
+/// Runs every applicable per-file rule (TL001–TL006) over one parsed
+/// file; each fires at most once per line, except TL004, which fires per
+/// comparison. TL007–TL016 need the whole workspace and are produced by
 /// [`crate::reach`] and [`crate::concurrency`] instead.
-pub fn check_file(path: &str, lines: &[SourceLine], tokens: &[Token]) -> Vec<Violation> {
+pub fn check_file(path: &str, file: &SourceFile) -> Vec<Violation> {
+    let mut hits: BTreeSet<(usize, Rule)> = (0..file.tokens.len())
+        .filter_map(|i| Some((file.tokens[i].line, token_rule(&file.tokens, i)?)))
+        .collect();
+    hits.extend(
+        (0..file.lines.len())
+            .filter(|&idx| hits_tl005(file, idx))
+            .map(|idx| (file.lines[idx].number, Rule::Tl005)),
+    );
     let mut out = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
+    for (number, rule) in hits {
+        let Some(line) = file.line(number) else {
+            continue;
+        };
+        if line.in_test || !rule.applies_to(path) || line.allows(rule.code()) {
             continue;
         }
-        for rule in ALL_RULES {
-            if !rule.applies_to(path) || line.allows(rule.code()) {
-                continue;
-            }
-            let hit = match rule {
-                Rule::Tl001 => hits_tl001(&line.code),
-                Rule::Tl002 => hits_tl002(&line.code),
-                Rule::Tl003 => hits_tl003(&line.code),
-                Rule::Tl005 => hits_tl005(lines, idx),
-                Rule::Tl006 => hits_tl006(&line.code),
-                // TL004 is token-level (below); TL007+ are workspace-level.
-                _ => false,
-            };
-            if hit {
-                out.push(Violation {
-                    rule,
-                    file: path.to_string(),
-                    line: line.number,
-                    excerpt: excerpt(&line.raw),
-                    chain: Vec::new(),
-                });
-            }
-        }
+        out.push(Violation {
+            rule,
+            file: path.to_string(),
+            line: number,
+            excerpt: excerpt(&line.raw),
+            chain: Vec::new(),
+        });
     }
     if Rule::Tl004.applies_to(path) {
-        out.extend(check_tl004(path, lines, tokens));
+        out.extend(check_tl004(path, file));
     }
     out
+}
+
+/// Panic-family macros (TL002), matched as `name!`.
+const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unreachable", "unimplemented"];
+
+/// The line-scoped rule the token at `i` starts, if any: `.unwrap()` or
+/// `.expect(` (TL001; `.unwrap_or()` and `.expect_err()` are other
+/// methods), a panic-family macro (TL002), a wall-clock read or entropy
+/// RNG (TL003), or a thread spawn (TL006).
+fn token_rule(tokens: &[Token], i: usize) -> Option<Rule> {
+    let rest = &tokens[i..];
+    if spells(rest, &[".", "unwrap", "(", ")"]) || spells(rest, &[".", "expect", "("]) {
+        return Some(Rule::Tl001);
+    }
+    if PANIC_MACROS.iter().any(|m| spells(rest, &[m, "!"])) {
+        return Some(Rule::Tl002);
+    }
+    let (kind, _, _) = ambient_source(tokens, i, tokens[i].ident()?)?;
+    Some(match kind {
+        FactKind::ThreadSpawn => Rule::Tl006,
+        _ => Rule::Tl003,
+    })
 }
 
 /// Token-level TL004: `==` / `!=` with a float-typed operand nearby.
@@ -417,13 +440,14 @@ pub fn check_file(path: &str, lines: &[SourceLine], tokens: &[Token]) -> Vec<Vio
 /// and char literal contents are single tokens, and `1..2` is a range, not
 /// a float. An operand window extends from the comparison until a token
 /// that must end the expression.
-fn check_tl004(path: &str, lines: &[SourceLine], tokens: &[Token]) -> Vec<Violation> {
+fn check_tl004(path: &str, file: &SourceFile) -> Vec<Violation> {
+    let tokens = &file.tokens;
     let mut out = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
-        if !(tok.is_punct("==") || tok.is_punct("!=")) {
+        if !(tok.is("==") || tok.is("!=")) {
             continue;
         }
-        let meta = lines.get(tok.line.saturating_sub(1));
+        let meta = file.line(tok.line);
         if meta
             .map(|l| l.in_test || l.allows("TL004"))
             .unwrap_or(false)
@@ -486,123 +510,50 @@ fn excerpt(raw: &str) -> String {
     }
 }
 
-/// `.unwrap()` or `.expect(` — but not `.unwrap_or*` / `.expect_err`.
-fn hits_tl001(code: &str) -> bool {
-    contains_method_call(code, "unwrap", true) || contains_method_call(code, "expect", false)
-}
-
-/// Finds `.name(` (or `.name()` when `empty_args`), requiring the full
-/// method name so `.unwrap_or()` and `.expect_err()` do not match.
-fn contains_method_call(code: &str, name: &str, empty_args: bool) -> bool {
-    let needle = format!(".{name}(");
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(&needle) {
-        let at = start + pos;
-        let after = at + needle.len();
-        if empty_args {
-            if code[after..].starts_with(')') {
-                return true;
-            }
-        } else {
-            return true;
-        }
-        start = after;
-    }
-    false
-}
-
-/// Panic-family macro invocations at a word boundary.
-fn hits_tl002(code: &str) -> bool {
-    ["panic!", "todo!", "unreachable!", "unimplemented!"]
-        .iter()
-        .any(|m| contains_word(code, m))
-}
-
-/// Nondeterminism sources.
-fn hits_tl003(code: &str) -> bool {
-    [
-        "thread_rng",
-        "rand::random",
-        "Instant::now",
-        "SystemTime::",
-        "from_entropy",
-    ]
-    .iter()
-    .any(|m| contains_word(code, m))
-}
-
-/// Substring match where the preceding character is not part of an
-/// identifier (so `debug_assert!` does not hit `assert!`-style needles).
-fn contains_word(code: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(needle) {
-        let at = start + pos;
-        let boundary = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .map(|c| c.is_alphanumeric() || c == '_')
-                .unwrap_or(false);
-        if boundary {
-            return true;
-        }
-        start = at + needle.len();
-    }
-    false
-}
-
-/// Thread spawning primitives. Matched as words so e.g. a local identifier
-/// `scoped_spawn` does not hit; `scope.spawn(...)`/`s.spawn(...)` inside an
-/// existing `thread::scope` block are only reachable via the scope handle,
-/// which itself requires a flagged `thread::scope` call to obtain.
-fn hits_tl006(code: &str) -> bool {
-    ["thread::spawn", "thread::scope", "thread::Builder"]
-        .iter()
-        .any(|m| contains_word(code, m))
-}
-
 /// `pub fn` without a doc comment in the contiguous attribute/doc block
-/// directly above it.
-fn hits_tl005(lines: &[SourceLine], idx: usize) -> bool {
-    let trimmed = lines[idx].code.trim_start();
+/// directly above it. A comment-only line continues the block; a blank
+/// line or any other code ends it.
+fn hits_tl005(file: &SourceFile, idx: usize) -> bool {
     let is_pub_fn = [
-        "pub fn ",
-        "pub const fn ",
-        "pub unsafe fn ",
-        "pub async fn ",
+        &["pub", "fn"][..],
+        &["pub", "const", "fn"],
+        &["pub", "unsafe", "fn"],
+        &["pub", "async", "fn"],
     ]
     .iter()
-    .any(|p| trimmed.starts_with(p));
+    .any(|p| spells(file.tokens_on(&file.lines[idx]), p));
     if !is_pub_fn {
         return false;
     }
-    // Walk upwards over attributes and doc lines.
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let line = &lines[j];
+    for line in file.lines[..idx].iter().rev() {
         if line.is_doc {
             return false;
         }
-        let t = line.code.trim();
-        let is_attr = t.starts_with("#[") || t.ends_with("]") && t.contains("#[");
-        if is_attr || (t.is_empty() && !line.raw.trim().is_empty()) {
-            // attribute (possibly multi-line) or a pure-comment line
-            continue;
+        if !(is_attribute_line(file.tokens_on(line)) || is_comment_only(line)) {
+            return true;
         }
-        return true;
     }
     true
+}
+
+/// A line that starts an attribute, or ends one begun on it.
+fn is_attribute_line(tokens: &[Token]) -> bool {
+    let opens_attr = |i: usize| spells(&tokens[i..], &["#", "["]);
+    opens_attr(0) || tokens.last().is_some_and(|t| t.is("]")) && (0..tokens.len()).any(opens_attr)
+}
+
+/// A line with text but no code: a comment, or the inside of a literal.
+fn is_comment_only(line: &SourceLine) -> bool {
+    !line.has_code() && !line.raw.trim().is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::scanner::scan;
+    use crate::source::parse;
 
     fn violations(path: &str, src: &str) -> Vec<(Rule, usize)> {
-        let mut v: Vec<(Rule, usize)> = check_file(path, &scan(src), &lex(src))
+        let mut v: Vec<(Rule, usize)> = check_file(path, &parse(src))
             .into_iter()
             .map(|v| (v.rule, v.line))
             .collect();
@@ -621,6 +572,62 @@ mod tests {
     fn tl001_skips_test_code_and_comments() {
         let src = "// a.unwrap() in a comment\n#[cfg(test)]\nmod tests {\n    fn t() { a.unwrap(); }\n}\n";
         assert!(violations("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn line_comments_do_not_fire() {
+        let src = "let x = 1; // note: x.unwrap() and panic!() here are fine\n";
+        assert!(violations("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn block_comments_nest_and_span_lines() {
+        let src =
+            "a /* outer /* inner */ x.unwrap() */ b\nc /* open\npanic!() close */ d.unwrap();\n";
+        let v = violations("crates/x/src/lib.rs", src);
+        assert_eq!(v, vec![(Rule::Tl001, 3)]);
+    }
+
+    #[test]
+    fn string_contents_do_not_fire() {
+        let src = "let s = \"call .unwrap() now, then panic!()\"; s.len();\n";
+        assert!(violations("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn escaped_quotes_do_not_end_strings() {
+        let src = "let s = \"a\\\"b.unwrap()\"; x.unwrap()\n";
+        assert_eq!(
+            violations("crates/x/src/lib.rs", src),
+            vec![(Rule::Tl001, 1)]
+        );
+    }
+
+    #[test]
+    fn raw_strings_do_not_fire_and_end_at_their_fence() {
+        let src = "let s = r#\"panic!(\"no\") x.unwrap()\"#; panic!()\n";
+        assert_eq!(
+            violations("crates/x/src/lib.rs", src),
+            vec![(Rule::Tl002, 1)]
+        );
+    }
+
+    #[test]
+    fn lifetimes_are_not_char_literals() {
+        let src = "fn f<'a>(x: &'a str) -> &'a str { x.unwrap() }\n";
+        assert_eq!(
+            violations("crates/x/src/lib.rs", src),
+            vec![(Rule::Tl001, 1)]
+        );
+    }
+
+    #[test]
+    fn char_literals_do_not_fire_or_open_strings() {
+        let src = "let q = '\\''; let z = 'z'; let d = '\"'; x.unwrap();\nlet p = '!'; todo!()\n";
+        assert_eq!(
+            violations("crates/x/src/lib.rs", src),
+            vec![(Rule::Tl001, 1), (Rule::Tl002, 2)]
+        );
     }
 
     #[test]

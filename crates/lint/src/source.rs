@@ -1,17 +1,35 @@
-//! A small comment/string-aware scanner for Rust source.
+//! One parsed source file: the token stream plus per-line metadata.
 //!
-//! The rule set only needs line-level pattern matching, but naive substring
-//! search would fire on comments, doc examples, and string literals. This
-//! scanner produces a *cleaned* view of each line — comments removed and
-//! string/char literal contents blanked out — together with the metadata the
-//! rules need: whether the line is a doc comment, whether it lives inside
-//! test-only code (`#[cfg(test)]` / `#[test]` items), and any inline
-//! `lint: allow(...)` suppressions found in trailing comments.
-//!
-//! The scanner is deliberately not a full lexer: it tracks exactly the state
-//! needed to distinguish code from non-code (line comments, nested block
-//! comments, string/raw-string/byte-string literals, char literals vs
-//! lifetimes) and leaves everything else to the per-rule matchers.
+//! [`parse`] lexes a file once ([`crate::lexer`]) and builds, for every
+//! line, what the rules match against besides tokens: whether the line is
+//! a doc comment, whether it lives inside test-only code (`#[cfg(test)]` /
+//! `#[test]` / `#[bench]` items), and the `lint:` directives of its
+//! comments. A line carries code when at least one token starts on it.
+
+use std::ops::Range;
+
+use crate::lexer::{lex, spells, Tok, Token};
+
+/// A lexed file and the metadata of each of its lines.
+#[derive(Debug, Clone)]
+pub struct SourceFile {
+    /// Every token, in source order.
+    pub tokens: Vec<Token>,
+    /// One entry per source line, in order.
+    pub lines: Vec<SourceLine>,
+}
+
+impl SourceFile {
+    /// The metadata of 1-based line `number`.
+    pub fn line(&self, number: usize) -> Option<&SourceLine> {
+        self.lines.get(number.wrapping_sub(1))
+    }
+
+    /// The tokens that start on `line`.
+    pub fn tokens_on(&self, line: &SourceLine) -> &[Token] {
+        &self.tokens[line.tokens.clone()]
+    }
+}
 
 /// One source line plus the metadata rules match against.
 #[derive(Debug, Clone)]
@@ -20,8 +38,9 @@ pub struct SourceLine {
     pub number: usize,
     /// The original line, verbatim (used for excerpts in reports).
     pub raw: String,
-    /// The line with comments removed and literal contents blanked.
-    pub code: String,
+    /// Indices into [`SourceFile::tokens`] of the tokens that start on this
+    /// line; empty when the line carries no code.
+    pub tokens: Range<usize>,
     /// True when the line carries outer/inner doc comments (`///`, `//!`,
     /// `/** .. */`, `/*! .. */`).
     pub is_doc: bool,
@@ -38,6 +57,11 @@ pub struct SourceLine {
 }
 
 impl SourceLine {
+    /// Whether at least one token starts on this line.
+    pub fn has_code(&self) -> bool {
+        !self.tokens.is_empty()
+    }
+
     /// Whether `rule_code` is suppressed on this line.
     pub fn allows(&self, rule_code: &str) -> bool {
         self.allows.iter().any(|a| a == rule_code)
@@ -74,30 +98,51 @@ const DIRECTIVES: [&str; 6] = [
     "root",
 ];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Code,
-    /// Block comment nesting depth; `doc` marks `/**` / `/*!` forms.
-    Block {
-        depth: usize,
-        doc: bool,
-    },
-    Str,
-    RawStr {
-        hashes: usize,
-    },
-    Char,
-}
-
-/// Scans `source` into cleaned, annotated lines.
-pub fn scan(source: &str) -> Vec<SourceLine> {
-    let mut lines = clean(source);
-    mark_test_regions(&mut lines);
+/// Lexes `source` once and annotates each of its lines.
+pub fn parse(source: &str) -> SourceFile {
+    let (tokens, comments) = lex(source);
+    let mut next = 0;
+    let mut lines: Vec<SourceLine> = source
+        .lines()
+        .enumerate()
+        .map(|(idx, raw)| {
+            let start = next;
+            next += tokens[start..]
+                .iter()
+                .take_while(|t| t.line == idx + 1)
+                .count();
+            SourceLine {
+                number: idx + 1,
+                raw: raw.to_string(),
+                tokens: start..next,
+                is_doc: false,
+                in_test: false,
+                allows: Vec::new(),
+                directives: Vec::new(),
+            }
+        })
+        .collect();
+    // A block comment's text continues on the lines it spans; each line
+    // parses the directives of all its comment text together.
+    let mut comment_text = vec![String::new(); lines.len()];
+    for c in &comments {
+        for (k, part) in c.text.split('\n').enumerate() {
+            let idx = c.line - 1 + k;
+            if let (Some(line), Some(text)) = (lines.get_mut(idx), comment_text.get_mut(idx)) {
+                line.is_doc |= c.doc;
+                text.push_str(part);
+            }
+        }
+    }
+    for (line, text) in lines.iter_mut().zip(&comment_text) {
+        (line.allows, line.directives) = parse_directives(text);
+    }
+    mark_test_regions(&tokens, &mut lines);
     propagate_standalone_directives(&mut lines);
-    lines
+    SourceFile { tokens, lines }
 }
 
-/// Pass 3: a directive on a comment-only line also applies to the next line
+/// A directive on a line without code also applies to the next line
 /// carrying code. Trailing same-line directives remain the primary form, but
 /// rustfmt wraps long statements, which would detach a trailing comment from
 /// the construct it suppresses; a standalone comment directly above survives
@@ -106,204 +151,14 @@ fn propagate_standalone_directives(lines: &mut [SourceLine]) {
     let mut allows: Vec<String> = Vec::new();
     let mut directives: Vec<(&'static str, String)> = Vec::new();
     for line in lines.iter_mut() {
-        if line.code.trim().is_empty() {
-            allows.extend(line.allows.iter().cloned());
-            directives.extend(line.directives.iter().cloned());
-        } else {
+        if line.has_code() {
             line.allows.append(&mut allows);
             line.directives.append(&mut directives);
+        } else {
+            allows.extend(line.allows.iter().cloned());
+            directives.extend(line.directives.iter().cloned());
         }
     }
-}
-
-/// Pass 1: strip comments, blank literal contents, collect doc/allow info.
-fn clean(source: &str) -> Vec<SourceLine> {
-    let mut out = Vec::new();
-    let mut state = State::Code;
-    for (idx, raw) in source.lines().enumerate() {
-        let chars: Vec<char> = raw.chars().collect();
-        let mut code = String::with_capacity(raw.len());
-        let mut comment_text = String::new();
-        let mut is_doc = false;
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            let next = chars.get(i + 1).copied();
-            match state {
-                State::Code => {
-                    if c == '/' && next == Some('/') {
-                        // Line comment; `///` and `//!` are doc comments.
-                        let third = chars.get(i + 2).copied();
-                        if third == Some('/') && chars.get(i + 3).copied() != Some('/') {
-                            is_doc = true;
-                        }
-                        if third == Some('!') {
-                            is_doc = true;
-                        }
-                        comment_text.push_str(&chars[i..].iter().collect::<String>());
-                        break;
-                    } else if c == '/' && next == Some('*') {
-                        let third = chars.get(i + 2).copied();
-                        let doc = third == Some('*') && chars.get(i + 3).copied() != Some('*')
-                            || third == Some('!');
-                        if doc {
-                            is_doc = true;
-                        }
-                        state = State::Block { depth: 1, doc };
-                        i += 2;
-                        continue;
-                    } else if c == '"' {
-                        code.push('"');
-                        state = State::Str;
-                        i += 1;
-                        continue;
-                    } else if is_raw_string_start(&chars, i) {
-                        // r"..."  r#"..."#  br##"..."##  (b consumed earlier)
-                        let mut j = i + 1; // skip the `r`
-                        let mut hashes = 0;
-                        while chars.get(j) == Some(&'#') {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        code.push_str(&"r".to_string());
-                        code.push_str(&"#".repeat(hashes));
-                        code.push('"');
-                        state = State::RawStr { hashes };
-                        i = j + 1;
-                        continue;
-                    } else if c == '\'' {
-                        if is_lifetime(&chars, i) {
-                            code.push(c);
-                            i += 1;
-                            continue;
-                        }
-                        code.push('\'');
-                        state = State::Char;
-                        i += 1;
-                        continue;
-                    }
-                    code.push(c);
-                    i += 1;
-                }
-                State::Block { depth, doc } => {
-                    if c == '*' && next == Some('/') {
-                        if depth == 1 {
-                            state = State::Code;
-                        } else {
-                            state = State::Block {
-                                depth: depth - 1,
-                                doc,
-                            };
-                        }
-                        i += 2;
-                    } else if c == '/' && next == Some('*') {
-                        state = State::Block {
-                            depth: depth + 1,
-                            doc,
-                        };
-                        i += 2;
-                    } else {
-                        if doc {
-                            is_doc = true;
-                        }
-                        comment_text.push(c);
-                        i += 1;
-                    }
-                }
-                State::Str => {
-                    if c == '\\' {
-                        i += 2; // skip the escaped character
-                    } else if c == '"' {
-                        code.push('"');
-                        state = State::Code;
-                        i += 1;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-                State::RawStr { hashes } => {
-                    if c == '"' && raw_string_closes(&chars, i, hashes) {
-                        code.push('"');
-                        code.push_str(&"#".repeat(hashes));
-                        state = State::Code;
-                        i += 1 + hashes;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-                State::Char => {
-                    if c == '\\' {
-                        i += 2;
-                    } else if c == '\'' {
-                        code.push('\'');
-                        state = State::Code;
-                        i += 1;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-            }
-        }
-        // Unterminated single-line states fall back to code at end of line
-        // (strings can span lines only in raw/regular multiline form, which
-        // the state machine already carries across the loop).
-        if state == State::Char {
-            state = State::Code;
-        }
-        let (allows, directives) = parse_directives(&comment_text);
-        out.push(SourceLine {
-            number: idx + 1,
-            raw: raw.to_string(),
-            code,
-            is_doc,
-            in_test: false,
-            allows,
-            directives,
-        });
-    }
-    out
-}
-
-/// True when `chars[i]` starts a raw (or raw byte) string literal.
-fn is_raw_string_start(chars: &[char], i: usize) -> bool {
-    if chars[i] != 'r' {
-        return false;
-    }
-    // `r` must be its own token, not the tail of an identifier like `var`.
-    if i > 0 {
-        let prev = chars[i - 1];
-        if prev.is_alphanumeric() || prev == '_' {
-            // allow the `b` of a raw byte string prefix
-            if !(prev == 'b' && (i < 2 || !is_ident(chars[i - 2]))) {
-                return false;
-            }
-        }
-    }
-    let mut j = i + 1;
-    while chars.get(j) == Some(&'#') {
-        j += 1;
-    }
-    chars.get(j) == Some(&'"')
-}
-
-/// True when the `"` at `chars[i]` is followed by `hashes` `#` characters.
-fn raw_string_closes(chars: &[char], i: usize, hashes: usize) -> bool {
-    (1..=hashes).all(|k| chars.get(i + k) == Some(&'#'))
-}
-
-/// Distinguishes `'a` (lifetime) from `'a'` (char literal) at a `'`.
-fn is_lifetime(chars: &[char], i: usize) -> bool {
-    match chars.get(i + 1) {
-        Some(&c) if c.is_alphabetic() || c == '_' => chars.get(i + 2) != Some(&'\''),
-        _ => false,
-    }
-}
-
-fn is_ident(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
 }
 
 /// Extracts directives from `lint:` comments: `allow(TL001, TL002)` rule
@@ -365,26 +220,34 @@ fn matching_paren(s: &str) -> Option<usize> {
     None
 }
 
-/// Pass 2: mark lines belonging to `#[cfg(test)]` / `#[test]` items.
-///
-/// Tracks brace depth over the cleaned text; when a test attribute is seen,
-/// the next brace-delimited item at the same depth is marked as test code.
-fn mark_test_regions(lines: &mut [SourceLine]) {
+/// The attributes that make the next item test-only code.
+const TEST_ATTRS: [&[&str]; 3] = [
+    &["#", "[", "cfg", "(", "test", ")", "]"],
+    &["#", "[", "test", "]"],
+    &["#", "[", "bench", "]"],
+];
+
+/// Marks the lines of `#[cfg(test)]` / `#[test]` / `#[bench]` items: from
+/// the attribute to the closing `}` of the item's body, or to the `;` that
+/// ends a bodiless item at file scope (`#[cfg(test)] use helpers;`).
+fn mark_test_regions(tokens: &[Token], lines: &mut [SourceLine]) {
     let mut depth: usize = 0;
     let mut armed = false;
     let mut test_floor: Option<usize> = None;
     for line in lines.iter_mut() {
-        let code = line.code.clone();
         if test_floor.is_some() {
             line.in_test = true;
-        }
-        if test_floor.is_none() && (code.contains("#[cfg(test)]") || has_test_attr(&code)) {
+        } else if line
+            .tokens
+            .clone()
+            .any(|i| TEST_ATTRS.iter().any(|attr| spells(&tokens[i..], attr)))
+        {
             armed = true;
             line.in_test = true;
         }
-        for c in code.chars() {
-            match c {
-                '{' => {
+        for tok in &tokens[line.tokens.clone()] {
+            match tok.kind {
+                Tok::Open('{') => {
                     if armed {
                         test_floor = Some(depth);
                         armed = false;
@@ -392,84 +255,42 @@ fn mark_test_regions(lines: &mut [SourceLine]) {
                     }
                     depth += 1;
                 }
-                '}' => {
+                Tok::Close('}') => {
                     depth = depth.saturating_sub(1);
-                    if let Some(floor) = test_floor {
-                        if depth <= floor {
-                            test_floor = None;
-                        }
+                    if test_floor.is_some_and(|floor| depth <= floor) {
+                        test_floor = None;
                     }
                 }
-                ';' if armed && depth == 0 => {
-                    // e.g. `#[cfg(test)] use helpers;` — no body to skip.
-                    armed = false;
-                }
+                Tok::Punct(";") if armed && depth == 0 => armed = false,
                 _ => {}
             }
         }
     }
 }
 
-/// Matches the `#[test]` attribute (not `#[testsomething]`).
-fn has_test_attr(code: &str) -> bool {
-    code.contains("#[test]") || code.contains("#[bench]")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn codes(src: &str) -> Vec<String> {
-        scan(src).into_iter().map(|l| l.code).collect()
+    fn scan(src: &str) -> Vec<SourceLine> {
+        parse(src).lines
     }
 
     #[test]
-    fn line_comments_are_stripped() {
-        let c = codes("let x = 1; // note: unwrap() here is fine\n");
-        assert_eq!(c[0], "let x = 1; ");
-    }
-
-    #[test]
-    fn block_comments_nest_and_span_lines() {
-        let src = "a /* outer /* inner */ still comment */ b\nc /* open\nclose */ d\n";
-        let c = codes(src);
-        assert_eq!(c[0], "a  b");
-        assert_eq!(c[1], "c ");
-        assert_eq!(c[2], " d");
-    }
-
-    #[test]
-    fn string_contents_are_blanked() {
-        let c = codes("let s = \"call .unwrap() now\"; s.len();\n");
-        assert!(!c[0].contains("unwrap"));
-        assert!(c[0].contains(".len()"));
-    }
-
-    #[test]
-    fn escaped_quotes_do_not_end_strings() {
-        let c = codes("let s = \"a\\\"b.unwrap()\"; x()\n");
-        assert!(!c[0].contains("unwrap"));
-        assert!(c[0].contains("x()"));
-    }
-
-    #[test]
-    fn raw_strings_are_blanked() {
-        let c = codes("let s = r#\"panic!(\"no\")\"#; go()\n");
-        assert!(!c[0].contains("panic"));
-        assert!(c[0].contains("go()"));
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        let c = codes("fn f<'a>(x: &'a str) -> &'a str { x }\n");
-        assert_eq!(c[0], "fn f<'a>(x: &'a str) -> &'a str { x }");
-    }
-
-    #[test]
-    fn char_literals_are_blanked() {
-        let c = codes("let q = '\\''; let z = 'z'; done()\n");
-        assert!(c[0].contains("done()"));
-        assert!(!c[0].contains("'z'"), "char contents blanked: {}", c[0]);
+    fn a_line_has_code_when_a_token_starts_on_it() {
+        let src = "let s = \"a\n  b\";\n// comment\n\n/* x\n */ y();\nlet t = \"c\n  d\"\n;\n";
+        let file = parse(src);
+        let code: Vec<bool> = file.lines.iter().map(SourceLine::has_code).collect();
+        assert_eq!(
+            code,
+            vec![true, true, false, false, false, true, true, false, true]
+        );
+        let idents: Vec<&str> = file
+            .tokens_on(&file.lines[5])
+            .iter()
+            .filter_map(Token::ident)
+            .collect();
+        assert_eq!(idents, vec!["y"]);
     }
 
     #[test]
@@ -490,6 +311,13 @@ mod tests {
         assert!(lines[3].in_test);
         assert!(lines[4].in_test);
         assert!(!lines[5].in_test);
+    }
+
+    #[test]
+    fn cfg_test_use_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nuse helpers::*;\npub fn lib() {\n    x.unwrap();\n}\n#[bench]\nfn b() {}\n";
+        let in_test: Vec<bool> = scan(src).iter().map(|l| l.in_test).collect();
+        assert_eq!(in_test, vec![true, false, false, false, false, true, true]);
     }
 
     #[test]
@@ -634,7 +462,7 @@ mod tests {
     fn standalone_allow_comment_suppresses_next_code_line() {
         let src = "// lint: allow(TL002)\npanic!(\"bad\");\nafter();\n";
         let lines = scan(src);
-        assert!(!lines[0].code.contains("panic"));
+        assert!(!lines[0].has_code());
         assert!(lines[1].allows("TL002"));
         assert!(
             !lines[2].allows("TL002"),

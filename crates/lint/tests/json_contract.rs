@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use taglets_lint::report::{summary_json, violation_json};
-use taglets_lint::{baseline, scan_workspace_timed, ALL_RULES, STAGES};
+use taglets_lint::{scan_workspace_timed, ALL_RULES, STAGES};
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -38,9 +38,7 @@ fn stage_timings_cover_the_pipeline_in_order() {
 #[test]
 fn summary_json_carries_stages_and_rule_counts() {
     let (violations, timings) = scan_workspace_timed(&fixture_root()).expect("fixture scans");
-    let current = baseline::count(&violations);
-    let diff = baseline::diff(&current, &baseline::Counts::new());
-    let json = summary_json(&violations, &diff, &timings);
+    let json = summary_json(&violations, &timings);
 
     for key in [
         "\"summary\":true",

@@ -38,7 +38,7 @@ fn fixtures_lex_to_their_golden_token_streams() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for fixture in fixtures {
         let source = fs::read_to_string(&fixture).expect("fixture is readable");
-        let actual = lexer::dump(&lexer::lex(&source));
+        let actual = lexer::dump(&lexer::lex(&source).0);
         let golden_path = fixture.with_extension("tokens");
         if update {
             fs::write(&golden_path, &actual).expect("golden file is writable");
@@ -65,7 +65,7 @@ fn golden_fixtures_drop_literal_contents() {
     // a string/char literal survives into the token stream.
     for name in ["raw_strings.rs", "byte_strings.rs"] {
         let source = fs::read_to_string(golden_dir().join(name)).expect("fixture is readable");
-        let dumped = lexer::dump(&lexer::lex(&source));
+        let dumped = lexer::dump(&lexer::lex(&source).0);
         for leaked in ["quotes", "escape", "terminator", "raw bytes"] {
             assert!(
                 !dumped.contains(leaked),

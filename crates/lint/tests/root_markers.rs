@@ -1,7 +1,6 @@
 //! A `root(...)` marker that names an unknown analysis or does not sit on
 //! a function definition would silently declare nothing, so the CLI fails
-//! the run with exit 2 and names the file and line — the same way a
-//! malformed baseline does.
+//! the run with exit 2 and names the file and line.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,10 +1,10 @@
 //! Runs the lint engine over the actual workspace so `cargo test` enforces
-//! the baseline: any new non-advisory violation fails this test with the
-//! offending sites listed.
+//! it: any non-advisory violation fails this test with the offending sites
+//! listed.
 
 use std::path::Path;
 
-use taglets_lint::{baseline, scan_workspace, Rule};
+use taglets_lint::scan_workspace;
 
 fn workspace_root() -> &'static Path {
     // crates/lint -> crates -> workspace root
@@ -15,42 +15,29 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn workspace_has_no_new_violations() {
-    let root = workspace_root();
-    let violations = scan_workspace(root).expect("workspace scan succeeds");
-    let current = baseline::count(&violations);
-    let base = taglets_lint::load_baseline(root).expect("baseline parses");
-    let diff = baseline::diff(&current, &base);
-
-    let mut message = String::new();
-    for (rule, file, current, allowed) in &diff.regressions {
-        let advisory = Rule::from_code(rule)
-            .map(Rule::is_advisory)
-            .unwrap_or(false);
-        if advisory {
-            continue;
-        }
-        message.push_str(&format!(
-            "\n{rule} {file}: {current} violations, baseline allows {allowed}:"
-        ));
-        for v in violations
-            .iter()
-            .filter(|v| v.rule.code() == rule && &v.file == file)
-        {
-            message.push_str(&format!("\n    {}:{} | {}", v.file, v.line, v.excerpt));
-        }
-    }
-    assert!(
-        !baseline::has_blocking_regression(&diff),
-        "new lint violations (fix them or run `cargo run -p taglets-lint -- --update-baseline`):{message}"
-    );
+fn workspace_has_no_blocking_violations() {
+    let violations = scan_workspace(workspace_root()).expect("workspace scan succeeds");
+    let message: String = violations
+        .iter()
+        .filter(|v| !v.rule.is_advisory())
+        .map(|v| {
+            format!(
+                "\n    {} {}:{} | {}",
+                v.rule.code(),
+                v.file,
+                v.line,
+                v.excerpt
+            )
+        })
+        .collect();
+    assert!(message.is_empty(), "lint violations:{message}");
 }
 
 #[test]
 fn workspace_scan_finds_library_sources() {
-    // Guards against the scanner silently scanning nothing (e.g. a layout
-    // change). The baseline is empty now, so zero violations is the healthy
-    // state — coverage is asserted on the file walk itself instead.
+    // Guards against the lint silently scanning nothing (e.g. a layout
+    // change). Zero violations is the healthy state, so coverage is
+    // asserted on the file walk itself instead.
     let root = workspace_root();
     let files = taglets_lint::workspace_files(root).expect("workspace walk succeeds");
     assert!(

@@ -46,7 +46,7 @@ fi
 # stream being right.
 step "lexer" cargo test --offline --quiet -p taglets-lint --test lexer_golden
 
-# The lint's own test matrix (scanner, items, call-graph, reachability
+# The lint's own test matrix (line metadata, rules, items, call-graph, reachability
 # engine, root markers, fixture-workspace goldens, JSON contract) before
 # the workspace scan relies on it.
 step "lint-fixtures" cargo test --offline --quiet -p taglets-lint

@@ -6,8 +6,8 @@ mod common;
 use taglets::nn::Module as _;
 use taglets::tensor::Tensor;
 use taglets::{
-    BackboneKind, CoreError, PruneLevel, TagletsConfig, TagletsSystem, TaskSplit, TransferModule,
-    ZslKgModule,
+    BackboneKind, CoreError, DatasetId, PruneLevel, TagletsConfig, TagletsSystem, TaskSplit,
+    TransferModule, ZslKgModule,
 };
 
 fn system(backbone: BackboneKind) -> TagletsSystem<'static> {
@@ -395,4 +395,35 @@ fn one_class_task_runs_and_answers_that_class() {
         "non-finite probabilities"
     );
     assert_eq!(run.end_model.accuracy(&split.test_x, &split.test_y), 1.0);
+}
+
+#[test]
+fn empty_selection_runs_as_plain_fine_tuning() {
+    // With its one dataset removed, SCADS answers `select_related` with an
+    // empty selection, exactly as for a fully pruned set. The documented
+    // fallback ("Fully pruned SCADS: ... plain fine-tuning") is an ordinary
+    // run of all four modules on zero auxiliary examples.
+    let w = common::world();
+    let mut scads = w.scads.clone();
+    scads
+        .remove_dataset(DatasetId(0))
+        .expect("the test world installs one dataset");
+    let task = common::task("office_home_product");
+    let split = task.split(0, 1);
+    let config = TagletsConfig::for_backbone(BackboneKind::ResNet50ImageNet1k);
+    let run = TagletsSystem::prepare(&scads, &w.zoo, config)
+        .run(task, &split, PruneLevel::NoPruning, 0)
+        .expect("an empty selection runs");
+    assert_eq!(run.taglets.len(), 4);
+    assert_eq!(run.num_auxiliary_examples, 0);
+    let probs = run.end_model.predict_proba(&split.test_x);
+    assert_eq!(probs.shape(), &[split.test_x.rows(), task.num_classes()]);
+    for row in probs.rows_iter() {
+        assert!(
+            row.iter().all(|p| p.is_finite()),
+            "non-finite probabilities"
+        );
+        let sum: f32 = row.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-4, "probabilities off the simplex");
+    }
 }
