@@ -1010,6 +1010,99 @@ mod tests {
         assert!(cache.get(&y).is_none());
     }
 
+    /// The LRU the cache is checked against: a key map plus a `VecDeque`
+    /// of keys from least- to most-recently used, where a touch scans the
+    /// deque for its key. Entries are `(input, probs, predicted)`.
+    struct ReferenceLru {
+        capacity: usize,
+        map: BTreeMap<u64, (Vec<f32>, Vec<f32>, usize)>,
+        order: VecDeque<u64>,
+    }
+
+    impl ReferenceLru {
+        fn new(capacity: usize) -> Self {
+            ReferenceLru {
+                capacity,
+                map: BTreeMap::new(),
+                order: VecDeque::new(),
+            }
+        }
+
+        fn touch(&mut self, key: u64) {
+            if let Some(pos) = self.order.iter().position(|&k| k == key) {
+                self.order.remove(pos);
+            }
+            self.order.push_back(key);
+        }
+
+        fn get(&mut self, input: &[f32]) -> Option<(Vec<f32>, usize)> {
+            if self.capacity == 0 {
+                return None;
+            }
+            let key = input_key(input);
+            let hit = match self.map.get(&key) {
+                Some((stored, probs, predicted)) if bitwise_eq(stored, input) => {
+                    Some((probs.clone(), *predicted))
+                }
+                _ => None,
+            };
+            if hit.is_some() {
+                self.touch(key);
+            }
+            hit
+        }
+
+        fn insert(&mut self, input: Vec<f32>, probs: Vec<f32>, predicted: usize) {
+            if self.capacity == 0 {
+                return;
+            }
+            let key = input_key(&input);
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                }
+            }
+            self.map.insert(key, (input, probs, predicted));
+            self.touch(key);
+        }
+    }
+
+    #[test]
+    fn cache_matches_the_reference_lru_on_random_sequences() {
+        use rand::Rng;
+        // Pairs that share a key but differ bitwise: 0.100_01/0.100_02 and
+        // 1.0/1.000_01 round to the same 1/1024 step, 0.0/-0.0 differ in
+        // the sign bit only.
+        let pool: [f32; 9] = [
+            0.100_01, 0.100_02, 1.0, 1.000_01, 0.0, -0.0, 0.5, -2.0, 3.25,
+        ];
+        for pair in pool[..6].chunks(2) {
+            assert_ne!(pair[0].to_bits(), pair[1].to_bits());
+            assert_eq!(input_key(&pair[..1]), input_key(&pair[1..]), "{pair:?}");
+        }
+        for capacity in [0, 1, 2, 3, 5] {
+            for seed in 0..40u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut cache = PredictionCache::new(capacity);
+                let mut reference = ReferenceLru::new(capacity);
+                for step in 0..300 {
+                    let input = vec![pool[rng.gen_range(0..pool.len())]];
+                    if rng.gen_range(0..5u32) < 3 {
+                        let got = cache.get(&input);
+                        let want = reference.get(&input);
+                        assert_eq!(got, want, "capacity {capacity} seed {seed} step {step}");
+                    } else {
+                        let probs = vec![rng.gen::<f32>(), rng.gen::<f32>()];
+                        let predicted = rng.gen_range(0..2usize);
+                        cache.insert(input.clone(), probs.clone(), predicted);
+                        reference.insert(input, probs, predicted);
+                    }
+                    assert_eq!(cache.len(), reference.map.len());
+                }
+            }
+        }
+    }
+
     #[test]
     fn run_replays_a_stream_deterministically() {
         let m = model();

@@ -85,10 +85,13 @@ step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain
 # a filtered or skipped test run can never mask a change of selected data.
 step "selection" sh -c 'cargo test --offline --quiet -p taglets-graph --test proptests && cargo test --offline --quiet -p taglets-scads --test selection'
 
-# Serving-engine contract (properties a–e in the test file's docs).
-# Proptest seeds are derived from test names, so this run is fixed-seed by
+# Serving-engine contract (properties a–e in the test file's docs, and the
+# cache replay pin), then the engine's unit tests, the prediction cache's
+# reference-LRU oracle among them. Run by name so a filtered or skipped
+# test run can never mask a change in what the cache answers. Proptest
+# seeds are derived from test names, so this run is fixed-seed by
 # construction.
-step "serve" cargo test --offline --quiet --test serve_properties
+step "serve" sh -c 'cargo test --offline --quiet --test serve_properties && cargo test --offline --quiet -p taglets-core --lib serve::'
 
 step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features strict-numerics
 

@@ -302,3 +302,99 @@ fn load_tracks_queue_depth_through_submit_and_drain() {
     assert_eq!(engine.pending_len(), 0, "drain empties the queue");
     assert_eq!(engine.take_responses().len(), 3);
 }
+
+/// A fixed 400-request stream over a pool of twelve rows, drawn with a
+/// skew so a few rows repeat often and the rest return after evictions.
+/// Two pool rows differ only in feature 0 (`0.100_01` vs `0.100_02`): both
+/// round to 102 on the cache's 1/1024 key grid, so they share a cache key
+/// while differing bitwise. About a third of the gaps are zero, so bursts
+/// fill the queue and some requests are shed.
+fn collision_replay_stream() -> Vec<TimedRequest> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_CAC4E);
+    let mut pool: Vec<Vec<f32>> = (0..10)
+        .map(|_| Tensor::randn(&[1, INPUT_DIM], 1.0, &mut rng).into_vec())
+        .collect();
+    let mut a = Tensor::randn(&[1, INPUT_DIM], 1.0, &mut rng).into_vec();
+    a[0] = 0.100_01;
+    let mut b = a.clone();
+    b[0] = 0.100_02;
+    assert_ne!(a[0].to_bits(), b[0].to_bits(), "test premise: rows differ");
+    pool.push(a);
+    pool.push(b);
+    let mut t = 0u64;
+    (0..400)
+        .map(|_| {
+            t += if rng.gen_range(0..3u32) == 0 {
+                0
+            } else {
+                rng.gen_range(1..60u64)
+            };
+            let pick = if rng.gen_range(0..5u32) == 0 {
+                10 + rng.gen_range(0..2usize)
+            } else {
+                let u: f64 = rng.gen();
+                (u * u * 10.0) as usize
+            };
+            TimedRequest::new(t, pool[pick].clone())
+        })
+        .collect()
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Pins the cache's exact hit/miss/eviction sequence: for each capacity,
+/// an FNV hash over every response's (id, cache_hit, batch_size,
+/// predicted, probability bits) with shed slots marked, and the telemetry
+/// counters (hits, misses, batches, full, deadline and drain flushes,
+/// shed), under 4-row batches, a 100 ns deadline and a queue of 5.
+/// Capacities 1, 2 and 8 are below the stream's working set, so
+/// entries are evicted and re-filled; the shared-key pair exercises
+/// replacing an entry under its key.
+#[test]
+fn cache_replay_is_pinned_across_capacities() {
+    const PINS: [(usize, u64, [u64; 7]); 4] = [
+        (1, 0xe2c2a2975bc115ff, [44, 343, 92, 71, 20, 1, 13]),
+        (2, 0x76805851a234f9ab, [83, 306, 86, 60, 25, 1, 11]),
+        (8, 0x3a2315410d0fecee, [287, 112, 51, 5, 45, 1, 1]),
+        (64, 0x251856d676f11812, [348, 51, 28, 3, 25, 0, 1]),
+    ];
+    let m = model();
+    let requests = collision_replay_stream();
+    let mut got = Vec::new();
+    for (capacity, _, _) in PINS {
+        let run = ServingEngine::run(&m, config(4, 100, 5, capacity), &requests).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in &run.responses {
+            let Some(r) = r else {
+                h = fnv(h, u64::MAX);
+                continue;
+            };
+            for word in [
+                r.id,
+                r.cache_hit as u64,
+                r.batch_size as u64,
+                r.predicted as u64,
+            ] {
+                h = fnv(h, word);
+            }
+            for p in &r.probs {
+                h = fnv(h, p.to_bits() as u64);
+            }
+        }
+        let t = &run.telemetry;
+        let counters = [
+            t.cache_hits,
+            t.cache_misses,
+            t.batches,
+            t.full_flushes,
+            t.deadline_flushes,
+            t.drain_flushes,
+            t.shed,
+        ];
+        got.push((capacity, h, counters));
+    }
+    assert_eq!(got, PINS, "cache replay moved: new pins {got:#x?}");
+}
