@@ -511,8 +511,9 @@ fn excerpt(raw: &str) -> String {
 }
 
 /// `pub fn` without a doc comment in the contiguous attribute/doc block
-/// directly above it. A comment-only line continues the block; a blank
-/// line or any other code ends it.
+/// directly above it. A comment-only line continues the block, and so does
+/// every line of an attribute that spans several; a blank line or any
+/// other code ends it.
 fn hits_tl005(file: &SourceFile, idx: usize) -> bool {
     let is_pub_fn = [
         &["pub", "fn"][..],
@@ -525,21 +526,51 @@ fn hits_tl005(file: &SourceFile, idx: usize) -> bool {
     if !is_pub_fn {
         return false;
     }
-    for line in file.lines[..idx].iter().rev() {
+    let mut i = idx;
+    while i > 0 {
+        i -= 1;
+        let line = &file.lines[i];
         if line.is_doc {
             return false;
         }
-        if !(is_attribute_line(file.tokens_on(line)) || is_comment_only(line)) {
-            return true;
+        if is_comment_only(line) {
+            continue;
+        }
+        match attribute_start(file, line) {
+            Some(start) => i = start,
+            None => return true,
         }
     }
     true
 }
 
-/// A line that starts an attribute, or ends one begun on it.
-fn is_attribute_line(tokens: &[Token]) -> bool {
-    let opens_attr = |i: usize| spells(&tokens[i..], &["#", "["]);
-    opens_attr(0) || tokens.last().is_some_and(|t| t.is("]")) && (0..tokens.len()).any(opens_attr)
+/// The index of the line on which the attribute that `line` belongs to
+/// begins: `line` itself when it starts with `#[`, else the line of the
+/// `#[` matching the `]` that ends `line`. `None` when `line` neither
+/// starts nor ends an attribute.
+fn attribute_start(file: &SourceFile, line: &SourceLine) -> Option<usize> {
+    let tokens = file.tokens_on(line);
+    if spells(tokens, &["#", "["]) {
+        return Some(line.number - 1);
+    }
+    if !tokens.last().is_some_and(|t| t.is("]")) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for j in (0..line.tokens.end).rev() {
+        match file.tokens[j].kind {
+            Tok::Close(']') => depth += 1,
+            Tok::Open('[') => {
+                depth -= 1;
+                if depth == 0 {
+                    let hash = file.tokens[..j].last().filter(|t| t.is("#"))?;
+                    return Some(hash.line - 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// A line with text but no code: a comment, or the inside of a literal.
@@ -708,6 +739,13 @@ mod tests {
     fn tl005_accepts_docs_above_attributes() {
         let src = "/// Documented.\n#[must_use]\npub fn documented() {}\n";
         assert!(violations("crates/tensor/src/lib.rs", src).is_empty());
+        let attr = "#[cfg_attr(\n    feature = \"x\",\n    must_use\n)]\npub fn f() {}\n";
+        let documented = format!("/// Documented.\n{attr}");
+        assert!(violations("crates/tensor/src/lib.rs", &documented).is_empty());
+        assert_eq!(
+            violations("crates/tensor/src/lib.rs", attr),
+            vec![(Rule::Tl005, 5)]
+        );
     }
 
     #[test]

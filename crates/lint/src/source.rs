@@ -229,28 +229,26 @@ const TEST_ATTRS: [&[&str]; 3] = [
 
 /// Marks the lines of `#[cfg(test)]` / `#[test]` / `#[bench]` items: from
 /// the attribute to the closing `}` of the item's body, or to the `;` that
-/// ends a bodiless item at file scope (`#[cfg(test)] use helpers;`).
+/// ends a bodiless item (`#[cfg(test)] use helpers;`) at the attribute's
+/// own brace depth, so the `;` of a `use` inside a nested `mod` ends it too.
 fn mark_test_regions(tokens: &[Token], lines: &mut [SourceLine]) {
     let mut depth: usize = 0;
-    let mut armed = false;
+    // Brace depth of a test attribute whose item has not begun its body.
+    let mut armed: Option<usize> = None;
     let mut test_floor: Option<usize> = None;
     for line in lines.iter_mut() {
         if test_floor.is_some() {
             line.in_test = true;
-        } else if line
-            .tokens
-            .clone()
-            .any(|i| TEST_ATTRS.iter().any(|attr| spells(&tokens[i..], attr)))
-        {
-            armed = true;
-            line.in_test = true;
         }
-        for tok in &tokens[line.tokens.clone()] {
-            match tok.kind {
+        for i in line.tokens.clone() {
+            if test_floor.is_none() && TEST_ATTRS.iter().any(|attr| spells(&tokens[i..], attr)) {
+                armed = Some(depth);
+                line.in_test = true;
+            }
+            match tokens[i].kind {
                 Tok::Open('{') => {
-                    if armed {
+                    if armed.take().is_some() {
                         test_floor = Some(depth);
-                        armed = false;
                         line.in_test = true;
                     }
                     depth += 1;
@@ -261,7 +259,7 @@ fn mark_test_regions(tokens: &[Token], lines: &mut [SourceLine]) {
                         test_floor = None;
                     }
                 }
-                Tok::Punct(";") if armed && depth == 0 => armed = false,
+                Tok::Punct(";") if armed == Some(depth) => armed = None,
                 _ => {}
             }
         }
@@ -318,6 +316,14 @@ mod tests {
         let src = "#[cfg(test)]\nuse helpers::*;\npub fn lib() {\n    x.unwrap();\n}\n#[bench]\nfn b() {}\n";
         let in_test: Vec<bool> = scan(src).iter().map(|l| l.in_test).collect();
         assert_eq!(in_test, vec![true, false, false, false, false, true, true]);
+        // Inside a nested module the `;` ends the item at the attribute's
+        // own brace depth.
+        let src = "mod inner {\n    #[cfg(test)]\n    use super::*;\n    pub fn lib() {\n        x.unwrap();\n    }\n}\n";
+        let in_test: Vec<bool> = scan(src).iter().map(|l| l.in_test).collect();
+        assert_eq!(
+            in_test,
+            vec![false, true, false, false, false, false, false]
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ const WORKSPACES: [(&str, usize); 5] = [
     ("conc_ws", 5),
     ("hotpath_ws", 3),
     ("route_ws", 3),
-    ("rules_ws", 31),
+    ("rules_ws", 32),
     ("taint_ws", 6),
 ];
 

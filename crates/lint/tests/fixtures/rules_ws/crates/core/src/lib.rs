@@ -163,3 +163,23 @@ mod tests {
 pub fn after_test_module(x: Option<u8>) -> u8 {
     x.unwrap()
 }
+
+/// A test attribute in a nested module ends at the `;` of its own item.
+pub mod inner {
+    #[cfg(test)]
+    use super::*;
+
+    /// Library code after the test-only `use`.
+    pub fn lib(x: Option<u8>) -> u8 {
+        x.unwrap()
+    }
+}
+
+/// Documented above a multi-line attribute.
+#[cfg_attr(
+    feature = "never",
+    must_use
+)]
+pub fn doc_above_multi_line_attribute() -> u8 {
+    0
+}
