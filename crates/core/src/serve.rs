@@ -379,20 +379,38 @@ fn input_key(row: &[f32]) -> u64 {
     h
 }
 
-struct CacheEntry {
+/// End marker of the recency list: "no slot".
+const NIL: usize = usize::MAX;
+
+/// One resident cache entry and its neighbours in the recency list.
+struct Slot {
+    key: u64,
     input: Vec<f32>,
     probs: Vec<f32>,
     predicted: usize,
+    /// The next less recently used slot (`NIL` at the LRU end).
+    older: usize,
+    /// The next more recently used slot (`NIL` at the MRU end).
+    newer: usize,
 }
 
 /// Bounded LRU prediction cache. Keys are quantized-input hashes; a lookup
 /// must also match the stored input bitwise, so two inputs that collide in
 /// key space can never serve each other's prediction.
+///
+/// Entries live in a slab of slots that grows to `capacity` and never
+/// shrinks. The map sends a key to its slot, and the slots form a doubly
+/// linked recency list through their indices, so a hit, a fill and an
+/// eviction each relink a constant number of slots. An evicted slot is
+/// refilled in place, reusing its probability buffer.
 struct PredictionCache {
     capacity: usize,
-    map: BTreeMap<u64, CacheEntry>,
-    /// Keys from least- to most-recently used.
-    order: VecDeque<u64>,
+    map: BTreeMap<u64, usize>,
+    slots: Vec<Slot>,
+    /// Least recently used slot, the next to be evicted (`NIL` when empty).
+    lru: usize,
+    /// Most recently used slot (`NIL` when empty).
+    mru: usize,
 }
 
 impl PredictionCache {
@@ -400,67 +418,118 @@ impl PredictionCache {
         PredictionCache {
             capacity,
             map: BTreeMap::new(),
-            order: VecDeque::new(),
+            slots: Vec::new(),
+            lru: NIL,
+            mru: NIL,
         }
-    }
-
-    fn touch(&mut self, key: u64) {
-        // Hot-path shortcut: a repeated hit on the most-recent key (the
-        // common serving pattern) skips the linear recency scan entirely.
-        if self.order.back() == Some(&key) {
-            return;
-        }
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key);
-    }
-
-    fn get(&mut self, input: &[f32]) -> Option<(Vec<f32>, usize)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let key = input_key(input);
-        let hit = match self.map.get(&key) {
-            Some(entry) if bitwise_eq(&entry.input, input) => {
-                // lint: alloc(a hit hands the caller an owned row; the entry stays resident)
-                Some((entry.probs.clone(), entry.predicted))
-            }
-            _ => None,
-        };
-        if hit.is_some() {
-            self.touch(key);
-        }
-        hit
     }
 
     fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
-    fn insert(&mut self, input: Vec<f32>, probs: Vec<f32>, predicted: usize) {
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn slot(&self, i: usize) -> &Slot {
+        &self.slots[i] // lint: panicfree(slot indices come from the map, the list ends and links, and every one is below slots.len(): slots are pushed, never removed)
+    }
+
+    fn slot_mut(&mut self, i: usize) -> &mut Slot {
+        &mut self.slots[i] // lint: panicfree(slot indices come from the map, the list ends and links, and every one is below slots.len(): slots are pushed, never removed)
+    }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = (self.slot(i).older, self.slot(i).newer);
+        if older == NIL {
+            self.lru = newer;
+        } else {
+            self.slot_mut(older).newer = newer;
+        }
+        if newer == NIL {
+            self.mru = older;
+        } else {
+            self.slot_mut(newer).older = older;
+        }
+    }
+
+    /// Links slot `i`, which is not in the list, in as most recently used.
+    fn push_mru(&mut self, i: usize) {
+        let mru = self.mru;
+        let slot = self.slot_mut(i);
+        slot.older = mru;
+        slot.newer = NIL;
+        if mru == NIL {
+            self.lru = i;
+        } else {
+            self.slot_mut(mru).newer = i;
+        }
+        self.mru = i;
+    }
+
+    /// Makes resident slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if i != self.mru {
+            self.unlink(i);
+            self.push_mru(i);
+        }
+    }
+
+    /// The cached answer for `input`, whose [`input_key`] is `key`; a hit
+    /// becomes the most recently used entry.
+    fn lookup(&mut self, key: u64, input: &[f32]) -> Option<(Vec<f32>, usize)> {
+        let &i = self.map.get(&key)?;
+        let slot = self.slot(i);
+        if !bitwise_eq(&slot.input, input) {
+            return None;
+        }
+        // lint: alloc(a hit hands the caller an owned row; the entry stays resident)
+        let hit = (slot.probs.clone(), slot.predicted);
+        self.touch(i);
+        Some(hit)
+    }
+
+    /// Stores the answer for `input` under its key `key` as the most
+    /// recently used entry. A resident entry with that key is overwritten;
+    /// otherwise a full cache refills the slot of its least recently used
+    /// entry.
+    fn fill(&mut self, key: u64, input: Vec<f32>, probs: &[f32], predicted: usize) {
         if self.capacity == 0 {
             return;
         }
-        let key = input_key(&input);
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
+        let i = match self.map.get(&key) {
+            Some(&i) => i,
+            None if self.slots.len() < self.capacity => {
+                self.map.insert(key, self.slots.len());
+                self.slots.push(Slot {
+                    key,
+                    input,
+                    // lint: alloc(one buffer per slot until the cache is full; evictions reuse it)
+                    probs: probs.to_vec(),
+                    predicted,
+                    older: NIL,
+                    newer: NIL,
+                });
+                self.push_mru(self.slots.len() - 1);
+                return;
             }
-        }
-        self.map.insert(
-            key,
-            CacheEntry {
-                input,
-                probs,
-                predicted,
-            },
-        );
-        self.touch(key);
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
+            None => {
+                let i = self.lru;
+                let evicted = self.slot(i).key;
+                self.map.remove(&evicted);
+                self.map.insert(key, i);
+                i
+            }
+        };
+        let slot = self.slot_mut(i);
+        slot.key = key;
+        slot.input = input;
+        slot.probs.clear();
+        slot.probs.extend_from_slice(probs);
+        slot.predicted = predicted;
+        self.touch(i);
     }
 }
 
@@ -527,6 +596,8 @@ struct Pending {
     id: u64,
     arrival: u64,
     input: Vec<f32>,
+    /// [`input_key`] of `input` (`0`, unused, when caching is off).
+    key: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -655,7 +726,14 @@ impl<'a> ServingEngine<'a> {
             return Err(ServeError::NonFinite { index });
         }
 
-        if let Some((probs, predicted)) = self.cache.get(&input) {
+        // The key is computed once per request: a miss carries it to the
+        // cache fill after its forward pass.
+        let key = if self.cache.enabled() {
+            input_key(&input)
+        } else {
+            0
+        };
+        if let Some((probs, predicted)) = self.cache.lookup(key, &input) {
             self.telemetry.admitted += 1;
             self.telemetry.cache_hits += 1;
             self.telemetry.answered += 1;
@@ -683,6 +761,7 @@ impl<'a> ServingEngine<'a> {
             id,
             arrival: self.clock.now_nanos(),
             input,
+            key,
         });
         Ok(id)
     }
@@ -773,10 +852,7 @@ impl<'a> ServingEngine<'a> {
                 self.telemetry.cache_misses += 1;
                 self.telemetry.answered += 1;
                 self.telemetry.latency.record(latency);
-                if self.cache.enabled() {
-                    // lint: alloc(the cache keeps its own copy of the row)
-                    self.cache.insert(p.input, row.clone(), predicted);
-                }
+                self.cache.fill(p.key, p.input, &row, predicted);
                 self.ready.push(ServeResponse {
                     id: p.id,
                     probs: row,
@@ -1008,6 +1084,17 @@ mod tests {
         assert_eq!(input_key(&x), input_key(&y), "test premise: same bucket");
         cache.insert(x.clone(), vec![0.9], 1);
         assert!(cache.get(&y).is_none());
+    }
+
+    /// Test conveniences that key a row the way `submit` does.
+    impl PredictionCache {
+        fn get(&mut self, input: &[f32]) -> Option<(Vec<f32>, usize)> {
+            self.lookup(input_key(input), input)
+        }
+
+        fn insert(&mut self, input: Vec<f32>, probs: Vec<f32>, predicted: usize) {
+            self.fill(input_key(&input), input, &probs, predicted);
+        }
     }
 
     /// The LRU the cache is checked against: a key map plus a `VecDeque`
