@@ -1,5 +1,7 @@
 //! GEMM kernel baseline: blocked kernels vs the seed's naive loops, per
-//! variant and shape, plus the serving fast paths —
+//! variant and shape, and at the system's training shapes with post-ReLU A
+//! operands (the dense kernel against the exact-zero-skipping one), plus
+//! the serving fast paths —
 //! prepacked weight panels and fused epilogues — against per-call packing
 //! and the unfused forward, and the ZSL-KG neighbour aggregation —
 //! sparse rows against the dense blocked GEMM on the same adjacency.
@@ -32,6 +34,10 @@ use taglets_eval::ExperimentScale;
 use taglets_graph::{normalized_adjacency, SyntheticGraphConfig};
 use taglets_tensor::kernels::{self, Epilogue, GemmKind};
 use taglets_tensor::{SparseMatrix, Tensor};
+
+/// How every row is timed, recorded in the `BENCH_kernels.json` header.
+const PROTOCOL: &str = "serial on the calling thread; each row is one side of an \
+    interleaved pair (see time_pair), min of 9 samples of ~25 ms of calls each";
 
 /// One timed configuration. `epilogue` is `"none"` or `"bias_relu"`.
 struct Record {
@@ -126,6 +132,15 @@ fn smoke_scads_adjacency() -> SparseMatrix {
     normalized_adjacency(scads.graph())
 }
 
+/// Hands out `ops` round-robin, one per call.
+fn cycler<'a>(ops: &'a [Tensor]) -> impl FnMut() -> &'a Tensor {
+    let mut i = 0;
+    move || {
+        i = (i + 1) % ops.len();
+        &ops[i]
+    }
+}
+
 fn gflops(m: usize, k: usize, n: usize, ns: u128) -> f64 {
     (2.0 * m as f64 * k as f64 * n as f64) / ns as f64
 }
@@ -183,6 +198,103 @@ fn main() {
             records.push(rec(op, "reference", m, k, n, rns));
             records.push(rec(op, "blocked", m, k, n, bns));
         }
+    }
+
+    // Post-ReLU A operands at the system's training shapes: the BiT
+    // stand-in's pretraining forward (`Nn` 128x96x64) and weight gradient
+    // (`Tn` 96x128x64), and a TAGLETS module's 64-wide layers (`Nn` and
+    // `Tn` 64x64x64). ReLU leaves about half of A at exact zero, which is
+    // what decides the exact-zero skip, so `randn` operands alone never
+    // show this path. `blocked` is the production dispatch (B finite, so
+    // every tile runs the dense kernel); `blocked_skip` puts one +inf in B,
+    // which sends every tile holding a zero to the skipping kernel. Every
+    // call takes the next of `POST_RELU_OPERANDS` A operands, as a training
+    // step meets new activations, so the branch predictor cannot learn one
+    // zero pattern. Both are asserted bitwise equal to the reference loops
+    // on every operand. `blocked` is recorded from its pairing with
+    // `blocked_skip`, the comparison this row family exists for.
+    const POST_RELU_OPERANDS: usize = 8;
+    let mut post_relu_lines: Vec<String> = Vec::new();
+    for &(kind, m, k, n) in &[
+        (GemmKind::Nn, 128usize, 96usize, 64usize),
+        (GemmKind::Tn, 96, 128, 64),
+        (GemmKind::Nn, 64, 64, 64),
+        (GemmKind::Tn, 64, 64, 64),
+    ] {
+        let a_shape = if kind == GemmKind::Nn { [m, k] } else { [k, m] };
+        let a_ops: Vec<Tensor> = (0..POST_RELU_OPERANDS)
+            .map(|_| {
+                let mut a = Tensor::randn(&a_shape, 1.0, &mut rng);
+                for v in a.data_mut() {
+                    *v = v.max(0.0);
+                }
+                a
+            })
+            .collect();
+        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let mut b_inf = b.clone();
+        b_inf.data_mut()[k * n / 2] = f32::INFINITY;
+        let reference = |a: &Tensor, b: &Tensor| {
+            if kind == GemmKind::Nn {
+                a.matmul_reference(b)
+            } else {
+                a.matmul_tn_reference(b)
+            }
+        };
+        let blocked = |a: &Tensor, b: &Tensor, o: &mut Tensor| {
+            if kind == GemmKind::Nn {
+                a.matmul_into(b, o)
+            } else {
+                a.matmul_tn_into(b, o)
+            }
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut out = Tensor::default();
+        for a in &a_ops {
+            for (operand, what) in [(&b, "finite"), (&b_inf, "non-finite")] {
+                blocked(a, operand, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference(a, operand)),
+                    "blocked {kind:?} must match reference bitwise at {m}x{k}x{n}, post-ReLU A, {what} B"
+                );
+            }
+        }
+        let (mut a0, mut a1, mut a2, mut a3) = (
+            cycler(&a_ops),
+            cycler(&a_ops),
+            cycler(&a_ops),
+            cycler(&a_ops),
+        );
+        let (rns, _) = time_pair(
+            || {
+                std::hint::black_box(reference(a0(), &b));
+            },
+            || {
+                blocked(a1(), &b, &mut out);
+                std::hint::black_box(&out);
+            },
+        );
+        let mut skip_out = Tensor::default();
+        let (sns, bns) = time_pair(
+            || {
+                blocked(a2(), &b_inf, &mut skip_out);
+                std::hint::black_box(&skip_out);
+            },
+            || {
+                blocked(a3(), &b, &mut out);
+                std::hint::black_box(&out);
+            },
+        );
+        let op = if kind == GemmKind::Nn {
+            "matmul_post_relu"
+        } else {
+            "matmul_tn_post_relu"
+        };
+        records.push(rec(op, "reference", m, k, n, rns));
+        records.push(rec(op, "blocked", m, k, n, bns));
+        post_relu_lines.push(format!("{op} {m}x{k}x{n} {:.2}x", sns as f64 / bns as f64));
+        records.push(rec(op, "blocked_skip", m, k, n, sns));
     }
 
     // Prepacked weight panels (the serving fast path): `gemm_into` repacks
@@ -452,6 +564,10 @@ fn main() {
         packed_speedup(256)
     ));
     out.push_str(&format!(
+        "post-ReLU A, dense kernel (finite B) vs skipping kernel (B holds +inf): {}\n",
+        post_relu_lines.join(", ")
+    ));
+    out.push_str(&format!(
         "fused epilogue vs three-pass forward (gate: best micro-batch >= 1.1x): {}\n",
         fused_ratio_lines.join(", ")
     ));
@@ -463,7 +579,12 @@ fn main() {
     write_results("kernels", &out);
 
     if json_mode {
-        let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"unit\": {\"ns_per_iter\": \"min of 9 samples\", \"gflops\": \"2*m*k*n / ns_per_iter\"},\n  \"results\": [\n");
+        // The header records the host's core count and how each row was
+        // timed, so a diff against a baseline from another host shows it.
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let mut json = format!(
+            "{{\n  \"bench\": \"kernels\",\n  \"cores\": {cores},\n  \"protocol\": \"{PROTOCOL}\",\n  \"unit\": {{\"ns_per_iter\": \"min of 9 samples\", \"gflops\": \"2*m*k*n / ns_per_iter\"}},\n  \"results\": [\n"
+        );
         for (i, r) in records.iter().enumerate() {
             // Every kernel is f32; the `dtype` key keeps the row schema of
             // earlier baselines so rows stay diffable.

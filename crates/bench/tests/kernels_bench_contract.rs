@@ -4,11 +4,13 @@
 //! downstream tooling diffs PR-over-PR, so its schema is pinned here: a
 //! bench refactor that drops a key or a row family fails this test, not
 //! whatever script consumes the file next. Every row carries `epilogue`
-//! ("none" / "bias_relu") and `dtype` (always "f32"). Beyond the
-//! blocked-vs-reference sweep, three row families are pinned: prepacked vs
-//! per-call-packed weight panels, fused-vs-unfused linear forwards at
-//! serving micro-batch shapes, and sparse-vs-dense neighbour aggregation at
-//! the smoke SCADS adjacency.
+//! ("none" / "bias_relu") and `dtype` (always "f32"), and the header
+//! records the host's core count and the timing protocol. Beyond the
+//! blocked-vs-reference sweep, four row families are pinned: post-ReLU
+//! products at the system's training shapes, prepacked vs per-call-packed
+//! weight panels, fused-vs-unfused linear forwards at serving micro-batch
+//! shapes, and sparse-vs-dense neighbour aggregation at the smoke SCADS
+//! adjacency.
 //!
 //! The perf *ratios* themselves are asserted inside the bench binary
 //! (`scripts/check.sh bench-kernels`), which also re-verifies bitwise
@@ -32,6 +34,47 @@ fn baseline_has_the_pinned_top_level_shape() {
     assert!(json.contains("\"bench\": \"kernels\""));
     assert!(json.contains("\"unit\""));
     assert!(json.contains("\"results\""));
+}
+
+#[test]
+fn header_records_cores_and_protocol() {
+    let json = baseline();
+    let header = json
+        .split_once("\"results\"")
+        .map(|(head, _)| head)
+        .expect("baseline has a results array");
+    let cores = header
+        .split_once("\"cores\": ")
+        .and_then(|(_, rest)| rest.split(',').next())
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .expect("header records \"cores\" as a count");
+    assert!(cores >= 1, "core count {cores}");
+    assert!(
+        header.contains("\"protocol\": \""),
+        "header records the timing \"protocol\""
+    );
+}
+
+#[test]
+fn post_relu_rows_cover_the_training_shapes() {
+    let json = baseline();
+    for (op, m, k, n) in [
+        ("matmul_post_relu", 128usize, 96usize, 64usize),
+        ("matmul_tn_post_relu", 96, 128, 64),
+        ("matmul_post_relu", 64, 64, 64),
+        ("matmul_tn_post_relu", 64, 64, 64),
+    ] {
+        for imp in ["reference", "blocked", "blocked_skip"] {
+            let row = format!(
+                "\"op\": \"{op}\", \"impl\": \"{imp}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
+                 \"epilogue\": \"none\", \"dtype\": \"f32\""
+            );
+            assert!(
+                json.contains(&row),
+                "BENCH_kernels.json missing the {imp} {op} row at {m}x{k}x{n}"
+            );
+        }
+    }
 }
 
 #[test]

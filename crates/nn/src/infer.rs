@@ -10,8 +10,9 @@
 //!
 //! **Bitwise contract:** the fast path runs the *same* blocked GEMM kernel
 //! as the tape ([`taglets_tensor::kernels::gemm_packed_into`] is exactly
-//! the second half of the tape's `gemm_into`, including its exact-zero skip
-//! for the `Nn` variant) with the bias add — and, for ReLU backbones, the
+//! the second half of the tape's `gemm_into`, including its `Nn` choice
+//! between the dense and the exact-zero-skipping micro-kernel) with the
+//! bias add — and, for ReLU backbones, the
 //! activation — fused into the kernel epilogue ([`kernels::Epilogue`]).
 //! Fusion never changes bits: the epilogue applies the same per-element f32
 //! ops (`(acc + bias).max(0.0)`) in the same order the tape's `add_row` +
@@ -20,9 +21,9 @@
 //! row (final probabilities via the same [`softmax_rows`]). Because every op
 //! is row-independent, each output row is also bitwise identical no matter
 //! which batch (of any size) the input row rides in; `core::serve` leans on
-//! this to make micro-batched parallel serving indistinguishable from serial
-//! single-request serving. The `fused_packed_forward_*` tests below pin both
-//! claims.
+//! this to make micro-batched serving, which runs each batch on the calling
+//! thread, indistinguishable from single-request serving. The
+//! `fused_packed_forward_*` tests below pin both claims.
 //!
 //! [`Tape`]: taglets_tensor::Tape
 //! [`softmax_rows`]: taglets_tensor::softmax_rows

@@ -31,14 +31,20 @@
 //!    elements are computed together, never the order of adds *within* an
 //!    element, and there is no k-splitting (no partial writebacks that
 //!    would, e.g., turn `-0.0` into `+0.0` via `acc + 0.0`).
-//! 2. **The exact-zero skip is replicated per variant.** The seed `Nn` and
-//!    `Tn` loops skip terms whose A scalar is bitwise zero, while the seed
-//!    `Nt` dot-product loop does not; the micro-kernel takes the skip as a
-//!    const-generic so each variant keeps its own semantics (this matters:
-//!    `0.0 * inf` is NaN, so skipping is observable). Because the skip can
-//!    only fire when some A scalar *is* zero, each row tile is scanned once
-//!    and dense tiles dispatch the branch-free kernel — identical terms in
-//!    identical order, minus the un-vectorizable branch.
+//! 2. **The exact-zero skip is kept only where it is observable.** The
+//!    seed `Nn` and `Tn` loops skip terms whose A scalar is bitwise zero,
+//!    while the seed `Nt` dot-product loop does not. Every accumulator
+//!    starts at `+0.0`, and under round-to-nearest a sum that starts there
+//!    never becomes `-0.0`: `+0 + -0` is `+0`, and two nonzero floats that
+//!    cancel exactly sum to `+0`. So when `b` is finite the skipped term
+//!    `±0·b` is `±0`, and `acc + ±0` equals `acc` bit for bit (a NaN or
+//!    infinite `acc` included). Skipping changes a result only through
+//!    `0·±inf` and `0·NaN`, which are NaN. The `Nn`/`Tn` kernels therefore
+//!    take the skipping micro-kernel (a const-generic `SKIP`) only for row
+//!    tiles that hold a zero *and* whose B operand holds a non-finite
+//!    value; every other tile runs the branch-free kernel, which
+//!    vectorizes. B's finiteness is scanned at most once per call, and only
+//!    when a tile holding a zero asks for it. `Nt` never skips.
 //! 3. **Every output element is assigned exactly once** (a register store,
 //!    not a read-modify-write), so the kernels never read `out` — calling
 //!    them with a dirty reused buffer gives the same bits as a fresh
@@ -268,6 +274,8 @@ fn gemm_rows(
     // result is bitwise unchanged.
     // lint: alloc(lazy Tn-only transpose scratch; sized once, reused per row tile)
     let mut apack: Vec<f32> = Vec::new();
+    // Whether every packed B value is finite; unknown until a tile asks.
+    let mut b_finite: Option<bool> = None;
     let mut it = 0;
     while it < rows {
         let mr = (rows - it).min(MR);
@@ -285,16 +293,19 @@ fn gemm_rows(
         } else {
             (a, a_stride, it)
         };
-        // The exact-zero skip of the Nn/Tn reference loops only fires when
-        // some A scalar of this row tile is bitwise zero. Scan the tile
-        // once: dense tiles — the overwhelmingly common case for weights
-        // and activations before a ReLU — dispatch the branch-free
-        // micro-kernel, which vectorizes, and is term-for-term identical
-        // arithmetic when no zero exists. Sparse tiles keep the skipping
-        // kernel, where skipping saves work.
+        // The Nn/Tn reference loops skip a term whose A scalar is ±0, which
+        // is observable only against a non-finite B value (module docs,
+        // point 2). So tiles holding no zero, and every tile once B is
+        // known finite, take the branch-free kernel, which vectorizes. B's
+        // finiteness is scanned at most once per call, on the first tile
+        // holding a zero, so calls whose A holds no zero never pay for it.
         let skip = match kind {
             GemmKind::Nt => false,
-            GemmKind::Nn | GemmKind::Tn => tile_has_zero(ta, ts, tr, mr, k),
+            GemmKind::Nn | GemmKind::Tn => {
+                b_finite != Some(true)
+                    && tile_has_zero(ta, ts, tr, mr, k)
+                    && !*b_finite.get_or_insert_with(|| all_finite(panel))
+            }
         };
         let mut jp = 0;
         let mut j0 = 0;
@@ -332,13 +343,25 @@ fn tile_has_zero(a: &[f32], a_stride: usize, arow0: usize, mr: usize, k: usize) 
         .any(|row| row[..k].iter().any(|v| v.to_bits() << 1 == 0)) // lint: panicfree(chunk width a_stride >= k)
 }
 
+/// `true` when no value of the packed B panel is ±inf or NaN. The panel's
+/// zero padding is finite, so it never changes the answer. The integer max
+/// over the magnitude bits has no early exit, so the scan vectorizes.
+fn all_finite(panel: &[f32]) -> bool {
+    let max_magnitude = panel
+        .iter()
+        .fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+    max_magnitude < f32::INFINITY.to_bits()
+}
+
 /// The register micro-kernel: an `MRR`×[`NR`] output tile accumulated in
 /// registers over the full `k` reduction, then stored (assignment, not
 /// read-modify-write).
 ///
 /// * `MRR` — live tile rows (`1..=MR`, ragged m-tails use smaller tiles).
-/// * `SKIP` — replicate the seed loops' exact-zero skip on the A scalar
-///   (`Nn`/`Tn` skip, `Nt` does not).
+/// * `SKIP` — replicate the seed loops' exact-zero skip on the A scalar.
+///   `gemm_rows` sets it only for `Nn`/`Tn` tiles that hold a zero against
+///   a B operand holding ±inf or NaN, the one case where skipping changes
+///   a bit (module docs, point 2).
 ///
 /// A is always row-major here — `Tn` tiles arrive pre-transposed by
 /// `gemm_rows`, so all three variants share this one code path (and its
@@ -548,6 +571,22 @@ mod tests {
         assert_eq!(nn.data(), a.matmul_reference(&inf).data());
         let nt_ref = a.matmul_nt_reference(&inf.transposed());
         assert!(nt_ref.data()[0].is_nan());
+        // Tn skips like Nn: A stored [k, m] = [[0], [0]] against the same B.
+        let at = a.transposed();
+        let tn = at.matmul_tn(&inf);
+        assert_eq!(tn.data(), &[0.0, 0.0], "Tn skip swallows 0*inf");
+        assert_eq!(tn.data(), at.matmul_tn_reference(&inf).data());
+        // A NaN in B is swallowed the same way, while an output row whose
+        // A column holds no zero still meets it: row 0 skips the NaN term,
+        // row 1 propagates it.
+        let nan = Tensor::from_rows(&[&[f32::NAN, 1.0], &[1.0, 1.0]]);
+        let mixed = Tensor::from_rows(&[&[-0.0, 2.0], &[1.0, 2.0]]); // [k, m]
+        let tn = mixed.matmul_tn(&nan);
+        assert_eq!(&tn.data()[..2], &[1.0, 1.0]);
+        assert!(tn.data()[2].is_nan(), "Tn keeps 2*NaN = NaN");
+        let tn_ref = mixed.matmul_tn_reference(&nan);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tn), bits(&tn_ref));
     }
 
     #[test]

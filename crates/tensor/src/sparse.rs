@@ -10,9 +10,10 @@
 //!
 //! # Why this is bitwise identical to the dense product
 //!
-//! The blocked `Nn` and `Tn` GEMM kernels accumulate each output element
-//! from `0.0` over ascending `p`, skipping every term whose A scalar is an
-//! exact zero (see [`crate::kernels`]). The terms that survive that skip
+//! The seed `Nn` and `Tn` loops, whose bits the blocked GEMM kernels
+//! reproduce (see [`crate::kernels`]), accumulate each output element from
+//! `0.0` over ascending `p`, skipping every term whose A scalar is an exact
+//! zero. The terms that survive that skip
 //! are precisely the stored entries here — exact zeros are never stored —
 //! and [`SparseMatrix::matmul`] / [`SparseMatrix::matmul_tn`] add them
 //! from `0.0` in the same ascending order. Rust never contracts `a*b + c`
@@ -94,8 +95,8 @@ impl Compressed {
     /// `out += M·rhs` for the matrix whose lines these are, where `rhs` is
     /// row-major with `width` columns and `out` arrives zeroed. Each output
     /// row is accumulated from `0.0` over the line's entries in ascending
-    /// index order — the term order of the dense kernels after their
-    /// exact-zero skip.
+    /// index order — the term order of the dense reference loops after
+    /// their exact-zero skip.
     fn accumulate_product(&self, rhs: &[f32], width: usize, out: &mut [f32]) {
         if width == 0 {
             return;
@@ -116,8 +117,8 @@ impl Compressed {
 impl SparseMatrix {
     /// Builds a `rows.len() × cols` matrix from each row's `(column, value)`
     /// entries, given in any order. Exact zeros (either sign) are dropped,
-    /// so they never enter a product — matching the dense kernels, which
-    /// skip them.
+    /// so they never enter a product — matching the dense reference loops,
+    /// which skip them.
     ///
     /// # Panics
     ///

@@ -12,11 +12,17 @@
 //!    buffer and a reused packing panel — and `backward_with` with a dirty
 //!    recycled [`GradScratch`] — equal fresh allocation bitwise, because
 //!    every kernel output element is stored exactly once.
+//! 3. **The exact-zero skip is decided by B's finiteness.** Post-ReLU A
+//!    operands (±0.0, subnormals, products that underflow to ±0) give the
+//!    reference loops' bits both when B is all finite (every tile runs the
+//!    dense kernel) and when B holds ±inf or NaN (tiles holding a zero run
+//!    the skipping kernel).
 
 #![cfg(feature = "reference-kernels")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use taglets_tensor::kernels::{self, Epilogue, GemmKind};
 use taglets_tensor::{check_gradients, GradScratch, Tape, Tensor};
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -196,4 +202,106 @@ fn tape_forward_values_match_reference_kernels() {
     let wv = tape.constant(w.clone());
     let y = tape.matmul(xv, wv);
     assert_eq!(bits(tape.value(y)), bits(&x.matmul_reference(&w)));
+}
+
+/// A `[rows, cols]` operand shaped like a post-ReLU activation: about half
+/// exact zeros of either sign, some subnormals, some values near 1e-30
+/// (whose products with [`b_operand`]'s 1e-20 values underflow to ±0), and
+/// the rest normal.
+fn post_relu_operand(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+    let mut t = Tensor::randn(&[rows, cols], 1.0, rng);
+    for v in t.data_mut() {
+        *v = match rng.gen_range(0..10) {
+            0..=3 => 0.0,
+            4 => -0.0,
+            5 => f32::from_bits(rng.gen_range(1..0x0080_0000)) * v.signum(),
+            6 => 1e-30 * v.signum(),
+            _ => *v,
+        };
+    }
+    t
+}
+
+/// A `[rows, cols]` B operand: normal values, ±0.0, subnormals and ±1e-20,
+/// plus `specials` placed at random positions (pass none for an
+/// all-finite B).
+fn b_operand(rows: usize, cols: usize, specials: &[f32], rng: &mut StdRng) -> Tensor {
+    let mut t = Tensor::randn(&[rows, cols], 1.0, rng);
+    for v in t.data_mut() {
+        *v = match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(rng.gen_range(1..0x0080_0000)) * v.signum(),
+            3 => 1e-20 * v.signum(),
+            _ => *v,
+        };
+    }
+    let len = rows * cols;
+    for &s in specials {
+        t.data_mut()[rng.gen_range(0..len)] = s;
+    }
+    t
+}
+
+/// Checks `Nn` and `Tn` (through `Tensor` and through a prepacked panel)
+/// against the reference loops, bit for bit, on post-ReLU A operands.
+fn assert_skip_dispatch_matches_reference(specials: &[f32], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut shapes = vec![
+        (1, 1, 1),
+        (1, 48, 64),
+        (5, 9, 17),
+        (33, 13, 9),
+        (64, 64, 64),
+        (128, 96, 64),
+    ];
+    for _ in 0..6 {
+        shapes.push((
+            rng.gen_range(1..40),
+            rng.gen_range(1..40),
+            rng.gen_range(1..40),
+        ));
+    }
+    for (m, k, n) in shapes {
+        let a = post_relu_operand(m, k, &mut rng); // Nn: A stored [m, k]
+        let at = post_relu_operand(k, m, &mut rng); // Tn: A stored [k, m]
+        let b = b_operand(k, n, specials, &mut rng);
+        let nn_ref = bits(&a.matmul_reference(&b));
+        let tn_ref = bits(&at.matmul_tn_reference(&b));
+        assert_eq!(bits(&a.matmul(&b)), nn_ref, "Nn {m}x{k}x{n} {specials:?}");
+        assert_eq!(
+            bits(&at.matmul_tn(&b)),
+            tn_ref,
+            "Tn {m}x{k}x{n} {specials:?}"
+        );
+
+        let mut panel = Vec::new();
+        for (kind, lhs, expect) in [(GemmKind::Nn, &a, &nn_ref), (GemmKind::Tn, &at, &tn_ref)] {
+            kernels::pack_b(kind, k, n, b.data(), &mut panel);
+            let mut out = vec![f32::NAN; m * n];
+            kernels::gemm_packed_into(kind, m, k, n, lhs.data(), &panel, Epilogue::None, &mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(&got, expect, "prepacked {kind:?} {m}x{k}x{n} {specials:?}");
+        }
+    }
+}
+
+#[test]
+fn post_relu_operands_with_finite_b_match_reference_bitwise() {
+    assert_skip_dispatch_matches_reference(&[], 0x5E10);
+}
+
+#[test]
+fn post_relu_operands_with_non_finite_b_match_reference_bitwise() {
+    for (i, specials) in [
+        &[f32::INFINITY][..],
+        &[f32::NEG_INFINITY, f32::INFINITY],
+        &[f32::NAN],
+        &[f32::NAN, f32::NEG_INFINITY],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_skip_dispatch_matches_reference(specials, 0x1AF + i as u64);
+    }
 }
