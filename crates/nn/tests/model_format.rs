@@ -31,6 +31,15 @@ fn saving_the_fixture_model_reproduces_the_checked_in_bytes() {
 }
 
 #[test]
+fn resaving_the_loaded_fixture_reproduces_its_bytes() {
+    let loaded = load_classifier(FIXTURE).unwrap();
+    let mut buf = Vec::new();
+    save_classifier(&loaded, &mut buf).unwrap();
+    assert_eq!(buf.len(), FIXTURE.len());
+    assert!(buf == FIXTURE, "re-saved bytes differ from the fixture");
+}
+
+#[test]
 fn loading_the_fixture_reproduces_tape_predictions_bitwise() {
     let model = fixture_model();
     let loaded = load_classifier(FIXTURE).unwrap();
