@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use taglets_graph::ConceptId;
 use taglets_nn::{fit_hard, Classifier, FitConfig, Mlp};
+use taglets_tensor::exec::Executor;
 use taglets_tensor::{LrSchedule, Sgd, SgdConfig, Tensor};
 
 use crate::{AuxiliaryCorpus, ConceptUniverse, DataError};
@@ -170,7 +171,9 @@ pub struct ModelZoo {
 }
 
 impl ModelZoo {
-    /// Pretrains both encoders on the auxiliary corpus.
+    /// Pretrains both encoders on the auxiliary corpus, concurrently: they
+    /// share nothing but the read-only corpus, and each seeds its own RNG
+    /// (`cfg.seed ^ kind`), so the result is bitwise that of a serial loop.
     ///
     /// # Errors
     ///
@@ -183,22 +186,23 @@ impl ModelZoo {
         if corpus.is_empty() {
             return Err(DataError::EmptyCorpus);
         }
-        let resnet = Self::pretrain_one(
-            universe,
-            corpus,
-            cfg,
-            BackboneKind::ResNet50ImageNet1k,
-            cfg.hidden_resnet,
-            cfg.epochs_resnet,
-        );
-        let bit = Self::pretrain_one(
-            universe,
-            corpus,
-            cfg,
-            BackboneKind::BitImageNet21k,
-            cfg.hidden_bit,
-            cfg.epochs_bit,
-        );
+        let jobs = [
+            (
+                BackboneKind::ResNet50ImageNet1k,
+                cfg.hidden_resnet,
+                cfg.epochs_resnet,
+            ),
+            (BackboneKind::BitImageNet21k, cfg.hidden_bit, cfg.epochs_bit),
+        ];
+        let mut models = Executor::new().run(jobs.len(), |i| {
+            let (kind, hidden, epochs) = jobs[i];
+            Ok::<_, DataError>(Self::pretrain_one(
+                universe, corpus, cfg, kind, hidden, epochs,
+            ))
+        })?;
+        // `run` returns one model per job, in job order.
+        let bit = models.swap_remove(1);
+        let resnet = models.swap_remove(0);
         Ok(ModelZoo { resnet, bit })
     }
 
