@@ -4,7 +4,9 @@
 //! the serving fast paths —
 //! prepacked weight panels and fused epilogues — against per-call packing
 //! and the unfused forward, and the ZSL-KG neighbour aggregation —
-//! sparse rows against the dense blocked GEMM on the same adjacency.
+//! sparse rows against the dense blocked GEMM on the same adjacency, and
+//! the workspace's own `tanh`/`exp`/`ln`/`sin_pi`/`cos_pi` against the
+//! host libm at the shapes the system evaluates them at.
 //!
 //! Default mode prints a table and writes `results/kernels.txt`; with
 //! `--json` it additionally writes the machine-readable baseline
@@ -27,13 +29,13 @@
 
 use std::time::Instant;
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use taglets_bench::write_results;
 use taglets_data::{standard_tasks, ConceptUniverse, UniverseConfig};
 use taglets_eval::ExperimentScale;
 use taglets_graph::{normalized_adjacency, SyntheticGraphConfig};
 use taglets_tensor::kernels::{self, Epilogue, GemmKind};
-use taglets_tensor::{SparseMatrix, Tensor};
+use taglets_tensor::{math, SparseMatrix, Tape, Tensor};
 
 /// How every row is timed, recorded in the `BENCH_kernels.json` header.
 const PROTOCOL: &str = "serial on the calling thread; each row is one side of an \
@@ -139,6 +141,73 @@ fn cycler<'a>(ops: &'a [Tensor]) -> impl FnMut() -> &'a Tensor {
         i = (i + 1) % ops.len();
         &ops[i]
     }
+}
+
+/// Panics unless `got = name(x)` is within `bound` ulp of the `f64` value
+/// `want`, the ulp being that of the `f32` nearest `want`.
+fn assert_ulp(name: &str, x: f32, got: f32, want: f64, bound: f64) {
+    let a = want.abs();
+    let ulp = if a < f64::from(f32::MIN_POSITIVE) {
+        f64::from(f32::from_bits(1))
+    } else {
+        2f64.powi(((a.to_bits() >> 52) & 0x7ff) as i32 - 1023 - 23)
+    };
+    let err = (f64::from(got) - want).abs() / ulp;
+    assert!(
+        err <= bound,
+        "math::{name}({x:e}) = {got:e}: {err:.3} ulp from {want:e}, bound {bound}"
+    );
+}
+
+/// Row log-softmax as the tape computes it: a row's exponentials through
+/// the vector kernel into a buffer, summed in sequential order.
+fn log_softmax_math(x: &Tensor) -> Tensor {
+    let cols = x.cols();
+    let mut value = x.clone();
+    let mut exps = vec![0.0; cols];
+    for row in value.data_mut().chunks_mut(cols) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        for (e, &v) in exps.iter_mut().zip(row.iter()) {
+            *e = v - max;
+        }
+        math::exp_slice(&mut exps);
+        let log_z = math::ln(exps.iter().sum::<f32>()) + max;
+        for v in row.iter_mut() {
+            *v -= log_z;
+        }
+    }
+    value
+}
+
+/// Row log-softmax on the host libm, one scalar `expf` per element.
+fn log_softmax_std(x: &Tensor) -> Tensor {
+    let cols = x.cols();
+    let mut value = x.clone();
+    for row in value.data_mut().chunks_mut(cols) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let log_z = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+        for v in row.iter_mut() {
+            *v -= log_z;
+        }
+    }
+    value
+}
+
+/// `Tensor::randn`'s Box–Muller on the host libm: per pair `ln`, `cos`
+/// and `sin`, interleaved with the draws.
+fn randn_std(numel: usize, std: f32, rng: &mut StdRng) -> Vec<f32> {
+    let mut data = Vec::with_capacity(numel);
+    while data.len() < numel {
+        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = rng.gen_range(0.0..1.0);
+        let r = (-2.0 * u1.ln()).sqrt();
+        let theta = 2.0 * std::f32::consts::PI * u2;
+        data.push(r * theta.cos() * std);
+        if data.len() < numel {
+            data.push(r * theta.sin() * std);
+        }
+    }
+    data
 }
 
 fn gflops(m: usize, k: usize, n: usize, ns: u128) -> f64 {
@@ -515,6 +584,105 @@ fn main() {
         }
     }
 
+    // The workspace's own transcendentals (`taglets_tensor::math`) against
+    // the host's libm (`std`) at the shapes the system runs them at: the
+    // ZSL-KG hidden activation (`tanh` over 350x128), log-softmax rows of
+    // BiT pretraining (128x350) and of a module head (64x42), and one
+    // 48-wide image of Box–Muller noise (`randn`). Rows are m x n elements
+    // with k = 1. Before timing, every kernel call a row makes is checked
+    // against its ulp bound on the row's own inputs, and the log-softmax
+    // replica against the tape's output bitwise.
+    let mut math_lines: Vec<String> = Vec::new();
+    {
+        let (m, n) = (350usize, 128usize);
+        let x = Tensor::randn(&[m, n], 2.0, &mut rng);
+        for &v in x.data() {
+            assert_ulp("tanh", v, math::tanh(v), f64::from(v).tanh(), 1.5);
+        }
+        let (mut std_out, mut math_out) = (x.clone(), x.clone());
+        let (sns, mns) = time_pair(
+            || {
+                for (o, &v) in std_out.data_mut().iter_mut().zip(x.data()) {
+                    *o = v.tanh();
+                }
+                std::hint::black_box(&std_out);
+            },
+            || {
+                for (o, &v) in math_out.data_mut().iter_mut().zip(x.data()) {
+                    *o = math::tanh(v);
+                }
+                std::hint::black_box(&math_out);
+            },
+        );
+        math_lines.push(format!("tanh {m}x{n} {:.1}x", sns as f64 / mns as f64));
+        records.push(rec("tanh", "std", m, 1, n, sns));
+        records.push(rec("tanh", "math", m, 1, n, mns));
+    }
+    for (m, n) in [(128usize, 350usize), (64, 42)] {
+        let x = Tensor::randn(&[m, n], 3.0, &mut rng);
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let lp = tape.log_softmax(xv);
+        assert!(
+            tape.value(lp)
+                .data()
+                .iter()
+                .zip(log_softmax_math(&x).data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "the log-softmax replica must match the tape bitwise at {m}x{n}"
+        );
+        for row in x.rows_iter() {
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for &v in row {
+                let e = math::exp(v - max);
+                assert_ulp("exp", v - max, e, f64::from(v - max).exp(), 1.0);
+                sum += e;
+            }
+            assert_ulp("ln", sum, math::ln(sum), f64::from(sum).ln(), 1.0);
+        }
+        let (sns, mns) = time_pair(
+            || {
+                std::hint::black_box(log_softmax_std(&x));
+            },
+            || {
+                std::hint::black_box(log_softmax_math(&x));
+            },
+        );
+        math_lines.push(format!(
+            "log_softmax {m}x{n} {:.1}x",
+            sns as f64 / mns as f64
+        ));
+        records.push(rec("log_softmax", "std", m, 1, n, sns));
+        records.push(rec("log_softmax", "math", m, 1, n, mns));
+    }
+    {
+        let n = 48usize;
+        let mut draws = StdRng::seed_from_u64(48);
+        for _ in 0..n / 2 {
+            let u1: f32 = draws.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = draws.gen_range(0.0..1.0);
+            assert_ulp("ln", u1, math::ln(u1), f64::from(u1).ln(), 1.0);
+            let t = 2.0 * u2;
+            let (s, c) = math::sin_cos_pi(t);
+            let (rs, rc) = (std::f64::consts::PI * f64::from(t)).sin_cos();
+            assert_ulp("sin_pi", t, s, rs, 1.3);
+            assert_ulp("cos_pi", t, c, rc, 1.3);
+        }
+        let (mut std_rng, mut math_rng) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+        let (sns, mns) = time_pair(
+            || {
+                std::hint::black_box(randn_std(n, 1.0, &mut std_rng));
+            },
+            || {
+                std::hint::black_box(Tensor::randn(&[n], 1.0, &mut math_rng));
+            },
+        );
+        math_lines.push(format!("randn {n} {:.1}x", sns as f64 / mns as f64));
+        records.push(rec("randn", "std", 1, 1, n, sns));
+        records.push(rec("randn", "math", 1, 1, n, mns));
+    }
+
     let mut out =
         String::from("GEMM kernels — blocked vs seed-naive reference (bitwise identical)\n\n");
     out.push_str(&format!(
@@ -575,6 +743,10 @@ fn main() {
         "sparse vs dense aggregation on the smoke SCADS adjacency ({nodes} nodes, {} stored entries): {}\n",
         adj.nnz(),
         aggregation_lines.join(", ")
+    ));
+    out.push_str(&format!(
+        "taglets_tensor::math vs the host libm (std time / math time): {}\n",
+        math_lines.join(", ")
     ));
     write_results("kernels", &out);
 

@@ -6,11 +6,12 @@
 //! whatever script consumes the file next. Every row carries `epilogue`
 //! ("none" / "bias_relu") and `dtype` (always "f32"), and the header
 //! records the host's core count and the timing protocol. Beyond the
-//! blocked-vs-reference sweep, four row families are pinned: post-ReLU
+//! blocked-vs-reference sweep, five row families are pinned: post-ReLU
 //! products at the system's training shapes, prepacked vs per-call-packed
 //! weight panels, fused-vs-unfused linear forwards at serving micro-batch
-//! shapes, and sparse-vs-dense neighbour aggregation at the smoke SCADS
-//! adjacency.
+//! shapes, sparse-vs-dense neighbour aggregation at the smoke SCADS
+//! adjacency, and `taglets_tensor::math` against the host libm at the
+//! shapes the system evaluates transcendentals at.
 //!
 //! The perf *ratios* themselves are asserted inside the bench binary
 //! (`scripts/check.sh bench-kernels`), which also re-verifies bitwise
@@ -167,6 +168,28 @@ fn aggregation_rows_cover_the_smoke_scads_shape() {
                     "BENCH_kernels.json missing the {imp} {op} row at width {width}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn math_rows_cover_the_system_shapes() {
+    let json = baseline();
+    for (op, m, n) in [
+        ("tanh", 350usize, 128usize),
+        ("log_softmax", 128, 350),
+        ("log_softmax", 64, 42),
+        ("randn", 1, 48),
+    ] {
+        for imp in ["std", "math"] {
+            let row = format!(
+                "\"op\": \"{op}\", \"impl\": \"{imp}\", \"m\": {m}, \"k\": 1, \"n\": {n}, \
+                 \"epilogue\": \"none\", \"dtype\": \"f32\""
+            );
+            assert!(
+                json.contains(&row),
+                "BENCH_kernels.json missing the {imp} {op} row at {m}x{n}"
+            );
         }
     }
 }

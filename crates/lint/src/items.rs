@@ -37,6 +37,11 @@ pub enum FactKind {
     RngNotSeedDerived,
     /// Iteration over a `HashMap`/`HashSet`, whose order is unspecified.
     MapIter,
+    /// A float transcendental from the platform's libm, whose bits vary by
+    /// host: the method calls `.exp()`, `.ln()`, `.tanh()`, `.sin()`,
+    /// `.cos()`, or a path `f32::exp` / `f64::tanh` / ... .
+    /// `taglets_tensor::math` computes these in portable code.
+    LibmCall,
     /// An `unsafe` keyword (block, fn, impl, or trait).
     UnsafeCode,
     /// An interior-mutability type mentioned outside a `use` item (`Mutex`,
@@ -66,6 +71,7 @@ impl FactKind {
             FactKind::ThreadSpawn => "thread spawned outside tensor::exec",
             FactKind::RngNotSeedDerived => "RNG not derived from a seed",
             FactKind::MapIter => "iteration over unordered HashMap/HashSet",
+            FactKind::LibmCall => "host libm call (use taglets_tensor::math)",
             FactKind::UnsafeCode => "unsafe code without a reasoned waiver",
             FactKind::InteriorMutability => "interior-mutability type (shared mutable state)",
             FactKind::WeakOrdering => "atomic ordering weaker than SeqCst",
@@ -83,7 +89,8 @@ impl FactKind {
             FactKind::TimeAsData
             | FactKind::ThreadSpawn
             | FactKind::RngNotSeedDerived
-            | FactKind::MapIter => Some("nondeterministic"),
+            | FactKind::MapIter
+            | FactKind::LibmCall => Some("nondeterministic"),
             FactKind::UnsafeCode => Some("unsafe"),
             FactKind::InteriorMutability | FactKind::WeakOrdering => Some("concurrency"),
             FactKind::HeapAlloc => Some("alloc"),
@@ -493,6 +500,9 @@ fn determinism_fact(
             return Some((FactKind::MapIter, format!("{name}.{method}()"), Some(i + 3)));
         }
     }
+    if let Some(fact) = libm_call(tokens, i, name) {
+        return Some(fact);
+    }
     if name == "in" {
         let mut j = i + 1;
         while tokens
@@ -508,6 +518,27 @@ fn determinism_fact(
         }
     }
     None
+}
+
+/// The float transcendentals whose libm results differ between hosts.
+const LIBM: [&str; 5] = ["exp", "ln", "tanh", "sin", "cos"];
+
+/// Classifies the identifier token at `i` as a libm call: a method call
+/// with no arguments, `.exp()` (`tape.exp(x)` is not one), or a path
+/// `f32::tanh` / `f64::exp`, called or passed as a function.
+fn libm_call(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String, Option<usize>)> {
+    let at = |k: usize| tokens.get(i + k);
+    if matches!(name, "f32" | "f64") && at(1).is_some_and(|t| t.is("::")) {
+        let method = at(2).and_then(Token::ident)?;
+        return LIBM
+            .contains(&method)
+            .then(|| (FactKind::LibmCall, format!("{name}::{method}"), Some(i + 3)));
+    }
+    let is_method = i >= 1 && tokens[i - 1].is(".");
+    let no_args = matches!(at(1).map(|t| &t.kind), Some(Tok::Open('(')))
+        && matches!(at(2).map(|t| &t.kind), Some(Tok::Close(')')));
+    (is_method && no_args && LIBM.contains(&name))
+        .then(|| (FactKind::LibmCall, format!(".{name}()"), Some(i + 1)))
 }
 
 /// Classifies the identifier token at `i` as an ambient nondeterminism
@@ -1076,6 +1107,29 @@ mod tests {
                 FactKind::TimeAsData
             ]
         );
+    }
+
+    #[test]
+    fn libm_calls_are_found_but_not_tape_ops() {
+        let fns = extract_src(
+            "fn f(x: f32, t: &mut Tape) {\n    let a = x.exp() + x.ln();\n    let b = v.iter().map(f32::tanh);\n    let c = t.exp(v) + t.tanh(v);\n    let d = (x * 2.0).sin() + f64::cos(y);\n    let e = math::exp(x);\n}\n",
+        );
+        let found: Vec<(usize, String)> = of(&fns[0].facts, DETERMINISM)
+            .iter()
+            .map(|f| {
+                assert_eq!(f.kind, FactKind::LibmCall);
+                (f.line, f.what.clone())
+            })
+            .collect();
+        let want = [
+            (2, ".exp()"),
+            (2, ".ln()"),
+            (3, "f32::tanh"),
+            (5, ".sin()"),
+            (5, "f64::cos"),
+        ];
+        let want: Vec<(usize, String)> = want.iter().map(|&(l, w)| (l, w.to_string())).collect();
+        assert_eq!(found, want);
     }
 
     #[test]

@@ -136,7 +136,11 @@ fn run() -> Result<ExitCode, String> {
             let files = taglets_lint::workspace_files(&root)
                 .map_err(|e| format!("listing {}: {e}", root.display()))?
                 .len();
-            println!("{}", bench_json(BENCH_RUNS, files, &mins, &violations));
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            println!(
+                "{}",
+                bench_json(BENCH_RUNS, files, cores, &mins, &violations)
+            );
             Ok(ExitCode::SUCCESS)
         }
         Mode::Check => {

@@ -6,7 +6,7 @@
 //!
 //! | analysis        | roots                        | cut            | fact kind → rule |
 //! |-----------------|------------------------------|----------------|------------------|
-//! | [`DETERMINISM`] | `root(determinism)` markers  | none           | time, thread spawn, unseeded RNG, map iteration → TL007 |
+//! | [`DETERMINISM`] | `root(determinism)` markers  | none           | time, thread spawn, unseeded RNG, map iteration, libm call → TL007 |
 //! | [`DISPATCH`]    | functions with a dispatch site | none         | interior mutability → TL011 |
 //! | [`HOT`]         | `root(hot)` markers          | [`is_setup`]   | allocation → TL014, blocking → TL015, panic-capable → TL016 |
 //!
@@ -59,6 +59,7 @@ pub(crate) const DETERMINISM: Reach = Reach {
         (FactKind::ThreadSpawn, Rule::Tl007),
         (FactKind::RngNotSeedDerived, Rule::Tl007),
         (FactKind::MapIter, Rule::Tl007),
+        (FactKind::LibmCall, Rule::Tl007),
     ],
 };
 

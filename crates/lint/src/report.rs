@@ -76,10 +76,14 @@ pub fn summary_json(violations: &[Violation], timings: &[StageTiming]) -> String
 /// order) with its minimum wall-time across the benchmark's repeated runs —
 /// the same min-of-N discipline as `BENCH_kernels.json`, at nanosecond
 /// resolution because the whole pipeline finishes in milliseconds. Rule hit
-/// counts list every rule, zeros included, so counts diff PR-over-PR.
+/// counts list every rule, zeros included, so counts diff PR-over-PR. The
+/// header records the host's core count and the timing protocol, as
+/// `BENCH_kernels.json`'s does, so a diff against a baseline from another
+/// host shows it.
 pub fn bench_json(
     runs: usize,
     files: usize,
+    cores: usize,
     min_nanos: &[(&'static str, u128)],
     violations: &[Violation],
 ) -> String {
@@ -94,13 +98,18 @@ pub fn bench_json(
         .collect();
     let total: u128 = min_nanos.iter().map(|(_, n)| n).sum();
     format!(
-        "{{\"bench\":\"lint\",\"runs\":{runs},\"files\":{files},\"total_min_nanos\":{total},\"total_min_millis\":{:.3},\"stages\":[{}],\"rules\":{{{}}},\"total_violations\":{}}}",
+        "{{\"bench\":\"lint\",\"cores\":{cores},\"protocol\":\"{BENCH_PROTOCOL}\",\"runs\":{runs},\"files\":{files},\"total_min_nanos\":{total},\"total_min_millis\":{:.3},\"stages\":[{}],\"rules\":{{{}}},\"total_violations\":{}}}",
         total as f64 / 1e6,
         stages.join(","),
         rule_counts(violations),
         violations.len()
     )
 }
+
+/// How `--bench` times the pipeline, recorded in the `BENCH_lint.json`
+/// header.
+pub const BENCH_PROTOCOL: &str = "single-threaded; the whole pipeline runs `runs` times over \
+     the tree in one process, and each stage reports its minimum wall-time";
 
 /// Per-rule hit counts as JSON object members, every rule present (zeros
 /// included) so counts diff PR-over-PR.
@@ -203,7 +212,7 @@ mod tests {
     fn bench_json_lists_every_stage_and_rule() {
         let mins: Vec<(&'static str, u128)> =
             crate::STAGES.iter().map(|s| (*s, 1_500_000u128)).collect();
-        let json = bench_json(9, 34, &mins, &[]);
+        let json = bench_json(9, 34, 2, &mins, &[]);
         for stage in crate::STAGES {
             assert!(
                 json.contains(&format!("{{\"stage\":\"{stage}\",\"min_nanos\":1500000")),
@@ -214,6 +223,7 @@ mod tests {
             assert!(json.contains(&format!("\"{}\":0", rule.code())), "{json}");
         }
         assert!(json.contains("\"runs\":9"));
+        assert!(json.contains("\"cores\":2,\"protocol\":\"single-threaded;"));
         assert!(json.contains("\"min_millis\":1.500"));
     }
 

@@ -6,7 +6,8 @@
 //! the lexer, the per-line metadata, the per-file rules, the extractor,
 //! call-graph or reachability engine that moves any of them shows up as a
 //! diff. `rules_ws` holds the TL001–TL006 hits and non-hits: literals,
-//! comments, test regions and allow directives.
+//! comments, test regions and allow directives; and one TL007 libm call
+//! beside a tape op named like one and a waived call.
 //!
 //! Regenerate after an intentional analysis change with:
 //!
@@ -25,7 +26,7 @@ const WORKSPACES: [(&str, usize); 5] = [
     ("conc_ws", 5),
     ("hotpath_ws", 3),
     ("route_ws", 3),
-    ("rules_ws", 32),
+    ("rules_ws", 33),
     ("taint_ws", 6),
 ];
 

@@ -183,3 +183,18 @@ pub mod inner {
 pub fn doc_above_multi_line_attribute() -> u8 {
     0
 }
+
+/// A raw libm call reachable from a determinism root fires TL007; a tape
+/// op named like one (it takes an argument) and a waived reference do not.
+// lint: root(determinism)
+pub fn activations(x: f32, tape: &mut Tape) -> f32 {
+    squash(x) + tape.exp(x) + reference(x)
+}
+
+fn squash(x: f32) -> f32 {
+    x.tanh()
+}
+
+fn reference(x: f32) -> f32 {
+    (x as f64).exp() as f32 // lint: nondeterministic(fixture: a waived reference)
+}

@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use taglets_tensor::Tensor;
+use taglets_tensor::{math, Tensor};
 
 /// A flat image vector (alias kept local to avoid a dependency cycle with
 /// `taglets-data`, which re-exports this type).
@@ -44,9 +44,14 @@ impl Augmenter {
     /// Weak augmentation: jitter + mild gain (crop/flip analogue).
     pub fn weak<R: Rng + ?Sized>(&self, image: &[f32], rng: &mut R) -> Image {
         let gain = 1.0 + rng.gen_range(-self.gain..=self.gain);
+        let mut noise = Noise::with_capacity(image.len());
+        for _ in image {
+            noise.draw(rng, self.weak_noise);
+        }
+        let mut noise = noise.normals(self.weak_noise);
         image
             .iter()
-            .map(|&v| v * gain + gauss(rng, self.weak_noise))
+            .map(|&v| v * gain + noise.next().unwrap_or(0.0))
             .collect()
     }
 
@@ -54,13 +59,26 @@ impl Augmenter {
     /// (RandAugment analogue).
     pub fn strong<R: Rng + ?Sized>(&self, image: &[f32], rng: &mut R) -> Image {
         let gain = 1.0 + rng.gen_range(-2.0 * self.gain..=2.0 * self.gain);
+        let mut noise = Noise::with_capacity(image.len());
+        let masked: Vec<bool> = image
+            .iter()
+            .map(|_| {
+                let masked = rng.gen::<f32>() < self.mask_prob;
+                if !masked {
+                    noise.draw(rng, self.strong_noise);
+                }
+                masked
+            })
+            .collect();
+        let mut noise = noise.normals(self.strong_noise);
         image
             .iter()
-            .map(|&v| {
-                if rng.gen::<f32>() < self.mask_prob {
+            .zip(&masked)
+            .map(|(&v, &masked)| {
+                if masked {
                     0.0
                 } else {
-                    v * gain + gauss(rng, self.strong_noise)
+                    v * gain + noise.next().unwrap_or(0.0)
                 }
             })
             .collect()
@@ -87,15 +105,39 @@ impl Augmenter {
     }
 }
 
-fn gauss<R: Rng + ?Sized>(rng: &mut R, std: f32) -> f32 {
-    // Exact-zero std means "noise disabled" (a configuration sentinel, not a
-    // computed value). lint: allow(TL004)
-    if std == 0.0 {
-        return 0.0;
+/// Gaussian jitter by Box–Muller, one `(u1, u2)` draw per value, in the
+/// order the pixels ask for them. The transform runs as a second pass over
+/// all draws, a loop that vectorizes.
+struct Noise {
+    u1: Vec<f32>,
+    u2: Vec<f32>,
+}
+
+impl Noise {
+    fn with_capacity(n: usize) -> Self {
+        Noise {
+            u1: Vec::with_capacity(n),
+            u2: Vec::with_capacity(n),
+        }
     }
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos() * std
+
+    /// Draws one pair, unless `std` is zero.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, std: f32) {
+        // Exact-zero std means "noise disabled" (a configuration sentinel,
+        // not a computed value), which draws nothing. lint: allow(TL004)
+        if std != 0.0 {
+            self.u1.push(rng.gen_range(f32::EPSILON..1.0));
+            self.u2.push(rng.gen_range(0.0..1.0));
+        }
+    }
+
+    /// `sqrt(−2 ln u1) · cos(2π·u2) · std` of every pair, in draw order.
+    fn normals(mut self, std: f32) -> std::vec::IntoIter<f32> {
+        for (a, &b) in self.u1.iter_mut().zip(&self.u2) {
+            *a = (-2.0 * math::ln(*a)).sqrt() * math::cos_pi(2.0 * b) * std;
+        }
+        self.u1.into_iter()
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! [`softmax_rows`]: taglets_tensor::softmax_rows
 
 use taglets_tensor::kernels::{self, GemmKind};
+use taglets_tensor::math;
 use taglets_tensor::{softmax_rows, Tensor};
 
 use crate::{Activation, Classifier, Linear};
@@ -185,9 +186,7 @@ impl Classifier {
             linear_forward(src, rows, layer, epi, panel, &mut dst_vec);
             first = false;
             if backbone.activation() == Activation::Tanh {
-                for v in dst_vec.iter_mut() {
-                    *v = v.tanh();
-                }
+                math::tanh_slice(&mut dst_vec);
             }
             // Dropout is inactive at inference (the tape op is the identity
             // when `training == false`), so nothing to replicate here.

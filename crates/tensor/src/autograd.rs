@@ -18,6 +18,7 @@
 //! ```
 
 use crate::kernels::{self, GemmKind};
+use crate::math;
 use crate::tensor::gemm_tensors;
 use crate::{argmax_slice, SparseMatrix, Tensor};
 
@@ -432,7 +433,7 @@ impl Tape {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = self.value(a).map(math::tanh);
         let rg = self.needs(a);
         self.push(value, Op::Tanh(a), rg)
     }
@@ -441,7 +442,7 @@ impl Tape {
     /// forward value finite; combine with [`Tape::log_softmax`] for a
     /// numerically safe softmax).
     pub fn exp(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| v.min(30.0).exp());
+        let value = self.value(a).map(|v| math::exp(v.min(30.0)));
         let rg = self.needs(a);
         self.push(value, Op::Exp(a), rg)
     }
@@ -452,9 +453,16 @@ impl Tape {
         assert_eq!(x.rank(), 2, "log_softmax expects a rank-2 tensor");
         let cols = x.cols();
         let mut value = x.clone();
+        // A row's exponentials go through the vector kernel into `exps`;
+        // their sum keeps the sequential order.
+        let mut exps = vec![0.0; cols];
         for row in value.data_mut().chunks_mut(cols) {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let log_z = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+            for (e, &v) in exps.iter_mut().zip(row.iter()) {
+                *e = v - max;
+            }
+            math::exp_slice(&mut exps);
+            let log_z = math::ln(exps.iter().sum::<f32>()) + max;
             for v in row.iter_mut() {
                 *v -= log_z;
             }
@@ -852,7 +860,7 @@ impl Tape {
                     {
                         let row_sum: f32 = g_row.iter().sum();
                         for (gv, &ly) in g_row.iter_mut().zip(y_row) {
-                            *gv -= ly.exp() * row_sum;
+                            *gv -= math::exp(ly) * row_sum;
                         }
                     }
                     accumulate(&mut grads, a.0, da, scratch);
@@ -979,11 +987,11 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let mut out = logits.clone(); // lint: alloc(softmax returns a fresh tensor; logits stay intact)
     for row in out.data_mut().chunks_mut(cols) {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            z += *v;
+            *v -= max;
         }
+        math::exp_slice(row);
+        let z: f32 = row.iter().sum();
         for v in row.iter_mut() {
             *v /= z; // lint: panicfree(float division; exp sums make z > 0)
         }

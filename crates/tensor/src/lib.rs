@@ -52,6 +52,7 @@ pub mod exec;
 mod gradcheck;
 mod init;
 pub mod kernels;
+pub mod math;
 mod optim;
 mod schedule;
 mod sparse;

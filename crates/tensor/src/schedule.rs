@@ -4,6 +4,8 @@
 //! Each schedule maps a 0-based step index to a learning rate; trainers call
 //! [`LrSchedule::lr_at`] before every optimizer step.
 
+use crate::math;
+
 /// A learning-rate schedule.
 ///
 /// # Examples
@@ -153,14 +155,14 @@ impl LrSchedule {
                 total_steps,
             } => {
                 let frac = (k as f32 / *total_steps as f32).min(1.0);
-                base_lr * (7.0 * std::f32::consts::PI * frac / 16.0).cos()
+                base_lr * math::cos_pi(7.0 * frac / 16.0)
             }
             LrSchedule::HalfCosine {
                 base_lr,
                 total_steps,
             } => {
                 let frac = (k as f32 / *total_steps as f32).min(1.0);
-                base_lr / 2.0 * (1.0 + (std::f32::consts::PI * frac).cos())
+                base_lr / 2.0 * (1.0 + math::cos_pi(frac))
             }
         };
         lr.max(self.base_lr() * 1e-3)

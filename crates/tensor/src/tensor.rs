@@ -11,6 +11,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::kernels::{self, GemmKind};
+use crate::math;
 use crate::TensorError;
 
 /// A dense, row-major tensor of `f32` values.
@@ -171,19 +172,27 @@ impl Tensor {
 
     /// A tensor with entries drawn i.i.d. from `N(0, std^2)` using the
     /// Box–Muller transform (so only `rand::Rng` is required).
+    ///
+    /// Each pair of entries consumes one `(u1, u2)` draw, in that order,
+    /// stored in place; a second pass turns each pair into `r·cos θ, r·sin θ`
+    /// with `r = sqrt(−2 ln u1)` and `θ = 2π·u2`, a loop that vectorizes.
     pub fn randn<R: Rng + ?Sized>(shape: &[usize], std: f32, rng: &mut R) -> Self {
         let numel: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(numel); // lint: alloc(weight init, not the steady-state serve path)
-        while data.len() < numel {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos() * std);
-            if data.len() < numel {
-                data.push(r * theta.sin() * std);
+        let pairs = numel.div_ceil(2);
+        let mut data = Vec::with_capacity(2 * pairs); // lint: alloc(weight init, not the steady-state serve path)
+        for _ in 0..pairs {
+            data.push(rng.gen_range(f32::EPSILON..1.0));
+            data.push(rng.gen_range(0.0..1.0));
+        }
+        for pair in data.chunks_exact_mut(2) {
+            if let [u1, u2] = pair {
+                let r = (-2.0 * math::ln(*u1)).sqrt();
+                let (sin, cos) = math::sin_cos_pi(2.0 * *u2);
+                *u1 = r * cos * std;
+                *u2 = r * sin * std;
             }
         }
+        data.truncate(numel);
         Tensor {
             shape: shape.to_vec(), // lint: alloc(construction owns its shape)
             data,

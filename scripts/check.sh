@@ -99,6 +99,12 @@ step "strict-numerics" cargo test --offline --quiet -p taglets-tensor --features
 # to the seed's naive reference loops.
 step "kernels" cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 
+# The workspace's own exp/ln/tanh/sin_pi/cos_pi against an f64 reference
+# over all 2^32 inputs each, in release mode and on every core (several
+# minutes); tier-1 runs only a strided sample. Run by name so a filtered
+# or skipped test run can never mask a kernel leaving its ulp bound.
+step "math" cargo test --release --offline --quiet -p taglets-tensor --test math -- --ignored
+
 # Fused-epilogue contracts: bitwise identity of the fused kernel epilogue
 # against the unfused walk, of the fused packed forward against the tape
 # `predict_proba`, and v1 serialization back-compat.
