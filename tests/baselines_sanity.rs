@@ -24,8 +24,8 @@ fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
     })
 }
 
-const PINNED_MPL_STUDENT_PROBA: u64 = 0x8df6_a0b9_c52b_4c97;
-const PINNED_SIMCLR_LOSSES: u64 = 0x65da_795a_ecf5_ef6f;
+const PINNED_MPL_STUDENT_PROBA: u64 = 0x7401_994c_b76e_a3fa;
+const PINNED_SIMCLR_LOSSES: u64 = 0xb66f_9551_841c_47b5;
 
 #[test]
 fn all_table_baselines_beat_chance_at_five_shot() {

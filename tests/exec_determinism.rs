@@ -34,15 +34,15 @@ fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
 /// `(component, epoch-loss checksum, optimizer steps)` of the serial run,
 /// in module order with the end model last.
 const PINNED_REPORTS: [(&str, u64, usize); 5] = [
-    ("transfer", 0x0ea2_c47d_295c_3a02, 1685),
-    ("multitask", 0xe7f9_f9f2_b4d4_5599, 656),
-    ("fixmatch", 0xc8e9_9a9e_67a3_3f42, 525),
+    ("transfer", 0x8203_bb4d_42d4_7c27, 1685),
+    ("multitask", 0x7d0a_30f6_95d1_d466, 656),
+    ("fixmatch", 0x6bdd_987f_697a_65d7, 525),
     // ZSL-KG's GNN pretraining is shared setup; its module trains nothing.
     ("zsl-kg", 0xcbf2_9ce4_8422_2325, 0),
-    ("end-model", 0x9fda_631c_5203_77aa, 440),
+    ("end-model", 0x17a4_d9d5_3e52_cba5, 440),
 ];
-const PINNED_PSEUDO_LABELS: u64 = 0x61a0_243c_e44b_14d0;
-const PINNED_END_MODEL_PROBA: u64 = 0x89f8_f025_6972_e554;
+const PINNED_PSEUDO_LABELS: u64 = 0x50ba_3f93_bfdb_5242;
+const PINNED_END_MODEL_PROBA: u64 = 0x109c_a114_de4a_0bc8;
 
 fn assert_pinned(run: &TagletsRun, split: &taglets::TaskSplit) {
     let reports = run
