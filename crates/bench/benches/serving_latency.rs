@@ -1,6 +1,6 @@
 //! Serving-engine throughput/latency sweep: batch size over the
-//! micro-batched [`ServingEngine`], against the single-request tape path
-//! as baseline, plus the cache-hit shortcut against a full forward pass.
+//! micro-batched [`ServingEngine`], against one `predict_proba` call per
+//! request as baseline, plus the cache-hit shortcut against a full forward pass.
 //! Writes `results/serving.txt`.
 //!
 //! It times the end model alone (the paper's serving claim, challenge 3,
@@ -61,7 +61,7 @@ fn main() {
         "model [{INPUT_DIM}, 256, 128] -> {NUM_CLASSES}, {REQUESTS} requests per cell\n\n"
     ));
 
-    // Baseline: one tape-path predict_proba call per request, the cost a
+    // Baseline: one predict_proba call per request, the cost a
     // caller pays without the serving engine. Request payloads are owned
     // up-front (as a server would receive them), matching the engine cells.
     let owned: Vec<Vec<f32>> = inputs.clone();
@@ -72,7 +72,7 @@ fn main() {
     }
     let single_rps = REQUESTS as f64 / t0.elapsed().as_secs_f64();
     out.push_str(&format!(
-        "single-request baseline (tape path): {single_rps:>10.0} req/s\n\n"
+        "single-request baseline (no engine): {single_rps:>10.0} req/s\n\n"
     ));
 
     out.push_str("batch      req/s   speedup   p50(us)   p99(us)\n");
@@ -87,14 +87,14 @@ fn main() {
     out.push_str("(pure micro-batching: unique inputs, cache off)\n\n");
 
     // End-to-end serving: the full engine (batch 16 + default LRU cache)
-    // against the pre-engine serving path (one tape predict_proba per
+    // against the pre-engine serving path (one predict_proba per
     // request) on the same mixed stream. Real request streams repeat —
     // that is why the cache exists — so every third request re-asks one of
     // 64 hot inputs, the rest are unique. The acceptance speedup is
-    // measured here: batching amortizes the tape overhead and the cache
-    // short-circuits repeats, both of which single-request serving pays in
-    // full. (The table above isolates batching alone; on this single-core
-    // container its ceiling is the tape-vs-fast-path gap, ~2x.)
+    // measured here: batching amortizes the per-call cost (fresh scratch
+    // buffers, a one-row GEMM per layer) and the cache short-circuits
+    // repeats, both of which single-request serving pays in full. (The
+    // table above isolates batching alone.)
     let hot: Vec<Vec<f32>> = (0..64)
         .map(|_| Tensor::randn(&[1, INPUT_DIM], 1.0, &mut rng).into_vec())
         .collect();
@@ -152,7 +152,7 @@ fn main() {
     let end_to_end = engine_mixed_rps / single_mixed_rps;
     out.push_str(&format!(
         "end-to-end serving, mixed stream (1/3 repeats over 64 hot inputs), best of 3:\n\
-         \x20 single-request (tape path): {single_mixed_rps:>10.0} req/s\n\
+         \x20 single-request (no engine): {single_mixed_rps:>10.0} req/s\n\
          \x20 engine, batch 16 + cache:   {engine_mixed_rps:>10.0} req/s  \
          ({mixed_hits} cache hits)\n\
          \x20 batch-16 speedup over single-request: {end_to_end:.2}x\n"

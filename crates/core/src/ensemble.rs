@@ -42,18 +42,6 @@ impl<'a> Ensemble<'a> {
         false
     }
 
-    /// The vote matrix `V ∈ [0,1]^{|T|×C}` for a single example
-    /// (one row per taglet).
-    pub fn vote_matrix(&self, x: &[f32]) -> Tensor {
-        let batch = Tensor::from_slice(x).reshaped(&[1, x.len()]);
-        let rows: Vec<Vec<f32>> = self
-            .taglets
-            .iter()
-            .map(|t| t.predict_proba(&batch).into_vec())
-            .collect();
-        Tensor::stack_rows(&rows)
-    }
-
     /// Soft pseudo labels for a batch: the row-wise mean of all taglets'
     /// probability outputs (Eq. 6). Rows remain on the simplex.
     pub fn predict_proba(&self, x: &Tensor) -> Tensor {
@@ -83,21 +71,16 @@ impl<'a> Ensemble<'a> {
         );
         let total: f32 = weights.iter().sum();
         assert!(total > 0.0, "at least one weight must be positive");
-        let mut acc = Tensor::zeros(&[x.rows(), self.taglets[0].predict_proba(x).cols()]);
-        let mut acc_set = false;
-        for (t, &w) in self.taglets.iter().zip(weights) {
-            // Exact-zero weights mean "taglet disabled" (a sentinel the
-            // caller sets, not an arithmetic result). lint: allow(TL004)
-            if w == 0.0 {
-                continue;
-            }
-            let p = t.predict_proba(x);
-            if !acc_set {
-                acc = p.scale(w / total);
-                acc_set = true;
-            } else {
-                acc.add_scaled(&p, w / total);
-            }
+        // A zero weight means "taglet disabled": its forward never runs.
+        let mut live = self.taglets.iter().zip(weights).filter(|&(_, &w)| w > 0.0);
+        // `total > 0` with no negative weight guarantees a live taglet; the
+        // fallback only keeps this method free of a panic path.
+        let Some((first, &w0)) = live.next() else {
+            return Tensor::zeros(&[x.rows(), 0]);
+        };
+        let mut acc = first.predict_proba(x).scale(w0 / total);
+        for (t, &w) in live {
+            acc.add_scaled(&t.predict_proba(x), w / total);
         }
         acc
     }
@@ -175,17 +158,6 @@ mod tests {
         let pb = Ensemble::new(&b).predict_proba(&x);
         for (u, v) in pa.data().iter().zip(pb.data()) {
             assert!((u - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn vote_matrix_has_one_row_per_taglet() {
-        let taglets = vec![taglet(5), taglet(6)];
-        let e = Ensemble::new(&taglets);
-        let v = e.vote_matrix(&[0.1, 0.2, 0.3, 0.4, 0.5]);
-        assert_eq!(v.shape(), &[2, 3]);
-        for row in v.rows_iter() {
-            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
     }
 

@@ -17,23 +17,12 @@ use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTag
 
 /// The FixMatch module. See the [module docs](self).
 ///
-/// This type doubles as the semi-supervised *baseline* when constructed
-/// [`FixMatchModule::without_scads_pretraining`] — the only difference is the
-/// auxiliary-data initialisation (which Sec. 4.4.2 shows is what lets the
-/// module beat its baseline counterpart).
-#[derive(Debug, Clone, Copy)]
+/// The plain FixMatch *baseline* (Sec. 4.2) runs the same loop,
+/// [`fixmatch_train`], without the SCADS phase — the auxiliary-data
+/// initialisation is what Sec. 4.4.2 shows lets the module beat it.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FixMatchModule {
-    use_scads_pretraining: bool,
     augmenter: Augmenter,
-}
-
-impl Default for FixMatchModule {
-    fn default() -> Self {
-        FixMatchModule {
-            use_scads_pretraining: true,
-            augmenter: Augmenter::default(),
-        }
-    }
 }
 
 impl FixMatchModule {
@@ -43,21 +32,6 @@ impl FixMatchModule {
     /// The standard module: backbone first fine-tuned on `R`.
     pub fn new() -> Self {
         FixMatchModule::default()
-    }
-
-    /// The plain FixMatch algorithm (paper Sec. 4.2 baseline): pretrained
-    /// encoder but no SCADS phase.
-    pub fn without_scads_pretraining() -> Self {
-        FixMatchModule {
-            use_scads_pretraining: false,
-            ..FixMatchModule::default()
-        }
-    }
-
-    /// Overrides the augmentation policy.
-    pub fn with_augmenter(mut self, augmenter: Augmenter) -> Self {
-        self.augmenter = augmenter;
-        self
     }
 }
 
@@ -76,8 +50,8 @@ impl TagletModule for FixMatchModule {
         let mut report = FitReport::default();
 
         // SCADS pretraining phase (the module's addition over the baseline).
-        let mut clf = match (self.use_scads_pretraining, ctx.auxiliary_training_set()) {
-            (true, Some((aux_x, aux_y))) => {
+        let mut clf = match ctx.auxiliary_training_set() {
+            Some((aux_x, aux_y)) => {
                 let mut clf = Classifier::new(backbone, ctx.selection.num_aux_classes(), rng);
                 let mut opt = Sgd::with_momentum(cfg.pretrain_lr, 0.9);
                 let fit = FitConfig::new(cfg.pretrain_epochs, cfg.batch_size, cfg.pretrain_lr);
@@ -86,7 +60,7 @@ impl TagletModule for FixMatchModule {
                 clf.reset_head(ctx.num_classes(), rng);
                 clf
             }
-            _ => Classifier::new(backbone, ctx.num_classes(), rng),
+            None => Classifier::new(backbone, ctx.num_classes(), rng),
         };
 
         // Warm start the head on the labeled data so pseudo labels are not

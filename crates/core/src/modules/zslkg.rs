@@ -73,11 +73,6 @@ impl ZslKgModule {
         ZslKgModule { encoder }
     }
 
-    /// Wraps an already-pretrained encoder (e.g. deserialised or shared).
-    pub fn from_encoder(encoder: GraphEncoder) -> Self {
-        ZslKgModule { encoder }
-    }
-
     /// The underlying graph encoder.
     pub fn encoder(&self) -> &GraphEncoder {
         &self.encoder

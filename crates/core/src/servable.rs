@@ -13,9 +13,10 @@ use taglets_tensor::Tensor;
 /// A production-ready classifier produced by the distillation stage.
 ///
 /// Wrapping packs every weight matrix into GEMM panel layout once
-/// ([`taglets_nn::PackedWeights`]), so the serving hot path never repacks
-/// weights per batch. The classifier is immutable behind this wrapper,
-/// which is what keeps the packed panels valid for its lifetime.
+/// ([`taglets_nn::PackedWeights`]), so its predictions run the classifier's
+/// one tape-free inference forward without repacking weights per batch.
+/// The classifier is immutable behind this wrapper, which is what keeps the
+/// packed panels valid for its lifetime.
 #[derive(Debug, Clone)]
 pub struct ServableModel {
     classifier: Classifier,
@@ -29,16 +30,17 @@ impl ServableModel {
         ServableModel { classifier, packed }
     }
 
-    /// Class probabilities for a batch.
+    /// Class probabilities for a batch:
+    /// [`ServableModel::predict_proba_batched`] with fresh scratch buffers.
     pub fn predict_proba(&self, x: &Tensor) -> Tensor {
-        self.classifier.predict_proba(x)
+        self.predict_proba_batched(x, &mut InferScratch::new())
     }
 
-    /// Class probabilities via the tape-free fast path, reusing the
-    /// caller's scratch buffers and this model's pre-packed weight panels —
-    /// bitwise identical to [`ServableModel::predict_proba`] (packing is a
-    /// pure copy, so cached panels feed the kernel the exact bytes a
-    /// per-batch repack would). This is the serving hot path used by
+    /// Class probabilities on this model's pre-packed weight panels,
+    /// reusing the caller's scratch buffers — bitwise identical to the
+    /// classifier's own [`Classifier::predict_proba`] (packing is a pure
+    /// copy, so cached panels feed the kernel the exact bytes a per-batch
+    /// repack would). This is the serving hot path used by
     /// [`crate::serve::ServingEngine`].
     ///
     /// # Panics
@@ -79,11 +81,6 @@ impl ServableModel {
     /// Borrows the underlying classifier.
     pub fn classifier(&self) -> &Classifier {
         &self.classifier
-    }
-
-    /// Unwraps into the underlying classifier.
-    pub fn into_classifier(self) -> Classifier {
-        self.classifier
     }
 
     /// Persists the model to a writer in the workspace's binary format.
@@ -195,13 +192,21 @@ mod tests {
     fn batched_fast_path_matches_tape_path() {
         let mut rng = StdRng::seed_from_u64(9);
         let clf = Classifier::from_dims(&[6, 12, 8], 4, 0.0, &mut rng);
-        let m = ServableModel::new(clf);
         let x = Tensor::randn(&[5, 6], 1.0, &mut rng);
+        // The oracle: the tape forward with `training = false`.
+        let mut tape = taglets_tensor::Tape::new();
+        let vars = clf.bind_frozen(&mut tape);
+        let xv = tape.constant(x.clone());
+        let out = clf.forward_logits(&mut tape, &vars, xv, false, &mut rng);
+        let oracle = taglets_tensor::softmax_rows(tape.value(out));
+
+        let m = ServableModel::new(clf);
         let mut scratch = InferScratch::new();
         assert_eq!(
             m.predict_proba_batched(&x, &mut scratch).data(),
-            m.predict_proba(&x).data()
+            oracle.data()
         );
+        assert_eq!(m.predict_proba(&x).data(), oracle.data());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! Batched, cached inference is **bitwise identical** to calling
 //! [`ServableModel::predict_proba`] once per request. Two facts compose:
 //!
-//! 1. the tape-free fast path is bitwise identical to the tape path
-//!    (`taglets_nn::InferScratch` docs), and
+//! 1. the batched path and `predict_proba` run the same tape-free
+//!    forward on the same pre-packed weights, and
 //! 2. every forward op is row-independent, so a row's output does not
 //!    depend on which batch it rides in or what the reused scratch held
 //!    before.

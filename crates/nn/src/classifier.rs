@@ -8,9 +8,14 @@ use rand::Rng;
 
 use taglets_tensor::{softmax_rows, Tape, Tensor, Var};
 
-use crate::{Linear, Mlp, Module};
+use crate::{InferScratch, Linear, Mlp, Module};
 
 /// A backbone feature extractor with a linear classification head.
+///
+/// Training runs [`Classifier::forward_logits`] on an autograd tape;
+/// inference ([`Classifier::logits`], `predict_proba`, `predict`,
+/// `accuracy`) runs the crate's one tape-free forward, which computes the
+/// same bits as the tape with `training = false`.
 ///
 /// # Examples
 ///
@@ -81,16 +86,6 @@ impl Classifier {
         &self.head
     }
 
-    /// Mutable access to the head (ZSL-KG installs predicted weights here).
-    pub fn head_mut(&mut self) -> &mut Linear {
-        &mut self.head
-    }
-
-    /// Consumes the classifier, returning `(backbone, head)`.
-    pub fn into_parts(self) -> (Mlp, Linear) {
-        (self.backbone, self.head)
-    }
-
     /// Number of target classes.
     pub fn num_classes(&self) -> usize {
         self.head.fan_out()
@@ -136,14 +131,11 @@ impl Classifier {
         softmax_rows(&self.logits(x))
     }
 
-    /// Inference: raw logits for a batch of inputs.
+    /// Inference: raw logits for a batch of inputs, via the tape-free
+    /// forward in `infer.rs` (dropout off).
     pub fn logits(&self, x: &Tensor) -> Tensor {
-        let mut tape = Tape::new();
-        let vars = self.bind_frozen(&mut tape);
-        let xv = tape.constant(x.clone());
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let out = self.forward_logits(&mut tape, &vars, xv, false, &mut rng);
-        tape.value(out).clone()
+        let head = Some(&self.head);
+        crate::infer::inference_forward(&self.backbone, head, x, None, &mut InferScratch::new())
     }
 
     /// Inference: predicted class index per row.

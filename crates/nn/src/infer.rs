@@ -1,49 +1,55 @@
-//! Tape-free batched inference fast path.
+//! The one inference forward.
 //!
-//! [`Classifier::predict_proba`] builds an autograd [`Tape`], clones every
-//! parameter tensor onto it, and allocates a node per op — fine for
-//! training-time evaluation, wasteful on a serving hot path that answers the
-//! same-shaped batch thousands of times. [`Classifier::predict_proba_packed`]
-//! runs the identical arithmetic directly on two caller-owned ping-pong
-//! activation buffers ([`InferScratch`]), allocating nothing but the output
-//! tensor, against weight panels packed once per model ([`PackedWeights`]).
+//! Every inference in this crate runs one private function,
+//! `inference_forward`, on two ping-pong activation buffers
+//! ([`InferScratch`]), allocating nothing but the output tensor.
+//! [`Classifier::logits`] — and through it `predict_proba`, `predict` and
+//! `accuracy` — runs it over the backbone and the head, packing each weight
+//! matrix as it goes; [`Mlp::features`] runs it over the backbone alone; and
+//! [`Classifier::logits_packed`], the serving hot path, runs it on weight
+//! panels packed once per model ([`PackedWeights`]). No inference builds an
+//! autograd [`Tape`]: the tape is for training.
 //!
-//! **Bitwise contract:** the fast path runs the *same* blocked GEMM kernel
-//! as the tape ([`taglets_tensor::kernels::gemm_packed_into`] is exactly
-//! the second half of the tape's `gemm_into`, including its `Nn` choice
-//! between the dense and the exact-zero-skipping micro-kernel) with the
-//! bias add — and, for ReLU backbones, the
-//! activation — fused into the kernel epilogue ([`kernels::Epilogue`]).
-//! Fusion never changes bits: the epilogue applies the same per-element f32
-//! ops (`(acc + bias).max(0.0)`) in the same order the tape's `add_row` +
-//! activation sequence would, and an f32 stored then re-read is the
-//! identical value, so output is bitwise identical to `predict_proba` row by
-//! row (final probabilities via the same [`softmax_rows`]). Because every op
-//! is row-independent, each output row is also bitwise identical no matter
+//! **Bitwise contract:** `inference_forward` computes the bits of the tape
+//! forward with `training = false` (`bind_frozen` +
+//! [`Classifier::forward_logits`] or [`Mlp::forward`]). It runs the *same*
+//! blocked GEMM kernel as the tape ([`kernels::gemm_packed_into`] is
+//! exactly the second half of the tape's `gemm_into`, including its `Nn`
+//! choice between the dense and the exact-zero-skipping micro-kernel) with
+//! the bias add — and, for ReLU backbones, the activation — fused into the
+//! kernel epilogue ([`kernels::Epilogue`]). Fusion never changes bits: the
+//! epilogue applies the same per-element f32 ops (`(acc + bias).max(0.0)`)
+//! in the same order the tape's `add_row` + activation sequence would, and
+//! an f32 stored then re-read is the identical value. Tanh runs
+//! [`math::tanh_slice`] as a separate pass (bitwise equal to the tape's
+//! per-element [`math::tanh`]), and dropout is the identity at inference,
+//! as the tape's is with `training = false`. Because every op is
+//! row-independent, each output row is also bitwise identical no matter
 //! which batch (of any size) the input row rides in; `core::serve` leans on
 //! this to make micro-batched serving, which runs each batch on the calling
-//! thread, indistinguishable from single-request serving. The
-//! `fused_packed_forward_*` tests below pin both claims.
+//! thread, indistinguishable from single-request serving. The `fused_*`
+//! tests below pin both claims against a tape forward built in the tests.
 //!
 //! [`Tape`]: taglets_tensor::Tape
-//! [`softmax_rows`]: taglets_tensor::softmax_rows
 
 use taglets_tensor::kernels::{self, GemmKind};
 use taglets_tensor::math;
 use taglets_tensor::{softmax_rows, Tensor};
 
-use crate::{Activation, Classifier, Linear};
+use crate::{Activation, Classifier, Linear, Mlp};
 
-/// Reusable activation buffers for [`Classifier::predict_proba_packed`].
+/// Reusable buffers for the inference forward.
 ///
-/// Holds two flat `f32` activation buffers that ping-pong between layers;
-/// they grow to the largest `batch × width` seen and are never shrunk, so a
-/// serving loop that reuses one scratch performs zero steady-state
+/// Holds two flat `f32` activation buffers that ping-pong between layers,
+/// and one weight-panel buffer used only when the weights are not
+/// pre-packed. They grow to the largest size seen and are never shrunk, so
+/// a serving loop that reuses one scratch performs zero steady-state
 /// allocations besides the returned tensor.
 #[derive(Debug, Default, Clone)]
 pub struct InferScratch {
     a: Vec<f32>,
     b: Vec<f32>,
+    panel: Vec<f32>,
 }
 
 impl InferScratch {
@@ -83,29 +89,6 @@ impl PackedWeights {
     }
 }
 
-/// `out = epi(x · w)` over flat row-major buffers, `w` pre-packed: the
-/// matmul is the shared blocked kernel ([`kernels::gemm_packed_into`],
-/// `Nn` variant — the kernel the tape's `matmul` runs after its pack) with
-/// the layer epilogue (bias add, or bias+ReLU) applied while each output
-/// block is register-hot. The fused epilogue replicates `Tape::add_row`'s
-/// per-element op order exactly, so results stay bitwise identical to the
-/// tape path.
-fn linear_forward(
-    x: &[f32],
-    rows: usize,
-    layer: &Linear,
-    epi: kernels::Epilogue,
-    panel: &[f32],
-    out: &mut Vec<f32>,
-) {
-    let (k, n) = (layer.fan_in(), layer.fan_out());
-    debug_assert_eq!(x.len(), rows * k, "input buffer shape mismatch");
-    // The kernel overwrites every element, so a dirty resize (no re-zeroing
-    // of the kept prefix) is safe.
-    out.resize(rows * n, 0.0);
-    kernels::gemm_packed_into(GemmKind::Nn, rows, k, n, x, panel, epi, out);
-}
-
 impl Classifier {
     /// Packs every weight matrix of this classifier (backbone layers then
     /// head) into the GEMM panel layout for [`Classifier::logits_packed`].
@@ -123,9 +106,9 @@ impl Classifier {
         PackedWeights { panels, dims }
     }
 
-    /// Class probabilities for a batch, computed without a tape on
-    /// pre-packed weight panels and reusable scratch buffers — bitwise
-    /// identical to [`Classifier::predict_proba`].
+    /// Class probabilities for a batch on pre-packed weight panels and
+    /// reusable scratch buffers — bitwise identical to
+    /// [`Classifier::predict_proba`].
     ///
     /// # Panics
     ///
@@ -141,7 +124,7 @@ impl Classifier {
         softmax_rows(&self.logits_packed(x, packed, scratch))
     }
 
-    /// Raw logits for a batch via the tape-free fast path — bitwise
+    /// Raw logits for a batch on pre-packed weight panels — bitwise
     /// identical to [`Classifier::logits`].
     ///
     /// # Panics
@@ -161,77 +144,150 @@ impl Classifier {
                 .eq(packed.dims.iter().copied()),
             "packed weights were built for a different classifier shape"
         );
-        assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
-        assert_eq!(
-            x.cols(),
-            self.input_dim(),
-            "input width must match the classifier"
-        );
-        let rows = x.rows();
-
-        // Ping-pong: after each layer the freshly written buffer becomes the
-        // next layer's source. The first layer reads the input tensor
-        // directly, so the scratch never holds a copy of `x`.
-        let mut src_vec = std::mem::take(&mut scratch.a);
-        let mut dst_vec = std::mem::take(&mut scratch.b);
-        let mut first = true;
-        for (layer, panel) in backbone.layers().iter().zip(&packed.panels) {
-            let src: &[f32] = if first { x.data() } else { &src_vec };
-            // ReLU fuses into the kernel epilogue; tanh has no fused form,
-            // so it keeps the separate pass below.
-            let epi = match backbone.activation() {
-                Activation::Relu => kernels::Epilogue::BiasRelu(layer.bias().data()),
-                Activation::Tanh => kernels::Epilogue::BiasAdd(layer.bias().data()),
-            };
-            linear_forward(src, rows, layer, epi, panel, &mut dst_vec);
-            first = false;
-            if backbone.activation() == Activation::Tanh {
-                math::tanh_slice(&mut dst_vec);
-            }
-            // Dropout is inactive at inference (the tape op is the identity
-            // when `training == false`), so nothing to replicate here.
-            std::mem::swap(&mut src_vec, &mut dst_vec);
-        }
-
-        let src: &[f32] = if first { x.data() } else { &src_vec };
-        linear_forward(
-            src,
-            rows,
-            self.head(),
-            kernels::Epilogue::BiasAdd(self.head().bias().data()),
-            &packed.panels[backbone.layers().len()], // lint: panicfree(dims asserted equal to the layer list; panels holds layers + 1 entries, the head last)
-            &mut dst_vec,
-        );
-        // lint: alloc(the logits tensor owns its rows; scratch.b keeps its capacity for the next call)
-        let logits = Tensor::from_vec(dst_vec.clone()).reshaped(&[rows, self.num_classes()]);
-        scratch.a = src_vec;
-        scratch.b = dst_vec;
-        logits
+        inference_forward(backbone, Some(self.head()), x, Some(packed), scratch)
     }
+}
+
+/// The one inference forward: `backbone` then, if given, `head`, over two
+/// ping-pong activation buffers. With `packed`, each layer reads its cached
+/// panel; without, each layer's weight is packed into the scratch's panel
+/// buffer — the pack the tape's `gemm_into` performs per call.
+///
+/// Every hidden layer's bias add (and, for ReLU backbones, the activation)
+/// runs in the GEMM epilogue; tanh keeps a separate [`math::tanh_slice`]
+/// pass, and dropout is the identity at inference. The head gets a bias add
+/// only.
+///
+/// # Panics
+///
+/// Panics if `x` is not rank 2 or its width differs from the backbone's
+/// input width.
+pub(crate) fn inference_forward(
+    backbone: &Mlp,
+    head: Option<&Linear>,
+    x: &Tensor,
+    packed: Option<&PackedWeights>,
+    scratch: &mut InferScratch,
+) -> Tensor {
+    assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
+    assert_eq!(
+        x.cols(),
+        backbone.input_dim(),
+        "input width must match the classifier"
+    );
+    let rows = x.rows();
+    let hidden = backbone.depth();
+    let tanh = backbone.activation() == Activation::Tanh;
+    let out_dim = head.map_or(backbone.output_dim(), Linear::fan_out);
+
+    // Ping-pong: after each layer the freshly written buffer becomes the
+    // next layer's source. The first layer reads the input tensor
+    // directly, so the scratch never holds a copy of `x`.
+    let mut src_vec = std::mem::take(&mut scratch.a);
+    let mut dst_vec = std::mem::take(&mut scratch.b);
+    for (i, layer) in backbone.layers().iter().chain(head).enumerate() {
+        let (k, n) = (layer.fan_in(), layer.fan_out());
+        let bias = layer.bias().data();
+        let epi = if i < hidden && !tanh {
+            kernels::Epilogue::BiasRelu(bias)
+        } else {
+            kernels::Epilogue::BiasAdd(bias)
+        };
+        let panel: &[f32] = match packed {
+            Some(p) => &p.panels[i], // lint: panicfree(callers assert one panel per layer, head last)
+            None => {
+                let w = layer.weight().data();
+                kernels::pack_b(GemmKind::Nn, k, n, w, &mut scratch.panel);
+                &scratch.panel
+            }
+        };
+        let src: &[f32] = if i == 0 { x.data() } else { &src_vec };
+        // The kernel overwrites every element, so a dirty resize (no
+        // re-zeroing of the kept prefix) is safe.
+        dst_vec.resize(rows * n, 0.0);
+        kernels::gemm_packed_into(GemmKind::Nn, rows, k, n, src, panel, epi, &mut dst_vec);
+        if i < hidden && tanh {
+            math::tanh_slice(&mut dst_vec);
+        }
+        std::mem::swap(&mut src_vec, &mut dst_vec);
+    }
+    // lint: alloc(the output tensor owns its rows; scratch.a keeps its capacity for the next call)
+    let out = Tensor::from_vec(src_vec.clone()).reshaped(&[rows, out_dim]);
+    scratch.a = src_vec;
+    scratch.b = dst_vec;
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::Module;
+    use rand::rngs::{mock::StepRng, StdRng};
+    use rand::SeedableRng;
+    use taglets_tensor::Tape;
+
+    /// The oracle: the tape forward with `training = false`.
+    fn tape_logits(clf: &Classifier, x: &Tensor) -> Tensor {
+        let mut tape = Tape::new();
+        let vars = clf.bind_frozen(&mut tape);
+        let xv = tape.constant(x.clone());
+        let out = clf.forward_logits(&mut tape, &vars, xv, false, &mut StepRng::new(0, 1));
+        tape.value(out).clone()
+    }
+
+    /// The oracle for backbone features.
+    fn tape_features(mlp: &Mlp, x: &Tensor) -> Tensor {
+        let mut tape = Tape::new();
+        let vars = mlp.bind_frozen(&mut tape);
+        let xv = tape.constant(x.clone());
+        let out = mlp.forward(&mut tape, &vars, xv, false, &mut StepRng::new(0, 1));
+        tape.value(out).clone()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A classifier with a random (not zero) head, so the head's GEMM is
+    /// exercised too.
+    fn classifier(dims: &[usize], dropout: f32, act: Activation, rng: &mut StdRng) -> Classifier {
+        let backbone = Mlp::with_activation(dims, dropout, act, rng);
+        let head = Linear::new(backbone.output_dim(), 4, rng);
+        Classifier::from_parts(backbone, head)
+    }
 
     #[test]
-    fn fused_packed_forward_is_bitwise_identical_to_tape_path() {
+    fn fused_forward_is_bitwise_identical_to_tape_path() {
         let mut rng = StdRng::seed_from_u64(11);
-        for dims in [&[6, 8, 5][..], &[4, 4][..], &[9, 16, 16, 3][..]] {
-            let clf = Classifier::from_dims(dims, 4, 0.0, &mut rng);
-            let packed = clf.pack_weights();
-            assert!(packed.num_elements() > 0);
-            let x = Tensor::randn(&[7, dims[0]], 1.3, &mut rng);
-            let mut scratch = InferScratch::new();
-            let fast = clf.predict_proba_packed(&x, &packed, &mut scratch);
-            let slow = clf.predict_proba(&x);
-            assert_eq!(fast.shape(), slow.shape());
-            assert_eq!(fast.data(), slow.data(), "dims {dims:?}");
-            assert_eq!(
-                clf.logits_packed(&x, &packed, &mut scratch).data(),
-                clf.logits(&x).data()
-            );
+        for act in [Activation::Relu, Activation::Tanh] {
+            for dropout in [0.0, 0.3] {
+                for dims in [&[6, 8, 5][..], &[4, 4][..], &[9, 16, 16, 3][..]] {
+                    let clf = classifier(dims, dropout, act, &mut rng);
+                    let packed = clf.pack_weights();
+                    assert!(packed.num_elements() > 0);
+                    let mut scratch = InferScratch::new();
+                    for batch in [16, 1] {
+                        let case = format!("{act:?} dropout {dropout} dims {dims:?} batch {batch}");
+                        let x = Tensor::randn(&[batch, dims[0]], 1.3, &mut rng);
+                        let oracle = tape_logits(&clf, &x);
+                        let proba = bits(&softmax_rows(&oracle));
+                        let logits = clf.logits(&x);
+                        assert_eq!(logits.shape(), oracle.shape(), "{case}");
+                        assert_eq!(bits(&logits), bits(&oracle), "{case}");
+                        assert_eq!(bits(&clf.predict_proba(&x)), proba, "{case}");
+                        assert_eq!(clf.predict(&x), oracle.argmax_rows(), "{case}");
+                        let fast = clf.logits_packed(&x, &packed, &mut scratch);
+                        assert_eq!(fast.shape(), oracle.shape(), "{case}");
+                        assert_eq!(bits(&fast), bits(&oracle), "{case}");
+                        let fast_proba = clf.predict_proba_packed(&x, &packed, &mut scratch);
+                        assert_eq!(bits(&fast_proba), proba, "{case}");
+                        let feats = clf.backbone().features(&x);
+                        let oracle_feats = tape_features(clf.backbone(), &x);
+                        assert_eq!(feats.shape(), oracle_feats.shape(), "{case}");
+                        assert_eq!(bits(&feats), bits(&oracle_feats), "{case}");
+                    }
+                }
+            }
         }
     }
 
@@ -260,7 +316,7 @@ mod tests {
         let _ = clf.predict_proba_packed(&poison, &packed, &mut scratch);
         let small = Tensor::randn(&[2, 4], 1.0, &mut rng);
         let fast = clf.predict_proba_packed(&small, &packed, &mut scratch);
-        assert_eq!(fast.data(), clf.predict_proba(&small).data());
+        assert_eq!(bits(&fast), bits(&softmax_rows(&tape_logits(&clf, &small))));
         assert_eq!(fast.shape(), &[2, 2]);
     }
 
@@ -287,9 +343,14 @@ mod tests {
         let clf = Classifier::from_dims(&[4, 8], 2, 0.0, &mut rng);
         let packed = clf.pack_weights();
         let x = Tensor::zeros(&[2, 5]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clf.predict_proba_packed(&x, &packed, &mut InferScratch::new())
-        }));
-        assert!(result.is_err());
+        for run in [
+            Box::new(|| clf.predict_proba_packed(&x, &packed, &mut InferScratch::new()))
+                as Box<dyn Fn() -> Tensor>,
+            Box::new(|| clf.logits(&x)),
+            Box::new(|| clf.backbone().features(&x)),
+        ] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            assert!(result.is_err());
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Network building blocks: [`Linear`] layers and [`Mlp`] stacks.
 //!
-//! Parameter ownership stays with the layer; to run a forward pass the layer
-//! is *bound* to a [`Tape`] (trainably via [`Module::bind`] or frozen via
-//! [`Module::bind_frozen`]), which pushes its parameters as tape nodes in a
-//! fixed, documented order.
+//! Parameter ownership stays with the layer; to run a training forward pass
+//! the layer is *bound* to a [`Tape`] (trainably via [`Module::bind`] or
+//! frozen via [`Module::bind_frozen`]), which pushes its parameters as tape
+//! nodes in a fixed, documented order. Inference ([`Mlp::features`]) runs
+//! the tape-free forward of `infer.rs` instead, with the same bits.
 
 use rand::Rng;
 
@@ -73,7 +74,7 @@ impl<A: Module, B: Module> Module for (A, B) {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let layer = Linear::new(4, 2, &mut rng);
 /// let mut tape = Tape::new();
-/// let vars = layer.bind_frozen(&mut tape);
+/// let vars = layer.bind(&mut tape);
 /// let x = tape.constant(Tensor::zeros(&[3, 4]));
 /// let y = layer.forward(&mut tape, &vars, x);
 /// assert_eq!(tape.value(y).shape(), &[3, 2]);
@@ -271,7 +272,7 @@ impl Mlp {
     }
 
     /// The linear layers, in forward order (read-only; used by the
-    /// tape-free inference fast path).
+    /// tape-free inference forward).
     pub fn layers(&self) -> &[Linear] {
         &self.layers
     }
@@ -312,15 +313,10 @@ impl Mlp {
         h
     }
 
-    /// Inference-only feature extraction (no tape exposed to the caller).
+    /// Inference-only feature extraction, via the tape-free forward in
+    /// `infer.rs` (dropout off).
     pub fn features(&self, x: &Tensor) -> Tensor {
-        let mut tape = Tape::new();
-        let vars = self.bind_frozen(&mut tape);
-        let xv = tape.constant(x.clone());
-        // Dropout is inactive when training=false, so the RNG is unused.
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let out = self.forward(&mut tape, &vars, xv, false, &mut rng);
-        tape.value(out).clone()
+        crate::infer::inference_forward(self, None, x, None, &mut crate::InferScratch::new())
     }
 }
 

@@ -72,12 +72,6 @@ impl FitConfig {
         self.schedule = schedule;
         self
     }
-
-    /// Disables train-time augmentation.
-    pub fn without_augmentation(mut self) -> Self {
-        self.augment = None;
-        self
-    }
 }
 
 /// Per-epoch training telemetry returned by the fitting functions.

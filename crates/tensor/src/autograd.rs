@@ -653,16 +653,6 @@ impl Tape {
         self.nll_soft(lp, targets)
     }
 
-    /// Row-wise softmax probabilities of the forward value (no new node).
-    pub fn softmax_value(&self, logits: Var) -> Tensor {
-        softmax_rows(self.value(logits))
-    }
-
-    /// Per-row predicted class (argmax of the forward value).
-    pub fn predictions(&self, logits: Var) -> Vec<usize> {
-        self.value(logits).argmax_rows()
-    }
-
     // ------------------------------------------------------------------
     // Backward
     // ------------------------------------------------------------------

@@ -297,13 +297,6 @@ impl Tensor {
         &self.data[r * c..(r + 1) * c] // lint: panicfree(the row accessor's documented bounds contract)
     }
 
-    /// Mutable row `r` of a rank-2 tensor.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        debug_assert_eq!(self.rank(), 2);
-        let c = self.shape[1];
-        &mut self.data[r * c..(r + 1) * c]
-    }
-
     /// Iterator over the rows of a rank-2 tensor.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         let c = if self.rank() == 2 {
@@ -454,11 +447,6 @@ impl Tensor {
         for a in self.data.iter_mut() {
             *a *= s;
         }
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Makes `self` an exact copy of `src`, reusing `self`'s allocations

@@ -106,8 +106,10 @@ step "kernels" cargo test --offline --quiet -p taglets-tensor --features referen
 step "math" cargo test --release --offline --quiet -p taglets-tensor --test math -- --ignored
 
 # Fused-epilogue contracts: bitwise identity of the fused kernel epilogue
-# against the unfused walk, of the fused packed forward against the tape
-# `predict_proba`, and v1 serialization back-compat.
+# against the unfused walk, of the one inference forward (`logits`,
+# `predict_proba`, `features` and the packed serving path) against the
+# oracle, a tape forward with `training = false` built only in the tests,
+# and v1 serialization back-compat.
 step "fused" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
 
 # The kernels bench asserts blocked-vs-reference and fused-vs-unfused
