@@ -57,6 +57,10 @@ pub fn fine_tune(
 /// Distilled fine-tuning (the paper's "Fine-tuning (Distilled)" row):
 /// fine-tune, pseudo-label `unlabeled` with the result, then train a fresh
 /// pretrained model on pseudo-labels + labels with the end-model recipe.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors `fine_tune` plus the unlabeled pool and the end-model recipe, one argument each"
+)]
 pub fn fine_tune_distilled(
     zoo: &ModelZoo,
     backbone: BackboneKind,

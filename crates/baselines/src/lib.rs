@@ -16,9 +16,6 @@
 //! and pretrained [`ModelZoo`](taglets_data::ModelZoo) as the TAGLETS system
 //! so comparisons differ only in method.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod finetune;
 mod fixmatch;
 mod mpl;

@@ -6,9 +6,6 @@
 //! (`serving_latency`) and the GEMM kernel rows (`kernels`). Helpers
 //! shared by the bench binaries live here.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod support;
 
 pub use support::{method_table, shot_grid, table_cell, write_results, TableCell};

@@ -32,9 +32,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod config;
 pub mod distillation;
 mod ensemble;

@@ -1,11 +1,4 @@
-//! The FixMatch module (Sec. 3.2.3): consistency-regularised semi-supervised
-//! learning, initialised from a backbone fine-tuned on SCADS-selected
-//! auxiliary data to fight confirmation bias.
-//!
-//! Each step combines a supervised loss on weakly-augmented labeled examples
-//! with the FixMatch unlabeled objective: pseudo-label the weak view
-//! `u_a = α(u)` when `max φ(u_a) ≥ τ`, and train the strong view `u_b`
-//! against that label.
+//! The FixMatch module; see [`FixMatchModule`].
 
 use rand::rngs::StdRng;
 
@@ -15,7 +8,14 @@ use taglets_tensor::{confidence_rows, GradScratch, LrSchedule, Sgd, SgdConfig, T
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
-/// The FixMatch module. See the [module docs](self).
+/// The FixMatch module (Sec. 3.2.3): consistency-regularised semi-supervised
+/// learning, initialised from a backbone fine-tuned on SCADS-selected
+/// auxiliary data to fight confirmation bias.
+///
+/// Each step combines a supervised loss on weakly-augmented labeled examples
+/// with the FixMatch unlabeled objective: pseudo-label the weak view
+/// `u_a = α(u)` when `max φ(u_a) ≥ τ`, and train the strong view `u_b`
+/// against that label.
 ///
 /// The plain FixMatch *baseline* (Sec. 4.2) runs the same loop,
 /// [`fixmatch_train`], without the SCADS phase — the auxiliary-data
@@ -56,7 +56,6 @@ impl TagletModule for FixMatchModule {
                 let mut opt = Sgd::with_momentum(cfg.pretrain_lr, 0.9);
                 let fit = FitConfig::new(cfg.pretrain_epochs, cfg.batch_size, cfg.pretrain_lr);
                 report.absorb(fit_hard(&mut clf, &aux_x, &aux_y, &fit, &mut opt, rng));
-                let mut clf = clf;
                 clf.reset_head(ctx.num_classes(), rng);
                 clf
             }

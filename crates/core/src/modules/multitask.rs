@@ -1,9 +1,4 @@
-//! The Multi-task module (Sec. 3.2.2): joint training of the target task and
-//! the auxiliary task built from `R`, sharing one backbone.
-//!
-//! Optimises `L_joint = L_target + λ·L_aux` (Eq. 3–5) with two heads on a
-//! shared encoder. Each step draws one mini-batch from `R` (which paces the
-//! epoch count) and one from `X`.
+//! The Multi-task module; see [`MultiTaskModule`].
 
 use rand::rngs::StdRng;
 
@@ -12,7 +7,12 @@ use taglets_tensor::{GradScratch, LrSchedule, Sgd, SgdConfig};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
-/// The Multi-task module. See the [module docs](self).
+/// The Multi-task module (Sec. 3.2.2): joint training of the target task and
+/// the auxiliary task built from `R`, sharing one backbone.
+///
+/// Optimises `L_joint = L_target + λ·L_aux` (Eq. 3–5) with two heads on a
+/// shared encoder. Each step draws one mini-batch from `R` (which paces the
+/// epoch count) and one from `X`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MultiTaskModule;
 

@@ -1,10 +1,4 @@
-//! The Transfer module (Sec. 3.2.1): sequential fine-tuning on selected
-//! auxiliary data, then on the labeled target data.
-//!
-//! 1. Intermediate phase (Eq. 1): fine-tune the pretrained backbone `φ` on
-//!    `R` as an `NC`-way classification task.
-//! 2. Target phase (Eq. 2): replace the head and fine-tune on the labeled
-//!    examples `X`.
+//! The Transfer module; see [`TransferModule`].
 
 use rand::rngs::StdRng;
 
@@ -13,7 +7,13 @@ use taglets_tensor::{LrSchedule, Sgd, SgdConfig};
 
 use crate::{ClassifierTaglet, CoreError, ModuleContext, TagletModule, TrainedTaglet};
 
-/// The Transfer module. See the [module docs](self).
+/// The Transfer module (Sec. 3.2.1): sequential fine-tuning on selected
+/// auxiliary data, then on the labeled target data.
+///
+/// 1. Intermediate phase (Eq. 1): fine-tune the pretrained backbone `φ` on
+///    `R` as an `NC`-way classification task.
+/// 2. Target phase (Eq. 2): replace the head and fine-tune on the labeled
+///    examples `X`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TransferModule;
 

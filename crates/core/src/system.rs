@@ -6,7 +6,8 @@
 //! scoped worker thread per available core. Because every module derives
 //! its RNG from `seed ^ name_hash(name)` and the executor reassembles
 //! results in module order, the parallel path is bitwise identical to the
-//! serial one (see the `exec_determinism` integration test).
+//! serial one (see the `exec_determinism` module of the system
+//! integration test).
 
 use std::borrow::Cow;
 
@@ -24,6 +25,21 @@ use crate::{
     distillation, CoreError, Ensemble, FixMatchModule, ModuleContext, MultiTaskModule,
     ServableModel, Taglet, TagletModule, TagletsConfig, TransferModule, ZslKgModule,
 };
+
+/// The `train_modules` stage's output: each module's taglet and telemetry,
+/// in module order.
+type TrainedModules = (Vec<Box<dyn Taglet>>, Vec<ModuleTelemetry>);
+
+/// Starts a stage timer: the pipeline's one wall-clock read. The measured
+/// seconds land in `RunTelemetry` and never feed model state.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stage timing telemetry; the value never feeds model state"
+)]
+fn stage_timer() -> std::time::Instant {
+    // lint: nondeterministic(stage timing telemetry; the value never feeds model state)
+    std::time::Instant::now()
+}
 
 /// The TAGLETS system, prepared once per (SCADS, zoo, config) and run many
 /// times across tasks, splits, shots, and pruning levels.
@@ -216,8 +232,7 @@ impl<'a> TagletsSystem<'a> {
 
         // Stage 1: SCADS extension, concept resolution, auxiliary selection,
         // unlabeled capping.
-        // Wall-clock telemetry only; never feeds training.
-        let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+        let start = stage_timer();
         let selected = self.select(task, split, prune, seed)?;
         stages.push(StageTelemetry {
             name: "select",
@@ -238,7 +253,7 @@ impl<'a> TagletsSystem<'a> {
         };
 
         // Stage 2: train the modules (the parallelizable stage).
-        let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+        let start = stage_timer();
         let (taglets, module_telemetry) =
             self.train_modules(&ctx, &module_names, seed, &executor)?;
         stages.push(StageTelemetry {
@@ -247,7 +262,7 @@ impl<'a> TagletsSystem<'a> {
         });
 
         // Stage 3: ensemble → pseudo labels (Eq. 6).
-        let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+        let start = stage_timer();
         let pseudo_labels = Self::ensemble_stage(&taglets, &selected.unlabeled_used, task);
         stages.push(StageTelemetry {
             name: "ensemble",
@@ -255,7 +270,7 @@ impl<'a> TagletsSystem<'a> {
         });
 
         // Stage 4: distill into the end model (Eq. 7).
-        let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+        let start = stage_timer();
         let (end_model, end_telemetry) =
             self.distill(task, split, &selected.unlabeled_used, &pseudo_labels, seed);
         stages.push(StageTelemetry {
@@ -365,7 +380,7 @@ impl<'a> TagletsSystem<'a> {
         module_names: &[&str],
         seed: u64,
         executor: &Executor,
-    ) -> Result<(Vec<Box<dyn Taglet>>, Vec<ModuleTelemetry>), CoreError> {
+    ) -> Result<TrainedModules, CoreError> {
         let transfer = TransferModule;
         let multitask = MultiTaskModule;
         let fixmatch = FixMatchModule::new();
@@ -392,8 +407,7 @@ impl<'a> TagletsSystem<'a> {
         let trained = executor.run(modules.len(), |i| -> Result<_, CoreError> {
             let module = modules[i];
             let mut rng = StdRng::seed_from_u64(seed ^ name_hash(module.name()));
-            // Wall-clock telemetry only; never feeds training.
-            let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+            let start = stage_timer();
             let result = module.train(ctx, &mut rng)?;
             Ok((result, start.elapsed().as_secs_f32()))
         })?;
@@ -439,8 +453,7 @@ impl<'a> TagletsSystem<'a> {
             task.num_classes(),
         );
         let mut rng = StdRng::seed_from_u64(seed ^ name_hash("end-model"));
-        // Wall-clock telemetry only; never feeds training.
-        let start = std::time::Instant::now(); // lint: allow(TL003), nondeterministic(stage timing telemetry; the value never feeds model state)
+        let start = stage_timer();
         let (end, report) = distillation::train_end_model(
             self.zoo,
             self.config.backbone,

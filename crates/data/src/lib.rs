@@ -29,9 +29,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod error;
 mod stats;
 mod tasks;

@@ -54,8 +54,8 @@ impl TaskSummary {
             }
             counts[y] += 1.0;
         }
-        for y in 0..c {
-            let n = counts[y].max(1.0);
+        for (y, count) in counts.iter().enumerate() {
+            let n = count.max(1.0);
             for k in 0..d {
                 means.set(y, k, means.at(y, k) / n);
             }

@@ -98,9 +98,9 @@ impl TextTable {
         let mut out = String::new();
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
-            for i in 0..cols {
+            for (i, width) in widths.iter().enumerate() {
                 let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                let pad = widths[i].saturating_sub(cell.chars().count());
+                let pad = width.saturating_sub(cell.chars().count());
                 if i > 0 {
                     line.push_str("  ");
                 }

@@ -7,9 +7,6 @@
 //! [`TextTable`] rendering. The `taglets-bench` crate drives these to
 //! regenerate each table and figure.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod error;
 mod format;
 mod metrics;

@@ -28,9 +28,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod analysis;
 mod embeddings;
 mod gnn;

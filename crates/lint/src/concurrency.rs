@@ -1,8 +1,8 @@
 //! TL013: float accumulation onto shared state inside a worker closure.
 //!
 //! The other concurrency-safety rules are facts over the call-graph
-//! ([`crate::reach`]): `unsafe` (TL010) and weak orderings (TL012) fire at
-//! the site, interior mutability (TL011) when a dispatch reaches it. A
+//! ([`crate::reach`]): weak orderings (TL012) fire at the site, interior
+//! mutability (TL011) when a dispatch reaches it. A
 //! reduction is an expression-level property no per-function fact can
 //! carry, so this token walk inspects the closure arguments of each
 //! dispatch call site directly. TL013 sites are silenced by a reasoned

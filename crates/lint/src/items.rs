@@ -42,8 +42,6 @@ pub enum FactKind {
     /// `.cos()`, or a path `f32::exp` / `f64::tanh` / ... .
     /// `taglets_tensor::math` computes these in portable code.
     LibmCall,
-    /// An `unsafe` keyword (block, fn, impl, or trait).
-    UnsafeCode,
     /// An interior-mutability type mentioned outside a `use` item (`Mutex`,
     /// `RwLock`, `RefCell`, `Cell`, `UnsafeCell`, `OnceCell`/`OnceLock`,
     /// `LazyCell`/`LazyLock`, any `Atomic*`), or a `static mut` item.
@@ -72,7 +70,6 @@ impl FactKind {
             FactKind::RngNotSeedDerived => "RNG not derived from a seed",
             FactKind::MapIter => "iteration over unordered HashMap/HashSet",
             FactKind::LibmCall => "host libm call (use taglets_tensor::math)",
-            FactKind::UnsafeCode => "unsafe code without a reasoned waiver",
             FactKind::InteriorMutability => "interior-mutability type (shared mutable state)",
             FactKind::WeakOrdering => "atomic ordering weaker than SeqCst",
             FactKind::HeapAlloc => "heap allocation on a latency-critical path",
@@ -91,7 +88,6 @@ impl FactKind {
             | FactKind::RngNotSeedDerived
             | FactKind::MapIter
             | FactKind::LibmCall => Some("nondeterministic"),
-            FactKind::UnsafeCode => Some("unsafe"),
             FactKind::InteriorMutability | FactKind::WeakOrdering => Some("concurrency"),
             FactKind::HeapAlloc => Some("alloc"),
             FactKind::PanicCapable => Some("panicfree"),
@@ -117,6 +113,7 @@ impl FactKind {
 /// reach a declaration.
 #[derive(Debug, Clone)]
 pub struct Fact {
+    /// What the site is evidence of.
     pub kind: FactKind,
     /// 1-based line of the source expression.
     pub line: usize,
@@ -124,7 +121,7 @@ pub struct Fact {
     pub what: String,
     /// Rule codes suppressed at this line via `lint: allow(...)`.
     pub allows: Vec<String>,
-    /// True when the line carries the kind's [`FactKind::waiver`] with a
+    /// True when the line carries the kind's `FactKind::waiver` with a
     /// non-empty reason.
     pub waived: bool,
 }
@@ -191,6 +188,7 @@ pub struct FnInfo {
     /// `exec.for_each(...)`, `Executor::run(...)`, `scope.spawn(...)`).
     /// Non-empty means this function hands closures to worker threads.
     pub dispatches: Vec<usize>,
+    /// Outgoing call sites in the body, in source order.
     pub calls: Vec<Call>,
 }
 
@@ -231,7 +229,7 @@ pub struct Extraction {
     /// All non-test functions, in source order.
     pub fns: Vec<FnInfo>,
     /// Facts found *outside* any function body — struct fields holding
-    /// interior-mutability types, `static mut` items, `unsafe impl`.
+    /// interior-mutability types, `static mut` items.
     pub file_facts: Vec<Fact>,
     /// `file:line: message` for every `root(...)` marker that names an
     /// unknown analysis or sits on no function definition.
@@ -545,8 +543,8 @@ fn libm_call(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String
 /// source, with the token index a walk resumes at (`None` for an entropy
 /// constructor, which is also a call): `Instant::now` / `SystemTime::now`,
 /// `thread::spawn`/`scope`/`Builder`, and `thread_rng`, `from_entropy`,
-/// `rand::random`. TL003 and TL006 match these shapes at the site, too.
-pub(crate) fn ambient_source(
+/// `rand::random`.
+fn ambient_source(
     tokens: &[Token],
     i: usize,
     name: &str,
@@ -599,13 +597,10 @@ fn is_interior_mutability(name: &str) -> bool {
 }
 
 /// Classifies the identifier token at `i` as a concurrency fact, if it is
-/// one. Token-level matching keeps `#![forbid(unsafe_code)]` (the ident
-/// `unsafe_code`) and `std::cmp::Ordering::Less` structurally incapable of
-/// false positives.
+/// one. Token-level matching keeps `std::cmp::Ordering::Less` and
+/// lookalike identifiers (`SweepCell`) structurally incapable of false
+/// positives.
 fn concurrency_fact(tokens: &[Token], i: usize, name: &str) -> Option<(FactKind, String)> {
-    if name == "unsafe" {
-        return Some((FactKind::UnsafeCode, "unsafe".to_string()));
-    }
     if name == "static" && tokens.get(i + 1).and_then(Token::ident) == Some("mut") {
         return Some((FactKind::InteriorMutability, "static mut".to_string()));
     }
@@ -957,11 +952,9 @@ fn parse_signature(tokens: &[Token], start: usize) -> (BTreeSet<String>, usize) 
                     }
                 }
                 Tok::Punct(",") if depth == 1 => current_param = None,
-                Tok::Ident(id) if depth >= 1 => {
-                    if (id == "HashMap" || id == "HashSet") && current_param.is_some() {
-                        if let Some(p) = &current_param {
-                            maps.insert(p.clone());
-                        }
+                Tok::Ident(id) if depth >= 1 && (id == "HashMap" || id == "HashSet") => {
+                    if let Some(p) = &current_param {
+                        maps.insert(p.clone());
                     }
                 }
                 _ => {}
@@ -1031,8 +1024,7 @@ mod tests {
 
     /// Rule families, told apart by the waiver each kind accepts.
     const DETERMINISM: fn(FactKind) -> bool = |k| k.waiver() == Some("nondeterministic");
-    const SHARED_STATE: fn(FactKind) -> bool =
-        |k| matches!(k.waiver(), Some("unsafe" | "concurrency"));
+    const SHARED_STATE: fn(FactKind) -> bool = |k| k.waiver() == Some("concurrency");
     const HOT: fn(FactKind) -> bool = FactKind::one_per_line;
 
     /// The facts of one rule family, in source order.
@@ -1237,27 +1229,23 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_and_static_mut_are_shared_state_facts() {
-        let src = "static mut COUNTER: usize = 0;\nfn f() {\n    let n = unsafe { read() };\n    // lint: unsafe(audited: bounds checked above)\n    let m = unsafe { read() };\n}\n";
+    fn static_mut_is_a_file_scope_shared_state_fact() {
+        let src = "static mut COUNTER: usize = 0;\nfn f() {\n    let n = read();\n}\n";
         let ex = extract("crates/x/src/lib.rs", &parse(src));
         assert_eq!(ex.file_facts.len(), 1);
         assert_eq!(ex.file_facts[0].what, "static mut");
-        let shared = of(&ex.fns[0].facts, SHARED_STATE);
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared[0].kind, FactKind::UnsafeCode);
-        assert!(!shared[0].waived);
-        assert!(shared[1].waived, "unsafe(reason) waives the second block");
+        assert!(of(&ex.fns[0].facts, SHARED_STATE).is_empty());
     }
 
     #[test]
     fn concurrency_waiver_covers_shared_state_kinds_only() {
-        let src = "fn f() {\n    let a = AtomicUsize::new(0); // lint: concurrency(claim counter only)\n    let b = unsafe { read() }; // lint: concurrency(not the right waiver)\n}\n";
+        let src = "fn f() {\n    let a = AtomicUsize::new(0); // lint: concurrency(claim counter only)\n    let b = Mutex::new(0); // lint: alloc(not the right waiver)\n}\n";
         let ex = extract("crates/x/src/lib.rs", &parse(src));
         let shared = of(&ex.fns[0].facts, SHARED_STATE);
         assert!(shared[0].waived);
         assert!(
             !shared[1].waived,
-            "unsafe code needs unsafe(reason), not concurrency(reason)"
+            "shared state needs concurrency(reason), not alloc(reason)"
         );
     }
 

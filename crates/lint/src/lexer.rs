@@ -8,7 +8,7 @@
 //! spanned tokens with comments and whitespace removed; literal *contents*
 //! are dropped (a string is one [`Tok::Str`] token), so downstream passes
 //! can never match inside them. The comments it skips come back beside the
-//! stream, for doc flags and `lint:` directives.
+//! stream, for the `lint:` directives.
 //!
 //! The lexer is lossy in exactly the ways the analyses can afford: it does
 //! not preserve literal values, and it treats keywords as ordinary
@@ -86,8 +86,6 @@ pub struct Comment {
     /// a block comment's text keeps its newlines and drops nested `/*`
     /// `*/` pairs.
     pub text: String,
-    /// True for outer/inner doc comments (`///`, `//!`, `/**`, `/*!`).
-    pub doc: bool,
 }
 
 /// Multi-character operators, longest first so joining is greedy.
@@ -150,12 +148,9 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Comment>) {
             cur.bump();
             continue;
         }
-        // Comments. `///` and `//!`, `/**` and `/*!` are doc comments.
+        // Comments, doc comments included.
         if c == '/' && matches!(cur.peek(1), Some('/' | '*')) {
             let line_comment = cur.peek(1) == Some('/');
-            let marker = if line_comment { '/' } else { '*' };
-            let doc = cur.peek(2) == Some('!')
-                || (cur.peek(2) == Some(marker) && cur.peek(3) != Some(marker));
             cur.bump_n(2);
             let mut text = String::new();
             if line_comment {
@@ -180,7 +175,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Comment>) {
                     }
                 }
             }
-            comments.push(Comment { line, text, doc });
+            comments.push(Comment { line, text });
             continue;
         }
         // String-ish prefixes: r"", r#""#, b"", br"", b'', and raw idents.
@@ -678,22 +673,19 @@ mod tests {
     }
 
     #[test]
-    fn comments_come_back_with_line_text_and_doc_flag() {
+    fn comments_come_back_with_line_and_text() {
         let (toks, comments) =
             lex("a // note\n/// doc\n/*! inner\n/* x */ y */ b //// plain\n/** */");
         assert_eq!(toks.len(), 2);
-        let got: Vec<(usize, &str, bool)> = comments
-            .iter()
-            .map(|c| (c.line, c.text.as_str(), c.doc))
-            .collect();
+        let got: Vec<(usize, &str)> = comments.iter().map(|c| (c.line, c.text.as_str())).collect();
         assert_eq!(
             got,
             vec![
-                (1, " note", false),
-                (2, "/ doc", true),
-                (3, "! inner\n x  y ", true),
-                (4, "// plain", false),
-                (5, "* ", true),
+                (1, " note"),
+                (2, "/ doc"),
+                (3, "! inner\n x  y "),
+                (4, "// plain"),
+                (5, "* "),
             ]
         );
     }

@@ -2,21 +2,15 @@
 //! workspace.
 //!
 //! The engine lexes every library source file (`crates/*/src/**/*.rs` plus
-//! the root `src/`) once, builds per-line test, doc and directive metadata
-//! from the tokens and comments ([`source`]), and applies the TL rule set:
+//! the root `src/`) once, builds per-line test and directive metadata from
+//! the tokens and comments ([`source`]), and applies the TL rule set:
 //!
 //! | rule  | checks |
 //! |-------|--------|
-//! | TL001 | `unwrap()` / `expect()` in non-test library code |
-//! | TL002 | `panic!` / `todo!` / `unreachable!` / `unimplemented!` |
-//! | TL003 | nondeterminism sources (`thread_rng`, `rand::random`, `Instant::now`, `SystemTime`) |
 //! | TL004 | `==` / `!=` on float expressions (token-level) |
-//! | TL005 | missing doc comment on `pub fn` in `tensor`/`core` (advisory) |
-//! | TL006 | thread spawning outside `tensor::exec` |
 //! | TL007 | nondeterminism reachable from a deterministic root (taint, with call chain) |
 //! | TL008 | iteration over unordered `HashMap`/`HashSet` in library code |
 //! | TL009 | RNG construction not derived from a seed |
-//! | TL010 | `unsafe` code without a reasoned `lint: unsafe(reason)` waiver |
 //! | TL011 | interior mutability reachable from an executor dispatch (with call chain) |
 //! | TL012 | atomic memory ordering weaker than `SeqCst` |
 //! | TL013 | float accumulation onto shared state in a worker closure |
@@ -24,11 +18,11 @@
 //! | TL015 | blocking operation reachable from a latency-critical root (with call chain) |
 //! | TL016 | panic-capable op on the serve path (with call chain) |
 //!
-//! TL001–TL006 match over each file's tokens ([`rules`]). The
-//! workspace-level rules run over per-function facts and a call-graph
-//! ([`lexer`] → [`items`] → [`callgraph`] → [`reach`]): TL008–TL010,
-//! TL012 and file-scope TL011 fire at the fact's site, while TL007, TL011
-//! and TL014–TL016 are one reachability engine run from three root sets.
+//! TL004 matches over each file's tokens ([`rules`]). The workspace-level
+//! rules run over per-function facts and a call-graph ([`lexer`] →
+//! [`items`] → [`callgraph`] → [`reach`]): TL008, TL009, TL012 and
+//! file-scope TL011 fire at the fact's site, while TL007, TL011 and
+//! TL014–TL016 are one reachability engine run from three root sets.
 //! Determinism and hot-path roots are declared where the function is
 //! defined, by a `root(determinism)` / `root(hot)` marker in a `lint:`
 //! comment on the `fn` line or directly above it; dispatch roots (TL011)
@@ -36,8 +30,12 @@
 //! token walk over dispatched closures ([`concurrency`]). `--explain
 //! TLxxx` prints each rule's rationale and waiver syntax.
 //!
-//! `--check` fails on any non-advisory violation. Individual intentional
-//! sites can be suppressed with a trailing `// lint: allow(TL002)` comment.
+//! Per-file rules the toolchain already has (unwrap and panic macros,
+//! wall-clock reads and thread spawning, missing docs, `unsafe`) live in
+//! the workspace's `[workspace.lints]` table and `clippy.toml` instead.
+//!
+//! `--check` fails on any violation. Individual intentional sites can be
+//! suppressed with a trailing `// lint: allow(TL004)` comment.
 //!
 //! The crate is deliberately std-only so the gate builds and runs with
 //! `cargo run -p taglets-lint -- --check` even when the crate registry is
@@ -111,7 +109,7 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     }
     push_timing(&mut timings, "scan", t);
 
-    // Stage "rules": per-file token rules.
+    // Stage "rules": the per-file token rule (TL004).
     let t = stage_clock();
     let mut violations = Vec::new();
     for (rel, src) in &parsed {
@@ -143,7 +141,7 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     let graph = callgraph::build(fns);
     push_timing(&mut timings, "callgraph", t);
 
-    // Stage "determinism": site rules (TL008–TL010, TL012, file-scope TL011)
+    // Stage "determinism": site rules (TL008, TL009, TL012, file-scope TL011)
     // and determinism reachability (TL007).
     let t = stage_clock();
     violations.extend(reach::site_rules(&graph, &file_facts));
@@ -200,8 +198,12 @@ fn workspace_file_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// Starts a stage clock. Isolated here so the telemetry waiver covers the
 /// single wall-clock read in the crate.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lint stage telemetry; the value never feeds analysis results"
+)]
 fn stage_clock() -> std::time::Instant {
-    // lint: allow(TL003), nondeterministic(lint stage telemetry; the value never feeds analysis results)
+    // lint: nondeterministic(lint stage telemetry; the value never feeds analysis results)
     std::time::Instant::now()
 }
 

@@ -1,8 +1,7 @@
 //! CLI for the workspace lint: `cargo run -p taglets-lint -- [FLAGS]`.
 //!
-//! * `--check` (default): scan and report; exit 1 on any non-advisory
-//!   violation.
-//! * `--list`: print every current violation, advisory ones included.
+//! * `--check` (default): scan and report; exit 1 on any violation.
+//! * `--list`: print every current violation with per-rule totals.
 //! * `--json`: machine-readable output — one JSON diagnostic per line,
 //!   including TL007/TL011/TL014–TL016 call chains, plus a summary object
 //!   with per-stage wall-times and per-rule hit counts (combines with
@@ -15,9 +14,9 @@
 //! * `--explain TLxxx`: print one rule's rationale and waiver syntax.
 //! * `--root <dir>`: override workspace-root autodetection.
 //!
-//! Exit codes: `0` clean (advisory findings only), `1` non-advisory
-//! violations, `2` internal lint error (bad arguments, unreadable
-//! workspace, misplaced or unknown `root(...)` marker).
+//! Exit codes: `0` clean, `1` violations, `2` internal lint error (bad
+//! arguments, unreadable workspace, misplaced or unknown `root(...)`
+//! marker).
 
 use std::collections::BTreeMap;
 use std::env;
@@ -62,7 +61,7 @@ fn run() -> Result<ExitCode, String> {
             "--explain" => {
                 let code = args
                     .next()
-                    .ok_or("--explain requires a rule code (TL001–TL016)")?;
+                    .ok_or("--explain requires a rule code (see --help)")?;
                 mode = Mode::Explain(code);
             }
             "--root" => {
@@ -79,8 +78,10 @@ fn run() -> Result<ExitCode, String> {
 
     // `--explain` needs no workspace at all.
     if let Mode::Explain(code) = &mode {
-        let rule = Rule::from_code(&code.to_uppercase())
-            .ok_or_else(|| format!("unknown rule `{code}` (valid: TL001–TL016)"))?;
+        let rule = Rule::from_code(&code.to_uppercase()).ok_or_else(|| {
+            let valid: Vec<&str> = ALL_RULES.iter().map(|r| r.code()).collect();
+            format!("unknown rule `{code}` (valid: {})", valid.join(", "))
+        })?;
         print_explain(rule);
         return Ok(ExitCode::SUCCESS);
     }
@@ -98,7 +99,8 @@ fn run() -> Result<ExitCode, String> {
         scan_workspace_timed(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     match mode {
-        Mode::Explain(_) => unreachable!("handled before scanning"), // lint: allow(TL002)
+        #[expect(clippy::unreachable, reason = "`--explain` returns before the scan")]
+        Mode::Explain(_) => unreachable!("handled before scanning"),
         Mode::List => {
             for v in &violations {
                 if json {
@@ -152,10 +154,10 @@ fn run() -> Result<ExitCode, String> {
             } else {
                 report_check(&violations);
             }
-            if violations.iter().any(|v| !v.rule.is_advisory()) {
-                Ok(ExitCode::FAILURE)
-            } else {
+            if violations.is_empty() {
                 Ok(ExitCode::SUCCESS)
+            } else {
+                Ok(ExitCode::FAILURE)
             }
         }
     }
@@ -178,13 +180,8 @@ fn print_chain(v: &Violation) {
 /// Prints every violation with its site, then the verdict.
 fn report_check(violations: &[Violation]) {
     for v in violations {
-        let label = if v.rule.is_advisory() {
-            "advisory"
-        } else {
-            "error"
-        };
         println!(
-            "{label}: {} {}:{} | {}",
+            "error: {} {}:{} | {}",
             v.rule.code(),
             v.file,
             v.line,
@@ -192,14 +189,10 @@ fn report_check(violations: &[Violation]) {
         );
         print_chain(v);
     }
-    let blocking = violations.iter().filter(|v| !v.rule.is_advisory()).count();
-    if blocking > 0 {
-        println!("lint check FAILED: {blocking} violation(s)");
+    if violations.is_empty() {
+        println!("lint check passed");
     } else {
-        println!(
-            "lint check passed ({} advisory finding(s))",
-            violations.len()
-        );
+        println!("lint check FAILED: {} violation(s)", violations.len());
     }
 }
 
@@ -207,9 +200,6 @@ fn report_check(violations: &[Violation]) {
 /// syntax — the same table DESIGN.md §6 renders.
 fn print_explain(rule: Rule) {
     println!("{} — {}", rule.code(), rule.description());
-    if rule.is_advisory() {
-        println!("(advisory: reported, never fails --check)");
-    }
     println!();
     println!("{}", rule.rationale());
     println!();
@@ -244,13 +234,13 @@ fn print_help() {
          \n\
          USAGE: cargo run -p taglets-lint -- [--check | --list | --bench | --explain TLxxx] [--root DIR]\n\
          \n\
-         --check            report violations; exit 1 on any non-advisory one (default)\n\
-         --list             print every violation, advisory ones included\n\
+         --check            report violations; exit 1 on any (default)\n\
+         --list             print every violation with per-rule totals\n\
          --json             one JSON diagnostic per line plus a summary with stage timings\n\
          --bench            print BENCH_lint.json's line (min-of-{BENCH_RUNS} per-stage wall-times + per-rule counts)\n\
          --explain TLxxx    print one rule's rationale and waiver syntax\n\
          --root DIR         workspace root (default: walk up from the current directory)\n\
          \n\
-         EXIT CODES: 0 clean (advisory only) · 1 non-advisory violations · 2 internal lint error"
+         EXIT CODES: 0 clean · 1 violations · 2 internal lint error"
     );
 }

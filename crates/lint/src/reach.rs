@@ -1,14 +1,14 @@
 //! The reachability engine: every call-graph rule is one table entry run
-//! through [`reach`].
+//! through `reach`.
 //!
 //! Three system claims become reachability questions over the same
 //! [`CallGraph`] and item [`Fact`]s:
 //!
 //! | analysis        | roots                        | cut            | fact kind → rule |
 //! |-----------------|------------------------------|----------------|------------------|
-//! | [`DETERMINISM`] | `root(determinism)` markers  | none           | time, thread spawn, unseeded RNG, map iteration, libm call → TL007 |
-//! | [`DISPATCH`]    | functions with a dispatch site | none         | interior mutability → TL011 |
-//! | [`HOT`]         | `root(hot)` markers          | [`is_setup`]   | allocation → TL014, blocking → TL015, panic-capable → TL016 |
+//! | `DETERMINISM` | `root(determinism)` markers  | none           | time, thread spawn, unseeded RNG, map iteration, libm call → TL007 |
+//! | `DISPATCH`    | functions with a dispatch site | none         | interior mutability → TL011 |
+//! | `HOT`         | `root(hot)` markers          | `is_setup`   | allocation → TL014, blocking → TL015, panic-capable → TL016 |
 //!
 //! * **Determinism.** Parallel training is bitwise-identical to serial only
 //!   while everything reachable from a seeded root is deterministic.
@@ -32,8 +32,8 @@
 //! enters a cut function, and reports each fact once, with the first
 //! (shortest) chain that reaches it, so the diagnostic shows *how* the root
 //! reaches the site. Facts whose rule holds wherever they sit — map
-//! iteration, unseeded RNGs, `unsafe`, weak orderings, and shared state at
-//! file scope, where no call edge can reach — go through [`site_rules`]
+//! iteration, unseeded RNGs, weak orderings, and shared state at file
+//! scope, where no call edge can reach — go through `site_rules`
 //! instead.
 
 use std::collections::VecDeque;
@@ -85,18 +85,16 @@ pub(crate) const HOT: Reach = Reach {
 };
 
 /// Rules that fire at a fact inside a function body, reachable or not.
-const SITE_RULES: [(FactKind, Rule); 4] = [
+const SITE_RULES: [(FactKind, Rule); 3] = [
     (FactKind::MapIter, Rule::Tl008),
     (FactKind::RngNotSeedDerived, Rule::Tl009),
-    (FactKind::UnsafeCode, Rule::Tl010),
     (FactKind::WeakOrdering, Rule::Tl012),
 ];
 
 /// Rules that fire at a file-scope fact. No call edge reaches a
 /// declaration, so a struct field or static holding shared state is
 /// flagged (TL011) wherever it sits.
-const FILE_SCOPE_RULES: [(FactKind, Rule); 3] = [
-    (FactKind::UnsafeCode, Rule::Tl010),
+const FILE_SCOPE_RULES: [(FactKind, Rule); 2] = [
     (FactKind::InteriorMutability, Rule::Tl011),
     (FactKind::WeakOrdering, Rule::Tl012),
 ];
@@ -333,16 +331,15 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_and_weak_ordering_fire_at_site() {
-        let src =
-            "fn f() {\n    let n = unsafe { read() };\n    let o = x.load(Ordering::Relaxed);\n}\n";
+    fn weak_ordering_fires_at_site() {
+        let src = "fn f() {\n    let o = x.load(Ordering::Relaxed);\n}\n";
         let rules: Vec<Rule> = analyze(POOL, src).iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::Tl010, Rule::Tl012]);
+        assert_eq!(rules, vec![Rule::Tl012]);
     }
 
     #[test]
     fn reasoned_waivers_silence_their_rules() {
-        let src = "fn run_pool(executor: &Executor) {\n    let next = AtomicUsize::new(0); // lint: concurrency(claim counter; results reassembled by index)\n    let i = next.fetch_add(1, Ordering::Relaxed); // lint: concurrency(atomic RMW yields unique indices)\n    let p = unsafe { buf.as_mut_ptr() }; // lint: unsafe(chunks are disjoint by construction)\n    executor.map(4, |i| i);\n}\n";
+        let src = "fn run_pool(executor: &Executor) {\n    let next = AtomicUsize::new(0); // lint: concurrency(claim counter; results reassembled by index)\n    let i = next.fetch_add(1, Ordering::Relaxed); // lint: concurrency(atomic RMW yields unique indices)\n    executor.map(4, |i| i);\n}\n";
         assert!(analyze(POOL, src).is_empty());
     }
 

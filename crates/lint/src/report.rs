@@ -11,9 +11,13 @@
 //!   `description`, `excerpt`, `advisory`, and the (possibly empty) TL007/
 //!   TL011 call `chain`;
 //! * one trailing **summary** object — totals, the (rule, file) entries
-//!   with hits and how many of them block, per-stage wall-times (`stages`), and per-rule hit counts (`rules`,
-//!   every rule present, zeros included, so counts are diffable
-//!   PR-over-PR).
+//!   with hits and how many of them block, per-stage wall-times
+//!   (`stages`), and per-rule hit counts (`rules`, every rule present,
+//!   zeros included, so counts are diffable PR-over-PR).
+//!
+//! Every rule blocks, so `advisory` is always `false` and
+//! `blocking_entries` equals `regressing_entries`; both keys stay so the
+//! schema does not change under its readers.
 
 use std::collections::BTreeSet;
 
@@ -36,26 +40,24 @@ pub fn violation_json(v: &Violation) -> String {
     }
     chain.push(']');
     format!(
-        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"description\":\"{}\",\"excerpt\":\"{}\",\"advisory\":{},\"chain\":{}}}",
+        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"description\":\"{}\",\"excerpt\":\"{}\",\"advisory\":false,\"chain\":{}}}",
         v.rule.code(),
         json_escape(&v.file),
         v.line,
         json_escape(v.rule.description()),
         json_escape(&v.excerpt),
-        v.rule.is_advisory(),
         chain
     )
 }
 
 /// Renders the trailing summary object for `--check --json`.
-/// `regressing_entries` counts the (rule, file) entries with any hit,
-/// `blocking_entries` those with a non-advisory hit; `ok` means none block.
+/// `regressing_entries` and `blocking_entries` both count the (rule, file)
+/// entries with any hit; `ok` means there are none.
 pub fn summary_json(violations: &[Violation], timings: &[StageTiming]) -> String {
     let entries: BTreeSet<(Rule, &str)> = violations
         .iter()
         .map(|v| (v.rule, v.file.as_str()))
         .collect();
-    let blocking = entries.iter().filter(|(r, _)| !r.is_advisory()).count();
     let stages: Vec<String> = timings
         .iter()
         .map(|t| format!("{{\"stage\":\"{}\",\"millis\":{}}}", t.stage, t.millis))
@@ -64,8 +66,8 @@ pub fn summary_json(violations: &[Violation], timings: &[StageTiming]) -> String
         "{{\"summary\":true,\"total\":{},\"regressing_entries\":{},\"blocking_entries\":{},\"ok\":{},\"stages\":[{}],\"rules\":{{{}}}}}",
         violations.len(),
         entries.len(),
-        blocking,
-        blocking == 0,
+        entries.len(),
+        entries.is_empty(),
         stages.join(","),
         rule_counts(violations)
     )
@@ -187,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_entries_and_blocking_ones() {
+    fn summary_counts_rule_file_entries() {
         let v = |rule: Rule, file: &str| Violation {
             rule,
             file: file.to_string(),
@@ -196,16 +198,14 @@ mod tests {
             chain: Vec::new(),
         };
         let violations = [
-            v(Rule::Tl001, "a.rs"),
-            v(Rule::Tl001, "a.rs"),
-            v(Rule::Tl001, "b.rs"),
-            v(Rule::Tl005, "a.rs"),
+            v(Rule::Tl004, "a.rs"),
+            v(Rule::Tl004, "a.rs"),
+            v(Rule::Tl004, "b.rs"),
+            v(Rule::Tl008, "a.rs"),
         ];
         let json = summary_json(&violations, &[]);
         assert!(json
-            .contains("\"total\":4,\"regressing_entries\":3,\"blocking_entries\":2,\"ok\":false"));
-        let advisory_only = summary_json(&violations[3..], &[]);
-        assert!(advisory_only.contains("\"blocking_entries\":0,\"ok\":true"));
+            .contains("\"total\":4,\"regressing_entries\":3,\"blocking_entries\":3,\"ok\":false"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! One parsed source file: the token stream plus per-line metadata.
 //!
 //! [`parse`] lexes a file once ([`crate::lexer`]) and builds, for every
-//! line, what the rules match against besides tokens: whether the line is
-//! a doc comment, whether it lives inside test-only code (`#[cfg(test)]` /
-//! `#[test]` / `#[bench]` items), and the `lint:` directives of its
-//! comments. A line carries code when at least one token starts on it.
+//! line, what the rules match against besides tokens: whether it lives
+//! inside test-only code (`#[cfg(test)]` / `#[test]` / `#[bench]` items),
+//! and the `lint:` directives of its comments. A line carries code when at least one token starts on it.
 
 use std::ops::Range;
 
@@ -41,15 +40,12 @@ pub struct SourceLine {
     /// Indices into [`SourceFile::tokens`] of the tokens that start on this
     /// line; empty when the line carries no code.
     pub tokens: Range<usize>,
-    /// True when the line carries outer/inner doc comments (`///`, `//!`,
-    /// `/** .. */`, `/*! .. */`).
-    pub is_doc: bool,
     /// True when any part of the line is inside test-only code.
     pub in_test: bool,
     /// Rule codes suppressed on this line via `lint: allow(TLxxx, ...)`.
     pub allows: Vec<String>,
     /// `(directive, argument)` for every parenthesised directive of
-    /// [`DIRECTIVES`] on this line, in source order. For a reasoned waiver
+    /// `DIRECTIVES` on this line, in source order. For a reasoned waiver
     /// the argument is the justification, and an empty one waives nothing:
     /// the directive must say *why* the site is acceptable. For `root` it
     /// names the analyses the function on this line starts.
@@ -86,12 +82,11 @@ impl SourceLine {
 }
 
 /// The parenthesised `lint:` directives besides `allow(...)`: the reasoned
-/// waivers (`nondeterministic` for TL007–TL009, `unsafe` for TL010,
-/// `concurrency` for TL011–TL013, `alloc` for TL014, `panicfree` for
-/// TL016) and the `root` marker that declares a reachability root.
-const DIRECTIVES: [&str; 6] = [
+/// waivers (`nondeterministic` for TL007–TL009, `concurrency` for
+/// TL011–TL013, `alloc` for TL014, `panicfree` for TL016) and the `root`
+/// marker that declares a reachability root.
+const DIRECTIVES: [&str; 5] = [
     "nondeterministic",
-    "unsafe",
     "concurrency",
     "alloc",
     "panicfree",
@@ -115,7 +110,6 @@ pub fn parse(source: &str) -> SourceFile {
                 number: idx + 1,
                 raw: raw.to_string(),
                 tokens: start..next,
-                is_doc: false,
                 in_test: false,
                 allows: Vec::new(),
                 directives: Vec::new(),
@@ -128,8 +122,7 @@ pub fn parse(source: &str) -> SourceFile {
     for c in &comments {
         for (k, part) in c.text.split('\n').enumerate() {
             let idx = c.line - 1 + k;
-            if let (Some(line), Some(text)) = (lines.get_mut(idx), comment_text.get_mut(idx)) {
-                line.is_doc |= c.doc;
+            if let Some(text) = comment_text.get_mut(idx) {
                 text.push_str(part);
             }
         }
@@ -161,9 +154,9 @@ fn propagate_standalone_directives(lines: &mut [SourceLine]) {
     }
 }
 
-/// Extracts directives from `lint:` comments: `allow(TL001, TL002)` rule
+/// Extracts directives from `lint:` comments: `allow(TL004, TL008)` rule
 /// suppressions, plus every [`DIRECTIVES`] entry with its argument. Several
-/// may appear in one comment (`// lint: allow(TL003),
+/// may appear in one comment (`// lint: allow(TL007),
 /// nondeterministic(telemetry only)`), and an argument may itself contain
 /// balanced parentheses.
 fn parse_directives(comment: &str) -> (Vec<String>, Vec<(&'static str, String)>) {
@@ -292,14 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_flagged() {
-        let lines = scan("/// docs\npub fn f() {}\n//! inner\n");
-        assert!(lines[0].is_doc);
-        assert!(!lines[1].is_doc);
-        assert!(lines[2].is_doc);
-    }
-
-    #[test]
     fn cfg_test_region_is_marked() {
         let src = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\npub fn after() {}\n";
         let lines = scan(src);
@@ -336,10 +321,10 @@ mod tests {
 
     #[test]
     fn allow_directives_are_parsed() {
-        let lines = scan("panic!(\"bad\"); // lint: allow(TL002, TL001)\n");
-        assert!(lines[0].allows("TL002"));
-        assert!(lines[0].allows("TL001"));
-        assert!(!lines[0].allows("TL003"));
+        let lines = scan("if x == 0.0 {} // lint: allow(TL004, TL008)\n");
+        assert!(lines[0].allows("TL004"));
+        assert!(lines[0].allows("TL008"));
+        assert!(!lines[0].allows("TL009"));
     }
 
     #[test]
@@ -361,8 +346,8 @@ mod tests {
     #[test]
     fn combined_allow_and_nondeterministic_directive() {
         let lines =
-            scan("t(); // lint: allow(TL003), nondeterministic(timing (stage) telemetry)\n");
-        assert!(lines[0].allows("TL003"));
+            scan("t(); // lint: allow(TL007), nondeterministic(timing (stage) telemetry)\n");
+        assert!(lines[0].allows("TL007"));
         assert_eq!(
             lines[0].reason("nondeterministic"),
             Some("timing (stage) telemetry")
@@ -375,22 +360,6 @@ mod tests {
         let lines = scan(src);
         assert!(lines[1].reason("nondeterministic").is_some());
         assert!(lines[2].reason("nondeterministic").is_none());
-    }
-
-    #[test]
-    fn unsafe_directive_requires_a_reason() {
-        let lines = scan(
-            "a(); // lint: unsafe(read within bounds checked above)\nb(); // lint: unsafe()\nc();\n",
-        );
-        assert_eq!(
-            lines[0].reason("unsafe"),
-            Some("read within bounds checked above")
-        );
-        assert!(
-            lines[1].reason("unsafe").is_none(),
-            "empty reason is no waiver"
-        );
-        assert!(lines[2].reason("unsafe").is_none());
     }
 
     #[test]
@@ -409,14 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn standalone_unsafe_and_concurrency_comments_cover_next_code_line() {
-        let src = "// lint: unsafe(audited)\nraw();\n// lint: concurrency(worker-local)\nshared();\nafter();\n";
+    fn standalone_concurrency_comment_covers_next_code_line() {
+        let src = "// lint: concurrency(worker-local)\nshared();\nafter();\n";
         let lines = scan(src);
-        assert_eq!(lines[1].reason("unsafe"), Some("audited"));
-        assert!(lines[1].reason("concurrency").is_none());
-        assert_eq!(lines[3].reason("concurrency"), Some("worker-local"));
-        assert!(lines[4].reason("unsafe").is_none());
-        assert!(lines[4].reason("concurrency").is_none());
+        assert_eq!(lines[1].reason("concurrency"), Some("worker-local"));
+        assert!(lines[2].reason("concurrency").is_none());
     }
 
     #[test]
@@ -466,12 +432,12 @@ mod tests {
 
     #[test]
     fn standalone_allow_comment_suppresses_next_code_line() {
-        let src = "// lint: allow(TL002)\npanic!(\"bad\");\nafter();\n";
+        let src = "// lint: allow(TL004)\nif x == 0.0 {}\nafter();\n";
         let lines = scan(src);
         assert!(!lines[0].has_code());
-        assert!(lines[1].allows("TL002"));
+        assert!(lines[1].allows("TL004"));
         assert!(
-            !lines[2].allows("TL002"),
+            !lines[2].allows("TL004"),
             "directive must not leak past one code line"
         );
     }

@@ -1,7 +1,7 @@
-//! End-to-end test of the concurrency-safety stage (TL010–TL013) over a
+//! End-to-end test of the concurrency-safety stage (TL011–TL013) over a
 //! miniature workspace (`tests/fixtures/conc_ws/`) shaped like the real
 //! one: an executor core with reasoned waivers, a deliberately seeded
-//! three-hop TL011 race, and TL010/TL012/TL013 sites.
+//! three-hop TL011 race, and TL012/TL013 sites.
 
 use std::path::PathBuf;
 
@@ -57,14 +57,6 @@ fn tl013_flags_the_worker_closure_reduction() {
 }
 
 #[test]
-fn tl010_respects_the_unsafe_waiver() {
-    let v = scan();
-    let hits: Vec<&Violation> = v.iter().filter(|v| v.rule == Rule::Tl010).collect();
-    assert_eq!(hits.len(), 1, "only the unwaived block fires: {hits:?}");
-    assert_eq!(hits[0].file, "crates/core/src/stats.rs");
-}
-
-#[test]
 fn tl012_fires_outside_the_waived_executor_core() {
     let v = scan();
     let hits: Vec<&Violation> = v.iter().filter(|v| v.rule == Rule::Tl012).collect();
@@ -78,10 +70,7 @@ fn the_waived_executor_core_is_silent() {
     let v = scan();
     assert!(
         !v.iter().any(|v| v.file == "crates/tensor/src/exec.rs"
-            && matches!(
-                v.rule,
-                Rule::Tl010 | Rule::Tl011 | Rule::Tl012 | Rule::Tl013
-            )),
+            && matches!(v.rule, Rule::Tl011 | Rule::Tl012 | Rule::Tl013)),
         "reasoned waivers must silence the executor core"
     );
 }

@@ -1,6 +1,6 @@
-//! Seeded TL010/TL012/TL013 sites: a float reduction across worker
-//! closures, a relaxed atomic outside the executor core, and an
-//! unwaived/waived `unsafe` pair.
+//! Seeded TL012/TL013 sites: a float reduction across worker closures
+//! and a relaxed atomic outside the executor core.
+//!
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,15 +17,4 @@ pub fn reduce(executor: &Executor, chunks: &[f32]) -> f32 {
 /// Bumps a counter with a relaxed ordering (TL012 site).
 pub fn bump(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Reads a raw pointer without a waiver (TL010 site).
-pub fn peek(ptr: *const u64) -> u64 {
-    unsafe { *ptr }
-}
-
-/// Reads a raw pointer with a reasoned waiver (silent).
-pub fn peek_waived(ptr: *const u64) -> u64 {
-    // lint: unsafe(fixture: the caller guarantees the pointer is valid and exclusively owned)
-    unsafe { *ptr }
 }

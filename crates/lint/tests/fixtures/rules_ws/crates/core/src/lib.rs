@@ -1,6 +1,6 @@
-//! Rule fixture: hits and non-hits for TL001–TL006 over the literal,
+//! Rule fixture: TL004, TL009 and TL007 hits and non-hits among the literal,
 //! comment and test-region shapes the front end must tell apart.
-//! Nothing in an inner doc comment fires: x.unwrap() panic!() Instant::now()
+//! Nothing in an inner doc comment fires: x == 1.0, thread_rng(), Instant::now()
 
 use std::time::Instant;
 
@@ -15,7 +15,7 @@ pub fn strings(x: Option<u8>) -> u8 {
 
 /// A directive inside a string is no directive.
 pub fn string_directive(x: Option<u8>) -> u8 {
-    let _s = "// lint: allow(TL001)"; x.unwrap()
+    let _s = "// lint: allow(TL004)"; x.unwrap()
 }
 
 /// Multi-line strings blank every line they span.
@@ -84,16 +84,16 @@ pub fn panics(flag: bool) {
 }
 
 /// Trailing and standalone allow directives.
-pub fn allowed(x: Option<u8>) -> u8 {
-    let a = x.unwrap(); // lint: allow(TL001)
-    // lint: allow(TL002)
-    if a == 0 { panic!("standalone allow covers this line") }
-    // lint: allow(TL001)
+pub fn allowed(x: f32) -> bool {
+    let a = x == 1.0; // lint: allow(TL004)
+    // lint: allow(TL004)
+    if a { return x != 2.0 }
+    // lint: allow(TL004)
     // (a comment line between a directive and its code line)
 
-    let b = x.expect("the directive above covers this line");
-    let c = x.unwrap() /* lint: allow(TL001) */ + b;
-    c + x.expect("but not this one")
+    let b = x == 3.0;
+    let c = (x == 4.0) /* lint: allow(TL004) */ && b;
+    c && a
 }
 
 /// Nondeterminism sources.

@@ -12,7 +12,7 @@ fn claim(next: &AtomicUsize, total: &mut f32, chunk: f32) -> usize {
     let i = next.fetch_add(1, Ordering::Relaxed);
     let order = std::cmp::Ordering::Less;
     *total += chunk;
-    // lint: unsafe(fixture: pointer validity argued by the caller)
+    // raw read: pointer validity is argued by the caller
     let v = unsafe { *(&LEGACY as *const usize) };
     i + v
 }

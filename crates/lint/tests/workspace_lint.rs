@@ -1,6 +1,5 @@
 //! Runs the lint engine over the actual workspace so `cargo test` enforces
-//! it: any non-advisory violation fails this test with the offending sites
-//! listed.
+//! it: any violation fails this test with the offending sites listed.
 
 use std::path::Path;
 
@@ -19,7 +18,6 @@ fn workspace_has_no_blocking_violations() {
     let violations = scan_workspace(workspace_root()).expect("workspace scan succeeds");
     let message: String = violations
         .iter()
-        .filter(|v| !v.rule.is_advisory())
         .map(|v| {
             format!(
                 "\n    {} {}:{} | {}",

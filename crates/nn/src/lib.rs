@@ -22,9 +22,6 @@
 //! assert_eq!(report.epoch_losses.len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod augment;
 mod classifier;
 mod infer;

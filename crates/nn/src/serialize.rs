@@ -115,7 +115,7 @@ pub fn load_classifier<R: Read>(mut r: R) -> io::Result<Classifier> {
         r.read_exact(&mut u32buf)?;
         dims.push(u32::from_le_bytes(u32buf) as usize);
     }
-    if dims.iter().any(|&d| d == 0) {
+    if dims.contains(&0) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "zero-width layer",

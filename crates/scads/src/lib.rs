@@ -33,9 +33,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod error;
 mod pruning;
 mod store;

@@ -124,7 +124,7 @@ struct Node {
 /// A gradient tape for reverse-mode differentiation.
 ///
 /// Matmul nodes (forward and backward) run through the blocked kernel
-/// layer ([`crate::kernels`]). See the [module documentation](self) for a
+/// layer ([`crate::kernels`]). See the [crate documentation](crate) for a
 /// usage example.
 #[derive(Default)]
 pub struct Tape {
@@ -796,6 +796,10 @@ impl Tape {
                         accumulate(&mut grads, a.0, da, scratch);
                     }
                     if self.needs(*b) {
+                        #[expect(
+                            clippy::neg_multiply,
+                            reason = "the gradient arithmetic the bit pins were recorded with"
+                        )]
                         let db = scratch.take_map(&g, |v| v * -1.0);
                         accumulate(&mut grads, b.0, db, scratch);
                     }

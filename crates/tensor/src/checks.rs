@@ -22,9 +22,12 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when a non-finite element is found.
+    #[expect(
+        clippy::panic,
+        reason = "an explicit numeric checkpoint: panicking with a diagnostic is its contract"
+    )]
     pub fn assert_finite(&self, context: &str) {
         if let Some((i, v)) = self.data().iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            // lint: allow(TL002)
             panic!(
                 "{context}: non-finite value {v} at flat index {i} of shape {:?}",
                 self.shape()
@@ -39,9 +42,12 @@ impl Tensor {
 /// # Panics
 ///
 /// Panics when the shapes differ.
+#[expect(
+    clippy::panic,
+    reason = "an explicit shape checkpoint: panicking with a diagnostic is its contract"
+)]
 pub fn validate_shape(context: &str, expected: &[usize], actual: &[usize]) {
     if expected != actual {
-        // lint: allow(TL002)
         panic!("{context}: shape mismatch: expected {expected:?}, got {actual:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! The deterministic parallel executor for independent jobs.
 //!
-//! This module is the single home of thread spawning in the workspace (the
-//! `taglets-lint` rule TL006 enforces that `std::thread::spawn`/`scope`
-//! appear nowhere else in library code). It lives in the tensor crate — the
+//! This module is the single home of thread spawning in the workspace
+//! (clippy's `disallowed_methods`, configured in `clippy.toml`, keeps
+//! `std::thread::spawn`/`scope` out of every other library). It lives in the tensor crate — the
 //! bottom of the dependency stack — and `taglets-core`'s staged execution
 //! engine uses it to train modules.
 //!
@@ -33,6 +33,10 @@ pub struct Executor {
 impl Executor {
     /// An executor with one worker per core available to this process
     /// (1 if the count cannot be read).
+    #[expect(
+        clippy::new_without_default,
+        reason = "the worker count is read from the host, not a default value"
+    )]
     // lint: root(determinism)
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -77,6 +81,10 @@ impl Executor {
 
         // lint: concurrency(claim counter only orders job *claiming*; results carry their index and are reassembled in index order below, so claim order never reaches outputs)
         let next = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the executor is the workspace's one home of thread spawning, so determinism is argued here once"
+        )]
         let per_worker: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {

@@ -186,6 +186,10 @@ impl Epilogue<'_> {
 ///
 /// Panics if any buffer length disagrees with `m`/`k`/`n` (including the
 /// epilogue bias, which must have length `n`).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the GEMM loop takes its operands flat; kept as written so code layout, and with it kernel timing, does not move"
+)]
 // lint: root(hot)
 pub fn gemm_into(
     kind: GemmKind,
@@ -218,6 +222,10 @@ pub fn gemm_into(
 /// # Panics
 ///
 /// Panics if `a`, `panel` or `out` length disagrees with `m`/`k`/`n`.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the GEMM loop takes its operands flat; kept as written so code layout, and with it kernel timing, does not move"
+)]
 // lint: root(hot)
 pub fn gemm_packed_into(
     kind: GemmKind,
@@ -248,6 +256,10 @@ pub fn gemm_packed_into(
 ///
 /// The output is walked in [`MR`]-row tiles and [`NR`]-column panels with
 /// the micro-kernel doing the full-`k` reduction per tile.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the GEMM loop takes its operands flat; kept as written so code layout, and with it kernel timing, does not move"
+)]
 fn gemm_rows(
     kind: GemmKind,
     a: &[f32],
@@ -369,6 +381,10 @@ fn all_finite(panel: &[f32]) -> bool {
 /// `0.0`, matching the reference loops term for term; the epilogue runs on
 /// the finished accumulator tile before the one store, in the same
 /// per-element op order as the unfused store-then-rewalk sequence.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the GEMM loop takes its operands flat; kept as written so code layout, and with it kernel timing, does not move"
+)]
 fn micro<const MRR: usize, const SKIP: bool>(
     a: &[f32],
     a_stride: usize,
@@ -429,6 +445,10 @@ pub fn packed_panel_len(k: usize, n: usize) -> usize {
 /// [`gemm_packed_into`] repeatedly yields bitwise-identical products to
 /// repacking before every call.
 pub fn pack_b(kind: GemmKind, k: usize, n: usize, b: &[f32], panel: &mut Vec<f32>) {
+    #[expect(
+        clippy::manual_div_ceil,
+        reason = "the packer's arithmetic is kept as written; `n.div_ceil(NR)` is the same value"
+    )]
     let np = (n + NR - 1) / NR; // lint: panicfree(NR is a nonzero const)
     panel.clear();
     panel.resize(np * k * NR, 0.0);

@@ -39,6 +39,11 @@
 //! accurate at 10^6 as at 0.1; at integers `sin_pi` returns a zero of
 //! unspecified sign, and at half-integers `cos_pi` does.
 
+#![expect(
+    clippy::excessive_precision,
+    reason = "the coefficients are the kernels' definition: every pinned bit follows from the literals as written"
+)]
+
 /// `1 / ln 2`.
 const LOG2_E: f32 = std::f32::consts::LOG2_E;
 /// `ln 2` split so that `n · LN2_HI` is exact for `|n| < 2^15`.

@@ -117,6 +117,10 @@ impl Optimizer for Sgd {
         } = self;
         let wd = cfg.weight_decay > 0.0;
         let slots = params.iter_mut().zip(grads).zip(velocity.iter_mut());
+        #[expect(
+            clippy::unused_enumerate_index,
+            reason = "the update loop is kept as the bit pins were recorded with it"
+        )]
         for (_slot, ((param, grad), vel)) in slots.enumerate() {
             let Some(grad) = grad else { continue };
             #[cfg(feature = "strict-numerics")]

@@ -1,36 +1,37 @@
 //! Compressed sparse rows: the neighbour-aggregation operand of the graph
 //! encoder.
 //!
-//! A row-normalised graph adjacency is almost all zeros — the smoke-scale
-//! SCADS graph stores 2098 entries out of 350² — yet a dense `[n, n]`
-//! matrix makes every aggregation pay for all `n²`. [`SparseMatrix`]
-//! stores only the entries, once per row in ascending column order and
-//! once per column in ascending row order (the transpose, built at
-//! construction), so both `Â·h` and `Âᵀ·g` walk exactly the stored terms.
-//!
-//! # Why this is bitwise identical to the dense product
-//!
-//! The seed `Nn` and `Tn` loops, whose bits the blocked GEMM kernels
-//! reproduce (see [`crate::kernels`]), accumulate each output element from
-//! `0.0` over ascending `p`, skipping every term whose A scalar is an exact
-//! zero. The terms that survive that skip
-//! are precisely the stored entries here — exact zeros are never stored —
-//! and [`SparseMatrix::matmul`] / [`SparseMatrix::matmul_tn`] add them
-//! from `0.0` in the same ascending order. Rust never contracts `a*b + c`
-//! into a fused multiply-add, so every output bit matches
-//! `to_dense().matmul(h)` / `to_dense().matmul_tn(g)`.
-//!
-//! The entry arrays sit behind an [`Arc`]: cloning a matrix (as the tape
-//! does each time it records a product) shares them instead of copying.
+//! See [`SparseMatrix`].
 
 use std::sync::Arc;
 
 use crate::Tensor;
 
 /// An immutable sparse `f32` matrix with row- and column-compressed
-/// storage; see the [module documentation](self).
+/// storage.
 ///
-/// Cloning is cheap (a reference-count bump).
+/// A row-normalised graph adjacency is almost all zeros — the smoke-scale
+/// SCADS graph stores 2098 entries out of 350² — yet a dense `[n, n]`
+/// matrix makes every aggregation pay for all `n²`. [`SparseMatrix`]
+/// stores only the entries, once per row in ascending column order and
+/// once per column in ascending row order (the transpose, built at
+/// construction), so both `Â·h` and `Âᵀ·g` walk exactly the stored terms.
+///
+/// # Why this is bitwise identical to the dense product
+///
+/// The seed `Nn` and `Tn` loops, whose bits the blocked GEMM kernels
+/// reproduce (see [`crate::kernels`]), accumulate each output element from
+/// `0.0` over ascending `p`, skipping every term whose A scalar is an exact
+/// zero. The terms that survive that skip
+/// are precisely the stored entries here — exact zeros are never stored —
+/// and [`SparseMatrix::matmul`] / [`SparseMatrix::matmul_tn`] add them
+/// from `0.0` in the same ascending order. Rust never contracts `a*b + c`
+/// into a fused multiply-add, so every output bit matches
+/// `to_dense().matmul(h)` / `to_dense().matmul_tn(g)`.
+///
+/// The entry arrays sit behind an [`Arc`]: cloning a matrix (as the tape
+/// does each time it records a product) shares them instead of copying,
+/// so cloning is cheap (a reference-count bump).
 #[derive(Debug, Clone)]
 pub struct SparseMatrix {
     inner: Arc<Storage>,

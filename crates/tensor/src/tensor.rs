@@ -467,7 +467,7 @@ impl Tensor {
     ///
     /// Routed through the blocked kernel layer ([`crate::kernels`]); bitwise
     /// identical to the seed naive loop, which is kept as
-    /// [`Tensor::matmul_reference`] under `test`/`reference-kernels`.
+    /// `Tensor::matmul_reference` under `test`/`reference-kernels`.
     ///
     /// # Panics
     ///
@@ -493,7 +493,7 @@ impl Tensor {
     /// Matrix product with transposed rhs: `self [m,k] × otherᵀ [n,k] → [m,n]`.
     ///
     /// Routed through the blocked kernel layer; bitwise identical to the
-    /// seed loop kept as [`Tensor::matmul_nt_reference`].
+    /// seed loop kept as `Tensor::matmul_nt_reference`.
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::default();
@@ -512,7 +512,7 @@ impl Tensor {
     /// Matrix product with transposed lhs: `selfᵀ [k,m] × other [k,n] → [m,n]`.
     ///
     /// Routed through the blocked kernel layer; bitwise identical to the
-    /// seed loop kept as [`Tensor::matmul_tn_reference`].
+    /// seed loop kept as `Tensor::matmul_tn_reference`.
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::default();
@@ -530,11 +530,11 @@ impl Tensor {
 
     /// Transposed copy of a rank-2 tensor.
     ///
-    /// Blocked [`TRANSPOSE_BLOCK`]²-tile walk: both the source reads and the
+    /// Blocked `TRANSPOSE_BLOCK`²-tile walk: both the source reads and the
     /// destination writes stay within a tile that fits in L1, instead of the
     /// seed's column-strided writes that touched `m` distinct cache lines
     /// per source row. Pure data movement, so blocking cannot change any
-    /// bit (pinned against [`Tensor::transposed_reference`] in the tests).
+    /// bit (pinned against `Tensor::transposed_reference` in the tests).
     #[must_use = "this op returns a new tensor and does not modify self"]
     pub fn transposed(&self) -> Tensor {
         assert_eq!(self.rank(), 2);

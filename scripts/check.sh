@@ -53,6 +53,18 @@ step "lint-fixtures" cargo test --offline --quiet -p taglets-lint
 
 step "lint" cargo run --offline --quiet -p taglets-lint -- --check --json
 
+# The per-file rules the toolchain already has: the root Cargo.toml's
+# `[workspace.lints]` table (unwrap/expect, panic macros, missing docs,
+# `unsafe`) and `clippy.toml`'s disallowed methods (wall-clock reads,
+# thread spawning). `--lib --bins` leaves `#[cfg(test)]` code out; any
+# warning, an unfulfilled `#[expect]` included, fails the step.
+step "clippy" cargo clippy --offline --workspace --lib --bins -- -D warnings
+
+# Rustdoc over the workspace crates, broken and private intra-doc links
+# included. The vendored stand-ins are not documented: they mirror upstream
+# APIs, and proptest's `vec` link is ambiguous there.
+step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --exclude rand --exclude proptest
+
 # Lint trajectory: min-of-9 per-stage wall-times plus per-rule hit counts.
 # Output is discarded so a gate run never overwrites the checked-in
 # BENCH_lint.json; refresh it with
@@ -70,14 +82,16 @@ step "test" cargo test --offline --quiet --workspace
 step "bench-crate" cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # The execution engine's core guarantee, run explicitly so a filtered or
-# skipped test run can never mask a determinism regression.
-step "determinism" cargo test --offline --quiet --test exec_determinism
+# skipped test run can never mask a determinism regression. It is a module
+# of the system test binary, which builds the test world once for all of
+# its modules.
+step "determinism" cargo test --offline --quiet --test system_end_to_end exec_determinism::
 
 # Bitwise pins of training: ZSL-KG pretraining, and the SimCLR-lite and MPL
 # baselines (the full system run is pinned inside `determinism` above).
 # Run by name so a filtered or skipped test run can never mask a change of
 # bits in the one training step every loop shares.
-step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain_pin && cargo test --offline --quiet --test baselines_sanity'
+step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain_pin && cargo test --offline --quiet --test system_end_to_end baselines_sanity::'
 
 # SCADS selection: the batched similarity query (one GEMM per call) against
 # a per-pair cosine oracle, bit for bit, and `select_related` against

@@ -42,9 +42,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use taglets_core::{
     fixmatch_train, ClassifierTaglet, CoreError, EndModelConfig, Ensemble, FixMatchConfig,
     FixMatchModule, ModuleContext, ModuleTelemetry, MultiTaskConfig, MultiTaskModule, RunTelemetry,

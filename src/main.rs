@@ -132,6 +132,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(Options { map })
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the CLI's top level: a failed environment build ends the process with its message"
+)]
 fn build_env(opts: &Options) -> Experiment {
     eprintln!("[building the evaluation environment — one-time cost]");
     Experiment::standard(opts.scale()).expect("the standard environment builds at every scale")

@@ -1,18 +1,15 @@
-//! Shared environment for the integration tests: a reduced synthetic world
-//! built once per test binary.
+//! Shared environment of the system test binary: a reduced synthetic world
+//! built once per run, and the checksum its bit pins are recorded with.
 
 use std::sync::OnceLock;
 
 use taglets::{
-    standard_tasks, AuxiliaryCorpus, ConceptUniverse, Image, ModelZoo, Scads, Task, UniverseConfig,
-    ZooConfig,
+    standard_tasks, ConceptUniverse, Image, ModelZoo, Scads, Task, UniverseConfig, ZooConfig,
 };
 
-#[allow(dead_code)] // fields vary in use across test binaries
 pub struct TestWorld {
     pub universe: ConceptUniverse,
     pub tasks: Vec<Task>,
-    pub corpus: AuxiliaryCorpus,
     pub scads: Scads<Image>,
     pub zoo: ModelZoo,
 }
@@ -36,7 +33,6 @@ pub fn world() -> &'static TestWorld {
         TestWorld {
             universe,
             tasks,
-            corpus,
             scads,
             zoo,
         }
@@ -49,4 +45,11 @@ pub fn task(name: &str) -> &'static Task {
         .iter()
         .find(|t| t.name == name)
         .unwrap_or_else(|| panic!("no task named {name}"))
+}
+
+/// FNV-1a over a sequence of `f32` bit patterns.
+pub fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -1,7 +1,18 @@
 //! End-to-end integration tests of the TAGLETS system against the paper's
 //! headline claims, on a reduced synthetic world.
+//!
+//! The execution engine's determinism pins and the baselines' sanity checks
+//! and bit pins run in this binary too, as modules, so a test run builds
+//! the world and pretrains its zoo once. `scripts/check.sh` runs each
+//! module on its own with a name filter (`exec_determinism::`,
+//! `baselines_sanity::`).
 
 mod common;
+
+#[path = "system_end_to_end/baselines_sanity.rs"]
+mod baselines_sanity;
+#[path = "system_end_to_end/exec_determinism.rs"]
+mod exec_determinism;
 
 use std::sync::OnceLock;
 

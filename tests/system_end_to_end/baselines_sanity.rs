@@ -7,8 +7,6 @@
 //! the implementation in which each baseline wrote out its own training
 //! step; any change that moves one bit of either fails here.
 
-mod common;
-
 use rand::SeedableRng;
 
 use taglets::baselines::{
@@ -17,12 +15,7 @@ use taglets::baselines::{
 };
 use taglets::BackboneKind;
 
-/// FNV-1a over a sequence of `f32` bit patterns.
-fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
-    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use crate::common::{self, checksum};
 
 const PINNED_MPL_STUDENT_PROBA: u64 = 0x7401_994c_b76e_a3fa;
 const PINNED_SIMCLR_LOSSES: u64 = 0xb66f_9551_841c_47b5;

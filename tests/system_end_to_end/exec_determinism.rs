@@ -20,16 +20,9 @@
 //! `context_and_results_cross_thread_boundaries` checks that what the
 //! workers share and return is `Sync`/`Send`.
 
-mod common;
-
 use taglets::{BackboneKind, PruneLevel, TagletsConfig, TagletsRun, TagletsSystem};
 
-/// FNV-1a over a sequence of `f32` bit patterns.
-fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
-    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use crate::common::{self, checksum};
 
 /// `(component, epoch-loss checksum, optimizer steps)` of the serial run,
 /// in module order with the end model last.
