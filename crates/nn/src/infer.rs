@@ -284,6 +284,16 @@ mod tests {
     }
 
     #[test]
+    fn predict_is_the_argmax_of_the_logits_on_both_sides_of_a_block_edge() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let clf = classifier(&[6, 8, 5], 0.0, Activation::Relu, &mut rng);
+        for rows in [0, 1, 255, 256, 257, 600] {
+            let x = Tensor::randn(&[rows, 6], 1.3, &mut rng);
+            assert_eq!(clf.predict(&x), clf.logits(&x).argmax_rows(), "{rows} rows");
+        }
+    }
+
+    #[test]
     fn fused_packed_forward_rows_are_independent_of_batch_composition() {
         let mut rng = StdRng::seed_from_u64(12);
         let clf = Classifier::from_dims(&[5, 12, 6], 3, 0.0, &mut rng);

@@ -371,4 +371,28 @@ mod tests {
         // After 8 steps the last applied LR must reflect the milestone.
         assert!((opt.lr() - 0.1).abs() < 1e-6);
     }
+
+    #[test]
+    fn train_step_keeps_the_gradient_pool_the_same_size() {
+        // A loop that keeps one scratch allocates nothing after its first
+        // step only if every step returns exactly the buffers it drew.
+        let mut rng = StdRng::seed_from_u64(4);
+        let (x, y) = blobs(8, 5);
+        let mut clf = Classifier::from_dims(&[4, 8, 8], 2, 0.3, &mut rng);
+        let mut opt = Sgd::new(SgdConfig::default());
+        let mut scratch = GradScratch::new();
+        let mut sizes = Vec::new();
+        for _ in 0..20 {
+            train_step(&mut clf, &mut opt, None, &mut scratch, |clf, tape, vars| {
+                let xv = tape.constant(x.clone());
+                let logits = clf.forward_logits(tape, vars, xv, true, &mut rng);
+                tape.softmax_cross_entropy(logits, &y)
+            });
+            sizes.push(scratch.pooled());
+        }
+        assert!(
+            sizes.iter().all(|&n| n == sizes[0]),
+            "pooled buffers after each step {sizes:?} must stay constant"
+        );
+    }
 }

@@ -1,12 +1,14 @@
-//! Gradient-audit sweep: one table-driven test that runs a finite-difference
-//! check for every differentiable op a [`Tape`] can record.
+//! Gradient-audit sweep: one table of small tapes, one per differentiable op
+//! a [`Tape`] can record, driving two table-wide tests: a finite-difference
+//! check of every op's gradient, and a pool-balance check of every op's
+//! backward pass against a reused [`GradScratch`].
 //!
 //! The table is cross-checked against [`Tape::op_catalog`] (generated from
 //! the op declaration itself), so declaring a new op without adding an audit
 //! entry here fails this test rather than shipping unchecked.
 
 use rand::{rngs::StdRng, SeedableRng};
-use taglets_tensor::{check_gradients, softmax_rows, GradCheckReport, SparseMatrix, Tape, Tensor};
+use taglets_tensor::{check_gradients, softmax_rows, GradScratch, SparseMatrix, Tape, Tensor, Var};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -14,9 +16,34 @@ const TOL: f32 = 2e-2;
 /// Tape inputs: they receive gradients but have no backward rule of their own.
 const NON_DIFFERENTIABLE: &[&str] = &["Leaf", "Constant"];
 
+/// Records one tape at a parameter value: `(tape, parameter var, loss)`.
+type Build = Box<dyn Fn(&Tensor) -> (Tape, Var, Var)>;
+
 struct AuditEntry {
     op: &'static str,
-    run: fn() -> GradCheckReport,
+    case: fn() -> Case,
+}
+
+/// One audited tape: the parameter value it is checked at, the
+/// finite-difference step, and the builder that records the tape.
+struct Case {
+    param: Tensor,
+    eps: f32,
+    build: Build,
+}
+
+impl Case {
+    fn new(
+        param: &Tensor,
+        eps: f32,
+        build: impl Fn(&Tensor) -> (Tape, Var, Var) + 'static,
+    ) -> Case {
+        Case {
+            param: param.clone(),
+            eps,
+            build: Box::new(build),
+        }
+    }
 }
 
 fn randn(shape: &[usize], seed: u64) -> Tensor {
@@ -28,9 +55,9 @@ fn audit_table() -> Vec<AuditEntry> {
     vec![
         AuditEntry {
             op: "MatMul",
-            run: || {
+            case: || {
                 let x = randn(&[4, 3], 2);
-                check_gradients(&randn(&[3, 2], 1), EPS, move |value| {
+                Case::new(&randn(&[3, 2], 1), EPS, move |value| {
                     let mut tape = Tape::new();
                     let xv = tape.constant(x.clone());
                     let wv = tape.leaf(value.clone());
@@ -42,9 +69,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "MatMulNt",
-            run: || {
+            case: || {
                 let b = randn(&[5, 4], 4);
-                check_gradients(&randn(&[3, 4], 3), EPS, move |value| {
+                Case::new(&randn(&[3, 4], 3), EPS, move |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let bv = tape.constant(b.clone());
@@ -56,7 +83,7 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "SparseMatMul",
-            run: || {
+            case: || {
                 // A row-normalised adjacency with an isolated node's
                 // self-loop, the shape of a graph layer's aggregation.
                 let a = SparseMatrix::from_rows(
@@ -68,7 +95,7 @@ fn audit_table() -> Vec<AuditEntry> {
                         vec![(3, 1.0)],
                     ],
                 );
-                check_gradients(&randn(&[4, 3], 29), EPS, move |value| {
+                Case::new(&randn(&[4, 3], 29), EPS, move |value| {
                     let mut tape = Tape::new();
                     let hv = tape.leaf(value.clone());
                     let y = tape.sparse_matmul(&a, hv);
@@ -80,9 +107,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Add",
-            run: || {
+            case: || {
                 let b = randn(&[2, 3], 6);
-                check_gradients(&randn(&[2, 3], 5), EPS, move |value| {
+                Case::new(&randn(&[2, 3], 5), EPS, move |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let bv = tape.constant(b.clone());
@@ -94,9 +121,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "AddRow",
-            run: || {
+            case: || {
                 let x = randn(&[3, 4], 8);
-                check_gradients(&randn(&[4], 7), EPS, move |value| {
+                Case::new(&randn(&[4], 7), EPS, move |value| {
                     let mut tape = Tape::new();
                     let xv = tape.constant(x.clone());
                     let bv = tape.leaf(value.clone());
@@ -108,9 +135,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Sub",
-            run: || {
+            case: || {
                 let b = randn(&[2, 3], 10);
-                check_gradients(&randn(&[2, 3], 9), EPS, move |value| {
+                Case::new(&randn(&[2, 3], 9), EPS, move |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let bv = tape.constant(b.clone());
@@ -122,9 +149,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Mul",
-            run: || {
+            case: || {
                 let b = randn(&[2, 3], 12);
-                check_gradients(&randn(&[2, 3], 11), EPS, move |value| {
+                Case::new(&randn(&[2, 3], 11), EPS, move |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let bv = tape.constant(b.clone());
@@ -136,8 +163,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Scale",
-            run: || {
-                check_gradients(&randn(&[3, 3], 13), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[3, 3], 13), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.scale(av, 0.7);
@@ -148,11 +175,11 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Relu",
-            run: || {
+            case: || {
                 // Values kept away from the kink at zero, where finite
                 // differences and the subgradient legitimately disagree.
                 let p = Tensor::from_vec(vec![0.4, -0.6, 1.3, -1.1, 0.8, -0.3]);
-                check_gradients(&p, 1e-3, |value| {
+                Case::new(&p, 1e-3, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone().reshaped(&[2, 3]));
                     let y = tape.relu(av);
@@ -163,8 +190,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Tanh",
-            run: || {
-                check_gradients(&randn(&[2, 4], 14), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[2, 4], 14), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.tanh(av);
@@ -175,8 +202,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "LogSoftmax",
-            run: || {
-                check_gradients(&randn(&[3, 4], 15), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[3, 4], 15), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.log_softmax(av);
@@ -187,10 +214,10 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Dropout",
-            run: || {
+            case: || {
                 // A fixed rng seed per rebuild keeps the mask identical across
                 // the perturbed forward passes, so the function stays smooth.
-                check_gradients(&randn(&[4, 6], 16), EPS, |value| {
+                Case::new(&randn(&[4, 6], 16), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let mut rng = StdRng::seed_from_u64(99);
@@ -202,9 +229,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "RowNormalize",
-            run: || {
+            case: || {
                 let probe = randn(&[3, 5], 18);
-                check_gradients(&randn(&[3, 5], 17), 1e-3, move |value| {
+                Case::new(&randn(&[3, 5], 17), 1e-3, move |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.row_normalize(av);
@@ -217,8 +244,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Mean",
-            run: || {
-                check_gradients(&randn(&[3, 4], 19), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[3, 4], 19), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let loss = tape.mean(av);
@@ -228,8 +255,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Sum",
-            run: || {
-                check_gradients(&randn(&[3, 4], 20), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[3, 4], 20), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let loss = tape.sum(av);
@@ -239,8 +266,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "NllHard",
-            run: || {
-                check_gradients(&randn(&[5, 4], 21), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[5, 4], 21), EPS, |value| {
                     let mut tape = Tape::new();
                     let lv = tape.leaf(value.clone());
                     let loss = tape.softmax_cross_entropy(lv, &[0, 1, 2, 3, 1]);
@@ -250,9 +277,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "NllSoft",
-            run: || {
+            case: || {
                 let targets = softmax_rows(&randn(&[4, 3], 23));
-                check_gradients(&randn(&[4, 3], 22), EPS, move |value| {
+                Case::new(&randn(&[4, 3], 22), EPS, move |value| {
                     let mut tape = Tape::new();
                     let lv = tape.leaf(value.clone());
                     let loss = tape.soft_cross_entropy(lv, &targets);
@@ -262,8 +289,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "NllWeighted",
-            run: || {
-                check_gradients(&randn(&[4, 3], 24), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[4, 3], 24), EPS, |value| {
                     let mut tape = Tape::new();
                     let lv = tape.leaf(value.clone());
                     let lp = tape.log_softmax(lv);
@@ -274,9 +301,9 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Mse",
-            run: || {
+            case: || {
                 let target = randn(&[3, 3], 26);
-                check_gradients(&randn(&[3, 3], 25), EPS, move |value| {
+                Case::new(&randn(&[3, 3], 25), EPS, move |value| {
                     let mut tape = Tape::new();
                     let pv = tape.leaf(value.clone());
                     let loss = tape.mse(pv, &target);
@@ -286,8 +313,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "GatherRows",
-            run: || {
-                check_gradients(&randn(&[4, 3], 27), EPS, |value| {
+            case: || {
+                Case::new(&randn(&[4, 3], 27), EPS, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.gather_rows(av, &[0, 2, 2, 1]);
@@ -298,8 +325,8 @@ fn audit_table() -> Vec<AuditEntry> {
         },
         AuditEntry {
             op: "Exp",
-            run: || {
-                check_gradients(&randn(&[3, 4], 28), 1e-3, |value| {
+            case: || {
+                Case::new(&randn(&[3, 4], 28), 1e-3, |value| {
                     let mut tape = Tape::new();
                     let av = tape.leaf(value.clone());
                     let y = tape.exp(av);
@@ -347,11 +374,41 @@ fn gradient_audit_covers_and_validates_every_op() {
     // Validation: every audited op's analytic gradient matches central
     // finite differences.
     for entry in &table {
-        let report = (entry.run)();
+        let case = (entry.case)();
+        let report = check_gradients(&case.param, case.eps, &case.build);
         assert!(
             report.passes(TOL),
             "gradient check failed for op `{}`: {report:?}",
             entry.op
         );
     }
+}
+
+/// A training loop keeps one `GradScratch` across steps and returns every
+/// gradient buffer to it after the optimizer step. For the loop to allocate
+/// nothing after its first step, every buffer a backward pass hands back
+/// must have been drawn from the pool: then the pool's size is the same
+/// after every pass. A buffer made outside the pool (the loss seed, say)
+/// grows the pool by one per step, and a buffer dropped shrinks it.
+#[test]
+fn backward_pass_returns_exactly_what_it_draws_from_the_pool() {
+    let mut unbalanced = Vec::new();
+    for entry in audit_table() {
+        let case = (entry.case)();
+        let (tape, _, loss) = (case.build)(&case.param);
+        let mut scratch = GradScratch::new();
+        let mut sizes = Vec::new();
+        for _ in 0..4 {
+            let grads = tape.backward_with(loss, &mut scratch);
+            scratch.recycle(grads);
+            sizes.push(scratch.pooled());
+        }
+        if sizes.iter().any(|&n| n != sizes[0]) {
+            unbalanced.push((entry.op, sizes));
+        }
+    }
+    assert!(
+        unbalanced.is_empty(),
+        "pooled buffers after each backward pass must stay constant: {unbalanced:?}"
+    );
 }
