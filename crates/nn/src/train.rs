@@ -111,9 +111,11 @@ impl FitReport {
 /// `scratch` for the next step. Returns the loss value.
 ///
 /// Models trained jointly bind as one tuple (`(A, B)` implements
-/// [`Module`]). Keep one `scratch` across a loop's steps: after the first,
-/// the backward pass allocates nothing, and the bits are those of a fresh
-/// scratch.
+/// [`Module`]). Keep one `scratch` across a loop's steps: every buffer a
+/// step returns to it was drawn from it, so it holds the same number of
+/// buffers after every step, none larger than the largest gradient, and
+/// the backward pass soon allocates nothing. The bits are those of a
+/// fresh scratch.
 ///
 /// # Panics
 ///

@@ -163,11 +163,17 @@ impl Gradients {
 
 /// A pool of reusable gradient buffers for [`Tape::backward_with`].
 ///
-/// Every tensor the backward pass produces draws its `Vec<f32>` from this
-/// pool instead of the allocator; [`GradScratch::recycle`] (and
-/// [`GradScratch::recycle_tensor`]) return buffers after the optimizer step
-/// consumed the gradients, so a training loop that keeps one `GradScratch`
-/// across steps reaches zero steady-state backward allocations.
+/// Every tensor the backward pass produces, the loss's seed gradient
+/// included, draws its `Vec<f32>` from this pool instead of the allocator;
+/// [`GradScratch::recycle`] (and [`GradScratch::recycle_tensor`]) return
+/// buffers after the optimizer step consumed the gradients. Because every
+/// buffer a caller recycles was first drawn from the pool, a training loop
+/// that keeps one `GradScratch` across steps holds the same number of
+/// buffers after every step ([`GradScratch::pooled`]), none larger than the
+/// largest gradient it has produced, and soon stops allocating. The
+/// pool-balance tests (`tests/grad_audit.rs` for every op, and
+/// `train_step`'s own) pin that count. Recycling a tensor the pool did not
+/// hand out grows the pool for good.
 ///
 /// Reuse is bitwise safe by construction: every `take_*` helper either
 /// overwrites the whole buffer or hands it to a kernel that assigns each
@@ -701,7 +707,10 @@ impl Tape {
             "backward must start from a scalar loss node"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        // The seed comes from the pool like every other gradient buffer: a
+        // caller recycles it with the rest, so a buffer made here would grow
+        // the pool by one per pass.
+        grads[loss.0] = Some(scratch.take_full(&[1], 1.0));
 
         #[cfg(feature = "strict-numerics")]
         if let Some(fault) = self.fault {
