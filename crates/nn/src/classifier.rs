@@ -138,11 +138,6 @@ impl Classifier {
         crate::infer::inference_forward(&self.backbone, head, x, None, &mut InferScratch::new())
     }
 
-    /// Inference: predicted class index per row.
-    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
-        self.logits(x).argmax_rows()
-    }
-
     /// Classification accuracy on `(x, labels)` in `[0, 1]`.
     pub fn accuracy(&self, x: &Tensor, labels: &[usize]) -> f32 {
         accuracy(&self.predict(x), labels)

@@ -1,14 +1,18 @@
 //! The one inference forward.
 //!
-//! Every inference in this crate runs one private function,
-//! `inference_forward`, on two ping-pong activation buffers
-//! ([`InferScratch`]), allocating nothing but the output tensor.
-//! [`Classifier::logits`] — and through it `predict_proba`, `predict` and
-//! `accuracy` — runs it over the backbone and the head, packing each weight
-//! matrix as it goes; [`Mlp::features`] runs it over the backbone alone; and
+//! Every inference in this crate runs one private forward loop,
+//! `forward_into`, on two ping-pong activation buffers ([`InferScratch`]).
+//! `inference_forward` wraps it and allocates nothing but the output
+//! tensor: [`Classifier::logits`] — and through it `predict_proba` — runs
+//! it over the backbone and the head, packing each weight matrix as it
+//! goes; [`Mlp::features`] runs it over the backbone alone; and
 //! [`Classifier::logits_packed`], the serving hot path, runs it on weight
-//! panels packed once per model ([`PackedWeights`]). No inference builds an
-//! autograd [`Tape`]: the tape is for training.
+//! panels packed once per model ([`PackedWeights`]).
+//! [`Classifier::predict`] (and so `accuracy`) packs once too, then runs
+//! the loop over fixed blocks of rows and keeps each row's argmax, so it
+//! never holds more than one block's activations however many rows it
+//! scores. No inference builds an autograd [`Tape`]: the tape is for
+//! training.
 //!
 //! **Bitwise contract:** `inference_forward` computes the bits of the tape
 //! forward with `training = false` (`bind_frozen` +
@@ -34,9 +38,14 @@
 
 use taglets_tensor::kernels::{self, GemmKind};
 use taglets_tensor::math;
-use taglets_tensor::{softmax_rows, Tensor};
+use taglets_tensor::{argmax_slice, softmax_rows, Tensor};
 
 use crate::{Activation, Classifier, Linear, Mlp};
+
+/// Rows per forward block in [`Classifier::predict`]: enough to amortise
+/// each block's GEMM set-up, few enough that a block's activations stay
+/// small whatever the input's row count.
+const PREDICT_BLOCK_ROWS: usize = 256;
 
 /// Reusable buffers for the inference forward.
 ///
@@ -139,17 +148,56 @@ impl Classifier {
         );
         inference_forward(backbone, Some(self.head()), x, Some(packed), scratch)
     }
+
+    /// Inference: predicted class index per row — the argmax of each row of
+    /// [`Classifier::logits`] (first maximum on ties).
+    ///
+    /// Packs the weights once, then runs the forward over blocks of
+    /// [`PREDICT_BLOCK_ROWS`] rows on one scratch, so it never builds the
+    /// whole `[rows, classes]` logits matrix. Every output row is bitwise
+    /// identical whatever block it rides in, so the answer is that of one
+    /// whole-batch forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not rank 2 or its width differs from
+    /// [`Classifier::input_dim`].
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        let backbone = self.backbone();
+        check_input(backbone, x);
+        let packed = self.pack_weights();
+        let mut scratch = InferScratch::new();
+        let (rows, k, n) = (x.rows(), x.cols(), self.num_classes());
+        let mut out = Vec::with_capacity(rows);
+        for start in (0..rows).step_by(PREDICT_BLOCK_ROWS) {
+            let end = rows.min(start + PREDICT_BLOCK_ROWS);
+            let block = &x.data()[start * k..end * k];
+            let logits = forward_into(
+                backbone,
+                Some(self.head()),
+                block,
+                end - start,
+                Some(&packed),
+                &mut scratch,
+            );
+            out.extend((0..end - start).map(|r| argmax_slice(&logits[r * n..(r + 1) * n])));
+        }
+        out
+    }
 }
 
-/// The one inference forward: `backbone` then, if given, `head`, over two
-/// ping-pong activation buffers. With `packed`, each layer reads its cached
-/// panel; without, each layer's weight is packed into the scratch's panel
-/// buffer — the pack the tape's `gemm_into` performs per call.
-///
-/// Every hidden layer's bias add (and, for ReLU backbones, the activation)
-/// runs in the GEMM epilogue; tanh keeps a separate [`math::tanh_slice`]
-/// pass, and dropout is the identity at inference. The head gets a bias add
-/// only.
+/// Asserts that `x` is a batch of `backbone`'s inputs.
+fn check_input(backbone: &Mlp, x: &Tensor) {
+    assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
+    assert_eq!(
+        x.cols(),
+        backbone.input_dim(),
+        "input width must match the classifier"
+    );
+}
+
+/// The one inference forward: `backbone` then, if given, `head`, on `x`,
+/// returned as a new `[rows, out_dim]` tensor (see `forward_into`).
 ///
 /// # Panics
 ///
@@ -162,16 +210,35 @@ pub(crate) fn inference_forward(
     packed: Option<&PackedWeights>,
     scratch: &mut InferScratch,
 ) -> Tensor {
-    assert_eq!(x.rank(), 2, "batched inference expects a rank-2 input");
-    assert_eq!(
-        x.cols(),
-        backbone.input_dim(),
-        "input width must match the classifier"
-    );
+    check_input(backbone, x);
     let rows = x.rows();
+    let out_dim = head.map_or(backbone.output_dim(), Linear::fan_out);
+    let out = forward_into(backbone, head, x.data(), rows, packed, scratch);
+    // lint: alloc(the output tensor owns its rows; the scratch keeps its buffers for the next call)
+    Tensor::from_vec(out.to_vec()).reshaped(&[rows, out_dim])
+}
+
+/// The forward loop behind [`inference_forward`] and
+/// [`Classifier::predict`], over `rows` input rows stored row-major in `x`,
+/// on two ping-pong activation buffers. With `packed`, each layer reads its
+/// cached panel; without, each layer's weight is packed into the scratch's
+/// panel buffer — the pack the tape's `gemm_into` performs per call.
+///
+/// Every hidden layer's bias add (and, for ReLU backbones, the activation)
+/// runs in the GEMM epilogue; tanh keeps a separate [`math::tanh_slice`]
+/// pass, and dropout is the identity at inference. The head gets a bias add
+/// only. Returns the `rows × out_dim` output, which lives in `scratch`
+/// until its next use.
+fn forward_into<'s>(
+    backbone: &Mlp,
+    head: Option<&Linear>,
+    x: &[f32],
+    rows: usize,
+    packed: Option<&PackedWeights>,
+    scratch: &'s mut InferScratch,
+) -> &'s [f32] {
     let hidden = backbone.depth();
     let tanh = backbone.activation() == Activation::Tanh;
-    let out_dim = head.map_or(backbone.output_dim(), Linear::fan_out);
 
     // Ping-pong: after each layer the freshly written buffer becomes the
     // next layer's source. The first layer reads the input tensor
@@ -194,7 +261,7 @@ pub(crate) fn inference_forward(
                 &scratch.panel
             }
         };
-        let src: &[f32] = if i == 0 { x.data() } else { &src_vec };
+        let src: &[f32] = if i == 0 { x } else { &src_vec };
         // The kernel overwrites every element, so a dirty resize (no
         // re-zeroing of the kept prefix) is safe.
         dst_vec.resize(rows * n, 0.0);
@@ -204,11 +271,9 @@ pub(crate) fn inference_forward(
         }
         std::mem::swap(&mut src_vec, &mut dst_vec);
     }
-    // lint: alloc(the output tensor owns its rows; scratch.a keeps its capacity for the next call)
-    let out = Tensor::from_vec(src_vec.clone()).reshaped(&[rows, out_dim]);
     scratch.a = src_vec;
     scratch.b = dst_vec;
-    out
+    &scratch.a
 }
 
 #[cfg(test)]
@@ -287,7 +352,8 @@ mod tests {
     fn predict_is_the_argmax_of_the_logits_on_both_sides_of_a_block_edge() {
         let mut rng = StdRng::seed_from_u64(17);
         let clf = classifier(&[6, 8, 5], 0.0, Activation::Relu, &mut rng);
-        for rows in [0, 1, 255, 256, 257, 600] {
+        let b = PREDICT_BLOCK_ROWS;
+        for rows in [0, 1, b - 1, b, b + 1, 2 * b + 88] {
             let x = Tensor::randn(&[rows, 6], 1.3, &mut rng);
             assert_eq!(clf.predict(&x), clf.logits(&x).argmax_rows(), "{rows} rows");
         }
