@@ -119,6 +119,14 @@ step "kernels" cargo test --offline --quiet -p taglets-tensor --features referen
 # or skipped test run can never mask a kernel leaving its ulp bound.
 step "math" cargo test --release --offline --quiet -p taglets-tensor --test math -- --ignored
 
+# The process's peak resident set over the smoke-scale set-up (zoo and
+# ZSL-KG pretraining) and one Grocery 1-shot run, against a fixed bound:
+# a buffer pool or a whole-set temporary that grows with the number of
+# training steps or scored rows fails it. The `#[ignore]`d test is alone
+# in its binary, since the peak belongs to the whole process, and runs in
+# release mode. Run by name so a filtered or skipped run can never mask it.
+step "memory" cargo test --release --offline --quiet -p taglets-eval --test peak_memory -- --ignored
+
 # Fused-epilogue contracts: bitwise identity of the fused kernel epilogue
 # against the unfused walk, of the one inference forward (`logits`,
 # `predict_proba`, `features` and the packed serving path) against the
