@@ -69,6 +69,10 @@ fn run_produces_four_taglets_and_simplex_pseudo_labels() {
     assert_eq!(run.taglets.len(), 4);
     let names: Vec<&str> = run.taglets.iter().map(|t| t.name()).collect();
     assert_eq!(names, ["transfer", "multitask", "fixmatch", "zsl-kg"]);
+    assert!(run.num_auxiliary_examples > 0, "SCADS must select data");
+    let acc = run.end_model.accuracy(&split.test_x, &split.test_y);
+    let chance = 1.0 / task.num_classes() as f32;
+    assert!(acc > 2.0 * chance, "end model must beat chance: {acc}");
     assert_eq!(run.pseudo_labels.rows(), run.unlabeled_used.rows());
     for row in run.pseudo_labels.rows_iter() {
         let sum: f32 = row.iter().sum();
@@ -235,6 +239,10 @@ fn grocery_extension_is_isolated_to_the_run() {
         "shared SCADS must stay clean"
     );
     assert_eq!(run.end_model.num_classes(), 42);
+    // The out-of-vocabulary classes, added to the run's own SCADS copy,
+    // still learn: the end model clears twice chance.
+    let acc = run.end_model.accuracy(&split.test_x, &split.test_y);
+    assert!(acc > 2.0 / 42.0, "must beat chance on grocery: {acc}");
 }
 
 #[test]
