@@ -34,7 +34,6 @@ enum Mode {
     Check,
     List,
     Bench,
-    Explain(String),
 }
 
 fn main() -> ExitCode {
@@ -49,20 +48,22 @@ fn main() -> ExitCode {
 
 fn run() -> Result<ExitCode, String> {
     let mut mode = Mode::Check;
+    // The rule `--explain` names; the last mode flag given wins.
+    let mut explain: Option<String> = None;
     let mut json = false;
     let mut root_override: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => mode = Mode::Check,
-            "--list" => mode = Mode::List,
+            "--check" => (mode, explain) = (Mode::Check, None),
+            "--list" => (mode, explain) = (Mode::List, None),
             "--json" => json = true,
-            "--bench" => mode = Mode::Bench,
+            "--bench" => (mode, explain) = (Mode::Bench, None),
             "--explain" => {
                 let code = args
                     .next()
                     .ok_or("--explain requires a rule code (see --help)")?;
-                mode = Mode::Explain(code);
+                explain = Some(code);
             }
             "--root" => {
                 let dir = args.next().ok_or("--root requires a directory argument")?;
@@ -77,7 +78,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     // `--explain` needs no workspace at all.
-    if let Mode::Explain(code) = &mode {
+    if let Some(code) = &explain {
         let rule = Rule::from_code(&code.to_uppercase()).ok_or_else(|| {
             let valid: Vec<&str> = ALL_RULES.iter().map(|r| r.code()).collect();
             format!("unknown rule `{code}` (valid: {})", valid.join(", "))
@@ -99,8 +100,6 @@ fn run() -> Result<ExitCode, String> {
         scan_workspace_timed(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     match mode {
-        #[expect(clippy::unreachable, reason = "`--explain` returns before the scan")]
-        Mode::Explain(_) => unreachable!("handled before scanning"),
         Mode::List => {
             for v in &violations {
                 if json {
