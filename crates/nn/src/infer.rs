@@ -152,11 +152,10 @@ impl Classifier {
     /// Inference: predicted class index per row — the argmax of each row of
     /// [`Classifier::logits`] (first maximum on ties).
     ///
-    /// Packs the weights once, then runs the forward over blocks of
-    /// [`PREDICT_BLOCK_ROWS`] rows on one scratch, so it never builds the
-    /// whole `[rows, classes]` logits matrix. Every output row is bitwise
-    /// identical whatever block it rides in, so the answer is that of one
-    /// whole-batch forward.
+    /// Packs the weights once, then runs the forward over blocks of 256
+    /// rows on one scratch, so it never builds the whole `[rows, classes]`
+    /// logits matrix. Every output row is bitwise identical whatever block
+    /// it rides in, so the answer is that of one whole-batch forward.
     ///
     /// # Panics
     ///
