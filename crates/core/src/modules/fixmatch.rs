@@ -40,7 +40,6 @@ impl TagletModule for FixMatchModule {
         Self::NAME
     }
 
-    // lint: root(determinism)
     fn train(&self, ctx: &ModuleContext<'_>, rng: &mut StdRng) -> Result<TrainedTaglet, CoreError> {
         if ctx.split.labeled_y.is_empty() {
             return Err(CoreError::NoLabeledData { module: Self::NAME });

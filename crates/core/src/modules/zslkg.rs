@@ -108,7 +108,6 @@ impl TagletModule for ZslKgModule {
         Self::NAME
     }
 
-    // lint: root(determinism)
     fn train(
         &self,
         ctx: &ModuleContext<'_>,

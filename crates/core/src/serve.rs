@@ -37,8 +37,8 @@
 //! forward pass would have produced. Time never enters library code —
 //! the engine reads an injected [`Clock`], and the deterministic
 //! [`ServingEngine::run`] driver replays a timed request stream against a
-//! [`VirtualClock`]. `ServingEngine::run` is a seeded `taglets-lint` TL007
-//! root, so any wall-clock call reachable from the serve path fails CI.
+//! [`VirtualClock`]. Clippy's `disallowed_methods` rejects a wall-clock
+//! read anywhere in library code, so none can reach the serve path.
 //!
 //! ## Backpressure
 //!
@@ -47,6 +47,10 @@
 //! counted in telemetry, and never silently dropped or buffered without
 //! bound. Callers decide whether to retry, degrade, or propagate.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "VirtualClock's replay time is the crate's one Cell"
+)]
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
@@ -62,7 +66,7 @@ use crate::servable::ServableModel;
 // ---------------------------------------------------------------------
 
 /// A monotonic time source, injected so library code never touches the
-/// wall clock (the TL007 determinism contract).
+/// wall clock (`clippy.toml` disallows `Instant::now`).
 ///
 /// Implementations must be monotonic: successive calls never go backwards.
 pub trait Clock {
@@ -75,7 +79,10 @@ pub trait Clock {
 /// virtual time.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    // lint: concurrency(Cell makes VirtualClock !Sync, so the replay clock can never be shared across workers; time advances single-threaded in the run loop)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "Cell makes VirtualClock !Sync, so the replay clock can never be shared across workers; time advances single-threaded in the run loop"
+    )]
     now: Cell<u64>,
 }
 
@@ -869,8 +876,8 @@ impl<'a> ServingEngine<'a> {
     /// engine and [`VirtualClock`]: the clock advances to each arrival
     /// (processing any deadline flush at its exact due time first), the
     /// batcher ticks once per distinct timestamp, and a final drain answers
-    /// every admitted request. Seeded as a `taglets-lint` TL007 root: the
-    /// whole reachable serve path must stay free of wall-clock reads.
+    /// every admitted request. A `taglets-lint` hot root: the whole
+    /// reachable serve path must argue its allocations and bounds.
     ///
     /// # Errors
     ///
@@ -878,7 +885,7 @@ impl<'a> ServingEngine<'a> {
     /// [`ServeError::InputDim`] or [`ServeError::NonFinite`] for a
     /// malformed row. Overload is *not* an
     /// error here: shed requests simply leave a `None` slot.
-    // lint: root(determinism, hot)
+    // lint: root(hot)
     pub fn run(
         model: &ServableModel,
         config: ServeConfig,

@@ -37,7 +37,6 @@ type TrainedModules = (Vec<Box<dyn Taglet>>, Vec<ModuleTelemetry>);
     reason = "stage timing telemetry; the value never feeds model state"
 )]
 fn stage_timer() -> std::time::Instant {
-    // lint: nondeterministic(stage timing telemetry; the value never feeds model state)
     std::time::Instant::now()
 }
 
@@ -212,7 +211,6 @@ impl<'a> TagletsSystem<'a> {
     /// * [`CoreError::Scads`] if extending SCADS for an out-of-vocabulary
     ///   class fails.
     /// * Any module error (e.g. [`CoreError::NoLabeledData`]).
-    // lint: root(determinism)
     pub fn run(
         &self,
         task: &Task,

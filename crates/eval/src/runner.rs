@@ -426,7 +426,6 @@ impl SweepCell {
 ///
 /// The first (by cell order) [`EvalError`] any cell produced; later cells
 /// are not run.
-// lint: root(determinism)
 pub fn sweep_method(
     env: &Experiment,
     method: Method,

@@ -8,31 +8,24 @@
 //! | rule  | checks |
 //! |-------|--------|
 //! | TL004 | `==` / `!=` on float expressions (token-level) |
-//! | TL007 | nondeterminism reachable from a deterministic root (taint, with call chain) |
-//! | TL008 | iteration over unordered `HashMap`/`HashSet` in library code |
-//! | TL009 | RNG construction not derived from a seed |
-//! | TL011 | interior mutability reachable from an executor dispatch (with call chain) |
-//! | TL012 | atomic memory ordering weaker than `SeqCst` |
-//! | TL013 | float accumulation onto shared state in a worker closure |
+//! | TL008 | `.into_iter()` on a `HashMap`/`HashSet` binding (token-level) |
 //! | TL014 | heap allocation reachable from a latency-critical root (with call chain) |
 //! | TL015 | blocking operation reachable from a latency-critical root (with call chain) |
 //! | TL016 | panic-capable op on the serve path (with call chain) |
 //!
-//! TL004 matches over each file's tokens ([`rules`]). The workspace-level
-//! rules run over per-function facts and a call-graph ([`lexer`] →
-//! [`items`] → [`callgraph`] → [`reach`]): TL008, TL009, TL012 and
-//! file-scope TL011 fire at the fact's site, while TL007, TL011 and
-//! TL014–TL016 are one reachability engine run from three root sets.
-//! Determinism and hot-path roots are declared where the function is
-//! defined, by a `root(determinism)` / `root(hot)` marker in a `lint:`
-//! comment on the `fn` line or directly above it; dispatch roots (TL011)
-//! are the functions that hand closures to worker threads. TL013 is a
-//! token walk over dispatched closures ([`concurrency`]). `--explain
-//! TLxxx` prints each rule's rationale and waiver syntax.
+//! TL004 and TL008 match over each file's tokens ([`rules`]). The hot-path rules
+//! run over per-function facts and a call-graph ([`lexer`] → [`items`] →
+//! [`callgraph`] → [`reach`]): one reachability walk from the functions
+//! declared latency-critical by a `root(hot)` marker in a `lint:` comment
+//! on the `fn` line or directly above it. `--explain TLxxx` prints each
+//! rule's rationale and waiver syntax.
 //!
-//! Per-file rules the toolchain already has (unwrap and panic macros,
-//! wall-clock reads and thread spawning, missing docs, `unsafe`) live in
-//! the workspace's `[workspace.lints]` table and `clippy.toml` instead.
+//! What the toolchain already checks lives in the workspace's
+//! `[workspace.lints]` table and `clippy.toml` instead: unwrap and panic
+//! macros, missing docs and `unsafe` (which also rules out `static mut`),
+//! and, for determinism, wall-clock reads, thread spawning, entropy
+//! sources, host libm transcendentals, interior-mutability types, and
+//! hash-order iteration by `for` loop or inherent iterator.
 //!
 //! `--check` fails on any violation. Individual intentional sites can be
 //! suppressed with a trailing `// lint: allow(TL004)` comment.
@@ -42,7 +35,6 @@
 //! unreachable.
 
 pub mod callgraph;
-pub mod concurrency;
 pub mod items;
 pub mod lexer;
 pub mod reach;
@@ -61,17 +53,8 @@ const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "tests", "benches", "e
 
 /// The analysis stages, in execution order, as reported by
 /// [`scan_workspace_timed`]. The names are part of the `--json` contract:
-/// `determinism` times the site rules and the determinism walk,
-/// `concurrency` the dispatch walk and TL013, `hot` the hot walk.
-pub const STAGES: [&str; 7] = [
-    "scan",
-    "rules",
-    "items",
-    "callgraph",
-    "determinism",
-    "concurrency",
-    "hot",
-];
+/// `rules` times TL004 and TL008, `hot` the hot walk (TL014–TL016).
+pub const STAGES: [&str; 5] = ["scan", "rules", "items", "callgraph", "hot"];
 
 /// Wall-time spent in one analysis stage. Telemetry only: the values feed
 /// the `--json` report so lint performance regressions are visible
@@ -109,7 +92,7 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     }
     push_timing(&mut timings, "scan", t);
 
-    // Stage "rules": the per-file token rule (TL004).
+    // Stage "rules": the per-file token rules (TL004, TL008).
     let t = stage_clock();
     let mut violations = Vec::new();
     for (rel, src) in &parsed {
@@ -120,12 +103,10 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     // Stage "items": per-function facts, calls and root markers.
     let t = stage_clock();
     let mut fns = Vec::new();
-    let mut file_facts = Vec::new();
     let mut marker_errors = Vec::new();
     for (rel, src) in &parsed {
         let extraction = items::extract(rel, src);
         fns.extend(extraction.fns);
-        file_facts.extend(extraction.file_facts.into_iter().map(|f| (rel.clone(), f)));
         marker_errors.extend(extraction.marker_errors);
     }
     if !marker_errors.is_empty() {
@@ -140,22 +121,6 @@ pub fn scan_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<Stag
     let t = stage_clock();
     let graph = callgraph::build(fns);
     push_timing(&mut timings, "callgraph", t);
-
-    // Stage "determinism": site rules (TL008, TL009, TL012, file-scope TL011)
-    // and determinism reachability (TL007).
-    let t = stage_clock();
-    violations.extend(reach::site_rules(&graph, &file_facts));
-    violations.extend(reach::reach(&graph, &reach::DETERMINISM));
-    push_timing(&mut timings, "determinism", t);
-
-    // Stage "concurrency": dispatch reachability (TL011) and worker-closure
-    // accumulation (TL013).
-    let t = stage_clock();
-    violations.extend(reach::reach(&graph, &reach::DISPATCH));
-    for (rel, src) in &parsed {
-        violations.extend(concurrency::check_closures(rel, src));
-    }
-    push_timing(&mut timings, "concurrency", t);
 
     // Stage "hot": hot-path reachability (TL014–TL016).
     let t = stage_clock();
@@ -203,7 +168,6 @@ fn workspace_file_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
     reason = "lint stage telemetry; the value never feeds analysis results"
 )]
 fn stage_clock() -> std::time::Instant {
-    // lint: nondeterministic(lint stage telemetry; the value never feeds analysis results)
     std::time::Instant::now()
 }
 

@@ -3,7 +3,7 @@
 //! * `--check` (default): scan and report; exit 1 on any violation.
 //! * `--list`: print every current violation with per-rule totals.
 //! * `--json`: machine-readable output — one JSON diagnostic per line,
-//!   including TL007/TL011/TL014–TL016 call chains, plus a summary object
+//!   including TL014–TL016 call chains, plus a summary object
 //!   with per-stage wall-times and per-rule hit counts (combines with
 //!   `--check` or `--list`).
 //! * `--bench`: run the whole pipeline repeatedly and print one JSON line —
@@ -162,8 +162,8 @@ fn run() -> Result<ExitCode, String> {
     }
 }
 
-/// Prints a TL007/TL011 chain under its diagnostic in the human-readable
-/// modes.
+/// Prints a TL014–TL016 call chain under its diagnostic in the
+/// human-readable modes.
 fn print_chain(v: &Violation) {
     for (i, hop) in v.chain.iter().enumerate() {
         println!(

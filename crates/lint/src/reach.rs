@@ -1,27 +1,19 @@
-//! The reachability engine: every call-graph rule is one table entry run
+//! The reachability engine: the hot-path rules are one table entry run
 //! through `reach`.
 //!
-//! Three system claims become reachability questions over the same
+//! The system claim becomes a reachability question over the
 //! [`CallGraph`] and item [`Fact`]s:
 //!
-//! | analysis        | roots                        | cut            | fact kind → rule |
-//! |-----------------|------------------------------|----------------|------------------|
-//! | `DETERMINISM` | `root(determinism)` markers  | none           | time, thread spawn, unseeded RNG, map iteration, libm call → TL007 |
-//! | `DISPATCH`    | functions with a dispatch site | none         | interior mutability → TL011 |
-//! | `HOT`         | `root(hot)` markers          | `is_setup`   | allocation → TL014, blocking → TL015, panic-capable → TL016 |
+//! | analysis | roots               | cut          | fact kind → rule |
+//! |----------|---------------------|--------------|------------------|
+//! | `HOT`    | `root(hot)` markers | `is_setup`   | allocation → TL014, blocking → TL015, panic-capable → TL016 |
 //!
-//! * **Determinism.** Parallel training is bitwise-identical to serial only
-//!   while everything reachable from a seeded root is deterministic.
-//! * **Dispatch.** Shared mutable state reachable from a function that hands
-//!   closures to worker threads can break worker-count invariance. The
-//!   roots read the code (executor `map`/`run`/`for_each`, `scope.spawn`),
-//!   so they need no marker.
-//! * **Hot.** The distilled end model serves at the speed of one trained
-//!   model only while the serve path reuses scratch, never blocks, and
-//!   argues its bounds. Setup code (`new`/`default`/`with_*`/`load*`, the
-//!   weight packer, `*Scratch`/`Packed*` builders) runs once, so the walk
-//!   never enters it: a `Vec::with_capacity` inside `InferScratch::new`
-//!   stays silent while the same call inline in a hot root fires.
+//! The distilled end model serves at the speed of one trained model only
+//! while the serve path reuses scratch, never blocks, and argues its
+//! bounds. Setup code (`new`/`default`/`with_*`/`load*`, the weight packer,
+//! `*Scratch`/`Packed*` builders) runs once, so the walk never enters it: a
+//! `Vec::with_capacity` inside `InferScratch::new` stays silent while the
+//! same call inline in a hot root fires.
 //!
 //! A root is declared where the function is defined, with a `root(...)`
 //! marker in a `lint:` comment trailing the `fn` line or on a comment line
@@ -31,10 +23,7 @@
 //! The engine walks breadth-first from each root in definition order, never
 //! enters a cut function, and reports each fact once, with the first
 //! (shortest) chain that reaches it, so the diagnostic shows *how* the root
-//! reaches the site. Facts whose rule holds wherever they sit — map
-//! iteration, unseeded RNGs, weak orderings, and shared state at file
-//! scope, where no call edge can reach — go through `site_rules`
-//! instead.
+//! reaches the site.
 
 use std::collections::VecDeque;
 
@@ -50,28 +39,6 @@ pub(crate) struct Reach {
     pub(crate) rules: &'static [(FactKind, Rule)],
 }
 
-/// TL007: nondeterminism reachable from a `root(determinism)` function.
-pub(crate) const DETERMINISM: Reach = Reach {
-    roots: |f| f.roots.contains(&RootKind::Determinism),
-    cut: |_| false,
-    rules: &[
-        (FactKind::TimeAsData, Rule::Tl007),
-        (FactKind::ThreadSpawn, Rule::Tl007),
-        (FactKind::RngNotSeedDerived, Rule::Tl007),
-        (FactKind::MapIter, Rule::Tl007),
-        (FactKind::LibmCall, Rule::Tl007),
-    ],
-};
-
-/// TL011: interior mutability reachable from an executor dispatch. The
-/// dispatching function's own facts count as hop zero: an atomic next to
-/// the dispatch is still shared with the workers.
-pub(crate) const DISPATCH: Reach = Reach {
-    roots: |f| !f.dispatches.is_empty(),
-    cut: |_| false,
-    rules: &[(FactKind::InteriorMutability, Rule::Tl011)],
-};
-
 /// TL014–TL016: allocating, blocking and panic-capable ops reachable from a
 /// `root(hot)` function, up to the setup cut.
 pub(crate) const HOT: Reach = Reach {
@@ -83,21 +50,6 @@ pub(crate) const HOT: Reach = Reach {
         (FactKind::PanicCapable, Rule::Tl016),
     ],
 };
-
-/// Rules that fire at a fact inside a function body, reachable or not.
-const SITE_RULES: [(FactKind, Rule); 3] = [
-    (FactKind::MapIter, Rule::Tl008),
-    (FactKind::RngNotSeedDerived, Rule::Tl009),
-    (FactKind::WeakOrdering, Rule::Tl012),
-];
-
-/// Rules that fire at a file-scope fact. No call edge reaches a
-/// declaration, so a struct field or static holding shared state is
-/// flagged (TL011) wherever it sits.
-const FILE_SCOPE_RULES: [(FactKind, Rule); 2] = [
-    (FactKind::InteriorMutability, Rule::Tl011),
-    (FactKind::WeakOrdering, Rule::Tl012),
-];
 
 /// The setup cut: constructors (`new`, `default`, `with_*`, `load*`), the
 /// weight packer (`pack_weights`, run once when a model is wrapped for
@@ -156,26 +108,6 @@ pub(crate) fn reach(graph: &CallGraph, analysis: &Reach) -> Vec<Violation> {
     out
 }
 
-/// The site-level rules: every function-body fact against [`SITE_RULES`],
-/// then every file-scope fact against [`FILE_SCOPE_RULES`]. `file_facts`
-/// pairs each workspace-relative path with a fact found outside any body.
-pub(crate) fn site_rules(graph: &CallGraph, file_facts: &[(String, Fact)]) -> Vec<Violation> {
-    let body = graph.fns.iter().flat_map(|f| {
-        f.facts
-            .iter()
-            .map(move |fact| (&f.file, fact, &SITE_RULES[..]))
-    });
-    let file_scope = file_facts
-        .iter()
-        .map(|(file, fact)| (file, fact, &FILE_SCOPE_RULES[..]));
-    body.chain(file_scope)
-        .filter_map(|(file, fact, table)| {
-            let rule = rule_for(table, fact, file)?;
-            Some(violation(rule, file, fact, Vec::new()))
-        })
-        .collect()
-}
-
 /// The rule `table` fires for `fact` in `file`, unless the rule does not
 /// apply there or the site suppresses it.
 fn rule_for(table: &[(FactKind, Rule)], fact: &Fact, file: &str) -> Option<Rule> {
@@ -217,130 +149,24 @@ mod tests {
     use crate::items::extract;
     use crate::source::parse;
 
-    /// Every graph-level rule over one file: site rules, then the three
-    /// reachability analyses.
+    /// The hot walk over one file.
     fn analyze(path: &str, src: &str) -> Vec<Violation> {
-        let ex = extract(path, &parse(src));
-        let file_facts: Vec<(String, Fact)> = ex
-            .file_facts
-            .into_iter()
-            .map(|f| (path.to_string(), f))
-            .collect();
-        let graph = build(ex.fns);
-        let mut out = site_rules(&graph, &file_facts);
-        for analysis in [&DETERMINISM, &DISPATCH, &HOT] {
-            out.extend(reach(&graph, analysis));
-        }
-        out
+        reach(&build(extract(path, &parse(src)).fns), &HOT)
     }
 
     fn chain(v: &Violation) -> Vec<&str> {
         v.chain.iter().map(|h| h.name.as_str()).collect()
     }
 
-    const SYSTEM: &str = "crates/core/src/system.rs";
     const SERVE: &str = "crates/core/src/serve.rs";
-    const POOL: &str = "crates/core/src/pool.rs";
 
     #[test]
     fn marked_functions_are_roots_whatever_their_name() {
-        let src = "fn warm_start() { jitter(); } // lint: root(determinism)\nfn jitter() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n// lint: root(hot)\nfn any_name(xs: &[f32]) { let v = xs.to_vec(); }\n";
-        let v = analyze(SYSTEM, src);
+        let src = "fn warm_start() { jitter(); } // lint: root(hot)\nfn jitter(xs: &[f32]) { let v = xs.to_vec(); }\nfn unmarked(xs: &[f32]) { let v = xs.to_vec(); }\nimpl ServingEngine {\n    fn run(&mut self, xs: &[f32]) { let v = xs.to_vec(); }\n}\n";
+        let v = analyze(SERVE, src);
         let rules: Vec<Rule> = v.iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::Tl007, Rule::Tl014], "{v:?}");
+        assert_eq!(rules, vec![Rule::Tl014], "{v:?}");
         assert_eq!(chain(&v[0]), vec!["warm_start", "jitter"]);
-        assert_eq!(chain(&v[1]), vec!["any_name"]);
-    }
-
-    #[test]
-    fn unmarked_taglets_system_run_is_not_a_root() {
-        let src = "impl TagletsSystem {\n    fn run(&self) { let t = Instant::now(); }\n}\nimpl<'a> ServingEngine<'a> {\n    fn run(&mut self, xs: &[f32]) { let v = xs.to_vec(); }\n}\nfn predict_proba_batched(xs: &[f32]) { let v = xs.to_vec(); }\n";
-        let fns = extract(SYSTEM, &parse(src)).fns;
-        assert!(fns.iter().all(|f| f.roots.is_empty()));
-        assert!(analyze(SYSTEM, src).is_empty());
-    }
-
-    #[test]
-    fn reachable_time_source_is_reported_with_chain() {
-        let src = "impl TagletsSystem {\n    fn run(&self) { self.stage(); } // lint: root(determinism)\n    fn stage(&self) { jitter(); }\n}\nfn jitter() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n";
-        let v = analyze(SYSTEM, src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl007);
-        assert_eq!(
-            chain(&v[0]),
-            vec!["TagletsSystem::run", "TagletsSystem::stage", "jitter"]
-        );
-    }
-
-    #[test]
-    fn unreachable_sources_do_not_taint() {
-        let src = "impl TagletsSystem {\n    fn run(&self) {} // lint: root(determinism)\n}\nfn orphan() { let t = Instant::now(); }\n";
-        assert!(analyze(SYSTEM, src).is_empty());
-    }
-
-    #[test]
-    fn waiver_with_reason_silences_all_three_rules() {
-        let src = "impl TagletsSystem {\n    fn run(&self) { // lint: root(determinism)\n        let t = Instant::now(); // lint: nondeterministic(stage telemetry only)\n        let r = thread_rng(); // lint: nondeterministic(exploratory sampling, not part of results)\n    }\n}\n";
-        assert!(analyze(SYSTEM, src).is_empty());
-    }
-
-    #[test]
-    fn reasonless_waiver_does_not_silence() {
-        let src = "impl TagletsSystem {\n    fn run(&self) { // lint: root(determinism)\n        let t = Instant::now(); // lint: nondeterministic()\n    }\n}\n";
-        let v = analyze(SYSTEM, src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl007);
-    }
-
-    #[test]
-    fn site_rules_fire_without_reachability() {
-        let src = "fn untouched(m: &HashMap<u8, u8>) {\n    for x in m { }\n    let r = StdRng::seed_from_u64(x);\n}\n";
-        let rules: Vec<Rule> = analyze(SYSTEM, src).iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::Tl008, Rule::Tl009]);
-    }
-
-    #[test]
-    fn allow_silences_one_rule_only() {
-        let src = "fn f(m: &HashMap<u8, u8>) {\n    for x in m { } // lint: allow(TL008)\n    let r = thread_rng(); // lint: allow(TL008)\n}\n";
-        let v = analyze(SYSTEM, src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl009);
-    }
-
-    #[test]
-    fn reachable_mutex_is_reported_with_chain() {
-        let src = "fn run_pool(executor: &Executor) {\n    executor.map(4, |i| evaluate(i));\n}\nfn evaluate(i: usize) -> u64 { lookup(i) }\nfn lookup(i: usize) -> u64 {\n    let cache = Mutex::new(0u64);\n    i as u64\n}\n";
-        let v = analyze(POOL, src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl011);
-        assert_eq!(chain(&v[0]), vec!["run_pool", "evaluate", "lookup"]);
-    }
-
-    #[test]
-    fn unreachable_interior_mutability_is_not_flagged() {
-        let src = "fn run_pool(executor: &Executor) {\n    executor.map(4, |i| i);\n}\nfn orphan() {\n    let cache = Mutex::new(0u64);\n}\n";
-        assert!(analyze(POOL, src).is_empty());
-    }
-
-    #[test]
-    fn file_scope_facts_fire_without_a_chain() {
-        let v = analyze(POOL, "struct Clock {\n    now: Cell<u64>,\n}\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Tl011);
-        assert!(v[0].chain.is_empty());
-    }
-
-    #[test]
-    fn weak_ordering_fires_at_site() {
-        let src = "fn f() {\n    let o = x.load(Ordering::Relaxed);\n}\n";
-        let rules: Vec<Rule> = analyze(POOL, src).iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::Tl012]);
-    }
-
-    #[test]
-    fn reasoned_waivers_silence_their_rules() {
-        let src = "fn run_pool(executor: &Executor) {\n    let next = AtomicUsize::new(0); // lint: concurrency(claim counter; results reassembled by index)\n    let i = next.fetch_add(1, Ordering::Relaxed); // lint: concurrency(atomic RMW yields unique indices)\n    executor.map(4, |i| i);\n}\n";
-        assert!(analyze(POOL, src).is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Two line shapes exist:
 //!
 //! * a **diagnostic** per violation — `rule`, `file`, `line`,
-//!   `description`, `excerpt`, `advisory`, and the (possibly empty) TL007/
-//!   TL011 call `chain`;
+//!   `description`, `excerpt`, `advisory`, and the (possibly empty)
+//!   TL014–TL016 call `chain`;
 //! * one trailing **summary** object — totals, the (rule, file) entries
 //!   with hits and how many of them block, per-stage wall-times
 //!   (`stages`), and per-rule hit counts (`rules`, every rule present,
@@ -151,19 +151,19 @@ mod tests {
     #[test]
     fn violation_json_includes_chain_hops() {
         let v = Violation {
-            rule: Rule::Tl011,
-            file: "crates/core/src/pool.rs".to_string(),
+            rule: Rule::Tl015,
+            file: "crates/core/src/serve.rs".to_string(),
             line: 9,
-            excerpt: "Mutex [interior-mutability type (shared mutable state)]".to_string(),
+            excerpt: ".lock() [blocking operation on a latency-critical path]".to_string(),
             chain: vec![Hop {
-                name: "run_pool".to_string(),
-                file: "crates/core/src/pool.rs".to_string(),
+                name: "ServingEngine::run".to_string(),
+                file: "crates/core/src/serve.rs".to_string(),
                 line: 1,
             }],
         };
         let json = violation_json(&v);
-        assert!(json.contains("\"rule\":\"TL011\""));
-        assert!(json.contains("\"chain\":[{\"fn\":\"run_pool\""));
+        assert!(json.contains("\"rule\":\"TL015\""));
+        assert!(json.contains("\"chain\":[{\"fn\":\"ServingEngine::run\""));
     }
 
     #[test]
@@ -175,7 +175,7 @@ mod tests {
                 nanos: 3_000_000,
             },
             StageTiming {
-                stage: "concurrency",
+                stage: "hot",
                 millis: 1,
                 nanos: 1_000_000,
             },
@@ -201,7 +201,7 @@ mod tests {
             v(Rule::Tl004, "a.rs"),
             v(Rule::Tl004, "a.rs"),
             v(Rule::Tl004, "b.rs"),
-            v(Rule::Tl008, "a.rs"),
+            v(Rule::Tl014, "a.rs"),
         ];
         let json = summary_json(&violations, &[]);
         assert!(json

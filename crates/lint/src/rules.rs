@@ -1,19 +1,21 @@
 //! The TL rule set.
 //!
-//! TL004 matches over each file's token stream from [`crate::lexer`], with
-//! the per-line test and directive metadata of [`crate::source`], so
-//! string contents, comments and tuple indices can never look like code.
-//! TL007–TL012 and TL014–TL016 come from item facts ([`crate::items`]) over
-//! the call-graph ([`crate::callgraph`]): at the fact's site, or through the
-//! one reachability engine ([`crate::reach`]); TL013 from a token walk over
-//! worker closures ([`crate::concurrency`]). All of them share only the
-//! [`Violation`] type and scoping logic here. The determinism, concurrency
-//! and hot-path rules skip the bench crate (timing is its purpose).
+//! TL004 and TL008 match over each file's token stream from
+//! [`crate::lexer`], with the per-line test and directive metadata of
+//! [`crate::source`], so string contents, comments and tuple indices can
+//! never look like code. TL014–TL016 come from item facts
+//! ([`crate::items`]) over the call-graph ([`crate::callgraph`]) through
+//! the reachability engine ([`crate::reach`]). They share only the
+//! [`Violation`] type and scoping logic here. The hot-path rules skip the
+//! bench crate (timing is its purpose).
 //!
-//! Unwrap and panic macros, wall-clock reads and thread spawning, missing
-//! docs and `unsafe` are checked by the toolchain (`[workspace.lints]` and
-//! `clippy.toml`); codes TL001–TL003, TL005, TL006 and TL010 stay
-//! unassigned.
+//! Unwrap and panic macros, wall-clock reads, thread spawning, entropy
+//! sources, host libm calls, interior mutability, hash-order iteration,
+//! missing docs and `unsafe` are checked by the toolchain
+//! (`[workspace.lints]` and `clippy.toml`); codes TL001–TL003, TL005–TL007
+//! and TL009–TL013 stay unassigned.
+
+use std::collections::BTreeSet;
 
 use crate::lexer::{Tok, Token};
 use crate::source::SourceFile;
@@ -23,21 +25,8 @@ use crate::source::SourceFile;
 pub enum Rule {
     /// `==` / `!=` on float expressions.
     Tl004,
-    /// Nondeterminism source reachable from a declared deterministic root
-    /// (taint analysis over the workspace call-graph).
-    Tl007,
-    /// Iteration over an unordered `HashMap`/`HashSet` in library code.
+    /// `.into_iter()` on a binding declared as a `HashMap`/`HashSet`.
     Tl008,
-    /// RNG construction not derived from a seed.
-    Tl009,
-    /// Interior-mutability type reachable from an executor dispatch point
-    /// (concurrency dataflow over the workspace call-graph).
-    Tl011,
-    /// Atomic memory ordering weaker than `SeqCst`.
-    Tl012,
-    /// Floating-point compound accumulation onto shared state inside a
-    /// dispatched worker closure (non-associative reduction smell).
-    Tl013,
     /// Heap allocation reachable from a latency-critical root without a
     /// reasoned `lint: alloc(reason)` waiver (hot-path reachability walk).
     Tl014,
@@ -51,14 +40,9 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 5] = [
     Rule::Tl004,
-    Rule::Tl007,
     Rule::Tl008,
-    Rule::Tl009,
-    Rule::Tl011,
-    Rule::Tl012,
-    Rule::Tl013,
     Rule::Tl014,
     Rule::Tl015,
     Rule::Tl016,
@@ -69,12 +53,7 @@ impl Rule {
     pub fn code(self) -> &'static str {
         match self {
             Rule::Tl004 => "TL004",
-            Rule::Tl007 => "TL007",
             Rule::Tl008 => "TL008",
-            Rule::Tl009 => "TL009",
-            Rule::Tl011 => "TL011",
-            Rule::Tl012 => "TL012",
-            Rule::Tl013 => "TL013",
             Rule::Tl014 => "TL014",
             Rule::Tl015 => "TL015",
             Rule::Tl016 => "TL016",
@@ -85,12 +64,7 @@ impl Rule {
     pub fn description(self) -> &'static str {
         match self {
             Rule::Tl004 => "==/!= comparison on float expressions",
-            Rule::Tl007 => "nondeterminism reachable from a deterministic root",
-            Rule::Tl008 => "iteration over unordered HashMap/HashSet in library code",
-            Rule::Tl009 => "RNG construction not derived from a seed",
-            Rule::Tl011 => "interior-mutability type reachable from an executor dispatch",
-            Rule::Tl012 => "atomic memory ordering weaker than SeqCst",
-            Rule::Tl013 => "float accumulation onto shared state in a worker closure",
+            Rule::Tl008 => "into_iter() on a HashMap/HashSet binding",
             Rule::Tl014 => "heap allocation reachable from a latency-critical root",
             Rule::Tl015 => "blocking operation reachable from a latency-critical root",
             Rule::Tl016 => "panic-capable op on the serve path",
@@ -105,49 +79,15 @@ impl Rule {
                  any reassociation or platform difference the comparison flips, so \
                  thresholds and approx-comparisons must be explicit."
             }
-            Rule::Tl007 => {
-                "Reachability over the workspace call-graph: a function declared \
-                 deterministic (seeded training, eval, serving) transitively calls \
-                 a nondeterminism source. Roots are declared where the function \
-                 is defined, by a `// lint: root(determinism)` marker on the fn \
-                 line or the comment line directly above it. The chain in the \
-                 diagnostic lists every hop so the offending call can be cut or \
-                 seeded."
-            }
             Rule::Tl008 => {
-                "HashMap/HashSet iteration order depends on hasher state, so any \
-                 loop over one feeds arbitrary order into results. Library code \
-                 iterates BTreeMap/BTreeSet or sorts first."
-            }
-            Rule::Tl009 => {
-                "An RNG built from entropy (or an unseeded constructor) cannot be \
-                 replayed. Every generator must derive from the experiment seed so \
-                 the whole pipeline is one function of (data, config, seed)."
-            }
-            Rule::Tl011 => {
-                "Concurrency dataflow over the call-graph: an interior-mutability \
-                 type (Mutex, RwLock, RefCell, Cell, UnsafeCell, atomics, static \
-                 mut) is reachable from an executor map/run/for_each or \
-                 scope.spawn dispatch point, meaning worker closures can share \
-                 mutable state. Lock contention or racy updates there break the \
-                 bitwise-identical-at-1/2/4-workers invariant; the diagnostic's \
-                 chain shows the dispatch-to-state path. The roots are read from \
-                 the code, so they need no root(...) marker; state declared at \
-                 file scope (struct fields, statics) fires at the site."
-            }
-            Rule::Tl012 => {
-                "Orderings weaker than SeqCst (Relaxed, Acquire, Release, AcqRel) \
-                 trade reordering freedom for proofs the lint cannot check. The \
-                 executor core carries reasoned waivers for its claim counter; \
-                 anywhere else the default must be SeqCst until a waiver argues \
-                 otherwise."
-            }
-            Rule::Tl013 => {
-                "A compound float accumulation (`acc += x`) onto state declared \
-                 outside a dispatched worker closure reorders a non-associative \
-                 reduction across workers. Sums must be computed per-worker and \
-                 reassembled in index order, as the executor's map/run contract \
-                 does."
+                "HashMap/HashSet iteration order depends on hasher state, so a \
+                 walk over one feeds arbitrary order into results. Clippy's \
+                 iter_over_hash_type and disallowed methods catch `for` loops \
+                 and the inherent iterators (iter, keys, values, drain); the \
+                 IntoIterator::into_iter method cannot be disallowed for one \
+                 receiver type, so this rule flags `.into_iter()` on a binding \
+                 whose `let` statement, parameter or field type names HashMap \
+                 or HashSet. Iterate a BTreeMap/BTreeSet or sort first."
             }
             Rule::Tl014 => {
                 "Hot-path reachability over the call-graph: a heap \
@@ -178,8 +118,8 @@ impl Rule {
                 "A panic-capable op (slice/array indexing, copy_from_slice, \
                  integer division by a non-literal divisor) sits on the serve \
                  path: reachable from a `root(hot)` marker, up to the TL014 \
-                 setup cut. A panic inside a worker closure poisons the executor \
-                 and kills every in-flight request, so hot code must argue its \
+                 setup cut. A panic there aborts the engine's one thread and \
+                 every in-flight request with it, so hot code must argue its \
                  bounds: each surviving site carries `// lint: \
                  panicfree(reason)` stating why the index/divisor is in range \
                  (dimensions validated at load, block sizes clamped, divisor \
@@ -192,14 +132,6 @@ impl Rule {
     /// `--explain`.
     pub fn waiver(self) -> &'static str {
         match self {
-            Rule::Tl007 | Rule::Tl009 => {
-                "// lint: allow(TLxxx), nondeterministic(reason) — the reason is \
-                 required and documents why the value never feeds results"
-            }
-            Rule::Tl011 | Rule::Tl012 | Rule::Tl013 => {
-                "// lint: concurrency(reason) — the reason is required and must \
-                 state why the shared state cannot perturb results"
-            }
             Rule::Tl014 => {
                 "// lint: alloc(reason) — the reason is required and must state \
                  why this allocation is acceptable on the hot path (one-time, \
@@ -214,7 +146,7 @@ impl Rule {
         }
     }
 
-    /// Parses a rule code like `TL007`.
+    /// Parses a rule code like `TL014`.
     pub fn from_code(code: &str) -> Option<Rule> {
         ALL_RULES.iter().copied().find(|r| r.code() == code)
     }
@@ -222,16 +154,7 @@ impl Rule {
     /// Whether this rule applies to the file at workspace-relative `path`.
     pub fn applies_to(self, path: &str) -> bool {
         match self {
-            Rule::Tl004 => true,
-            // Determinism rules: benches time and sample by design; TL008
-            // additionally tolerates binaries (a CLI summarising a HashMap
-            // does not perturb seeded results).
-            Rule::Tl007 | Rule::Tl009 => !path.starts_with("crates/bench/"),
-            Rule::Tl008 => !path.starts_with("crates/bench/") && !is_binary_target(path),
-            // Concurrency-safety rules apply everywhere except benches; the
-            // executor core is *not* exempted — its sites carry reasoned
-            // waivers instead, so the safety argument is written down.
-            Rule::Tl011 | Rule::Tl012 | Rule::Tl013 => !path.starts_with("crates/bench/"),
+            Rule::Tl004 | Rule::Tl008 => true,
             // Hot-path hygiene rules skip benches (they allocate and time
             // by design) and the lint crate itself (tooling with no
             // latency-critical roots — only over-approximate name fan-out
@@ -244,13 +167,8 @@ impl Rule {
     }
 }
 
-/// True for executable entry points (`src/bin/*`, `src/main.rs`).
-fn is_binary_target(path: &str) -> bool {
-    path.contains("/bin/") || path == "src/main.rs" || path.ends_with("/src/main.rs")
-}
-
-/// One function-level step in a taint chain, from a deterministic root
-/// toward the nondeterminism source.
+/// One function-level step in a call chain, from a latency-critical root
+/// toward the offending site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// Qualified function name (`TagletsSystem::run`).
@@ -272,24 +190,29 @@ pub struct Violation {
     pub line: usize,
     /// Trimmed source excerpt for the report.
     pub excerpt: String,
-    /// For TL007: the call chain from the deterministic root down to the
-    /// function containing the source. For TL011: the chain from the
-    /// dispatching function down to the shared state. For TL014–TL016: the
-    /// chain from the latency-critical root down to the allocating,
-    /// blocking, or panic-capable site. Empty otherwise.
+    /// For TL014–TL016: the call chain from the latency-critical root down
+    /// to the function containing the allocating, blocking, or
+    /// panic-capable site. Empty for TL004.
     pub chain: Vec<Hop>,
 }
 
-/// Runs the one per-file rule, token-level TL004, over one parsed file:
-/// `==` / `!=` with a float-typed operand nearby, once per comparison.
-/// TL007–TL016 need the whole workspace and are produced by
-/// [`crate::reach`] and [`crate::concurrency`] instead.
+/// Runs the per-file token rules, TL004 and TL008, over one parsed file.
+/// TL014–TL016 need the whole workspace and are produced by
+/// [`crate::reach`] instead.
+pub fn check_file(path: &str, file: &SourceFile) -> Vec<Violation> {
+    let mut out = float_comparisons(path, file);
+    out.extend(hash_into_iter(path, file));
+    out
+}
+
+/// TL004: `==` / `!=` with a float-typed operand nearby, once per
+/// comparison.
 ///
 /// Works over real tokens, so tuple indices (`x.0.1`) lex as integers,
 /// string and char literal contents are single tokens, and `1..2` is a
 /// range, not a float. An operand window extends from the comparison until
 /// a token that must end the expression.
-pub fn check_file(path: &str, file: &SourceFile) -> Vec<Violation> {
+fn float_comparisons(path: &str, file: &SourceFile) -> Vec<Violation> {
     let tokens = &file.tokens;
     let mut out = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
@@ -347,6 +270,79 @@ fn ends_right_operand(t: &Token) -> bool {
 /// A token that makes the operand float-typed.
 fn floatish(t: &Token) -> bool {
     matches!(t.kind, Tok::Float) || matches!(t.ident(), Some("f32" | "f64"))
+}
+
+/// TL008: `name.into_iter()` where `name` is declared anywhere in the file
+/// as a hash collection: a `let` whose statement names `HashMap`/`HashSet`,
+/// or a `name: Type` parameter or field whose type does. Names are
+/// file-wide, not scoped, so a reused name over-approximates.
+fn hash_into_iter(path: &str, file: &SourceFile) -> Vec<Violation> {
+    let tokens = &file.tokens;
+    if !tokens
+        .iter()
+        .any(|t| matches!(t.ident(), Some("HashMap" | "HashSet")))
+    {
+        return Vec::new();
+    }
+    let mut hashed: BTreeSet<&str> = BTreeSet::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        let declared = if tok.ident() == Some("let") {
+            let at = i + 1 + usize::from(tokens.get(i + 1).and_then(Token::ident) == Some("mut"));
+            tokens
+                .get(at)
+                .and_then(Token::ident)
+                .filter(|_| names_hash_type(&tokens[at..], &[";"]))
+        } else if tokens.get(i + 1).is_some_and(|t| t.is(":")) {
+            tok.ident()
+                .filter(|_| names_hash_type(&tokens[i + 2..], &[";", ",", "=", "{"]))
+        } else {
+            None
+        };
+        hashed.extend(declared);
+    }
+    let mut out = Vec::new();
+    for w in tokens.windows(4) {
+        let [recv, dot, method, open] = w else {
+            continue;
+        };
+        let is_call = dot.is(".")
+            && method.ident() == Some("into_iter")
+            && matches!(open.kind, Tok::Open('('));
+        if !is_call || !recv.ident().is_some_and(|r| hashed.contains(r)) {
+            continue;
+        }
+        let meta = file.line(method.line);
+        if meta.is_some_and(|l| l.in_test || l.allows("TL008")) {
+            continue;
+        }
+        out.push(Violation {
+            rule: Rule::Tl008,
+            file: path.to_string(),
+            line: method.line,
+            excerpt: meta.map(|l| excerpt(&l.raw)).unwrap_or_default(),
+            chain: Vec::new(),
+        });
+    }
+    out
+}
+
+/// Whether `HashMap`/`HashSet` appears before the declaration ends: at one
+/// of `ends` outside any bracket, or at a bracket that closes around it.
+fn names_hash_type(tokens: &[Token], ends: &[&str]) -> bool {
+    let mut depth = 0usize;
+    for t in tokens {
+        match t.kind {
+            Tok::Open(_) => depth += 1,
+            Tok::Close(_) if depth == 0 => return false,
+            Tok::Close(_) => depth -= 1,
+            _ if depth == 0 && ends.iter().any(|e| t.is(e)) => return false,
+            _ => {}
+        }
+        if matches!(t.ident(), Some("HashMap" | "HashSet")) {
+            return true;
+        }
+    }
+    false
 }
 
 fn excerpt(raw: &str) -> String {
@@ -434,6 +430,13 @@ mod tests {
     }
 
     #[test]
+    fn tl008_flags_into_iter_on_hash_bindings_only() {
+        let src = "fn f(index: HashMap<String, usize>, v: Vec<u8>) {\n    let seen = HashSet::new();\n    let a = index.into_iter().count();\n    let b = seen.into_iter().count(); // lint: allow(TL008)\n    let c = v.into_iter().count() + index.iter().count();\n    let m: BTreeMap<u8, u8> = BTreeMap::new();\n    let d = m.into_iter().count();\n}\n#[cfg(test)]\nmod tests {\n    fn t(index: HashMap<u8, u8>) { index.into_iter(); }\n}\n";
+        let v = violations("crates/x/src/lib.rs", src);
+        assert_eq!(v, vec![(Rule::Tl008, 3)]);
+    }
+
+    #[test]
     fn every_rule_has_rationale_and_waiver() {
         for rule in ALL_RULES {
             assert!(!rule.rationale().is_empty(), "{}", rule.code());
@@ -442,9 +445,11 @@ mod tests {
         }
     }
 
-    /// Codes of the per-file rules the toolchain lints replaced; they stay
-    /// unassigned.
-    const RETIRED: [&str; 6] = ["TL001", "TL002", "TL003", "TL005", "TL006", "TL010"];
+    /// Codes of the rules clippy and rustc replaced; they stay unassigned.
+    const RETIRED: [&str; 11] = [
+        "TL001", "TL002", "TL003", "TL005", "TL006", "TL007", "TL009", "TL010", "TL011", "TL012",
+        "TL013",
+    ];
 
     #[test]
     fn design_doc_table_matches_rule_descriptions() {

@@ -23,11 +23,6 @@ impl SourceFile {
     pub fn line(&self, number: usize) -> Option<&SourceLine> {
         self.lines.get(number.wrapping_sub(1))
     }
-
-    /// The tokens that start on `line`.
-    pub fn tokens_on(&self, line: &SourceLine) -> &[Token] {
-        &self.tokens[line.tokens.clone()]
-    }
 }
 
 /// One source line plus the metadata rules match against.
@@ -82,16 +77,9 @@ impl SourceLine {
 }
 
 /// The parenthesised `lint:` directives besides `allow(...)`: the reasoned
-/// waivers (`nondeterministic` for TL007–TL009, `concurrency` for
-/// TL011–TL013, `alloc` for TL014, `panicfree` for TL016) and the `root`
+/// waivers (`alloc` for TL014, `panicfree` for TL016) and the `root`
 /// marker that declares a reachability root.
-const DIRECTIVES: [&str; 5] = [
-    "nondeterministic",
-    "concurrency",
-    "alloc",
-    "panicfree",
-    "root",
-];
+const DIRECTIVES: [&str; 3] = ["alloc", "panicfree", "root"];
 
 /// Lexes `source` once and annotates each of its lines.
 pub fn parse(source: &str) -> SourceFile {
@@ -156,9 +144,8 @@ fn propagate_standalone_directives(lines: &mut [SourceLine]) {
 
 /// Extracts directives from `lint:` comments: `allow(TL004, TL008)` rule
 /// suppressions, plus every [`DIRECTIVES`] entry with its argument. Several
-/// may appear in one comment (`// lint: allow(TL007),
-/// nondeterministic(telemetry only)`), and an argument may itself contain
-/// balanced parentheses.
+/// may appear in one comment (`// lint: allow(TL016), alloc(one-time
+/// growth)`), and an argument may itself contain balanced parentheses.
 fn parse_directives(comment: &str) -> (Vec<String>, Vec<(&'static str, String)>) {
     let mut allows = Vec::new();
     let mut directives = Vec::new();
@@ -276,8 +263,7 @@ mod tests {
             code,
             vec![true, true, false, false, false, true, true, false, true]
         );
-        let idents: Vec<&str> = file
-            .tokens_on(&file.lines[5])
+        let idents: Vec<&str> = file.tokens[file.lines[5].tokens.clone()]
             .iter()
             .filter_map(Token::ident)
             .collect();
@@ -321,79 +307,24 @@ mod tests {
 
     #[test]
     fn allow_directives_are_parsed() {
-        let lines = scan("if x == 0.0 {} // lint: allow(TL004, TL008)\n");
+        let lines = scan("if x == 0.0 {} // lint: allow(TL004, TL015)\n");
         assert!(lines[0].allows("TL004"));
-        assert!(lines[0].allows("TL008"));
-        assert!(!lines[0].allows("TL009"));
+        assert!(lines[0].allows("TL015"));
+        assert!(!lines[0].allows("TL014"));
     }
 
     #[test]
-    fn nondeterministic_directive_requires_a_reason() {
-        let lines = scan(
-            "a(); // lint: nondeterministic(wall-clock telemetry only)\nb(); // lint: nondeterministic()\nc();\n",
-        );
-        assert_eq!(
-            lines[0].reason("nondeterministic"),
-            Some("wall-clock telemetry only")
-        );
-        assert!(
-            lines[1].reason("nondeterministic").is_none(),
-            "empty reason is no waiver"
-        );
-        assert!(lines[2].reason("nondeterministic").is_none());
+    fn combined_allow_and_reasoned_directive() {
+        let lines = scan("t(); // lint: allow(TL016), alloc(ring (double) growth)\n");
+        assert!(lines[0].allows("TL016"));
+        assert_eq!(lines[0].reason("alloc"), Some("ring (double) growth"));
     }
 
     #[test]
-    fn combined_allow_and_nondeterministic_directive() {
+    fn retired_waivers_are_not_directives() {
         let lines =
-            scan("t(); // lint: allow(TL007), nondeterministic(timing (stage) telemetry)\n");
-        assert!(lines[0].allows("TL007"));
-        assert_eq!(
-            lines[0].reason("nondeterministic"),
-            Some("timing (stage) telemetry")
-        );
-    }
-
-    #[test]
-    fn standalone_nondeterministic_comment_covers_next_code_line() {
-        let src = "// lint: nondeterministic(jitter is display-only)\nnow();\nlater();\n";
-        let lines = scan(src);
-        assert!(lines[1].reason("nondeterministic").is_some());
-        assert!(lines[2].reason("nondeterministic").is_none());
-    }
-
-    #[test]
-    fn concurrency_directive_requires_a_reason() {
-        let lines = scan(
-            "a(); // lint: concurrency(claim counter; order never reaches results)\nb(); // lint: concurrency()\n",
-        );
-        assert_eq!(
-            lines[0].reason("concurrency"),
-            Some("claim counter; order never reaches results")
-        );
-        assert!(
-            lines[1].reason("concurrency").is_none(),
-            "empty reason is no waiver"
-        );
-    }
-
-    #[test]
-    fn standalone_concurrency_comment_covers_next_code_line() {
-        let src = "// lint: concurrency(worker-local)\nshared();\nafter();\n";
-        let lines = scan(src);
-        assert_eq!(lines[1].reason("concurrency"), Some("worker-local"));
-        assert!(lines[2].reason("concurrency").is_none());
-    }
-
-    #[test]
-    fn combined_allow_and_concurrency_directive() {
-        let lines =
-            scan("t(); // lint: allow(TL012), concurrency(join supplies the (only) edge)\n");
-        assert!(lines[0].allows("TL012"));
-        assert_eq!(
-            lines[0].reason("concurrency"),
-            Some("join supplies the (only) edge")
-        );
+            scan("a(); // lint: nondeterministic(telemetry)\nb(); // lint: concurrency(claim)\n");
+        assert!(lines.iter().all(|l| l.directives.is_empty()));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Fixture: a multi-replica router whose dispatch path reaches both a
-//! wall-clock read (in the replica engine's admission) and a heap
-//! allocation (in the fingerprint helper). The chains the analyzer must
-//! reconstruct from the `Router::run` root are
-//! `run → dispatch → ServingEngine::submit` (TL007) and
-//! `run → dispatch → fingerprint` (TL014).
+//! Fixture: a multi-replica router whose dispatch path reaches a heap
+//! allocation (in the fingerprint helper). The chain the analyzer must
+//! reconstruct from the `Router::run` root is
+//! `run → dispatch → fingerprint` (TL014). The replica engine's
+//! admission, also reached through `dispatch`, is fact-free, so nothing
+//! fires there.
 
 use crate::serve::ServingEngine;
 
@@ -20,14 +20,14 @@ impl Router {
     }
 
     /// The routing root: replays a request stream across the fleet.
-    pub fn run(&mut self, stream: &[Req]) { // lint: root(determinism, hot)
+    pub fn run(&mut self, stream: &[Req]) { // lint: root(hot)
         for req in stream {
             dispatch(&mut self.engines, req);
         }
     }
 }
 
-/// Hop two of both pinned chains: picks a replica and forwards. Free of
+/// Hop two of the pinned chain: picks a replica and forwards. Free of
 /// facts itself, so nothing may be reported at this hop.
 fn dispatch(engines: &mut [ServingEngine], req: &Req) {
     let slot = fingerprint(req);

@@ -1,7 +1,5 @@
-//! Fixture: the replica engine behind the router. Its admission path reads
-//! the wall clock — the TL007 fact the `Router::run` root must reach
-//! through `dispatch`. `ServingEngine::run` is deliberately absent so the
-//! router is the *only* taint root that reaches `submit`.
+//! Fixture: the replica engine behind the router. Its admission path is
+//! fact-free, and its constructor sits behind the setup cut.
 
 pub struct ServingEngine {
     depth: usize,
@@ -13,9 +11,8 @@ impl ServingEngine {
         ServingEngine { depth: 0 }
     }
 
-    /// Terminal hop of the TL007 chain: stamps admission with real time.
+    /// Admission: a hot root in its own right, reached by the router too.
     pub fn submit(&mut self, _req: &Req) { // lint: root(hot)
-        let _admitted_at = Instant::now();
         self.depth += 1;
     }
 }

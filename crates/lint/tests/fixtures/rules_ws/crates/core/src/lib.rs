@@ -1,4 +1,4 @@
-//! Rule fixture: TL004, TL009 and TL007 hits and non-hits among the literal,
+//! Rule fixture: TL004 and TL008 hits and non-hits among the literal,
 //! comment and test-region shapes the front end must tell apart.
 //! Nothing in an inner doc comment fires: x == 1.0, thread_rng(), Instant::now()
 
@@ -96,25 +96,6 @@ pub fn allowed(x: f32) -> bool {
     c && a
 }
 
-/// Nondeterminism sources.
-pub fn ambient() -> u64 {
-    let start = Instant::now();
-    let _t = std::time::SystemTime::now();
-    let _r = rand::thread_rng();
-    let _v = rand::random::<u8>();
-    let _e = StdRng::from_entropy();
-    let _m = MyInstant::now();
-    start.elapsed().as_nanos() as u64
-}
-
-/// Thread spawning outside the executor.
-pub fn spawns() {
-    std::thread::spawn(|| {});
-    std::thread::scope(|s| {});
-    let _b = thread::Builder::new();
-    scoped_spawn();
-}
-
 /// Float comparisons.
 pub fn floats(loss: f32, n: usize, pair: ((u8, u8), u8)) -> bool {
     let a = loss == 0.0;
@@ -184,17 +165,11 @@ pub fn doc_above_multi_line_attribute() -> u8 {
     0
 }
 
-/// A raw libm call reachable from a determinism root fires TL007; a tape
-/// op named like one (it takes an argument) and a waived reference do not.
-// lint: root(determinism)
-pub fn activations(x: f32, tape: &mut Tape) -> f32 {
-    squash(x) + tape.exp(x) + reference(x)
-}
-
-fn squash(x: f32) -> f32 {
-    x.tanh()
-}
-
-fn reference(x: f32) -> f32 {
-    (x as f64).exp() as f32 // lint: nondeterministic(fixture: a waived reference)
+/// `.into_iter()` on a hash-typed binding fires TL008; other receivers and
+/// a waived call do not.
+pub fn hash_order(index: HashMap<String, usize>, v: Vec<u8>) -> usize {
+    let seen = std::collections::HashSet::<u8>::new();
+    let a: usize = index.into_iter().map(|(_, n)| n).sum();
+    let b = seen.into_iter().count(); // lint: allow(TL008)
+    a + b + v.into_iter().count()
 }

@@ -1,6 +1,6 @@
-// Token classes the concurrency stage depends on: `unsafe` as a bare
-// keyword vs the `unsafe_code` ident, Atomic types, weak orderings,
-// compound assignment operators, and the reasoned waiver directives.
+// Token classes around shared state: `unsafe` as a bare keyword vs the
+// `unsafe_code` ident, Atomic types, orderings, compound assignment
+// operators, and a `lint:` comment that must stay out of the tokens.
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -32,7 +32,7 @@ fn lint(name: &str, src: &str) -> (Option<i32>, String) {
 fn well_placed_markers_pass() {
     let (code, stderr) = lint(
         "root_markers_ok",
-        "/// Marked trailing.\nfn a() {} // lint: root(determinism, hot)\n/// Marked above.\n#[inline]\n// lint: root(hot)\nfn b() {}\n",
+        "/// Marked trailing.\nfn a() {} // lint: root(hot)\n/// Marked above.\n#[inline]\n// lint: root(hot)\nfn b() {}\n",
     );
     assert_eq!(code, Some(0), "{stderr}");
 }
@@ -41,6 +41,11 @@ fn well_placed_markers_pass() {
 fn every_misplaced_or_unknown_marker_exits_2_naming_its_line() {
     let cases = [
         ("root_markers_unknown", "fn a() {} // lint: root(fast)\n", 1),
+        (
+            "root_markers_retired",
+            "fn a() {} // lint: root(determinism)\n",
+            1,
+        ),
         ("root_markers_empty", "fn a() {} // lint: root()\n", 1),
         (
             "root_markers_above_attribute",
@@ -49,7 +54,7 @@ fn every_misplaced_or_unknown_marker_exits_2_naming_its_line() {
         ),
         (
             "root_markers_not_a_fn",
-            "fn a() {\n    let x = 1; // lint: root(determinism)\n}\n",
+            "fn a() {\n    let x = 1; // lint: root(hot)\n}\n",
             2,
         ),
         (

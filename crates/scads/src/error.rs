@@ -22,6 +22,11 @@ pub enum ScadsError {
         /// The dataset's name.
         name: String,
     },
+    /// Installation named a concept id the graph does not have.
+    UnknownConcept {
+        /// The offending concept id value.
+        id: usize,
+    },
 }
 
 impl fmt::Display for ScadsError {
@@ -32,6 +37,7 @@ impl fmt::Display for ScadsError {
             ScadsError::EmptyDataset { name } => {
                 write!(f, "dataset `{name}` contains no examples")
             }
+            ScadsError::UnknownConcept { id } => write!(f, "no concept with id {id}"),
         }
     }
 }
@@ -61,6 +67,8 @@ mod tests {
         assert!(e.to_string().contains('3'));
         let e = ScadsError::EmptyDataset { name: "x".into() };
         assert!(e.to_string().contains('x'));
+        let e = ScadsError::UnknownConcept { id: 41 };
+        assert!(e.to_string().contains("41"));
     }
 
     #[test]

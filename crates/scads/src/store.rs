@@ -129,14 +129,14 @@ impl<X: Clone> Scads<X> {
     }
 
     /// Installs a dataset whose classes are already resolved to concept ids.
+    /// Every id is checked before anything is installed, so a refused
+    /// dataset leaves SCADS unchanged.
     ///
     /// # Errors
     ///
-    /// [`ScadsError::EmptyDataset`] if `items` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a concept id is out of range.
+    /// * [`ScadsError::EmptyDataset`] if `items` is empty.
+    /// * [`ScadsError::UnknownConcept`] naming the first concept id that is
+    ///   out of range.
     pub fn install_by_id(
         &mut self,
         name: &str,
@@ -147,10 +147,12 @@ impl<X: Clone> Scads<X> {
                 name: name.to_string(),
             });
         }
+        if let Some((concept, _)) = items.iter().find(|(c, _)| c.0 >= self.store.len()) {
+            return Err(ScadsError::UnknownConcept { id: concept.0 });
+        }
         let id = DatasetId(self.datasets.len());
         self.datasets.push(Some(name.to_string()));
         for (concept, x) in items {
-            assert!(concept.0 < self.store.len(), "concept id out of range");
             self.store[concept.0].push((id, x));
         }
         Ok(id)
@@ -395,6 +397,18 @@ mod tests {
             Err(ScadsError::EmptyDataset { .. })
         ));
         assert!(scads.install("bad", vec![("not_a_concept", 1u32)]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_ids_are_refused_before_any_install() {
+        let mut scads = build(30);
+        let (examples, datasets) = (scads.num_examples(), scads.installed_datasets().len());
+        assert_eq!(
+            scads.install_by_id("half", vec![(ConceptId(3), 1u32), (ConceptId(30), 2)]),
+            Err(ScadsError::UnknownConcept { id: 30 })
+        );
+        assert_eq!(scads.num_examples(), examples);
+        assert_eq!(scads.installed_datasets().len(), datasets);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! which on Linux already honours CPU affinity and cgroup quotas, so
 //! `taskset` or a container limit caps it.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the claim counter below is the executor's one atomic"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Deterministic executor over indexed, independent jobs.
@@ -37,7 +41,6 @@ impl Executor {
         clippy::new_without_default,
         reason = "the worker count is read from the host, not a default value"
     )]
-    // lint: root(determinism)
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Executor { threads }
@@ -67,7 +70,6 @@ impl Executor {
     /// # Errors
     ///
     /// The first (by index) error any job returned.
-    // lint: root(determinism)
     pub fn run<T, E, F>(&self, jobs: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
@@ -79,7 +81,10 @@ impl Executor {
             return (0..jobs).map(f).collect();
         }
 
-        // lint: concurrency(claim counter only orders job *claiming*; results carry their index and are reassembled in index order below, so claim order never reaches outputs)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the claim counter only orders job *claiming*; results carry their index and are reassembled in index order below, so claim order never reaches outputs. Relaxed suffices: fetch_add's atomic RMW already yields unique indices, and scope join gives the happens-before edge before results are read"
+        )]
         let next = AtomicUsize::new(0);
         #[expect(
             clippy::disallowed_methods,
@@ -91,7 +96,6 @@ impl Executor {
                     scope.spawn(|| {
                         let mut out = Vec::new();
                         loop {
-                            // lint: concurrency(Relaxed suffices: fetch_add's atomic RMW already yields unique indices, and scope join gives the happens-before edge before results are read)
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= jobs {
                                 break;

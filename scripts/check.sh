@@ -22,11 +22,12 @@ step() {
     local name="$1"
     shift
     echo "==> $name: $*"
+    local start=$SECONDS
     if "$@"; then
-        echo "==> $name: ok"
+        echo "==> $name: ok ($((SECONDS - start)) s)"
         record "$name" "ok"
     else
-        echo "==> $name: FAILED"
+        echo "==> $name: FAILED ($((SECONDS - start)) s)"
         record "$name" "FAILED"
         failures=$((failures + 1))
     fi
@@ -47,17 +48,20 @@ fi
 step "lexer" cargo test --offline --quiet -p taglets-lint --test lexer_golden
 
 # The lint's own test matrix (line metadata, rules, items, call-graph, reachability
-# engine, root markers, fixture-workspace goldens, JSON contract) before
-# the workspace scan relies on it.
+# engine, root markers, fixture-workspace goldens, JSON contract, and the
+# pin on the clippy configuration below) before the workspace scan relies
+# on it.
 step "lint-fixtures" cargo test --offline --quiet -p taglets-lint
 
 step "lint" cargo run --offline --quiet -p taglets-lint -- --check --json
 
-# The per-file rules the toolchain already has: the root Cargo.toml's
+# What the toolchain already checks: the root Cargo.toml's
 # `[workspace.lints]` table (unwrap/expect, panic macros, missing docs,
-# `unsafe`) and `clippy.toml`'s disallowed methods (wall-clock reads,
-# thread spawning). `--lib --bins` leaves `#[cfg(test)]` code out; any
-# warning, an unfulfilled `#[expect]` included, fails the step.
+# `unsafe`, `for` loops over hash-ordered collections) and `clippy.toml`'s
+# disallowed methods (wall-clock reads, thread spawning, entropy sources,
+# host libm calls, hash-order iteration) and types (interior mutability,
+# atomics). `--lib --bins` leaves `#[cfg(test)]` code out; any warning, an
+# unfulfilled `#[expect]` included, fails the step.
 step "clippy" cargo clippy --offline --workspace --lib --bins -- -D warnings
 
 # Rustdoc over the workspace crates, broken and private intra-doc links
@@ -92,6 +96,18 @@ step "determinism" cargo test --offline --quiet --test system_end_to_end exec_de
 # Run by name so a filtered or skipped test run can never mask a change of
 # bits in the one training step every loop shares.
 step "pins" sh -c 'cargo test --offline --quiet -p taglets-graph --test pretrain_pin && cargo test --offline --quiet --test system_end_to_end baselines_sanity::'
+
+# Bits must not depend on SIMD width: the same run and baseline pins,
+# built for the x86-64 baseline instead of the host CPU that
+# `.cargo/config.toml` selects (RUSTFLAGS overrides it). A target directory
+# of its own keeps the native build cached.
+if [ "$(uname -m)" = "x86_64" ]; then
+    step "portable" env CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=x86-64" cargo test --offline --quiet --test system_end_to_end -- exec_determinism:: baselines_sanity::
+else
+    echo "==> portable: skipped (the native build is already the baseline off x86-64)"
+    record "portable" "skipped"
+    echo
+fi
 
 # SCADS selection: the batched similarity query (one GEMM per call) against
 # a per-pair cosine oracle, bit for bit, and `select_related` against

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Dynamic counterpart to the lint's static concurrency rules (TL011–TL013)
-# and the workspace's `unsafe_code = "forbid"`:
+# Dynamic counterpart to clippy's static concurrency checks (the
+# disallowed interior-mutability types) and `unsafe_code = "forbid"`:
 # runs the code that spawns threads under ThreadSanitizer — the executor
 # unit tests, which force 1, 2 and 4 workers whatever the host's core
 # count, and the module-trait tests of taglets-core — and the executor unit
@@ -81,7 +81,7 @@ if [ "$failures" -ne 0 ]; then
     exit 1
 fi
 if [ "$ran_any" -eq 0 ]; then
-    echo "sanitize.sh: no sanitizer available; static TL011–TL013 rules and unsafe_code = \"forbid\" remain the gate"
+    echo "sanitize.sh: no sanitizer available; clippy's disallowed types and unsafe_code = \"forbid\" remain the gate"
 else
     echo "sanitize.sh: all sanitizer runs passed"
 fi
